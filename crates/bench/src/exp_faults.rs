@@ -245,7 +245,7 @@ fn run_cell(
     for peer in &targets {
         plane.crash(*peer);
     }
-    *net.fault_plane_mut() = plane;
+    net.set_fault_plane(plane);
     // Queries never originate from a crashed peer — clients on dead machines
     // are not part of the workload.
     let origins: Vec<usize> = (0..params.peers).filter(|p| !targets.contains(p)).collect();

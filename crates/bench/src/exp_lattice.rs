@@ -7,7 +7,8 @@
 //! skipped — the expected output is the probed/skipped pattern of the figure
 //! (`abc, ab, ac, bc, a` probed; `b, c` skipped; result = union of `bc` and `a`).
 
-use alvisp2p_core::global_index::GlobalIndex;
+use alvisp2p_core::fault::ProbeOutcome;
+use alvisp2p_core::global_index::{GlobalIndex, ProbeResult};
 use alvisp2p_core::key::TermKey;
 use alvisp2p_core::lattice::{explore_lattice, LatticeConfig, NodeOutcome};
 use alvisp2p_core::plan::{
@@ -15,7 +16,7 @@ use alvisp2p_core::plan::{
 };
 use alvisp2p_core::posting::{ScoredRef, TruncatedPostingList};
 use alvisp2p_core::ranking::GlobalRankingStats;
-use alvisp2p_dht::DhtConfig;
+use alvisp2p_dht::{DhtConfig, DhtError};
 use alvisp2p_netsim::TrafficCategory;
 use alvisp2p_textindex::{CollectionStats, DocId};
 use serde::Serialize;
@@ -94,6 +95,16 @@ fn build_figure1_index(params: &LatticeParams) -> GlobalIndex {
     index
 }
 
+/// One probe from peer 1 over the fault-free wire of the Figure 1 index.
+fn probe(index: &mut GlobalIndex, key: &TermKey, capacity: usize) -> Result<ProbeResult, DhtError> {
+    index
+        .probe(1, key, 1, capacity, None, 0, 0, None)
+        .map(|outcome| match outcome {
+            ProbeOutcome::Ok(probe) => probe,
+            failed => unreachable!("no fault plane is set: {failed:?}"),
+        })
+}
+
 /// Builds the Figure 1 index and runs the query `{a, b, c}` through the lattice.
 pub fn run(params: &LatticeParams) -> Vec<LatticeRow> {
     let mut index = build_figure1_index(params);
@@ -103,10 +114,8 @@ pub fn run(params: &LatticeParams) -> Vec<LatticeRow> {
         ..Default::default()
     };
     let query = TermKey::new(["a", "b", "c"]);
-    let result = explore_lattice(&query, &config, |k| {
-        index.probe(1, k, 1, params.capacity, None)
-    })
-    .expect("exploration succeeds");
+    let result = explore_lattice(&query, &config, |k| probe(&mut index, k, params.capacity))
+        .expect("exploration succeeds");
 
     let retrieved: Vec<String> = result
         .retrieved
@@ -226,9 +235,7 @@ pub fn run_planned(
         match cursor.next_key(spent) {
             CursorStep::Done => break,
             CursorStep::Probe(key) => {
-                let probe = index
-                    .probe(1, &key, 1, params.capacity, None)
-                    .expect("probe succeeds");
+                let probe = probe(&mut index, &key, params.capacity).expect("probe succeeds");
                 cursor.record(probe);
             }
         }

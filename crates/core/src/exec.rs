@@ -146,49 +146,6 @@ impl ExecutionObserver for StableTopK {
     }
 }
 
-/// Runs [`QueryPlan`]s against a network. A thin, explicit handle over the same
-/// machinery [`AlvisNetwork::execute`] uses — callers that already hold a network
-/// can equally call [`AlvisNetwork::run`] / [`AlvisNetwork::run_observed`] /
-/// [`AlvisNetwork::stream`] directly.
-#[derive(Debug)]
-pub struct QueryExecutor<'n> {
-    net: &'n mut AlvisNetwork,
-}
-
-impl<'n> QueryExecutor<'n> {
-    pub(crate) fn new(net: &'n mut AlvisNetwork) -> Self {
-        QueryExecutor { net }
-    }
-
-    /// Runs a plan to completion.
-    pub fn run(
-        &mut self,
-        plan: &QueryPlan,
-        request: &QueryRequest,
-    ) -> Result<QueryResponse, AlvisError> {
-        self.net.run(plan, request)
-    }
-
-    /// Runs a plan under an observer that may early-terminate it.
-    pub fn run_observed(
-        &mut self,
-        plan: &QueryPlan,
-        request: &QueryRequest,
-        observer: &mut dyn ExecutionObserver,
-    ) -> Result<QueryResponse, AlvisError> {
-        self.net.run_observed(plan, request, observer)
-    }
-
-    /// Turns the executor into a pull-style stream over the execution.
-    pub fn stream(
-        self,
-        plan: QueryPlan,
-        request: QueryRequest,
-    ) -> Result<QueryStream<'n>, AlvisError> {
-        self.net.stream(plan, request)
-    }
-}
-
 /// A pull-style execution: iterate [`ProbeEvent`]s at your own pace, optionally
 /// [`QueryStream::stop`] early, then [`QueryStream::finish`] into the
 /// [`QueryResponse`].
@@ -506,22 +463,22 @@ impl<'n> QueryStream<'n> {
         };
     }
 
-    /// Acquires one scheduled probe from the network, surviving faults.
+    /// Acquires one scheduled probe from the network: the attempt loop over
+    /// [`crate::global_index::GlobalIndex::probe`], the one wire path.
     ///
-    /// With an inactive [`crate::fault::FaultPlane`] this is a single
-    /// [`AlvisNetwork::probe_planned`] call — the exact pre-fault-plane code
-    /// path, so the default configuration stays byte-identical. With an
-    /// active plane, the attempt loop applies the network's
+    /// A failed attempt is answered per the network's
     /// [`crate::fault::RetryPolicy`]: bounded re-sends with exponential
     /// backoff and deterministic jitter in simulated time, a per-probe
     /// deadline, and — after an unresponsive peer — failover of the serve to
     /// the next live holder in the key's replica set. Every failed attempt's
     /// traffic is really charged, so retries compete against the query's
-    /// byte/hop budgets like any other spend.
+    /// byte/hop budgets like any other spend. Under an inactive
+    /// [`crate::fault::FaultPlane`] the first attempt cannot fail, so the
+    /// loop body runs once and nothing below the `match` is reached.
     ///
     /// A routing-level [`DhtError::LookupFailed`] (the responsible peer is
     /// dead or the routing state is stale) is downgraded to a recorded
-    /// per-probe failure on both paths: one dead peer must not zero out an
+    /// per-probe failure: one dead peer must not zero out an
     /// otherwise-answerable query. `BadOrigin` and `EmptyNetwork` stay fatal
     /// — they mean the *querier* is in no state to run anything.
     fn acquire_probe(
@@ -531,39 +488,23 @@ impl<'n> QueryStream<'n> {
         shed: usize,
     ) -> Result<ProbeAcquisition, AlvisError> {
         let origin = self.request.origin;
-        if !self.net.fault_plane().is_active() {
-            return match self.net.probe_planned(origin, key, self.seq, floor, shed) {
-                Ok(probe) => Ok(ProbeAcquisition::Served {
-                    probe,
-                    retries: 0,
-                    hedged: false,
-                }),
-                Err(DhtError::LookupFailed) => Ok(ProbeAcquisition::Failed {
-                    cause: FailureCause::PeerDown,
-                    hops: 0,
-                    retries: 0,
-                    served_by: origin,
-                }),
-                Err(e) => Err(AlvisError::from(e)),
-            };
-        }
+        let capacity = self.net.strategy().truncation_k();
         let policy = self.net.retry_policy();
-        let ring = key.ring_id();
         let mut retries = 0usize;
         let mut hedged = false;
         let mut failed_hops = 0usize;
         let mut elapsed_us = 0u64;
-        let mut downed: Vec<usize> = Vec::new();
         let mut serve_override: Option<usize> = None;
         // Assigned by every match arm that falls through to the retry logic.
         let mut last_cause;
         let mut last_server = origin;
         let mut attempt: u32 = 0;
         loop {
-            match self.net.probe_attempt(
+            match self.net.global_index_mut().probe(
                 origin,
                 key,
                 self.seq,
+                capacity,
                 floor,
                 shed,
                 attempt,
@@ -607,30 +548,26 @@ impl<'n> QueryStream<'n> {
                     failed_hops += hops;
                     last_cause = FailureCause::PeerDown;
                     last_server = peer;
-                    if !downed.contains(&peer) {
-                        downed.push(peer);
-                    }
                 }
             }
             if attempt as usize >= policy.max_retries {
                 break;
             }
-            let backoff = policy.backoff_us(attempt)
-                + self
-                    .net
-                    .fault_plane()
-                    .jitter_us(ring, self.seq, attempt, policy.jitter_us);
-            elapsed_us += backoff;
+            let plane = self.net.fault_plane();
+            elapsed_us += policy.backoff_us(attempt)
+                + plane.jitter_us(key.ring_id(), self.seq, attempt, policy.jitter_us);
             if policy.deadline_us > 0 && elapsed_us > policy.deadline_us {
                 break;
             }
             if policy.failover && last_cause == FailureCause::PeerDown {
-                // Re-serve from the next live, not-yet-tried holder of the
-                // key (primary first, then its replica set).
+                // Re-serve from the first live holder of the key (primary
+                // first, then its replica set); every peer an earlier attempt
+                // found down is down for the plane too.
                 let candidates = self.net.global_index().serving_candidates(key);
-                let next = candidates.iter().copied().find(|c| {
-                    !downed.contains(c) && !self.net.fault_plane().peer_down(*c, self.seq)
-                });
+                let next = candidates
+                    .iter()
+                    .copied()
+                    .find(|c| !plane.peer_down(*c, self.seq));
                 match next {
                     Some(c) => {
                         serve_override = Some(c);
@@ -681,7 +618,7 @@ impl<'n> QueryStream<'n> {
                 let before = self.net.retrieval_totals().0;
                 let floor = self.probe_floor(&key);
                 let shed = self.cursor.pending_node().map_or(0, |n| n.shed_prefix);
-                let (probe, pruned, probe_retries) =
+                let (acquired, pruned) =
                     match self
                         .net
                         .sketch_prune(self.request.origin, &key, self.seq, floor)
@@ -689,72 +626,60 @@ impl<'n> QueryStream<'n> {
                         Some((probe, virtual_bytes)) => {
                             self.virtual_bytes += virtual_bytes;
                             self.pruned += 1;
-                            (probe, true, 0)
+                            let served = ProbeAcquisition::Served {
+                                probe,
+                                retries: 0,
+                                hedged: false,
+                            };
+                            (served, true)
                         }
                         None => match self.acquire_probe(&key, floor, shed) {
+                            Ok(acquired) => (acquired, false),
                             Err(err) => {
                                 self.error = Some(err.clone());
                                 return Some(Err(err));
                             }
-                            Ok(ProbeAcquisition::Served {
-                                probe,
-                                retries,
-                                hedged,
-                            }) => {
-                                self.retries += retries;
-                                if hedged {
-                                    self.hedged += 1;
-                                }
-                                (probe, false, retries)
-                            }
-                            Ok(ProbeAcquisition::Failed {
-                                cause,
-                                hops,
-                                retries,
-                                served_by,
-                            }) => {
-                                self.retries += retries;
-                                self.failed += 1;
-                                let replicas = self.net.global_index().replica_holders_of(&key);
-                                self.cursor.record_failure(key.clone(), cause, hops);
-                                let bytes = self.net.retrieval_totals().0 - before;
-                                let top_k =
-                                    merge_retrieved(self.cursor.retrieved(), self.request.top_k);
-                                let event = ProbeEvent {
-                                    index: self.sent,
-                                    planned: self.planned,
-                                    key,
-                                    outcome: NodeOutcome::Failed { cause },
-                                    bytes,
-                                    hops,
-                                    spent_bytes: self.spent_bytes(),
-                                    spent_hops: self.cursor.hops_spent(),
-                                    score_floor: floor,
-                                    served_by,
-                                    replicas: replicas.len(),
-                                    pruned: false,
-                                    retries,
-                                    top_k,
-                                };
-                                self.sent += 1;
-                                return Some(Ok(event));
-                            }
                         },
                     };
-                let hops = probe.hops;
-                let served_by = probe.served_by;
-                let replicas = probe.replica_set.len();
-                if self.rank_safe.is_some() {
-                    // Budget admission must see what the probe would have
-                    // cost without elision, so rank-safe savings never buy
-                    // extra probes the Off execution would not have sent —
-                    // the same counterfactual accounting sketch pruning uses
-                    // (a pruned probe reports zero elision for exactly that
-                    // reason: its full cost is already virtual).
-                    self.virtual_bytes += probe.elided_bytes as u64;
-                }
-                let outcome = self.cursor.record(probe);
+                let (outcome, hops, served_by, replicas, retries) = match acquired {
+                    ProbeAcquisition::Served {
+                        probe,
+                        retries,
+                        hedged,
+                    } => {
+                        self.hedged += usize::from(hedged);
+                        if self.rank_safe.is_some() {
+                            // Budget admission must see what the probe would
+                            // have cost without elision, so rank-safe savings
+                            // never buy extra probes the Off execution would
+                            // not have sent — the same counterfactual
+                            // accounting sketch pruning uses (a pruned probe
+                            // reports zero elision for exactly that reason:
+                            // its full cost is already virtual).
+                            self.virtual_bytes += probe.elided_bytes as u64;
+                        }
+                        let (hops, served_by) = (probe.hops, probe.served_by);
+                        let replicas = probe.replica_set.len();
+                        let outcome = self.cursor.record(probe);
+                        (outcome, hops, served_by, replicas, retries)
+                    }
+                    ProbeAcquisition::Failed {
+                        cause,
+                        hops,
+                        retries,
+                        served_by,
+                    } => {
+                        self.failed += 1;
+                        let replicas = self.net.global_index().replica_holders_of(&key).len();
+                        self.cursor.record_failure(key.clone(), cause, hops);
+                        let outcome = NodeOutcome::Failed { cause };
+                        (outcome, hops, served_by, replicas, retries)
+                    }
+                };
+                self.retries += retries;
                 let bytes = self.net.retrieval_totals().0 - before;
+                // A failed probe retrieved nothing, so the running top-k and
+                // the floor derived from it stay what they were.
                 let top_k = merge_retrieved(self.cursor.retrieved(), self.request.top_k);
                 self.update_floor(&top_k);
                 let event = ProbeEvent {
@@ -770,7 +695,7 @@ impl<'n> QueryStream<'n> {
                     served_by,
                     replicas,
                     pruned,
-                    retries: probe_retries,
+                    retries,
                     top_k,
                 };
                 self.sent += 1;
@@ -804,22 +729,15 @@ impl<'n> QueryStream<'n> {
             .map(|node| (node.key.clone(), node.est_entries as u64))
             .collect();
         let (result, budget_exhausted) = self.cursor.finish();
-        let failures: Vec<(String, FailureCause)> = result
-            .trace
-            .failed_probes()
-            .into_iter()
-            .map(|(key, cause)| (key.canonical(), cause))
+        let failed = result.trace.failed_probes();
+        let failures: Vec<(String, FailureCause)> = failed
+            .iter()
+            .map(|(key, cause)| (key.canonical(), *cause))
             .collect();
         let planned_df: u64 = plan_df.iter().map(|(_, df)| df).sum();
         let failed_df: u64 = plan_df
             .iter()
-            .filter(|(key, _)| {
-                result
-                    .trace
-                    .failed_probes()
-                    .iter()
-                    .any(|(failed, _)| *failed == key)
-            })
+            .filter(|(key, _)| failed.iter().any(|(failed, _)| *failed == key))
             .map(|(_, df)| df)
             .sum();
         let completeness = Completeness {

@@ -9,9 +9,12 @@
 //!   decisions: message loss, slow replies past the deadline, crashed or
 //!   stalled peers, response bit-flip corruption (caught by the codec's
 //!   checksum trailer), lost posting publications, and lost replica-sync /
-//!   stats-publication messages. The default, [`FaultPlane::NoFaults`], keeps
-//!   every byte of the query path identical to a fault-free network — pinned
-//!   by the `fault_equivalence` suite.
+//!   stats-publication messages. It is *data* the one probe path and the one
+//!   publication path of [`crate::global_index::GlobalIndex`] consult, not a
+//!   switch between two paths: the default, [`FaultPlane::NoFaults`] — like
+//!   any plane whose rates are zero and whose crash set is empty — answers
+//!   "no" to every question without drawing randomness, so it charges nothing
+//!   extra and changes no byte (pinned by the `fault_equivalence` suite).
 //! * [`RetryPolicy`] — how the executor responds: bounded retries with
 //!   exponential backoff and deterministic jitter in simulated time, a
 //!   per-probe deadline, and failover to a live replica holder of the key
@@ -62,8 +65,8 @@ impl std::fmt::Display for FailureCause {
     }
 }
 
-/// The result of one fault-aware probe attempt (see
-/// [`crate::global_index::GlobalIndex::probe_attempt`]).
+/// The result of one probe attempt (see
+/// [`crate::global_index::GlobalIndex::probe`]).
 ///
 /// Every variant reports the overlay hops the attempt spent — failed attempts
 /// consumed real routing traffic and are charged against hop budgets.
@@ -163,10 +166,12 @@ impl FaultConfig {
     }
 }
 
-/// Deterministic fault injection for [`crate::global_index::GlobalIndex`]
-/// probes. The default, [`FaultPlane::NoFaults`], is structurally inert: the
-/// executor never takes the fault-aware probe path, so the query path is
-/// byte-identical to a network built before this plane existed.
+/// Deterministic fault injection for the wire operations of
+/// [`crate::global_index::GlobalIndex`], which owns the plane. Under the
+/// default, [`FaultPlane::NoFaults`], every decision function below returns
+/// `false` / `None` / `0` without drawing randomness, so probes and
+/// publications run the same code as under an active plane and simply never
+/// fail.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum FaultPlane {
     /// No faults are ever injected (the default).
@@ -292,9 +297,10 @@ impl FaultPlane {
         }
     }
 
-    /// Whether the plane can inject anything at all. The executor only takes
-    /// the fault-aware probe path when this is `true`, so an inactive plane
-    /// is *structurally* byte-identical to the pre-fault-plane code.
+    /// Whether the plane can inject anything at all. Purely descriptive (for
+    /// tests and reports): no code path branches on it — an inactive plane is
+    /// inert because each decision function answers "no", not because it is
+    /// bypassed.
     pub fn is_active(&self) -> bool {
         match self {
             FaultPlane::NoFaults => false,
@@ -311,8 +317,9 @@ impl FaultPlane {
     }
 
     /// The seed of the plane's stateless decision hash (`None` under
-    /// [`FaultPlane::NoFaults`]). Used to wire the replica-sync loss draws
-    /// into the dht layer with the same determinism guarantees.
+    /// [`FaultPlane::NoFaults`]). [`crate::global_index::GlobalIndex::set_fault_plane`]
+    /// hands it to the dht layer so replica-sync loss draws share the same
+    /// determinism guarantees.
     pub fn seed(&self) -> Option<u64> {
         match self {
             FaultPlane::NoFaults => None,
@@ -437,7 +444,8 @@ impl FaultPlane {
 ///
 /// The default policy retries twice with failover enabled — and is
 /// byte-identical to no policy at all when the [`FaultPlane`] is inactive,
-/// because retries only happen after a failed attempt.
+/// because retries only happen after a failed attempt and an inactive plane
+/// never fails one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Maximum number of re-sends after the first attempt (`0` = no retries).

@@ -10,7 +10,16 @@
 //! [`GlobalIndex`] wraps the [`Dht`] with typed, traffic-accounted operations; every
 //! byte that would cross the network in the deployed system is charged to the
 //! appropriate [`TrafficCategory`].
+//!
+//! It owns the simulated wire, and therefore the [`FaultPlane`] that decides
+//! what the wire does to a message. There is **one** probe path
+//! ([`GlobalIndex::probe`]) and **one** publication path
+//! ([`GlobalIndex::publish_postings`]); both consult the plane at every point
+//! a message could be lost, delayed or damaged. An inactive plane answers
+//! "no" to every question without drawing randomness and charges nothing
+//! extra, so the fault-free system is that same path, not a second one.
 
+use crate::fault::{FaultPlane, ProbeOutcome};
 use crate::key::TermKey;
 use crate::posting::TruncatedPostingList;
 use alvisp2p_dht::{Dht, DhtConfig, DhtError, RingId};
@@ -183,26 +192,21 @@ pub struct GlobalIndex {
     versions: HashMap<RingId, u64>,
     /// Publications whose application at the responsible peer has not been
     /// acknowledged, awaiting re-publication. Always empty under
-    /// [`crate::fault::FaultPlane::NoFaults`].
+    /// [`FaultPlane::NoFaults`].
     pending: Vec<PendingPublish>,
     /// Monotonic sequence number carried by every publication (versioned,
     /// acknowledged publications — the coordinates of loss draws).
     publish_seq: u64,
     /// Logical round counter of the bounded-backoff re-publication schedule.
     republish_rounds: u64,
+    /// What the simulated wire does to probes and publications.
+    faults: FaultPlane,
 }
 
 impl GlobalIndex {
     /// Creates a global index over a freshly built overlay of `n_peers` peers.
     pub fn new(dht_config: DhtConfig, seed: u64, n_peers: usize) -> Self {
-        GlobalIndex {
-            dht: Dht::with_peers(dht_config, seed, n_peers),
-            probe_request_bytes: 48,
-            versions: HashMap::new(),
-            pending: Vec::new(),
-            publish_seq: 0,
-            republish_rounds: 0,
-        }
+        Self::from_dht(Dht::with_peers(dht_config, seed, n_peers))
     }
 
     /// Wraps an existing overlay.
@@ -214,7 +218,34 @@ impl GlobalIndex {
             pending: Vec::new(),
             publish_seq: 0,
             republish_rounds: 0,
+            faults: FaultPlane::NoFaults,
         }
+    }
+
+    /// The fault plane every probe and publication consults (see
+    /// [`crate::fault`]).
+    pub fn fault_plane(&self) -> &FaultPlane {
+        &self.faults
+    }
+
+    /// In-place edits of the plane: [`FaultPlane::crash`],
+    /// [`FaultPlane::restore`] and [`FaultPlane::stall`] between (or during)
+    /// queries. To *replace* the plane use [`GlobalIndex::set_fault_plane`] —
+    /// assigning through this reference leaves the overlay's replica
+    /// sync-loss seed and rate at the old plane's values.
+    pub fn fault_plane_mut(&mut self) -> &mut FaultPlane {
+        &mut self.faults
+    }
+
+    /// Replaces the fault plane and pushes its replica sync-loss seed and rate
+    /// into the overlay's replication subsystem (the `dht` crate cannot depend
+    /// on this one, so the plane itself cannot cross the boundary): replica
+    /// synchronisation messages fail under the same deterministic plane as
+    /// probes and publications.
+    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
+        self.dht
+            .set_replica_faults(plane.seed().unwrap_or(0), plane.sync_loss_rate());
+        self.faults = plane;
     }
 
     /// The underlying overlay (read-only).
@@ -263,6 +294,14 @@ impl GlobalIndex {
     /// publish would compound one grid-step of error per hop without changing
     /// any byte count; the retrieval path (the paper's cost metric) is where
     /// the quantization is made observable.
+    ///
+    /// Every publication consumes one monotonic publish sequence number, the
+    /// coordinates of its deterministic loss draws. When the plane's
+    /// `publish_loss_rate` drops the message in flight, its routing and
+    /// request bytes are still charged (the publisher cannot know in advance),
+    /// the responsible peer never applies the delta, the publish version does
+    /// not advance, and the publication is queued un-acked for
+    /// [`GlobalIndex::republish_round`].
     pub fn publish_postings(
         &mut self,
         from: usize,
@@ -270,58 +309,10 @@ impl GlobalIndex {
         delta: &TruncatedPostingList,
         capacity: usize,
     ) -> Result<usize, DhtError> {
-        let ring_key = key.ring_id();
-        let request_bytes = key.wire_size() + delta.wire_size();
-        // The closure borrows `key` and `delta`: no copy of the key or of the
-        // delta posting list is made to cross the (simulated) wire.
-        let info = self.dht.update(
-            from,
-            ring_key,
-            request_bytes,
-            TrafficCategory::Indexing,
-            |slot| {
-                let entry =
-                    slot.get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
-                entry.postings.merge(delta);
-                entry.activated = true;
-            },
-        )?;
-        // Keep any replica copies identical to the primary (no-op unless the
-        // key is hot-replicated).
-        self.dht.sync_replicas(ring_key, TrafficCategory::Indexing);
-        *self.versions.entry(ring_key).or_insert(0) += 1;
-        Ok(info.hops)
-    }
-
-    /// Like [`GlobalIndex::publish_postings`], but the publication crosses a
-    /// faulty wire: with the plane's `publish_loss_rate` probability the
-    /// message is dropped in flight. A lost publish still charges its routing
-    /// and request bytes (the publisher cannot know in advance), the
-    /// responsible peer never applies the delta, the publish version does not
-    /// advance, and the publication is queued un-acked for
-    /// [`GlobalIndex::republish_round`]. Every publication — lost or not —
-    /// consumes one monotonic publish sequence number, the coordinates of its
-    /// deterministic loss draws.
-    ///
-    /// Under [`crate::fault::FaultPlane::NoFaults`] (or a zero
-    /// `publish_loss_rate`) this is exactly `publish_postings`.
-    pub fn publish_postings_faulty(
-        &mut self,
-        from: usize,
-        key: &TermKey,
-        delta: &TruncatedPostingList,
-        capacity: usize,
-        plane: &crate::fault::FaultPlane,
-    ) -> Result<usize, DhtError> {
         let seq = self.publish_seq;
         self.publish_seq += 1;
-        let ring_key = key.ring_id();
-        if plane.publish_lost(ring_key, seq, 0) {
-            let info = self.dht.route(from, ring_key, TrafficCategory::Indexing)?;
-            self.dht.charge_external(
-                TrafficCategory::Indexing,
-                key.wire_size() + delta.wire_size(),
-            );
+        if self.faults.publish_lost(key.ring_id(), seq, 0) {
+            let hops = self.send_lost_publish(from, key, delta, TrafficCategory::Indexing)?;
             self.pending.push(PendingPublish {
                 from,
                 key: key.clone(),
@@ -331,9 +322,55 @@ impl GlobalIndex {
                 attempts: 0,
                 due_round: self.republish_rounds + 1,
             });
-            return Ok(info.hops);
+            return Ok(hops);
         }
-        self.publish_postings(from, key, delta, capacity)
+        self.apply_publish(from, key, delta, capacity, TrafficCategory::Indexing)
+    }
+
+    /// A publish message that crosses the wire and arrives: the responsible
+    /// peer merges the delta, replica copies are brought level (a no-op unless
+    /// the key is hot-replicated) and the publish version advances.
+    // Inlined so that each caller's `category` stays a constant through the
+    // routed update: out of line, a first publication measures ~7% slower.
+    #[inline]
+    fn apply_publish(
+        &mut self,
+        from: usize,
+        key: &TermKey,
+        delta: &TruncatedPostingList,
+        capacity: usize,
+        category: TrafficCategory,
+    ) -> Result<usize, DhtError> {
+        let ring_key = key.ring_id();
+        let request_bytes = key.wire_size() + delta.wire_size();
+        // The closure borrows `key` and `delta`: no copy of the key or of the
+        // delta posting list is made to cross the (simulated) wire.
+        let info = self
+            .dht
+            .update(from, ring_key, request_bytes, category, |slot| {
+                let entry =
+                    slot.get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
+                entry.postings.merge(delta);
+                entry.activated = true;
+            })?;
+        self.dht.sync_replicas(ring_key, category);
+        *self.versions.entry(ring_key).or_insert(0) += 1;
+        Ok(info.hops)
+    }
+
+    /// A publish message dropped in flight: it still crossed part of the wire,
+    /// so its routing and request bytes are charged.
+    fn send_lost_publish(
+        &mut self,
+        from: usize,
+        key: &TermKey,
+        delta: &TruncatedPostingList,
+        category: TrafficCategory,
+    ) -> Result<usize, DhtError> {
+        let info = self.dht.route(from, key.ring_id(), category)?;
+        self.dht
+            .charge_external(category, key.wire_size() + delta.wire_size());
+        Ok(info.hops)
     }
 
     /// Number of publications still awaiting acknowledgement (`0` unless
@@ -344,17 +381,15 @@ impl GlobalIndex {
 
     /// One round of the bounded-backoff re-publication schedule: every due
     /// un-acked publication is re-sent; a re-send that survives the loss draw
-    /// is applied at the responsible peer (merging the delta, syncing
-    /// replicas, bumping the publish version) and acknowledged, one that is
-    /// lost again backs off exponentially (capped at
-    /// 2⁸ rounds). All re-publication traffic is charged to
-    /// [`TrafficCategory::Overlay`] — control-plane repair, never Retrieval
-    /// or first-publication Indexing.
+    /// is applied at the responsible peer exactly like a first publication
+    /// and acknowledged, one that is lost again (or cannot be routed under
+    /// overlay churn) backs off exponentially (capped at 2⁸ rounds). All
+    /// re-publication traffic is charged to [`TrafficCategory::Overlay`] —
+    /// control-plane repair, never Retrieval or first-publication Indexing.
     ///
     /// Returns `(resent, applied)`. A no-op (both zero) when nothing is
-    /// pending — in particular always under
-    /// [`crate::fault::FaultPlane::NoFaults`].
-    pub fn republish_round(&mut self, plane: &crate::fault::FaultPlane) -> (usize, usize) {
+    /// pending — in particular always under [`FaultPlane::NoFaults`].
+    pub fn republish_round(&mut self) -> (usize, usize) {
         self.republish_rounds += 1;
         let round = self.republish_rounds;
         let mut resent = 0usize;
@@ -367,53 +402,28 @@ impl GlobalIndex {
             }
             p.attempts += 1;
             resent += 1;
-            let ring_key = p.key.ring_id();
-            let backoff = (1u64 << p.attempts.min(8)).min(MAX_REPUBLISH_BACKOFF_ROUNDS);
-            if plane.publish_lost(ring_key, p.seq, p.attempts) {
-                // Lost again: the failed re-send still crossed part of the
-                // wire, so its routing and request bytes are charged.
-                if self
-                    .dht
-                    .route(p.from, ring_key, TrafficCategory::Overlay)
-                    .is_ok()
-                {
-                    self.dht.charge_external(
-                        TrafficCategory::Overlay,
-                        p.key.wire_size() + p.delta.wire_size(),
-                    );
-                }
+            let acked = if self.faults.publish_lost(p.key.ring_id(), p.seq, p.attempts) {
+                // Lost again (a re-send that cannot even be routed charges
+                // nothing).
+                let _ = self.send_lost_publish(p.from, &p.key, &p.delta, TrafficCategory::Overlay);
+                false
+            } else {
+                // A routing failure (overlay churn) keeps it pending.
+                self.apply_publish(
+                    p.from,
+                    &p.key,
+                    &p.delta,
+                    p.capacity,
+                    TrafficCategory::Overlay,
+                )
+                .is_ok()
+            };
+            if acked {
+                applied += 1;
+            } else {
+                let backoff = (1u64 << p.attempts.min(8)).min(MAX_REPUBLISH_BACKOFF_ROUNDS);
                 p.due_round = round + backoff;
                 still_pending.push(p);
-                continue;
-            }
-            let request_bytes = p.key.wire_size() + p.delta.wire_size();
-            let key = p.key.clone();
-            let capacity = p.capacity;
-            let delta = &p.delta;
-            let result = self.dht.update(
-                p.from,
-                ring_key,
-                request_bytes,
-                TrafficCategory::Overlay,
-                |slot| {
-                    let entry = slot
-                        .get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
-                    entry.postings.merge(delta);
-                    entry.activated = true;
-                },
-            );
-            match result {
-                Ok(_) => {
-                    self.dht.sync_replicas(ring_key, TrafficCategory::Overlay);
-                    *self.versions.entry(ring_key).or_insert(0) += 1;
-                    applied += 1;
-                }
-                Err(_) => {
-                    // Routing failed (overlay churn): keep the publication
-                    // pending and try again after the backoff.
-                    p.due_round = round + backoff;
-                    still_pending.push(p);
-                }
             }
         }
         self.pending = still_pending;
@@ -453,25 +463,62 @@ impl GlobalIndex {
     // Probing (retrieval phase)
     // ------------------------------------------------------------------
 
-    /// Probes the global index for `key` on behalf of peer `from`.
+    /// One probe attempt for `key` on behalf of peer `from` — the single way a
+    /// posting list leaves the index.
     ///
     /// The probe is routed over the overlay (hops charged to
     /// [`TrafficCategory::Retrieval`]); the responsible peer updates the key's usage
     /// statistics (creating a statistics-only entry if the key is unknown, exactly as
     /// QDI prescribes) and returns the posting list if the key is activated. The
     /// response **round-trips through the wire codec** ([`crate::codec`]): the
-    /// responsible peer encodes its stored list, the encoded length is charged
+    /// serving peer encodes its stored list, the encoded length is charged
     /// to [`TrafficCategory::Retrieval`], and the querier decodes it back —
-    /// so the returned scores carry the codec's `u16` quantization and the
-    /// simulator charges exactly what the codec produced.
+    /// checksum-verified — so the returned scores carry the codec's `u16`
+    /// quantization and the simulator charges exactly what the codec produced.
     ///
-    /// With a `score_floor` (the threshold-aware probe path: the executor
-    /// feeds the running k-th merged score back, see
-    /// [`crate::exec::QueryStream`]), the responsible peer encodes only the
-    /// prefix of entries scoring at least the floor. The elided tail is
-    /// subtracted from the decoded list's `full_df`, which preserves the
-    /// original truncation status — lattice domination pruning behaves
-    /// identically with and without thresholding.
+    /// **Response shaping.** With a `score_floor` (the threshold-aware probe
+    /// path: the executor feeds the running k-th merged score back, see
+    /// [`crate::exec::QueryStream`]), the serving peer encodes only the
+    /// prefix of entries scoring at least the floor. A non-zero `shed_prefix`
+    /// is the load-shedding instruction of the `ReplicaAware` planner: the
+    /// serving peer degrades the answer to the top-`shed_prefix` prefix of the
+    /// stored list by raising the effective floor to that entry's score. The
+    /// elided tail is subtracted from the decoded list's `full_df`, which
+    /// preserves the original truncation status — lattice domination pruning
+    /// behaves identically with and without elision.
+    ///
+    /// **Placement.** Replication changes placement only: the probe is routed
+    /// to the key exactly as before (same hops — primary and replicas sit in
+    /// the same ring neighbourhood), the usage statistics and the response
+    /// bytes come from the primary's canonical copy (replicas are kept
+    /// byte-identical by [`alvisp2p_dht::Dht::sync_replicas`]), and only the
+    /// *serve* — who spends the request-handling capacity — moves to the
+    /// least-loaded live holder, or to `serve_override`, the executor's
+    /// failover target. When the primary itself is down the override answers
+    /// from its synchronized replica copy, and the primary's canonical usage
+    /// statistics cannot advance — exactly as in a real deployment.
+    ///
+    /// **Faults.** `attempt` (`0` for the first send) and `query_seq` are the
+    /// coordinates of the plane's deterministic draws. Accounting mirrors what
+    /// would really cross the wire:
+    ///
+    /// * routing + request bytes are charged on **every** attempt (the
+    ///   querier cannot know in advance that the serve will fail);
+    /// * [`ProbeOutcome::Lost`] / [`ProbeOutcome::PeerDown`] charge **no**
+    ///   response bytes and leave the serving side untouched — the request
+    ///   never reached a live peer (or vanished with its response);
+    /// * [`ProbeOutcome::TimedOut`] charges the full round trip and advances
+    ///   the serving side's statistics — the response crossed the wire but
+    ///   arrived past the deadline;
+    /// * [`ProbeOutcome::Corrupt`] charges the full round trip and advances
+    ///   the serving side's statistics — the response crossed the wire with a
+    ///   flipped bit, the codec's checksum trailer rejected the frame at the
+    ///   querier, and the payload is discarded.
+    ///
+    /// Under an inactive plane the first attempt is always
+    /// [`ProbeOutcome::Ok`].
+    // Eight inputs, all independent; bundling them needs a new public type.
+    #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &mut self,
         from: usize,
@@ -479,143 +526,13 @@ impl GlobalIndex {
         query_seq: u64,
         stats_capacity: usize,
         score_floor: Option<f64>,
-    ) -> Result<ProbeResult, DhtError> {
-        self.probe_with(from, key, query_seq, stats_capacity, score_floor, None)
-    }
-
-    /// Like [`GlobalIndex::probe`] with an optional load-shedding instruction:
-    /// with `shed_prefix = Some(p)` the serving peer degrades the answer to
-    /// the top-`p` prefix of the stored list (by raising the effective score
-    /// floor to the `p`-th entry's score) instead of queueing the full
-    /// response — the overload escape hatch the `ReplicaAware` planner engages
-    /// when every live holder of the key is saturated. Prefix elision, like
-    /// floor elision, does not mark the list truncated, so domination pruning
-    /// is unchanged.
-    ///
-    /// Replication changes *placement only*: the probe is routed to the key
-    /// exactly as before (same hops — primary and replicas sit in the same
-    /// ring neighbourhood), the usage statistics and the response bytes always
-    /// come from the primary's canonical copy (replicas are kept
-    /// byte-identical by [`alvisp2p_dht::Dht::sync_replicas`]), and only the
-    /// *serve* — who spends the request-handling capacity — moves to the
-    /// least-loaded live holder. Replication management traffic is charged to
-    /// [`TrafficCategory::Overlay`], never to Retrieval.
-    pub fn probe_with(
-        &mut self,
-        from: usize,
-        key: &TermKey,
-        query_seq: u64,
-        stats_capacity: usize,
-        score_floor: Option<f64>,
-        shed_prefix: Option<usize>,
-    ) -> Result<ProbeResult, DhtError> {
-        let ring_key = key.ring_id();
-        let info = self.dht.route(from, ring_key, TrafficCategory::Retrieval)?;
-        let primary = info.responsible;
-        self.dht.charge_external(
-            TrafficCategory::Retrieval,
-            self.probe_request_bytes + key.wire_size(),
-        );
-        // Usage statistics and response encoding happen at the primary's
-        // canonical copy, whoever ends up serving.
-        let mut encoded: Option<Vec<u8>> = None;
-        let mut elision = crate::codec::ElisionStats::default();
-        {
-            let encoded_ref = &mut encoded;
-            let elision_ref = &mut elision;
-            self.dht
-                .peer_mut(primary)
-                .store
-                .upsert_with(ring_key, |slot| {
-                    let entry = slot.get_or_insert_with(|| {
-                        KeyIndexEntry::stats_only(key.clone(), stats_capacity)
-                    });
-                    entry.usage.probes += 1;
-                    entry.usage.last_probe = query_seq;
-                    if entry.activated {
-                        entry.usage.hits += 1;
-                        let floor = shed_floor(&entry.postings, score_floor, shed_prefix);
-                        *elision_ref = crate::codec::elision_stats(&entry.postings, floor);
-                        *encoded_ref = Some(crate::codec::encode_list(&entry.postings, floor));
-                    }
-                });
-        }
-        let replica_set = self.dht.replica_holders(ring_key);
-        let served_by = if replica_set.is_empty() {
-            primary
-        } else {
-            self.dht.least_loaded_holder(ring_key).unwrap_or(primary)
-        };
-        self.dht.peer_mut(served_by).served_requests += 1;
-        self.dht.record_probe(ring_key, served_by);
-        // Response: the encoded posting list travels directly back to the
-        // requester (or a one-byte miss notice).
-        let response_bytes = encoded.as_ref().map(Vec::len).unwrap_or(1);
-        self.charge(TrafficCategory::Retrieval, response_bytes);
-        let postings = encoded.map(|bytes| {
-            crate::codec::decode_list(&bytes).expect("probe response frames are well-formed")
-        });
-        Ok(ProbeResult {
-            key: key.clone(),
-            postings,
-            hops: info.hops,
-            responsible: primary,
-            served_by,
-            replica_set,
-            skipped: false,
-            skipped_blocks: elision.skipped_blocks,
-            elided_bytes: elision.elided_bytes,
-        })
-    }
-
-    /// One attempt of a fault-aware probe: like [`GlobalIndex::probe_with`],
-    /// but consults a [`crate::fault::FaultPlane`] before the serve and may
-    /// fail with a non-fatal [`crate::fault::ProbeOutcome`] instead of an
-    /// answer. This path is only taken when the plane is active (or a
-    /// failover `serve_override` is in play) — the executor keeps calling
-    /// [`GlobalIndex::probe_with`] under
-    /// [`crate::fault::FaultPlane::NoFaults`], so the default query path is
-    /// *structurally* byte-identical to a fault-free network.
-    ///
-    /// Per-attempt accounting mirrors what would really cross the wire:
-    ///
-    /// * routing + request bytes are charged on **every** attempt (the
-    ///   querier cannot know in advance that the serve will fail);
-    /// * [`crate::fault::ProbeOutcome::Lost`] /
-    ///   [`crate::fault::ProbeOutcome::PeerDown`] charge **no** response
-    ///   bytes and leave the serving side untouched — the request never
-    ///   reached a live peer (or vanished with its response);
-    /// * [`crate::fault::ProbeOutcome::TimedOut`] charges the full round
-    ///   trip and advances
-    ///   the serving side's statistics — the response crossed the wire but
-    ///   arrived past the deadline;
-    /// * [`crate::fault::ProbeOutcome::Corrupt`] charges the full round trip
-    ///   and advances the serving side's statistics — the response crossed
-    ///   the wire with a flipped bit, the codec's checksum trailer rejected
-    ///   the frame at the querier, and the payload is discarded.
-    ///
-    /// `serve_override` re-routes the serve to an explicit peer (the
-    /// executor's failover target, a live holder in the key's replica set).
-    /// An override that is not the primary serves from its synchronized
-    /// replica copy (see [`alvisp2p_dht::Dht::sync_replicas`]); when the
-    /// primary itself is down, its canonical usage statistics cannot advance
-    /// — exactly as in a real deployment.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_attempt(
-        &mut self,
-        from: usize,
-        key: &TermKey,
-        query_seq: u64,
-        stats_capacity: usize,
-        score_floor: Option<f64>,
-        shed_prefix: Option<usize>,
-        plane: &crate::fault::FaultPlane,
+        shed_prefix: usize,
         attempt: u32,
         serve_override: Option<usize>,
-    ) -> Result<crate::fault::ProbeOutcome, DhtError> {
-        use crate::fault::ProbeOutcome;
+    ) -> Result<ProbeOutcome, DhtError> {
         let ring_key = key.ring_id();
         let info = self.dht.route(from, ring_key, TrafficCategory::Retrieval)?;
+        let hops = info.hops;
         let primary = info.responsible;
         self.dht.charge_external(
             TrafficCategory::Retrieval,
@@ -627,22 +544,19 @@ impl GlobalIndex {
             None if replica_set.is_empty() => primary,
             None => self.dht.least_loaded_holder(ring_key).unwrap_or(primary),
         };
-        if plane.peer_down(served_by, query_seq) {
+        if self.faults.peer_down(served_by, query_seq) {
             return Ok(ProbeOutcome::PeerDown {
                 peer: served_by,
-                hops: info.hops,
+                hops,
             });
         }
-        if plane.message_lost(ring_key, query_seq, attempt) {
-            return Ok(ProbeOutcome::Lost { hops: info.hops });
+        if self.faults.message_lost(ring_key, query_seq, attempt) {
+            return Ok(ProbeOutcome::Lost { hops });
         }
-        let mut encoded: Option<Vec<u8>> = None;
-        let mut elision = crate::codec::ElisionStats::default();
-        if served_by == primary || !plane.peer_down(primary, query_seq) {
-            // The primary is reachable: canonical statistics and response
-            // encoding happen there, exactly as in `probe_with`.
-            let encoded_ref = &mut encoded;
-            let elision_ref = &mut elision;
+        let mut response = None;
+        if served_by == primary || !self.faults.peer_down(primary, query_seq) {
+            // Usage statistics and response encoding happen at the primary's
+            // canonical copy, whoever ends up serving.
             self.dht
                 .peer_mut(primary)
                 .store
@@ -654,9 +568,7 @@ impl GlobalIndex {
                     entry.usage.last_probe = query_seq;
                     if entry.activated {
                         entry.usage.hits += 1;
-                        let floor = shed_floor(&entry.postings, score_floor, shed_prefix);
-                        *elision_ref = crate::codec::elision_stats(&entry.postings, floor);
-                        *encoded_ref = Some(crate::codec::encode_list(&entry.postings, floor));
+                        response = Some(encode_response(&entry.postings, score_floor, shed_prefix));
                     }
                 });
         } else if let Some(entry) = self.dht.peer(served_by).replica_store.get(&ring_key) {
@@ -664,37 +576,39 @@ impl GlobalIndex {
             // its replica copy — kept byte-identical to the primary's list by
             // `sync_replicas`, so the degraded path never changes the answer.
             if entry.activated {
-                let floor = shed_floor(&entry.postings, score_floor, shed_prefix);
-                elision = crate::codec::elision_stats(&entry.postings, floor);
-                encoded = Some(crate::codec::encode_list(&entry.postings, floor));
+                response = Some(encode_response(&entry.postings, score_floor, shed_prefix));
             }
         }
         self.dht.peer_mut(served_by).served_requests += 1;
         self.dht.record_probe(ring_key, served_by);
-        let response_bytes = encoded.as_ref().map(Vec::len).unwrap_or(1);
+        // The encoded posting list travels directly back to the requester (or
+        // a one-byte miss notice).
+        let response_bytes = response.as_ref().map_or(1, |(frame, _)| frame.len());
         self.charge(TrafficCategory::Retrieval, response_bytes);
-        if plane.reply_timed_out(ring_key, query_seq, attempt) {
-            return Ok(ProbeOutcome::TimedOut { hops: info.hops });
+        if self.faults.reply_timed_out(ring_key, query_seq, attempt) {
+            return Ok(ProbeOutcome::TimedOut { hops });
         }
-        if let Some(bytes) = encoded.as_mut() {
-            if let Some(bit) = plane.response_corrupt_bit(ring_key, query_seq, attempt, bytes.len())
-            {
-                // A bit flips in flight; the codec's checksum trailer catches
-                // it at decode below.
-                bytes[bit / 8] ^= 1 << (bit % 8);
+        let (postings, elision) = match response {
+            None => (None, crate::codec::ElisionStats::default()),
+            Some((mut frame, elision)) => {
+                if let Some(bit) =
+                    self.faults
+                        .response_corrupt_bit(ring_key, query_seq, attempt, frame.len())
+                {
+                    // A bit flips in flight; the codec's checksum trailer
+                    // catches it at decode below.
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                }
+                match crate::codec::decode_list(&frame) {
+                    Ok(list) => (Some(list), elision),
+                    Err(_) => return Ok(ProbeOutcome::Corrupt { hops }),
+                }
             }
-        }
-        let postings = match encoded {
-            None => None,
-            Some(bytes) => match crate::codec::decode_list(&bytes) {
-                Ok(list) => Some(list),
-                Err(_) => return Ok(ProbeOutcome::Corrupt { hops: info.hops }),
-            },
         };
         Ok(ProbeOutcome::Ok(ProbeResult {
             key: key.clone(),
             postings,
-            hops: info.hops,
+            hops,
             responsible: primary,
             served_by,
             replica_set,
@@ -963,24 +877,25 @@ impl GlobalIndex {
     }
 }
 
-/// Raises the effective score floor to the `p`-th stored score when a shed
-/// prefix is requested, so the encoded response carries at most `p` entries.
-fn shed_floor(
+/// The serving peer's side of a probe: the response frame for an activated
+/// entry's stored list plus what the floor elided from it. A non-zero
+/// `shed_prefix` raises the effective score floor to the `shed_prefix`-th
+/// stored score, so the frame carries at most that many entries.
+fn encode_response(
     postings: &TruncatedPostingList,
     score_floor: Option<f64>,
-    shed_prefix: Option<usize>,
-) -> Option<f64> {
-    let Some(prefix) = shed_prefix else {
-        return score_floor;
+    shed_prefix: usize,
+) -> (Vec<u8>, crate::codec::ElisionStats) {
+    let floor = if shed_prefix == 0 || postings.len() <= shed_prefix {
+        score_floor
+    } else {
+        let cut = postings.refs()[shed_prefix - 1].score;
+        Some(score_floor.map_or(cut, |f| f.max(cut)))
     };
-    if prefix == 0 || postings.len() <= prefix {
-        return score_floor;
-    }
-    let cut = postings.refs()[prefix - 1].score;
-    Some(match score_floor {
-        Some(f) => f.max(cut),
-        None => cut,
-    })
+    (
+        crate::codec::encode_list(postings, floor),
+        crate::codec::elision_stats(postings, floor),
+    )
 }
 
 #[cfg(test)]
@@ -1003,12 +918,20 @@ mod tests {
         GlobalIndex::new(DhtConfig::default(), 5, peers)
     }
 
+    /// The answer of a probe attempt no fault was injected into.
+    fn answered(outcome: Result<ProbeOutcome, DhtError>) -> ProbeResult {
+        match outcome.unwrap() {
+            ProbeOutcome::Ok(probe) => probe,
+            failed => panic!("probe attempt failed: {failed:?}"),
+        }
+    }
+
     #[test]
     fn publish_then_probe_round_trips() {
         let mut gi = index(16);
         let key = TermKey::new(["peer", "retriev"]);
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
-        let probe = gi.probe(3, &key, 1, 100, None).unwrap();
+        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None));
         assert!(probe.found());
         assert_eq!(probe.postings.unwrap().len(), 5);
         assert_eq!(gi.activated_keys(), 1);
@@ -1023,7 +946,7 @@ mod tests {
     fn probing_unknown_key_records_statistics_only() {
         let mut gi = index(8);
         let key = TermKey::new(["never", "indexed"]);
-        let probe = gi.probe(2, &key, 7, 50, None).unwrap();
+        let probe = answered(gi.probe(2, &key, 7, 50, None, 0, 0, None));
         assert!(!probe.found());
         assert_eq!(gi.activated_keys(), 0);
         assert_eq!(gi.total_entries(), 1);
@@ -1032,7 +955,7 @@ mod tests {
         assert_eq!(usage.hits, 0);
         assert_eq!(usage.last_probe, 7);
         // Probing again accumulates.
-        gi.probe(3, &key, 9, 50, None).unwrap();
+        answered(gi.probe(3, &key, 9, 50, None, 0, 0, None));
         assert_eq!(gi.usage(&key).unwrap().probes, 2);
     }
 
@@ -1085,7 +1008,7 @@ mod tests {
         let after_publish = gi.stats_snapshot();
         assert!(after_publish.category(TrafficCategory::Indexing).bytes > 0);
         assert_eq!(after_publish.category(TrafficCategory::Retrieval).bytes, 0);
-        gi.probe(9, &key, 1, 100, None).unwrap();
+        answered(gi.probe(9, &key, 1, 100, None, 0, 0, None));
         let delta = gi.stats_snapshot().since(&after_publish);
         // The probe charges at least the codec frame of the stored list (plus
         // request + routing), and never more than the planner's worst case.
@@ -1100,7 +1023,7 @@ mod tests {
         let key = TermKey::new(["codec", "probe"]);
         gi.publish_postings(0, &key, &refs(30), 100).unwrap();
         let stored = gi.peek(&key).unwrap().postings.clone();
-        let probe = gi.probe(3, &key, 1, 100, None).unwrap();
+        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None));
         let got = probe.postings.unwrap();
         // Same documents in the same order; scores within one quantization step.
         assert_eq!(got.len(), stored.len());
@@ -1122,16 +1045,16 @@ mod tests {
         // Scores 30.0 down to 1.0, complete list.
         gi.publish_postings(0, &key, &refs(30), 100).unwrap();
         let before = gi.stats_snapshot();
-        let full = gi.probe(3, &key, 1, 100, None).unwrap().postings.unwrap();
+        let full = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None))
+            .postings
+            .unwrap();
         let full_bytes = gi
             .stats_snapshot()
             .since(&before)
             .category(TrafficCategory::Retrieval)
             .bytes;
         let before = gi.stats_snapshot();
-        let floored = gi
-            .probe(3, &key, 2, 100, Some(20.0))
-            .unwrap()
+        let floored = answered(gi.probe(3, &key, 2, 100, Some(20.0), 0, 0, None))
             .postings
             .unwrap();
         let floored_bytes = gi
@@ -1154,11 +1077,11 @@ mod tests {
         let mut gi = index(8);
         let key = TermKey::new(["old", "popular"]);
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
-        gi.probe(1, &key, 1, 100, None).unwrap();
+        answered(gi.probe(1, &key, 1, 100, None, 0, 0, None));
         assert!(gi.deactivate(&key));
         assert!(!gi.deactivate(&key), "already deactivated");
         assert_eq!(gi.activated_keys(), 0);
-        let probe = gi.probe(2, &key, 2, 100, None).unwrap();
+        let probe = answered(gi.probe(2, &key, 2, 100, None, 0, 0, None));
         assert!(!probe.found());
         assert_eq!(gi.usage(&key).unwrap().probes, 2);
     }
@@ -1179,8 +1102,8 @@ mod tests {
         let mut gi = index(16);
         let key = TermKey::new(["on", "demand"]);
         // Build up some probe statistics first.
-        gi.probe(0, &key, 1, 50, None).unwrap();
-        gi.probe(1, &key, 2, 50, None).unwrap();
+        answered(gi.probe(0, &key, 1, 50, None, 0, 0, None));
+        answered(gi.probe(1, &key, 2, 50, None, 0, 0, None));
         let responsible = gi.dht().responsible_for(key.ring_id()).unwrap();
         gi.store_acquired(responsible, &key, refs(7));
         let entry = gi.peek(&key).unwrap();
@@ -1199,7 +1122,7 @@ mod tests {
             let hops = gi.estimate_hops(3, &key).unwrap();
             let bound = gi.estimate_probe_bytes(&key, hops, max_entries);
             let before = gi.stats_snapshot();
-            gi.probe(3, &key, 1, 16, None).unwrap();
+            answered(gi.probe(3, &key, 1, 16, None, 0, 0, None));
             let spent = gi
                 .stats_snapshot()
                 .since(&before)
@@ -1214,15 +1137,11 @@ mod tests {
         let mut gi = index(16);
         let key = TermKey::new(["shed", "probe"]);
         gi.publish_postings(0, &key, &refs(30), 100).unwrap();
-        let full = gi
-            .probe_with(3, &key, 1, 100, None, None)
-            .unwrap()
+        let full = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None))
             .postings
             .unwrap();
         assert_eq!(full.len(), 30);
-        let shed = gi
-            .probe_with(3, &key, 2, 100, None, Some(5))
-            .unwrap()
+        let shed = answered(gi.probe(3, &key, 2, 100, None, 5, 0, None))
             .postings
             .unwrap();
         assert_eq!(shed.len(), 5, "top-5 prefix under shedding");
@@ -1237,16 +1156,12 @@ mod tests {
         // Prefix elision is not capacity truncation: pruning is unchanged.
         assert!(!shed.is_truncated());
         // A shed prefix wider than the list changes nothing.
-        let wide = gi
-            .probe_with(3, &key, 3, 100, None, Some(100))
-            .unwrap()
+        let wide = answered(gi.probe(3, &key, 3, 100, None, 100, 0, None))
             .postings
             .unwrap();
         assert_eq!(wide.len(), 30);
         // The stricter of (score floor, shed floor) wins.
-        let both = gi
-            .probe_with(3, &key, 4, 100, Some(28.0), Some(10))
-            .unwrap()
+        let both = answered(gi.probe(3, &key, 4, 100, Some(28.0), 10, 0, None))
             .postings
             .unwrap();
         assert_eq!(both.len(), 3, "scores 30, 29, 28 survive");
@@ -1260,11 +1175,11 @@ mod tests {
         gi.set_replication_policy(Arc::new(HotKeyReplication::new(3)));
         let key = TermKey::new(["hot", "head"]);
         gi.publish_postings(0, &key, &refs(20), 100).unwrap();
-        let baseline = gi.probe(1, &key, 0, 100, None).unwrap();
+        let baseline = answered(gi.probe(1, &key, 0, 100, None, 0, 0, None));
         let primary = baseline.responsible;
         let mut served = std::collections::BTreeSet::new();
         for seq in 1..60u64 {
-            let p = gi.probe((seq as usize) % 24, &key, seq, 100, None).unwrap();
+            let p = answered(gi.probe((seq as usize) % 24, &key, seq, 100, None, 0, 0, None));
             // The answer never changes with placement.
             assert_eq!(p.postings, baseline.postings);
             assert_eq!(p.responsible, primary);
@@ -1292,7 +1207,7 @@ mod tests {
         gi.publish_postings(1, &key, &refs(2), 100).unwrap();
         assert_eq!(gi.publish_version(&key), 2);
         // Probes are reads: no version change.
-        gi.probe(2, &key, 1, 100, None).unwrap();
+        answered(gi.probe(2, &key, 1, 100, None, 0, 0, None));
         assert_eq!(gi.publish_version(&key), 2);
         assert!(gi.deactivate(&key));
         assert_eq!(gi.publish_version(&key), 3);
@@ -1328,13 +1243,11 @@ mod tests {
 
     #[test]
     fn lost_publishes_stay_pending_until_republished() {
-        use crate::fault::FaultPlane;
         let mut gi = index(16);
-        let plane = FaultPlane::seeded(7).with_publish_loss(1.0);
+        gi.set_fault_plane(FaultPlane::seeded(7).with_publish_loss(1.0));
         let key = TermKey::new(["lost", "publish"]);
         let before = gi.stats_snapshot();
-        gi.publish_postings_faulty(0, &key, &refs(5), 100, &plane)
-            .unwrap();
+        gi.publish_postings(0, &key, &refs(5), 100).unwrap();
         // The message crossed (part of) the wire: Indexing bytes charged,
         // but nothing applied and no version bump.
         let delta = gi.stats_snapshot().since(&before);
@@ -1343,9 +1256,9 @@ mod tests {
         assert_eq!(gi.publish_version(&key), 0);
         assert_eq!(gi.pending_publishes(), 1);
         // Re-publication under a now-clean wire applies and acknowledges.
-        let clean = FaultPlane::seeded(7);
+        gi.set_fault_plane(FaultPlane::seeded(7));
         let before = gi.stats_snapshot();
-        let (resent, applied) = gi.republish_round(&clean);
+        let (resent, applied) = gi.republish_round();
         assert_eq!((resent, applied), (1, 1));
         assert_eq!(gi.pending_publishes(), 0);
         assert_eq!(gi.activated_keys(), 1);
@@ -1360,15 +1273,13 @@ mod tests {
 
     #[test]
     fn republish_backs_off_while_the_wire_stays_lossy() {
-        use crate::fault::FaultPlane;
         let mut gi = index(16);
-        let lossy = FaultPlane::seeded(3).with_publish_loss(1.0);
+        gi.set_fault_plane(FaultPlane::seeded(3).with_publish_loss(1.0));
         let key = TermKey::single("unlucky");
-        gi.publish_postings_faulty(0, &key, &refs(2), 10, &lossy)
-            .unwrap();
+        gi.publish_postings(0, &key, &refs(2), 10).unwrap();
         let mut resent_total = 0;
         for _ in 0..20 {
-            let (resent, applied) = gi.republish_round(&lossy);
+            let (resent, applied) = gi.republish_round();
             assert_eq!(applied, 0);
             resent_total += resent;
         }
@@ -1379,28 +1290,45 @@ mod tests {
     }
 
     #[test]
-    fn faultless_publish_path_matches_publish_postings() {
-        use crate::fault::FaultPlane;
-        let mut gi = index(16);
-        let key = TermKey::new(["clean", "publish"]);
-        gi.publish_postings_faulty(0, &key, &refs(4), 100, &FaultPlane::NoFaults)
-            .unwrap();
-        assert_eq!(gi.pending_publishes(), 0);
-        assert_eq!(gi.publish_version(&key), 1);
-        assert_eq!(gi.peek(&key).unwrap().postings.len(), 4);
-        assert_eq!(gi.republish_round(&FaultPlane::NoFaults), (0, 0));
+    fn a_plane_that_injects_nothing_is_the_fault_free_wire() {
+        // One path: the plane is data it consults. `NoFaults` and a seeded
+        // plane with every rate zero and nobody crashed must agree to the
+        // byte across publish + probe + republish.
+        let run = |plane: FaultPlane| {
+            let mut gi = index(16);
+            gi.set_fault_plane(plane);
+            let keys = [
+                TermKey::new(["clean", "publish"]),
+                TermKey::single("clean"),
+                TermKey::single("never-published"),
+            ];
+            for (i, key) in keys.iter().take(2).enumerate() {
+                gi.publish_postings(i, key, &refs(4 + i as u32), 100)
+                    .unwrap();
+                gi.publish_postings(i + 5, key, &refs(9), 100).unwrap();
+            }
+            let probes: Vec<ProbeResult> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, key)| answered(gi.probe(i + 2, key, 1, 100, Some(3.0), 0, 0, None)))
+                .collect();
+            assert_eq!(gi.republish_round(), (0, 0));
+            assert_eq!(gi.pending_publishes(), 0);
+            let versions: Vec<u64> = keys.iter().map(|k| gi.publish_version(k)).collect();
+            (format!("{:?}", gi.stats_snapshot()), versions, probes)
+        };
+        let fault_free = run(FaultPlane::NoFaults);
+        assert_eq!(fault_free.1, vec![2, 2, 0]);
+        assert_eq!(fault_free, run(FaultPlane::seeded(0xA1)));
     }
 
     #[test]
     fn corrupted_probe_responses_are_rejected_not_decoded() {
-        use crate::fault::{FaultPlane, ProbeOutcome};
         let mut gi = index(16);
         let key = TermKey::new(["bit", "flip"]);
         gi.publish_postings(0, &key, &refs(10), 100).unwrap();
-        let plane = FaultPlane::seeded(5).with_corruption(1.0);
-        let outcome = gi
-            .probe_attempt(2, &key, 1, 100, None, None, &plane, 0, None)
-            .unwrap();
+        gi.set_fault_plane(FaultPlane::seeded(5).with_corruption(1.0));
+        let outcome = gi.probe(2, &key, 1, 100, None, 0, 0, None).unwrap();
         assert!(
             matches!(outcome, ProbeOutcome::Corrupt { .. }),
             "single-bit flips are always caught by the trailer: {outcome:?}"
@@ -1408,12 +1336,8 @@ mod tests {
         // The serve happened (full round trip): statistics advanced.
         assert_eq!(gi.usage(&key).unwrap().probes, 1);
         // A clean attempt at other coordinates still answers.
-        let clean = FaultPlane::seeded(5).with_corruption(0.0).with_loss(0.0);
-        let mut active = clean;
-        active.crash(usize::MAX); // keep the plane active without touching live peers
-        let outcome = gi
-            .probe_attempt(2, &key, 2, 100, None, None, &active, 0, None)
-            .unwrap();
+        gi.set_fault_plane(FaultPlane::seeded(5));
+        let outcome = gi.probe(2, &key, 2, 100, None, 0, 0, None).unwrap();
         assert!(matches!(outcome, ProbeOutcome::Ok(_)));
     }
 
@@ -1424,7 +1348,7 @@ mod tests {
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
         let d1 = gi.peek(&key).unwrap().content_digest();
         // Probes advance usage but not the replicated content.
-        gi.probe(1, &key, 1, 100, None).unwrap();
+        answered(gi.probe(1, &key, 1, 100, None, 0, 0, None));
         assert_eq!(gi.peek(&key).unwrap().content_digest(), d1);
         // Publishing more postings changes the digest.
         gi.publish_postings(1, &key, &refs(7), 100).unwrap();

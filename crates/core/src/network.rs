@@ -19,8 +19,8 @@
 
 use crate::baseline::CentralizedEngine;
 use crate::error::AlvisError;
-use crate::exec::{ExecutionObserver, QueryExecutor, QueryStream};
-use crate::fault::{FaultPlane, ProbeOutcome, RetryPolicy};
+use crate::exec::{ExecutionObserver, QueryStream};
+use crate::fault::{FaultPlane, RetryPolicy};
 use crate::global_index::{GlobalIndex, ProbeResult};
 use crate::hdk::HdkLevelReport;
 use crate::key::TermKey;
@@ -32,7 +32,7 @@ use crate::ranking::GlobalRankingStats;
 use crate::request::{QueryRequest, QueryResponse};
 use crate::sketch::{SketchBuildReport, SketchCache, SketchDecision, SketchPolicy};
 use crate::strategy::{Hdk, IndexerCtx, QueryCtx, Strategy};
-use alvisp2p_dht::{DhtConfig, DhtError, RepairReport, ReplicationPolicy, RingId};
+use alvisp2p_dht::{DhtConfig, RepairReport, ReplicationPolicy, RingId};
 use alvisp2p_netsim::{TrafficCategory, TrafficStats};
 use alvisp2p_textindex::bm25::{Bm25Params, ScoredDoc};
 use alvisp2p_textindex::{Analyzer, Credentials, SyntheticCorpus};
@@ -61,12 +61,8 @@ pub struct NetworkConfig {
     /// [`SketchPolicy::NoSketches`], keeps every byte of the query path
     /// identical to a sketch-free network.
     pub sketch_policy: SketchPolicy,
-    /// Fault-injection plane for the probe path (see [`crate::fault`]). The
-    /// default, [`FaultPlane::NoFaults`], keeps the query path byte-identical
-    /// to a fault-free network.
-    pub faults: FaultPlane,
     /// How the executor responds to failed probe attempts (retries, backoff,
-    /// replica failover). Inert while the fault plane is inactive.
+    /// replica failover). Inert while no attempt fails.
     pub retry_policy: RetryPolicy,
     /// Master seed for all randomness.
     pub seed: u64,
@@ -82,7 +78,6 @@ impl Default for NetworkConfig {
             bm25: Bm25Params::default(),
             lattice: LatticeConfig::default(),
             sketch_policy: SketchPolicy::default(),
-            faults: FaultPlane::default(),
             retry_policy: RetryPolicy::default(),
             seed: 42,
         }
@@ -110,6 +105,7 @@ impl Default for NetworkConfig {
 #[derive(Clone, Debug, Default)]
 pub struct AlvisNetworkBuilder {
     config: NetworkConfig,
+    faults: FaultPlane,
     documents: Vec<(String, String)>,
 }
 
@@ -193,17 +189,18 @@ impl AlvisNetworkBuilder {
         self
     }
 
-    /// Sets the fault-injection plane (see [`crate::fault`]). Defaults to
-    /// [`FaultPlane::NoFaults`], which keeps the query path byte-identical to
-    /// a fault-free network.
+    /// Sets the fault-injection plane the network starts with (see
+    /// [`crate::fault`]; handed to [`AlvisNetwork::set_fault_plane`]).
+    /// Defaults to [`FaultPlane::NoFaults`], under which no message is ever
+    /// lost, delayed or damaged.
     pub fn faults(mut self, plane: FaultPlane) -> Self {
-        self.config.faults = plane;
+        self.faults = plane;
         self
     }
 
     /// Sets the probe retry policy (see [`crate::fault::RetryPolicy`]).
-    /// Defaults to bounded retries with replica failover; inert while the
-    /// fault plane is inactive.
+    /// Defaults to bounded retries with replica failover; inert while no
+    /// probe attempt fails.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.config.retry_policy = policy;
         self
@@ -248,6 +245,7 @@ impl AlvisNetworkBuilder {
             ));
         }
         let mut net = AlvisNetwork::new(self.config);
+        net.set_fault_plane(self.faults);
         if !self.documents.is_empty() {
             net.distribute_documents(self.documents);
         }
@@ -349,7 +347,7 @@ impl AlvisNetwork {
             .map(|i| AlvisPeer::new(i as u32))
             .collect();
         let centralized = CentralizedEngine::new(config.bm25);
-        let mut net = AlvisNetwork {
+        AlvisNetwork {
             peers,
             global,
             ranking: GlobalRankingStats::new(),
@@ -364,9 +362,7 @@ impl AlvisNetwork {
             index_built: false,
             last_build: None,
             config,
-        };
-        net.wire_replica_faults();
-        net
+        }
     }
 
     /// Starts assembling a network.
@@ -461,39 +457,27 @@ impl AlvisNetwork {
         self.query_seq
     }
 
-    /// The fault-injection plane (see [`crate::fault`]).
+    /// The fault-injection plane every probe and publication consults (see
+    /// [`crate::fault`]); owned by the [`GlobalIndex`], the component that
+    /// owns the simulated wire.
     pub fn fault_plane(&self) -> &FaultPlane {
-        &self.config.faults
+        self.global.fault_plane()
     }
 
-    /// Mutable access to the fault plane — lets tests and experiments crash,
-    /// stall or restore peers between (or during) queries.
-    ///
-    /// Use [`AlvisNetwork::set_fault_plane`] to *replace* the plane: replacing
-    /// it through this accessor does not re-wire the overlay's replica
-    /// sync-loss knobs.
+    /// In-place edits of the plane — lets tests and experiments
+    /// [`FaultPlane::crash`], [`FaultPlane::stall`] or
+    /// [`FaultPlane::restore`] peers between (or during) queries. Use
+    /// [`AlvisNetwork::set_fault_plane`] to *replace* the plane (see
+    /// [`GlobalIndex::fault_plane_mut`] for why).
     pub fn fault_plane_mut(&mut self) -> &mut FaultPlane {
-        &mut self.config.faults
+        self.global.fault_plane_mut()
     }
 
-    /// Replaces the fault plane and pushes its control-plane knobs (the
-    /// replica sync-loss seed and rate) down into the overlay's replication
-    /// subsystem, so replica synchronisation messages start failing under the
-    /// same deterministic plane as probes and publications.
+    /// Replaces the fault plane, including the replica sync-loss seed and
+    /// rate the overlay's replication subsystem draws from (see
+    /// [`GlobalIndex::set_fault_plane`]).
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.config.faults = plane;
-        self.wire_replica_faults();
-    }
-
-    /// Pushes the current plane's seed and sync-loss rate into the DHT's
-    /// replication subsystem (the DHT crate cannot depend on this crate, so
-    /// the plane itself cannot cross the boundary).
-    fn wire_replica_faults(&mut self) {
-        let (seed, rate) = match self.config.faults.seed() {
-            Some(seed) => (seed, self.config.faults.sync_loss_rate()),
-            None => (0, 0.0),
-        };
-        self.global.dht_mut().set_replica_faults(seed, rate);
+        self.global.set_fault_plane(plane);
     }
 
     /// Enables or disables anti-entropy replica repair in the overlay (see
@@ -508,7 +492,7 @@ impl AlvisNetwork {
     /// requests). Digest exchanges and repair pulls are charged to
     /// [`TrafficCategory::Overlay`].
     pub fn repair_round(&mut self) -> RepairReport {
-        let crashed = self.config.faults.crashed().cloned().unwrap_or_default();
+        let crashed = self.fault_plane().crashed().cloned().unwrap_or_default();
         self.global.dht_mut().repair_round_excluding(&crashed)
     }
 
@@ -516,7 +500,7 @@ impl AlvisNetwork {
     /// byte-consistent with their key's canonical content (`1.0` when nothing
     /// is replicated). The convergence metric of the chaos experiments.
     pub fn replica_consistency(&self) -> f64 {
-        let crashed = self.config.faults.crashed().cloned().unwrap_or_default();
+        let crashed = self.fault_plane().crashed().cloned().unwrap_or_default();
         self.global.dht().replica_consistency_excluding(&crashed)
     }
 
@@ -531,11 +515,10 @@ impl AlvisNetwork {
     /// (un-acked) publication whose backoff has elapsed is re-sent, charged to
     /// [`TrafficCategory::Overlay`]. Returns `(resent, applied)`.
     pub fn republish_round(&mut self) -> (usize, usize) {
-        self.global.republish_round(&self.config.faults)
+        self.global.republish_round()
     }
 
-    /// The probe retry policy the executor applies under an active fault
-    /// plane.
+    /// The probe retry policy the executor applies when an attempt fails.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.config.retry_policy
     }
@@ -582,45 +565,37 @@ impl AlvisNetwork {
     // Distributed index construction
     // ------------------------------------------------------------------
 
-    /// How many times a lost control-plane publication (a ranking-statistics
-    /// fragment or a sketch frame) is immediately re-sent before the publisher
-    /// gives up for this build. With a per-message loss rate `p` the chance of
-    /// losing all sends is `p^3` — negligible at realistic rates, but honest:
-    /// a fragment or sketch that loses every send is genuinely absent.
+    /// How many times one control-plane publication (a ranking-statistics
+    /// fragment or a sketch frame) is sent before the publisher gives up for
+    /// this build. With a per-message loss rate `p` the chance of losing all
+    /// sends is `p^3` — negligible at realistic rates, but honest: a fragment
+    /// or sketch that loses every send is genuinely absent.
     const CONTROL_PUBLISH_ATTEMPTS: u32 = 3;
 
+    /// Sends one control-plane publication of `bytes` bytes, addressed by
+    /// `ring`. Every send is charged to `category` (a dropped message crossed
+    /// the wire before vanishing); a send the plane's sync-loss draw drops is
+    /// immediately re-sent, up to [`AlvisNetwork::CONTROL_PUBLISH_ATTEMPTS`]
+    /// sends in total. Returns whether one of them arrived.
+    fn publish_control(&mut self, category: TrafficCategory, ring: RingId, bytes: usize) -> bool {
+        self.control_seq += 1;
+        let seq = self.control_seq;
+        (0..Self::CONTROL_PUBLISH_ATTEMPTS).any(|attempt| {
+            self.global.charge(category, bytes);
+            !self.global.fault_plane().sync_lost(ring, seq, attempt)
+        })
+    }
+
     /// Publishes every peer's collection statistics to the ranking layer (L4) and
-    /// aggregates them into the global statistics used for scoring.
-    ///
-    /// Under an active fault plane each fragment publication is subject to
-    /// the plane's sync-loss rate: a dropped send is still charged (the bytes
-    /// crossed the wire before vanishing) and immediately re-sent up to
-    /// [`AlvisNetwork::CONTROL_PUBLISH_ATTEMPTS`] times; a fragment that loses
-    /// every send is left out of the aggregate. Inactive planes keep the path
-    /// byte-identical to the fault-free one.
+    /// aggregates them into the global statistics used for scoring. A fragment
+    /// that loses every send (see [`AlvisNetwork::publish_control`]) is left
+    /// out of the aggregate.
     fn publish_ranking_stats(&mut self) {
         self.ranking = GlobalRankingStats::new();
-        let plane = self.config.faults.clone();
-        for (i, peer) in self.peers.iter().enumerate() {
-            let fragment = peer.collection_stats();
+        for i in 0..self.peers.len() {
+            let fragment = self.peers[i].collection_stats();
             let bytes = GlobalRankingStats::fragment_wire_size(&fragment);
-            let delivered = if plane.is_active() {
-                self.control_seq += 1;
-                let seq = self.control_seq;
-                let mut delivered = false;
-                for attempt in 0..Self::CONTROL_PUBLISH_ATTEMPTS {
-                    self.global.charge(TrafficCategory::Ranking, bytes);
-                    if !plane.sync_lost(RingId(i as u64), seq, attempt) {
-                        delivered = true;
-                        break;
-                    }
-                }
-                delivered
-            } else {
-                self.global.charge(TrafficCategory::Ranking, bytes);
-                true
-            };
-            if delivered {
+            if self.publish_control(TrafficCategory::Ranking, RingId(i as u64), bytes) {
                 self.ranking.merge_fragment(&fragment);
             }
         }
@@ -641,8 +616,7 @@ impl AlvisNetwork {
             &mut self.global,
             &self.ranking,
             self.config.bm25,
-        )
-        .with_faults(self.config.faults.clone());
+        );
         self.level_reports = strategy.build_index(&mut ctx);
         self.publish_key_evidence();
         self.index_built = true;
@@ -721,30 +695,13 @@ impl AlvisNetwork {
             ..SketchBuildReport::default()
         };
         self.sketches.clear();
-        let plane = self.config.faults.clone();
         for (key, p) in planned {
-            // Sketch frames are control-plane traffic too: under an active
-            // plane each send may be lost (charged, then re-sent up to the
-            // bound); a sketch losing every send never reaches the querier's
-            // cache.
-            if plane.is_active() {
-                self.control_seq += 1;
-                let seq = self.control_seq;
-                let mut delivered = false;
-                for attempt in 0..Self::CONTROL_PUBLISH_ATTEMPTS {
-                    self.global.charge(TrafficCategory::Overlay, p.frame.len());
-                    if !plane.sync_lost(key.ring_id(), seq, attempt) {
-                        delivered = true;
-                        break;
-                    }
-                }
-                if !delivered {
-                    continue;
-                }
-            } else {
-                // `charge` adds the wire envelope, so the recorded Overlay
-                // bytes equal the measured `upkeep_bytes` (frame + envelope).
-                self.global.charge(TrafficCategory::Overlay, p.frame.len());
+            // `charge` adds the wire envelope, so the recorded Overlay bytes
+            // of a first-send delivery equal the measured `upkeep_bytes`
+            // (frame + envelope). A sketch losing every send never reaches
+            // the querier's cache.
+            if !self.publish_control(TrafficCategory::Overlay, key.ring_id(), p.frame.len()) {
+                continue;
             }
             report.sketched_keys += 1;
             report.upkeep_bytes += p.upkeep_bytes as u64;
@@ -892,11 +849,6 @@ impl AlvisNetwork {
         Ok(QueryStream::new(self, plan, request))
     }
 
-    /// An explicit [`QueryExecutor`] handle over this network.
-    pub fn executor(&mut self) -> QueryExecutor<'_> {
-        QueryExecutor::new(self)
-    }
-
     /// Executes one [`QueryRequest`] and returns the ranked results together with
     /// the exploration trace and the traffic the query consumed.
     ///
@@ -933,64 +885,6 @@ impl AlvisNetwork {
         self.query_seq += 1;
         self.qdi_report.queries += 1;
         self.query_seq
-    }
-
-    /// Sends one planned probe through the global index. `score_floor` is the
-    /// executor's threshold feedback: responsible peers encode only the
-    /// posting prefix at or above it (see [`GlobalIndex::probe`]); a non-zero
-    /// `shed_prefix` is the planner's shedding instruction — the serving peer
-    /// degrades to the top-`shed_prefix` posting entries (see
-    /// [`crate::plan::ReplicaAware`]).
-    pub(crate) fn probe_planned(
-        &mut self,
-        origin: usize,
-        key: &TermKey,
-        seq: u64,
-        score_floor: Option<f64>,
-        shed_prefix: usize,
-    ) -> Result<ProbeResult, DhtError> {
-        let capacity = self.config.strategy.truncation_k();
-        let shed = if shed_prefix > 0 {
-            Some(shed_prefix)
-        } else {
-            None
-        };
-        self.global
-            .probe_with(origin, key, seq, capacity, score_floor, shed)
-    }
-
-    /// One attempt of a fault-aware planned probe (see
-    /// [`GlobalIndex::probe_attempt`]). Only called by the executor when the
-    /// fault plane is active — the inactive-plane fast path stays on
-    /// [`AlvisNetwork::probe_planned`], keeping the default byte-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_attempt(
-        &mut self,
-        origin: usize,
-        key: &TermKey,
-        seq: u64,
-        score_floor: Option<f64>,
-        shed_prefix: usize,
-        attempt: u32,
-        serve_override: Option<usize>,
-    ) -> Result<ProbeOutcome, DhtError> {
-        let capacity = self.config.strategy.truncation_k();
-        let shed = if shed_prefix > 0 {
-            Some(shed_prefix)
-        } else {
-            None
-        };
-        self.global.probe_attempt(
-            origin,
-            key,
-            seq,
-            capacity,
-            score_floor,
-            shed,
-            &self.config.faults,
-            attempt,
-            serve_override,
-        )
     }
 
     /// Attempts to answer one planned probe from the querier's sketch cache

@@ -505,7 +505,7 @@ impl Planner for GreedyCost {
 ///    candidates (primary + replicas) are above `saturation_threshold` EWMA
 ///    serve load, the node's [`PlanNode::shed_prefix`] is set, so the serving
 ///    peer degrades to a truncated-prefix answer instead of queueing the full
-///    response (see [`GlobalIndex::probe_with`]). Disabled by default
+///    response (see [`GlobalIndex::probe`]). Disabled by default
 ///    (`shed_prefix == 0`).
 ///
 /// Wrapping a planner on an overlay without replication (or before any key
@@ -1298,7 +1298,7 @@ mod tests {
         );
         global.publish_postings(0, &key, &delta, 10).unwrap();
         for seq in 0..24 {
-            global.probe(0, &key, seq, 10, None).unwrap();
+            global.probe(0, &key, seq, 10, None, 0, 0, None).unwrap();
         }
         assert!(!global.replica_holders_of(&key).is_empty());
         (global, key)

@@ -17,7 +17,6 @@
 //!
 //! The built-in implementations are [`SingleTermFull`], [`Hdk`] and [`Qdi`].
 
-use crate::fault::FaultPlane;
 use crate::global_index::{GlobalIndex, KeyIndexEntry, KeyUsageStats};
 use crate::hdk::{self, HdkConfig, HdkLevelReport};
 use crate::key::TermKey;
@@ -96,7 +95,6 @@ pub struct IndexerCtx<'a> {
     global: &'a mut GlobalIndex,
     ranking: &'a GlobalRankingStats,
     bm25: Bm25Params,
-    faults: FaultPlane,
 }
 
 impl<'a> IndexerCtx<'a> {
@@ -112,19 +110,7 @@ impl<'a> IndexerCtx<'a> {
             global,
             ranking,
             bm25,
-            faults: FaultPlane::NoFaults,
         }
-    }
-
-    /// Routes every publication of this construction run through the given
-    /// fault plane: a publication the plane drops is charged but not applied,
-    /// queued for acknowledgement-driven re-publication instead (see
-    /// [`GlobalIndex::publish_postings_faulty`]). A no-op under
-    /// [`FaultPlane::NoFaults`] — publications stay byte-identical to the
-    /// fault-free path.
-    pub fn with_faults(mut self, plane: FaultPlane) -> Self {
-        self.faults = plane;
-        self
     }
 
     /// The participating peers.
@@ -165,19 +151,17 @@ impl<'a> IndexerCtx<'a> {
     }
 
     /// Publishes peer `peer_index`'s contribution for `key` into the global
-    /// index. Empty lists are skipped. Returns whether anything was published.
+    /// index (see [`GlobalIndex::publish_postings`]: a publication the index's
+    /// fault plane drops is charged, queued and re-published, not applied).
+    /// Empty lists are skipped. Returns whether anything was published.
     pub fn publish(&mut self, peer_index: usize, key: &TermKey, capacity: usize) -> bool {
         let list = self.score_postings(peer_index, key, capacity);
         if list.is_empty() {
             return false;
         }
-        let _ = if self.faults.is_active() {
-            self.global
-                .publish_postings_faulty(peer_index, key, &list, capacity, &self.faults)
-        } else {
-            self.global
-                .publish_postings(peer_index, key, &list, capacity)
-        };
+        let _ = self
+            .global
+            .publish_postings(peer_index, key, &list, capacity);
         true
     }
 

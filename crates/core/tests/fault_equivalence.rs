@@ -7,7 +7,7 @@
 //!
 //! Beyond the inert default, this suite pins the robustness behaviour itself:
 //! an *active* plane whose faults never fire must still be byte-identical
-//! (the retry loop's per-attempt accounting equals the plain probe path), a
+//! (there is one probe path; a plane that answers "no" charges nothing), a
 //! crashed primary mid-schedule must be absorbed by retry + replica failover
 //! without changing the answer, and a crashed primary *without* replicas must
 //! degrade the answer gracefully instead of erroring out the query.
@@ -348,37 +348,57 @@ fn routing_failures_no_longer_abort_the_query_stream() {
     // key. With a hop budget too tight for some lookups — and *no* fault
     // plane at all — every query must still complete, recording the
     // unreachable keys as per-probe failures with a `PeerDown` cause.
+    //
+    // `LookupFailed` is downgraded in exactly one place, whatever the plane:
+    // the same log under `NoFaults` and under a seeded plane that injects
+    // nothing must report the same failures, completeness, bytes and hops.
     let seed = 11u64;
     let c = corpus(250, seed);
     let qs = queries(&c);
-    let mut net = AlvisNetwork::builder()
-        .peers(24)
-        .strategy_arc(Arc::new(Hdk::default()) as Arc<dyn Strategy>)
-        .dht(alvisp2p_dht::DhtConfig {
-            max_hops: 1,
-            ..Default::default()
-        })
-        .seed(seed)
-        .corpus(&c)
-        .build_indexed()
-        .expect("valid configuration");
-    assert!(!net.fault_plane().is_active());
-    let mut failed = 0usize;
-    for (i, text) in qs.iter().take(12).enumerate() {
-        let request = QueryRequest::new(text.clone()).from_peer(i % 24).top_k(10);
-        let response = net
-            .execute(&request)
-            .expect("an unreachable key must degrade the answer, not abort the query");
-        failed += response.failed_probes;
-        for (_, cause) in &response.completeness.failures {
-            assert_eq!(*cause, alvisp2p_core::fault::FailureCause::PeerDown);
+    let run = |plane: FaultPlane| {
+        let mut net = AlvisNetwork::builder()
+            .peers(24)
+            .strategy_arc(Arc::new(Hdk::default()) as Arc<dyn Strategy>)
+            .dht(alvisp2p_dht::DhtConfig {
+                max_hops: 1,
+                ..Default::default()
+            })
+            .faults(plane)
+            .seed(seed)
+            .corpus(&c)
+            .build_indexed()
+            .expect("valid configuration");
+        assert!(!net.fault_plane().is_active());
+        let mut reports = Vec::new();
+        for (i, text) in qs.iter().take(12).enumerate() {
+            let request = QueryRequest::new(text.clone()).from_peer(i % 24).top_k(10);
+            let response = net
+                .execute(&request)
+                .expect("an unreachable key must degrade the answer, not abort the query");
+            for (_, cause) in &response.completeness.failures {
+                assert_eq!(*cause, alvisp2p_core::fault::FailureCause::PeerDown);
+            }
+            assert_eq!(response.retries, 0, "routing failures are not retried");
+            reports.push((
+                response.failed_probes,
+                response.completeness,
+                response.bytes,
+                response.hops,
+            ));
         }
-        assert_eq!(response.retries, 0, "routing failures are not retried");
-    }
+        reports
+    };
+    let reports = run(FaultPlane::NoFaults);
+    let failed: usize = reports.iter().map(|r| r.0).sum();
     assert!(
         failed > 0,
         "a 1-hop budget over 24 peers must make some lookups fail — \
          the regression check is vacuous"
+    );
+    assert_eq!(
+        reports,
+        run(FaultPlane::seeded(seed)),
+        "an all-zero seeded plane diverged from NoFaults on routing failures"
     );
 }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the core indexing/retrieval layer: HDK window machinery,
 //! result merging, QDI decision logic and the global distributed index.
 
+use alvisp2p_core::fault::ProbeOutcome;
 use alvisp2p_core::global_index::GlobalIndex;
 use alvisp2p_core::hdk::{cooccurs_within_window, min_cover_window};
 use alvisp2p_core::key::TermKey;
@@ -134,8 +135,9 @@ proptest! {
         prop_assert_eq!(gi.activated_keys(), keys.len());
         // Every key is found by a probe from any origin and the per-peer loads sum up.
         for (i, key) in keys.iter().enumerate() {
-            let probe = gi.probe((i + 1) % peers, key, i as u64, 16, None).unwrap();
-            prop_assert!(probe.found(), "published key {key} not found");
+            let probe = gi.probe((i + 1) % peers, key, i as u64, 16, None, 0, 0, None).unwrap();
+            let found = matches!(&probe, ProbeOutcome::Ok(served) if served.found());
+            prop_assert!(found, "published key {key} not found: {probe:?}");
         }
         let load_sum: usize = gi.per_peer_load().iter().map(|(k, _)| *k).sum();
         prop_assert_eq!(load_sum, keys.len());
@@ -160,7 +162,7 @@ proptest! {
         );
         gi.publish_postings(0, &key, &list, capacity).unwrap();
         let before = gi.stats_snapshot();
-        gi.probe(5, &key, 1, capacity, None).unwrap();
+        gi.probe(5, &key, 1, capacity, None, 0, 0, None).unwrap();
         let delta = gi.stats_snapshot().since(&before);
         let retrieval = delta.category(TrafficCategory::Retrieval).bytes as usize;
         // The response can never exceed capacity * sizeof(ref) plus bounded overheads

@@ -256,8 +256,8 @@ fn fault_tolerance_demo() {
         plane.crash(victim);
         plane
     };
-    *fragile.fault_plane_mut() = plane();
-    *robust.fault_plane_mut() = plane();
+    fragile.set_fault_plane(plane());
+    robust.set_fault_plane(plane());
     println!("crashed the hot key's serving replica (peer {victim}) and injected 15% loss");
 
     let report = |label: &str, net: &mut AlvisNetwork| {

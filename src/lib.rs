@@ -114,7 +114,7 @@ pub mod prelude {
     pub use alvisp2p_core::request::{QueryRequest, QueryResponse, ThresholdMode};
     // The plan → execute pipeline: planners, plans and streaming execution.
     pub use alvisp2p_core::exec::{
-        ExecutionControl, ExecutionObserver, ProbeEvent, QueryExecutor, QueryStream, StableTopK,
+        ExecutionControl, ExecutionObserver, ProbeEvent, QueryStream, StableTopK,
     };
     pub use alvisp2p_core::plan::{
         BestEffort, BudgetPolicy, GreedyCost, PlanCtx, PlanDecision, PlanHints, PlanNode, Planner,

@@ -272,10 +272,10 @@ fn plan_run_and_stream_are_part_of_the_public_surface() {
         assert!(node.est_bytes > 0);
     }
 
-    // run() executes a plan; an explicit executor handle does the same.
+    // run() executes a plan, repeatably.
     let response = net.run(&plan, &request).unwrap();
     assert!(!response.results.is_empty());
-    let response2 = net.executor().run(&plan, &request).unwrap();
+    let response2 = net.run(&plan, &request).unwrap();
     assert_eq!(response.results.len(), response2.results.len());
 
     // Streams yield one event per probe and finish into the response.
