@@ -98,7 +98,7 @@ fn build_figure1_index(params: &LatticeParams) -> GlobalIndex {
 /// One probe from peer 1 over the fault-free wire of the Figure 1 index.
 fn probe(index: &mut GlobalIndex, key: &TermKey, capacity: usize) -> Result<ProbeResult, DhtError> {
     index
-        .probe(1, key, 1, capacity, None, 0, 0, None)
+        .probe(1, key, 1, capacity, None, 0, None)
         .map(|outcome| match outcome {
             ProbeOutcome::Ok(probe) => probe,
             failed => unreachable!("no fault plane is set: {failed:?}"),
@@ -222,7 +222,6 @@ pub fn run_planned(
         capacity: params.capacity,
         ranking: &ranking,
         global: &index,
-        sketches: None,
         byte_budget: Some(byte_budget),
         hop_budget: None,
     };

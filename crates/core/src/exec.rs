@@ -1,17 +1,16 @@
 //! Plan execution: run a [`QueryPlan`] and observe results incrementally.
 //!
-//! The second half of the plan → execute pipeline (see [`crate::plan`]). Three
-//! ways to consume an execution, from highest to lowest level:
+//! The second half of the plan → execute pipeline (see [`crate::plan`]). Two
+//! ways to consume an execution:
 //!
 //! * [`crate::network::AlvisNetwork::run`] — run a plan to completion and get the
 //!   final [`QueryResponse`] (what `execute` does internally);
-//! * [`ExecutionObserver`] — push-style: [`crate::network::AlvisNetwork::run_observed`]
-//!   calls [`ExecutionObserver::on_probe`] after every probe with the key, the
-//!   outcome, the bytes spent and the running top-k, and the observer may stop the
-//!   execution early (e.g. with the built-in [`StableTopK`] once the top-k has
-//!   stabilised);
-//! * [`QueryStream`] — pull-style: an iterator of [`ProbeEvent`]s that the caller
-//!   drains at its own pace and then [`QueryStream::finish`]es into the response.
+//! * [`QueryStream`] — an iterator of [`ProbeEvent`]s (key, outcome, bytes
+//!   spent) that the caller drains at its own pace, asking for
+//!   [`QueryStream::running_top_k`] when it wants one and calling
+//!   [`QueryStream::stop`] to end the execution early (e.g. once a
+//!   [`StableTopK`] reports the top-k has stabilised), then
+//!   [`QueryStream::finish`]es into the response.
 //!
 //! Early termination is loss-free bookkeeping-wise: remaining scheduled probes are
 //! recorded as skipped in the trace, the response is assembled from what was
@@ -31,7 +30,7 @@ use alvisp2p_dht::DhtError;
 use alvisp2p_textindex::bm25::ScoredDoc;
 use alvisp2p_textindex::DocId;
 
-/// One executed probe, as seen by observers and streams.
+/// One executed probe, as yielded by a [`QueryStream`].
 #[derive(Clone, Debug)]
 pub struct ProbeEvent {
     /// 0-based index among the probes actually sent.
@@ -73,38 +72,12 @@ pub struct ProbeEvent {
     /// its [`ProbeEvent::bytes`] and [`ProbeEvent::hops`] are what the failed
     /// attempts really spent.
     pub retries: usize,
-    /// The running top-k after merging everything retrieved so far.
-    pub top_k: Vec<ScoredDoc>,
 }
 
-/// An observer's verdict after each probe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutionControl {
-    /// Keep executing the plan.
-    Continue,
-    /// Stop: skip the remaining probes and assemble the response from what has
-    /// been retrieved.
-    Stop,
-}
-
-/// Observes a plan execution probe by probe and may terminate it early.
-pub trait ExecutionObserver {
-    /// Called after every sent probe. Return [`ExecutionControl::Stop`] to
-    /// early-terminate (e.g. once the running top-k has stabilised).
-    fn on_probe(&mut self, event: &ProbeEvent) -> ExecutionControl {
-        let _ = event;
-        ExecutionControl::Continue
-    }
-
-    /// Called once with the assembled response.
-    fn on_complete(&mut self, response: &QueryResponse) {
-        let _ = response;
-    }
-}
-
-/// Built-in observer that stops the execution once the top-k document set has
-/// been unchanged for `patience` consecutive probes — the "stop paying once the
-/// answer stops moving" policy.
+/// Tells a [`QueryStream`] caller when the top-k document set has been
+/// unchanged for `patience` consecutive probes — the "stop paying once the
+/// answer stops moving" policy. Feed it [`QueryStream::running_top_k`] after
+/// every event and [`QueryStream::stop`] the stream once it returns `true`.
 #[derive(Clone, Debug)]
 pub struct StableTopK {
     patience: usize,
@@ -113,8 +86,8 @@ pub struct StableTopK {
 }
 
 impl StableTopK {
-    /// Stops after the top-k has been stable for `patience` consecutive probes
-    /// (`patience` is clamped to at least 1).
+    /// Reports stability after the top-k has been unchanged for `patience`
+    /// consecutive probes (`patience` is clamped to at least 1).
     pub fn new(patience: usize) -> Self {
         StableTopK {
             patience: patience.max(1),
@@ -123,26 +96,17 @@ impl StableTopK {
         }
     }
 
-    /// How many consecutive probes the top-k has currently been stable for.
-    pub fn stable_for(&self) -> usize {
-        self.stable
-    }
-}
-
-impl ExecutionObserver for StableTopK {
-    fn on_probe(&mut self, event: &ProbeEvent) -> ExecutionControl {
-        let docs: Vec<DocId> = event.top_k.iter().map(|r| r.doc).collect();
+    /// Records the running top-k after one more probe and returns whether it
+    /// has now been stable for `patience` consecutive probes.
+    pub fn observe(&mut self, top_k: &[ScoredDoc]) -> bool {
+        let docs: Vec<DocId> = top_k.iter().map(|r| r.doc).collect();
         if !docs.is_empty() && docs == self.last {
             self.stable += 1;
         } else {
             self.stable = 0;
             self.last = docs;
         }
-        if self.stable >= self.patience {
-            ExecutionControl::Stop
-        } else {
-            ExecutionControl::Continue
-        }
+        self.stable >= self.patience
     }
 }
 
@@ -167,19 +131,9 @@ pub struct QueryStream<'n> {
     base_messages: u64,
     /// Number of terms in the analyzed query (the `m` of the threshold bound).
     query_terms: usize,
-    /// The score floor fed into the next probe, recomputed from the running
-    /// top-k after every event (see [`QueryStream::next_event`]). Under
-    /// [`ThresholdMode::RankSafe`] this is the Conservative-style floor kept
-    /// only for stale-cap fallback probes; certified probes derive their own
-    /// per-key floor from `rank_safe` and `theta_lb` instead.
-    score_floor: Option<f64>,
-    /// Rank-safe floor ingredients, present exactly when the request runs
-    /// [`ThresholdMode::RankSafe`].
-    rank_safe: Option<RankSafePlan>,
-    /// Monotone lower bound on the final k-th merged score: the largest
-    /// running k-th merged score seen so far, maintained only while the
-    /// rank-safe algebra is certified (see [`QueryStream::update_floor`]).
-    theta_lb: Option<f64>,
+    /// How the running top-k becomes the floor the next probe carries, fixed
+    /// at construction from the request's mode and the plan's shape.
+    floor_rule: FloorRule,
     /// RankSafe only: probes that carried the Conservative fallback floor
     /// because a published maximum they depend on was stale.
     rank_safe_fallbacks: usize,
@@ -204,32 +158,56 @@ pub struct QueryStream<'n> {
     error: Option<AlvisError>,
 }
 
-/// Pre-computed ingredients of the rank-safe floor algebra, snapshotted from
-/// the plan at stream construction (see [`QueryStream::probe_floor`]).
-///
-/// `caps` holds, per scheduled probe key, the key's own published maximum
-/// score and the summed maxima of the plan's probe keys *disjoint* from it —
-/// the `Σ_{j≠i} max_score(j)` of the floor `θ − Σ_{j≠i} max_score(j)`,
-/// sharpened to disjoint keys only (under a laminar family, a document's
-/// other maximal covering keys are always disjoint from the probed one, so
-/// nested keys never need to be charged). A key's entry is `None` when the
-/// algebra could not be certified for it: its own cached maximum, or that of
-/// a disjoint key, is stale against the list's publish version (lossy
-/// publications, on-demand activation), so the recorded bound may undershoot
-/// the real list and eliding against it would be unsound.
-///
-/// `laminar` is the structural gate: the coverage-weighted merge is only
-/// additive — and per-document merged scores only monotone — when the probed
-/// key family is laminar (pairwise disjoint or nested, see
-/// [`keys_are_laminar`]). Non-laminar families dilute overlapped terms by
-/// coverage fractions, which can shrink a merged score mid-stream and breaks
-/// both the θ lower bound and the per-key charging argument; the stream then
-/// sends every probe floor-free, keeping RankSafe byte-identical to
-/// [`ThresholdMode::Off`] rather than silently approximate.
+/// The one place θ (the running k-th merged score) lives: how it becomes the
+/// floor the next probe carries (see [`QueryStream::update_floor`] and
+/// [`QueryStream::probe_floor`]).
 #[derive(Debug)]
-struct RankSafePlan {
-    caps: Vec<(TermKey, Option<(f64, f64)>)>,
-    laminar: bool,
+enum FloorRule {
+    /// No probe ever carries a floor, so the running top-k is never merged on
+    /// the stream's own account: [`ThresholdMode::Off`], and
+    /// [`ThresholdMode::RankSafe`] over a non-laminar plan.
+    ///
+    /// Laminarity is RankSafe's structural gate: the coverage-weighted merge
+    /// is only additive — and per-document merged scores only monotone — when
+    /// the probed key family is laminar (pairwise disjoint or nested, see
+    /// [`keys_are_laminar`]). Non-laminar families dilute overlapped terms by
+    /// coverage fractions, which can shrink a merged score mid-stream and
+    /// breaks both the θ lower bound and the per-key charging argument; the
+    /// stream then sends every probe floor-free, keeping RankSafe
+    /// byte-identical to [`ThresholdMode::Off`] rather than silently
+    /// approximate.
+    Unfloored,
+    /// [`ThresholdMode::Conservative`] (`scale` 0.5) and
+    /// [`ThresholdMode::Aggressive`] (`scale` 1.0): every probe carries
+    /// `floor = θ · scale / m`, `None` until the running top-k is full.
+    Scaled { scale: f64, floor: Option<f64> },
+    /// [`ThresholdMode::RankSafe`] over a laminar plan.
+    ///
+    /// `caps` holds, per scheduled probe key, the key's own published maximum
+    /// score and the summed maxima of the plan's probe keys *disjoint* from
+    /// it — the `Σ_{j≠i} max_score(j)` of the floor
+    /// `θ − Σ_{j≠i} max_score(j)`, sharpened to disjoint keys only (under a
+    /// laminar family, a document's other maximal covering keys are always
+    /// disjoint from the probed one, so nested keys never need to be
+    /// charged). A key's entry is `None` when the algebra could not be
+    /// certified for it: its own cached maximum, or that of a disjoint key,
+    /// is stale against the list's publish version (lossy publications,
+    /// on-demand activation), so the recorded bound may undershoot the real
+    /// list and eliding against it would be unsound. Such a probe carries
+    /// `fallback`, the Conservative floor `θ / (2m)`.
+    ///
+    /// `theta_lb` is a monotone lower bound on the final k-th merged score:
+    /// the largest running k-th merged score seen so far. Over a laminar
+    /// retrieval the merge is exactly additive over each document's maximal
+    /// covering keys, so per-document merged scores — and with them the
+    /// running k-th merged score — only grow as lists arrive: the running θ
+    /// is itself a sound lower bound on the final θ. The ratchet keeps the
+    /// bound monotone against top-k ties resorting below `k`.
+    RankSafe {
+        caps: Vec<(TermKey, Option<(f64, f64)>)>,
+        fallback: Option<f64>,
+        theta_lb: Option<f64>,
+    },
 }
 
 /// What [`QueryStream::acquire_probe`] got back from the network for one
@@ -265,8 +243,18 @@ impl<'n> QueryStream<'n> {
         let planned = plan.scheduled_probes();
         let query_terms = query_key.as_ref().map_or(0, TermKey::len);
         let cursor = PlanCursor::new(plan, &lattice, request.byte_budget, request.hop_budget);
-        let rank_safe = (request.threshold == ThresholdMode::RankSafe)
-            .then(|| Self::rank_safe_plan(net, cursor.plan()));
+        let floor_rule = match request.threshold {
+            ThresholdMode::Off => FloorRule::Unfloored,
+            ThresholdMode::Conservative => FloorRule::Scaled {
+                scale: 0.5,
+                floor: None,
+            },
+            ThresholdMode::Aggressive => FloorRule::Scaled {
+                scale: 1.0,
+                floor: None,
+            },
+            ThresholdMode::RankSafe => Self::rank_safe_rule(net, cursor.plan()),
+        };
         QueryStream {
             net,
             request,
@@ -278,9 +266,7 @@ impl<'n> QueryStream<'n> {
             base_bytes,
             base_messages,
             query_terms,
-            score_floor: None,
-            rank_safe,
-            theta_lb: None,
+            floor_rule,
             rank_safe_fallbacks: 0,
             virtual_bytes: 0,
             pruned: 0,
@@ -290,11 +276,6 @@ impl<'n> QueryStream<'n> {
             hedged: 0,
             error: None,
         }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &QueryPlan {
-        self.cursor.plan()
     }
 
     /// Retrieval bytes the query has charged so far.
@@ -307,21 +288,15 @@ impl<'n> QueryStream<'n> {
         self.cursor.stop();
     }
 
-    /// The score floor the next probe will carry, if any. Under
-    /// [`ThresholdMode::RankSafe`] this is only the stale-cap fallback floor —
-    /// certified probes compute a sharper per-key floor at send time.
-    pub fn score_floor(&self) -> Option<f64> {
-        self.score_floor
+    /// The top-k over everything retrieved so far, merged on demand (what
+    /// [`QueryStream::finish`] returns as `results` once the last probe is in).
+    pub fn running_top_k(&self) -> Vec<ScoredDoc> {
+        merge_retrieved(self.cursor.retrieved(), self.request.top_k)
     }
 
-    /// Number of probes that fell back to the Conservative floor because a
-    /// published maximum the rank-safe algebra depends on was stale.
-    pub fn rank_safe_fallbacks(&self) -> usize {
-        self.rank_safe_fallbacks
-    }
-
-    /// Snapshots the rank-safe floor ingredients from the plan's scheduled
-    /// probes (see [`RankSafePlan`]).
+    /// The [`FloorRule`] of a [`ThresholdMode::RankSafe`] execution of `plan`:
+    /// [`FloorRule::Unfloored`] unless the scheduled probe keys are laminar,
+    /// else the per-key caps snapshotted from the published maxima.
     ///
     /// A key's cap is its published maximum from
     /// [`crate::ranking::GlobalRankingStats::key_max_fresh`], accepted only
@@ -333,9 +308,11 @@ impl<'n> QueryStream<'n> {
     /// still 0 and no recorded maximum) is provably absent from the index:
     /// its probe will miss, it contributes nothing to any merge, and its cap
     /// is exactly 0.
-    fn rank_safe_plan(net: &AlvisNetwork, plan: &QueryPlan) -> RankSafePlan {
+    fn rank_safe_rule(net: &AlvisNetwork, plan: &QueryPlan) -> FloorRule {
         let keys: Vec<TermKey> = plan.probes().map(|node| node.key.clone()).collect();
-        let laminar = keys_are_laminar(&keys);
+        if !keys_are_laminar(&keys) {
+            return FloorRule::Unfloored;
+        }
         let fresh: Vec<Option<f64>> = keys
             .iter()
             .map(|key| {
@@ -363,53 +340,47 @@ impl<'n> QueryStream<'n> {
                 (key.clone(), cap)
             })
             .collect();
-        RankSafePlan { caps, laminar }
+        FloorRule::RankSafe {
+            caps,
+            fallback: None,
+            theta_lb: None,
+        }
     }
 
     /// The floor the next probe for `key` will carry.
     ///
-    /// Outside [`ThresholdMode::RankSafe`] this is just the running
-    /// Conservative/Aggressive floor. Under RankSafe, a certified key `i`
-    /// (laminar plan, fresh own and disjoint caps) gets the provably
-    /// rank-safe floor `θ_LB − Σ_{j disjoint from i} max_score(j)` minus one
-    /// quantization step ([`rank_safe_floor`]): any document of the final
-    /// top-k with merged score `≥ θ_LB` can lose at most the disjoint keys'
-    /// maxima to its other covering lists, so its entry in list `i` scores at
-    /// least the floor and survives elision — making the response
-    /// byte-identical in ranking to [`ThresholdMode::Off`] at fewer posting
-    /// bytes. A stale-cap key degrades to the Conservative fallback floor for
-    /// this probe (counted in `rank_safe_fallbacks`, per-key as published
-    /// maxima go stale independently); a non-laminar plan sends every probe
-    /// floor-free because no per-key floor can be certified at all.
+    /// Under [`FloorRule::RankSafe`], a certified key `i` (fresh own and
+    /// disjoint caps) gets the provably rank-safe floor
+    /// `θ_LB − Σ_{j disjoint from i} max_score(j)` minus one quantization
+    /// step ([`rank_safe_floor`]): any document of the final top-k with
+    /// merged score `≥ θ_LB` can lose at most the disjoint keys' maxima to
+    /// its other covering lists, so its entry in list `i` scores at least the
+    /// floor and survives elision — making the response byte-identical in
+    /// ranking to [`ThresholdMode::Off`] at fewer posting bytes. A stale-cap
+    /// key degrades to the Conservative fallback floor for this probe
+    /// (counted in `rank_safe_fallbacks`, per-key as published maxima go
+    /// stale independently).
     fn probe_floor(&mut self, key: &TermKey) -> Option<f64> {
-        let Some(rank_safe) = &self.rank_safe else {
-            return self.score_floor;
-        };
-        if !rank_safe.laminar {
-            return None;
-        }
-        let cap = rank_safe
-            .caps
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, cap)| *cap);
-        match cap {
-            Some((own, disjoint_sum)) => {
-                let theta = self.theta_lb?;
-                rank_safe_floor(theta, own + disjoint_sum, own)
-            }
-            None => {
-                let floor = self.score_floor;
-                if floor.is_some() {
-                    self.rank_safe_fallbacks += 1;
+        match &self.floor_rule {
+            FloorRule::Unfloored => None,
+            FloorRule::Scaled { floor, .. } => *floor,
+            FloorRule::RankSafe {
+                caps,
+                fallback,
+                theta_lb,
+            } => match caps.iter().find(|(k, _)| k == key).and_then(|(_, c)| *c) {
+                Some((own, disjoint_sum)) => rank_safe_floor((*theta_lb)?, own + disjoint_sum, own),
+                None => {
+                    self.rank_safe_fallbacks += usize::from(fallback.is_some());
+                    *fallback
                 }
-                floor
-            }
+            },
         }
     }
 
     /// Recomputes the threshold fed into subsequent probes from the running
-    /// top-k.
+    /// top-k — which is merged here, and only when the [`FloorRule`] can turn
+    /// it into a floor.
     ///
     /// Once the running top-k holds the full `k` documents with k-th merged
     /// score `θ`, the floor is `θ / (2m)` ([`ThresholdMode::Conservative`])
@@ -423,44 +394,28 @@ impl<'n> QueryStream<'n> {
     /// recomputed (not ratcheted) after every probe because the
     /// coverage-weighted merge is not monotone in the retrieved set — `θ` can
     /// move in either direction as larger keys arrive.
-    fn update_floor(&mut self, top_k: &[ScoredDoc]) {
-        let scale = match self.request.threshold {
-            ThresholdMode::Off => return,
-            ThresholdMode::Conservative => 0.5,
-            ThresholdMode::RankSafe => {
-                // Maintain the θ lower bound the per-key rank-safe floors are
-                // built on; the Conservative-style floor computed below only
-                // serves stale-cap fallback probes. Over a *laminar* retrieval
-                // (the structural gate) the coverage-weighted merge is exactly
-                // additive over each document's maximal covering keys, so
-                // per-document merged scores — and with them the running k-th
-                // merged score — only grow as lists arrive: the running θ is
-                // itself a sound lower bound on the final θ. (For general
-                // non-laminar families it is not, which is one of the two
-                // reasons the gate exists.) The ratchet keeps the bound
-                // monotone against top-k ties resorting below `k`.
-                if self.rank_safe.as_ref().is_some_and(|rs| rs.laminar)
-                    && top_k.len() >= self.request.top_k
-                {
-                    if let Some(worst) = top_k.last() {
-                        let lb = worst.score;
-                        self.theta_lb = Some(self.theta_lb.map_or(lb, |t| t.max(lb)));
-                    }
-                }
-                0.5
-            }
-            ThresholdMode::Aggressive => 1.0,
-        };
-        if self.query_terms == 0 {
+    fn update_floor(&mut self) {
+        if matches!(self.floor_rule, FloorRule::Unfloored) {
             return;
         }
-        self.score_floor = if top_k.len() >= self.request.top_k {
-            top_k
-                .last()
-                .map(|worst| worst.score * scale / self.query_terms as f64)
-        } else {
-            None
-        };
+        // `Some` once the running top-k holds the full `k` documents.
+        let theta = self
+            .running_top_k()
+            .get(self.request.top_k - 1)
+            .map(|worst| worst.score);
+        let m = self.query_terms as f64;
+        match &mut self.floor_rule {
+            FloorRule::Unfloored => {}
+            FloorRule::Scaled { scale, floor } => *floor = theta.map(|t| t * *scale / m),
+            FloorRule::RankSafe {
+                fallback, theta_lb, ..
+            } => {
+                *fallback = theta.map(|t| t * 0.5 / m);
+                if let Some(t) = theta {
+                    *theta_lb = Some(theta_lb.map_or(t, |lb| lb.max(t)));
+                }
+            }
+        }
     }
 
     /// Acquires one scheduled probe from the network: the attempt loop over
@@ -485,7 +440,6 @@ impl<'n> QueryStream<'n> {
         &mut self,
         key: &TermKey,
         floor: Option<f64>,
-        shed: usize,
     ) -> Result<ProbeAcquisition, AlvisError> {
         let origin = self.request.origin;
         let capacity = self.net.strategy().truncation_k();
@@ -506,7 +460,6 @@ impl<'n> QueryStream<'n> {
                 self.seq,
                 capacity,
                 floor,
-                shed,
                 attempt,
                 serve_override,
             ) {
@@ -617,7 +570,6 @@ impl<'n> QueryStream<'n> {
             CursorStep::Probe(key) => {
                 let before = self.net.retrieval_totals().0;
                 let floor = self.probe_floor(&key);
-                let shed = self.cursor.pending_node().map_or(0, |n| n.shed_prefix);
                 let (acquired, pruned) =
                     match self
                         .net
@@ -633,7 +585,7 @@ impl<'n> QueryStream<'n> {
                             };
                             (served, true)
                         }
-                        None => match self.acquire_probe(&key, floor, shed) {
+                        None => match self.acquire_probe(&key, floor) {
                             Ok(acquired) => (acquired, false),
                             Err(err) => {
                                 self.error = Some(err.clone());
@@ -648,7 +600,7 @@ impl<'n> QueryStream<'n> {
                         hedged,
                     } => {
                         self.hedged += usize::from(hedged);
-                        if self.rank_safe.is_some() {
+                        if self.request.threshold == ThresholdMode::RankSafe {
                             // Budget admission must see what the probe would
                             // have cost without elision, so rank-safe savings
                             // never buy extra probes the Off execution would
@@ -678,10 +630,7 @@ impl<'n> QueryStream<'n> {
                 };
                 self.retries += retries;
                 let bytes = self.net.retrieval_totals().0 - before;
-                // A failed probe retrieved nothing, so the running top-k and
-                // the floor derived from it stay what they were.
-                let top_k = merge_retrieved(self.cursor.retrieved(), self.request.top_k);
-                self.update_floor(&top_k);
+                self.update_floor();
                 let event = ProbeEvent {
                     index: self.sent,
                     planned: self.planned,
@@ -696,7 +645,6 @@ impl<'n> QueryStream<'n> {
                     replicas,
                     pruned,
                     retries,
-                    top_k,
                 };
                 self.sent += 1;
                 Some(Ok(event))

@@ -479,10 +479,7 @@ impl GlobalIndex {
     /// **Response shaping.** With a `score_floor` (the threshold-aware probe
     /// path: the executor feeds the running k-th merged score back, see
     /// [`crate::exec::QueryStream`]), the serving peer encodes only the
-    /// prefix of entries scoring at least the floor. A non-zero `shed_prefix`
-    /// is the load-shedding instruction of the `ReplicaAware` planner: the
-    /// serving peer degrades the answer to the top-`shed_prefix` prefix of the
-    /// stored list by raising the effective floor to that entry's score. The
+    /// prefix of entries scoring at least the floor. The
     /// elided tail is subtracted from the decoded list's `full_df`, which
     /// preserves the original truncation status — lattice domination pruning
     /// behaves identically with and without elision.
@@ -517,7 +514,8 @@ impl GlobalIndex {
     ///
     /// Under an inactive plane the first attempt is always
     /// [`ProbeOutcome::Ok`].
-    // Eight inputs, all independent; bundling them needs a new public type.
+    // Seven inputs plus the receiver, all independent; bundling them needs a
+    // new public type.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &mut self,
@@ -526,7 +524,6 @@ impl GlobalIndex {
         query_seq: u64,
         stats_capacity: usize,
         score_floor: Option<f64>,
-        shed_prefix: usize,
         attempt: u32,
         serve_override: Option<usize>,
     ) -> Result<ProbeOutcome, DhtError> {
@@ -568,7 +565,7 @@ impl GlobalIndex {
                     entry.usage.last_probe = query_seq;
                     if entry.activated {
                         entry.usage.hits += 1;
-                        response = Some(encode_response(&entry.postings, score_floor, shed_prefix));
+                        response = Some(encode_response(&entry.postings, score_floor));
                     }
                 });
         } else if let Some(entry) = self.dht.peer(served_by).replica_store.get(&ring_key) {
@@ -576,7 +573,7 @@ impl GlobalIndex {
             // its replica copy — kept byte-identical to the primary's list by
             // `sync_replicas`, so the degraded path never changes the answer.
             if entry.activated {
-                response = Some(encode_response(&entry.postings, score_floor, shed_prefix));
+                response = Some(encode_response(&entry.postings, score_floor));
             }
         }
         self.dht.peer_mut(served_by).served_requests += 1;
@@ -863,38 +860,17 @@ impl GlobalIndex {
         out.extend(self.dht.replica_holders(ring_key));
         out
     }
-
-    /// A peer's current EWMA probe-serve load (see
-    /// [`alvisp2p_dht::replica::LoadTracker`]).
-    pub fn peer_probe_load(&self, peer: usize) -> f64 {
-        self.dht.replication().peer_load(peer)
-    }
-
-    /// Estimates the overlay hops from peer `from` to a specific peer (used by
-    /// the `ReplicaAware` planner to cost probe routes to replica holders).
-    pub fn estimate_hops_to_peer(&self, from: usize, peer: usize) -> Result<usize, DhtError> {
-        self.dht.estimate_hops(from, self.dht.peer(peer).id)
-    }
 }
 
 /// The serving peer's side of a probe: the response frame for an activated
-/// entry's stored list plus what the floor elided from it. A non-zero
-/// `shed_prefix` raises the effective score floor to the `shed_prefix`-th
-/// stored score, so the frame carries at most that many entries.
+/// entry's stored list plus what the floor elided from it.
 fn encode_response(
     postings: &TruncatedPostingList,
     score_floor: Option<f64>,
-    shed_prefix: usize,
 ) -> (Vec<u8>, crate::codec::ElisionStats) {
-    let floor = if shed_prefix == 0 || postings.len() <= shed_prefix {
-        score_floor
-    } else {
-        let cut = postings.refs()[shed_prefix - 1].score;
-        Some(score_floor.map_or(cut, |f| f.max(cut)))
-    };
     (
-        crate::codec::encode_list(postings, floor),
-        crate::codec::elision_stats(postings, floor),
+        crate::codec::encode_list(postings, score_floor),
+        crate::codec::elision_stats(postings, score_floor),
     )
 }
 
@@ -931,7 +907,7 @@ mod tests {
         let mut gi = index(16);
         let key = TermKey::new(["peer", "retriev"]);
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
-        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None));
+        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, None));
         assert!(probe.found());
         assert_eq!(probe.postings.unwrap().len(), 5);
         assert_eq!(gi.activated_keys(), 1);
@@ -946,7 +922,7 @@ mod tests {
     fn probing_unknown_key_records_statistics_only() {
         let mut gi = index(8);
         let key = TermKey::new(["never", "indexed"]);
-        let probe = answered(gi.probe(2, &key, 7, 50, None, 0, 0, None));
+        let probe = answered(gi.probe(2, &key, 7, 50, None, 0, None));
         assert!(!probe.found());
         assert_eq!(gi.activated_keys(), 0);
         assert_eq!(gi.total_entries(), 1);
@@ -955,7 +931,7 @@ mod tests {
         assert_eq!(usage.hits, 0);
         assert_eq!(usage.last_probe, 7);
         // Probing again accumulates.
-        answered(gi.probe(3, &key, 9, 50, None, 0, 0, None));
+        answered(gi.probe(3, &key, 9, 50, None, 0, None));
         assert_eq!(gi.usage(&key).unwrap().probes, 2);
     }
 
@@ -1008,7 +984,7 @@ mod tests {
         let after_publish = gi.stats_snapshot();
         assert!(after_publish.category(TrafficCategory::Indexing).bytes > 0);
         assert_eq!(after_publish.category(TrafficCategory::Retrieval).bytes, 0);
-        answered(gi.probe(9, &key, 1, 100, None, 0, 0, None));
+        answered(gi.probe(9, &key, 1, 100, None, 0, None));
         let delta = gi.stats_snapshot().since(&after_publish);
         // The probe charges at least the codec frame of the stored list (plus
         // request + routing), and never more than the planner's worst case.
@@ -1023,7 +999,7 @@ mod tests {
         let key = TermKey::new(["codec", "probe"]);
         gi.publish_postings(0, &key, &refs(30), 100).unwrap();
         let stored = gi.peek(&key).unwrap().postings.clone();
-        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None));
+        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, None));
         let got = probe.postings.unwrap();
         // Same documents in the same order; scores within one quantization step.
         assert_eq!(got.len(), stored.len());
@@ -1045,7 +1021,7 @@ mod tests {
         // Scores 30.0 down to 1.0, complete list.
         gi.publish_postings(0, &key, &refs(30), 100).unwrap();
         let before = gi.stats_snapshot();
-        let full = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None))
+        let full = answered(gi.probe(3, &key, 1, 100, None, 0, None))
             .postings
             .unwrap();
         let full_bytes = gi
@@ -1054,7 +1030,7 @@ mod tests {
             .category(TrafficCategory::Retrieval)
             .bytes;
         let before = gi.stats_snapshot();
-        let floored = answered(gi.probe(3, &key, 2, 100, Some(20.0), 0, 0, None))
+        let floored = answered(gi.probe(3, &key, 2, 100, Some(20.0), 0, None))
             .postings
             .unwrap();
         let floored_bytes = gi
@@ -1077,11 +1053,11 @@ mod tests {
         let mut gi = index(8);
         let key = TermKey::new(["old", "popular"]);
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
-        answered(gi.probe(1, &key, 1, 100, None, 0, 0, None));
+        answered(gi.probe(1, &key, 1, 100, None, 0, None));
         assert!(gi.deactivate(&key));
         assert!(!gi.deactivate(&key), "already deactivated");
         assert_eq!(gi.activated_keys(), 0);
-        let probe = answered(gi.probe(2, &key, 2, 100, None, 0, 0, None));
+        let probe = answered(gi.probe(2, &key, 2, 100, None, 0, None));
         assert!(!probe.found());
         assert_eq!(gi.usage(&key).unwrap().probes, 2);
     }
@@ -1102,8 +1078,8 @@ mod tests {
         let mut gi = index(16);
         let key = TermKey::new(["on", "demand"]);
         // Build up some probe statistics first.
-        answered(gi.probe(0, &key, 1, 50, None, 0, 0, None));
-        answered(gi.probe(1, &key, 2, 50, None, 0, 0, None));
+        answered(gi.probe(0, &key, 1, 50, None, 0, None));
+        answered(gi.probe(1, &key, 2, 50, None, 0, None));
         let responsible = gi.dht().responsible_for(key.ring_id()).unwrap();
         gi.store_acquired(responsible, &key, refs(7));
         let entry = gi.peek(&key).unwrap();
@@ -1122,7 +1098,7 @@ mod tests {
             let hops = gi.estimate_hops(3, &key).unwrap();
             let bound = gi.estimate_probe_bytes(&key, hops, max_entries);
             let before = gi.stats_snapshot();
-            answered(gi.probe(3, &key, 1, 16, None, 0, 0, None));
+            answered(gi.probe(3, &key, 1, 16, None, 0, None));
             let spent = gi
                 .stats_snapshot()
                 .since(&before)
@@ -1133,41 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_prefix_degrades_to_a_truncated_prefix_answer() {
-        let mut gi = index(16);
-        let key = TermKey::new(["shed", "probe"]);
-        gi.publish_postings(0, &key, &refs(30), 100).unwrap();
-        let full = answered(gi.probe(3, &key, 1, 100, None, 0, 0, None))
-            .postings
-            .unwrap();
-        assert_eq!(full.len(), 30);
-        let shed = answered(gi.probe(3, &key, 2, 100, None, 5, 0, None))
-            .postings
-            .unwrap();
-        assert_eq!(shed.len(), 5, "top-5 prefix under shedding");
-        assert_eq!(
-            shed.refs().iter().map(|r| r.doc).collect::<Vec<_>>(),
-            full.refs()
-                .iter()
-                .take(5)
-                .map(|r| r.doc)
-                .collect::<Vec<_>>()
-        );
-        // Prefix elision is not capacity truncation: pruning is unchanged.
-        assert!(!shed.is_truncated());
-        // A shed prefix wider than the list changes nothing.
-        let wide = answered(gi.probe(3, &key, 3, 100, None, 100, 0, None))
-            .postings
-            .unwrap();
-        assert_eq!(wide.len(), 30);
-        // The stricter of (score floor, shed floor) wins.
-        let both = answered(gi.probe(3, &key, 4, 100, Some(28.0), 10, 0, None))
-            .postings
-            .unwrap();
-        assert_eq!(both.len(), 3, "scores 30, 29, 28 survive");
-    }
-
-    #[test]
     fn replicated_probes_move_the_serve_but_not_the_answer() {
         use alvisp2p_dht::HotKeyReplication;
         use std::sync::Arc;
@@ -1175,11 +1116,11 @@ mod tests {
         gi.set_replication_policy(Arc::new(HotKeyReplication::new(3)));
         let key = TermKey::new(["hot", "head"]);
         gi.publish_postings(0, &key, &refs(20), 100).unwrap();
-        let baseline = answered(gi.probe(1, &key, 0, 100, None, 0, 0, None));
+        let baseline = answered(gi.probe(1, &key, 0, 100, None, 0, None));
         let primary = baseline.responsible;
         let mut served = std::collections::BTreeSet::new();
         for seq in 1..60u64 {
-            let p = answered(gi.probe((seq as usize) % 24, &key, seq, 100, None, 0, 0, None));
+            let p = answered(gi.probe((seq as usize) % 24, &key, seq, 100, None, 0, None));
             // The answer never changes with placement.
             assert_eq!(p.postings, baseline.postings);
             assert_eq!(p.responsible, primary);
@@ -1192,7 +1133,7 @@ mod tests {
         let holders = gi.replica_holders_of(&key);
         assert_eq!(holders.len(), 3);
         assert_eq!(gi.serving_candidates(&key)[0], primary);
-        assert!(gi.peer_probe_load(primary) > 0.0);
+        assert!(gi.dht().replication().peer_load(primary) > 0.0);
         // Usage statistics stay canonical at the primary.
         assert_eq!(gi.usage(&key).unwrap().probes, 60);
     }
@@ -1207,7 +1148,7 @@ mod tests {
         gi.publish_postings(1, &key, &refs(2), 100).unwrap();
         assert_eq!(gi.publish_version(&key), 2);
         // Probes are reads: no version change.
-        answered(gi.probe(2, &key, 1, 100, None, 0, 0, None));
+        answered(gi.probe(2, &key, 1, 100, None, 0, None));
         assert_eq!(gi.publish_version(&key), 2);
         assert!(gi.deactivate(&key));
         assert_eq!(gi.publish_version(&key), 3);
@@ -1310,7 +1251,7 @@ mod tests {
             let probes: Vec<ProbeResult> = keys
                 .iter()
                 .enumerate()
-                .map(|(i, key)| answered(gi.probe(i + 2, key, 1, 100, Some(3.0), 0, 0, None)))
+                .map(|(i, key)| answered(gi.probe(i + 2, key, 1, 100, Some(3.0), 0, None)))
                 .collect();
             assert_eq!(gi.republish_round(), (0, 0));
             assert_eq!(gi.pending_publishes(), 0);
@@ -1328,7 +1269,7 @@ mod tests {
         let key = TermKey::new(["bit", "flip"]);
         gi.publish_postings(0, &key, &refs(10), 100).unwrap();
         gi.set_fault_plane(FaultPlane::seeded(5).with_corruption(1.0));
-        let outcome = gi.probe(2, &key, 1, 100, None, 0, 0, None).unwrap();
+        let outcome = gi.probe(2, &key, 1, 100, None, 0, None).unwrap();
         assert!(
             matches!(outcome, ProbeOutcome::Corrupt { .. }),
             "single-bit flips are always caught by the trailer: {outcome:?}"
@@ -1337,7 +1278,7 @@ mod tests {
         assert_eq!(gi.usage(&key).unwrap().probes, 1);
         // A clean attempt at other coordinates still answers.
         gi.set_fault_plane(FaultPlane::seeded(5));
-        let outcome = gi.probe(2, &key, 2, 100, None, 0, 0, None).unwrap();
+        let outcome = gi.probe(2, &key, 2, 100, None, 0, None).unwrap();
         assert!(matches!(outcome, ProbeOutcome::Ok(_)));
     }
 
@@ -1348,7 +1289,7 @@ mod tests {
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
         let d1 = gi.peek(&key).unwrap().content_digest();
         // Probes advance usage but not the replicated content.
-        answered(gi.probe(1, &key, 1, 100, None, 0, 0, None));
+        answered(gi.probe(1, &key, 1, 100, None, 0, None));
         assert_eq!(gi.peek(&key).unwrap().content_digest(), d1);
         // Publishing more postings changes the digest.
         gi.publish_postings(1, &key, &refs(7), 100).unwrap();

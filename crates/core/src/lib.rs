@@ -23,9 +23,9 @@
 //! * [`plan`] — budget-aware query planning: the [`Planner`] seam producing
 //!   ordered, cost-annotated [`QueryPlan`]s over the term lattice (built-ins:
 //!   the PR 1-equivalent [`BestEffort`] and the cost-based [`GreedyCost`]);
-//! * [`exec`] — plan execution with streaming results: pull-style
-//!   [`QueryStream`]s and push-style [`ExecutionObserver`]s with per-probe
-//!   events and early termination;
+//! * [`exec`] — plan execution with streaming results: [`QueryStream`]s
+//!   with per-probe events, an on-demand running top-k and early
+//!   termination;
 //! * [`fault`] — the deterministic fault-injection plane ([`FaultPlane`]:
 //!   seeded per-probe message loss, crashed/stalled peers, slow replies) and
 //!   the [`RetryPolicy`] (bounded retries, backoff, replica failover) that
@@ -97,7 +97,7 @@ pub use codec::{
     CodecError,
 };
 pub use error::AlvisError;
-pub use exec::{ExecutionControl, ExecutionObserver, ProbeEvent, QueryStream, StableTopK};
+pub use exec::{ProbeEvent, QueryStream, StableTopK};
 pub use fault::{Completeness, FailureCause, FaultConfig, FaultPlane, ProbeOutcome, RetryPolicy};
 pub use global_index::{GlobalIndex, KeyIndexEntry, KeyUsageStats, ProbeResult};
 pub use hdk::{HdkConfig, HdkLevelReport};
@@ -109,7 +109,7 @@ pub use network::{
 pub use peer::{AlvisPeer, FetchOutcome};
 pub use plan::{
     BestEffort, BudgetPolicy, GreedyCost, PlanCtx, PlanCursor, PlanDecision, PlanHints, PlanNode,
-    Planner, QueryPlan, ReplicaAware, SketchAware,
+    Planner, QueryPlan,
 };
 pub use posting::{ScoredRef, TruncatedPostingList};
 pub use qdi::{ActivationDecision, QdiConfig, QdiReport};

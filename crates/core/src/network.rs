@@ -19,7 +19,7 @@
 
 use crate::baseline::CentralizedEngine;
 use crate::error::AlvisError;
-use crate::exec::{ExecutionObserver, QueryStream};
+use crate::exec::QueryStream;
 use crate::fault::{FaultPlane, RetryPolicy};
 use crate::global_index::{GlobalIndex, ProbeResult};
 use crate::hdk::HdkLevelReport;
@@ -779,11 +779,6 @@ impl AlvisNetwork {
             capacity: strategy.truncation_k(),
             ranking: &self.ranking,
             global: &self.global,
-            sketches: self
-                .config
-                .sketch_policy
-                .enabled()
-                .then_some(&self.sketches),
             byte_budget: request.byte_budget,
             hop_budget: request.hop_budget,
         };
@@ -792,7 +787,8 @@ impl AlvisNetwork {
 
     /// Runs a [`QueryPlan`] to completion and returns the assembled
     /// [`QueryResponse`]. Budgets are enforced per the plan's
-    /// [`crate::plan::BudgetPolicy`].
+    /// [`crate::plan::BudgetPolicy`]. The plan is borrowed so callers can
+    /// reuse it; a one-shot caller hands its plan to [`AlvisNetwork::stream`].
     pub fn run(
         &mut self,
         plan: &QueryPlan,
@@ -801,33 +797,9 @@ impl AlvisNetwork {
         self.stream(plan.clone(), request.clone())?.finish()
     }
 
-    /// Runs a plan under an [`ExecutionObserver`] that receives one event per
-    /// sent probe (key, outcome, bytes, running top-k) and may early-terminate
-    /// the execution once the top-k has stabilised.
-    pub fn run_observed(
-        &mut self,
-        plan: &QueryPlan,
-        request: &QueryRequest,
-        observer: &mut dyn ExecutionObserver,
-    ) -> Result<QueryResponse, AlvisError> {
-        let mut stream = self.stream(plan.clone(), request.clone())?;
-        while let Some(event) = stream.next_event() {
-            let event = event?;
-            if matches!(
-                observer.on_probe(&event),
-                crate::exec::ExecutionControl::Stop
-            ) {
-                stream.stop();
-            }
-        }
-        let response = stream.finish()?;
-        observer.on_complete(&response);
-        Ok(response)
-    }
-
-    /// Starts a pull-style [`QueryStream`] over the plan: the caller drains
-    /// [`crate::exec::ProbeEvent`]s at its own pace and then finishes the stream
-    /// into the response.
+    /// Starts a [`QueryStream`] over the plan: the caller drains
+    /// [`crate::exec::ProbeEvent`]s at its own pace, may stop early, and then
+    /// finishes the stream into the response.
     ///
     /// The request must originate from the peer the plan was made for: the
     /// plan's cost annotations (and therefore the Reserve policy's
@@ -852,12 +824,13 @@ impl AlvisNetwork {
     /// Executes one [`QueryRequest`] and returns the ranked results together with
     /// the exploration trace and the traffic the query consumed.
     ///
-    /// Thin wrapper over [`AlvisNetwork::plan`] + [`AlvisNetwork::run`] with the
-    /// configured planner (default: [`BestEffort`], which keeps the pre-planner
-    /// fixed-order budget-cutoff semantics).
+    /// Thin wrapper over [`AlvisNetwork::plan`] + [`AlvisNetwork::stream`] +
+    /// [`QueryStream::finish`] with the configured planner (default:
+    /// [`BestEffort`], which keeps the pre-planner fixed-order budget-cutoff
+    /// semantics).
     pub fn execute(&mut self, request: &QueryRequest) -> Result<QueryResponse, AlvisError> {
         let plan = self.plan(request)?;
-        self.run(&plan, request)
+        self.stream(plan, request.clone())?.finish()
     }
 
     /// Executes a batch of requests in order, stopping at the first error. Each
@@ -1425,8 +1398,11 @@ mod tests {
         let scheduled = plan.scheduled_probes();
         let mut stream = net.stream(plan, request).unwrap();
         let mut events = Vec::new();
+        let mut last_top_k = Vec::new();
         while let Some(event) = stream.next_event() {
             events.push(event.unwrap());
+            last_top_k = stream.running_top_k();
+            assert!(last_top_k.len() <= 5);
         }
         let response = stream.finish().unwrap();
         assert!(!events.is_empty());
@@ -1437,10 +1413,9 @@ mod tests {
             assert_eq!(event.planned, scheduled);
             assert!(event.bytes > 0);
             assert!(event.spent_bytes >= event.bytes);
-            assert!(event.top_k.len() <= 5);
         }
-        // The last event's running top-k equals the final ranking.
-        let last_docs: Vec<_> = events.last().unwrap().top_k.iter().map(|r| r.doc).collect();
+        // The running top-k after the last event equals the final ranking.
+        let last_docs: Vec<_> = last_top_k.iter().map(|r| r.doc).collect();
         let final_docs: Vec<_> = response.results.iter().map(|r| r.doc).collect();
         assert_eq!(last_docs, final_docs);
         // Cumulative spend adds up to the response's first-step bytes.
@@ -1449,24 +1424,6 @@ mod tests {
 
     #[test]
     fn observer_can_stop_once_the_top_k_stabilises() {
-        struct StopAfter {
-            probes: usize,
-            seen: usize,
-        }
-        impl crate::exec::ExecutionObserver for StopAfter {
-            fn on_probe(
-                &mut self,
-                _event: &crate::exec::ProbeEvent,
-            ) -> crate::exec::ExecutionControl {
-                self.seen += 1;
-                if self.seen >= self.probes {
-                    crate::exec::ExecutionControl::Stop
-                } else {
-                    crate::exec::ExecutionControl::Continue
-                }
-            }
-        }
-
         let mut full = demo_network(Hdk::default(), 4);
         full.build_index();
         let request = QueryRequest::new("peer to peer retrieval");
@@ -1474,22 +1431,38 @@ mod tests {
         let unbounded = full.run(&plan, &request).unwrap();
         assert!(unbounded.trace.probes > 1);
 
+        // Stopping after the first event records the rest as skipped and
+        // the response is assembled from what was retrieved.
         let mut net = demo_network(Hdk::default(), 4);
         net.build_index();
         let plan = net.plan(&request).unwrap();
-        let mut observer = StopAfter { probes: 1, seen: 0 };
-        let stopped = net.run_observed(&plan, &request, &mut observer).unwrap();
+        let scheduled = plan.scheduled_probes();
+        let mut stream = net.stream(plan, request.clone()).unwrap();
+        stream.next_event().unwrap().unwrap();
+        let retrieved_so_far = stream.running_top_k();
+        stream.stop();
+        assert!(stream.next_event().is_none());
+        let stopped = stream.finish().unwrap();
         assert_eq!(stopped.trace.probes, 1);
+        assert!(stopped.trace.skipped_keys().len() >= scheduled - 1);
         assert!(stopped.bytes < unbounded.bytes);
+        assert_eq!(stopped.results, retrieved_so_far);
 
-        // The built-in stabilisation observer terminates too (possibly at the
+        // The built-in stabilisation policy terminates too (possibly at the
         // natural end of the plan) and never changes the result set ordering
         // rules.
         let mut net = demo_network(Hdk::default(), 4);
         net.build_index();
         let plan = net.plan(&request).unwrap();
         let mut stable = crate::exec::StableTopK::new(2);
-        let observed = net.run_observed(&plan, &request, &mut stable).unwrap();
+        let mut stream = net.stream(plan, request).unwrap();
+        while let Some(event) = stream.next_event() {
+            event.unwrap();
+            if stable.observe(&stream.running_top_k()) {
+                stream.stop();
+            }
+        }
+        let observed = stream.finish().unwrap();
         assert!(!observed.results.is_empty());
         assert!(observed.trace.probes <= unbounded.trace.probes);
     }

@@ -30,10 +30,9 @@
 
 use crate::global_index::{GlobalIndex, ProbeResult};
 use crate::key::TermKey;
-use crate::lattice::{LatticeConfig, LatticeResult, LatticeTrace, NodeOutcome};
+use crate::lattice::{LatticeConfig, LatticeResult, NodeOutcome};
 use crate::posting::TruncatedPostingList;
 use crate::ranking::GlobalRankingStats;
-use crate::sketch::{KeySketch, SketchCache};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -105,11 +104,6 @@ pub struct PlanNode {
     /// The planner's benefit/cost score (higher = scheduled earlier). Zero for
     /// planners that keep the fixed lattice order.
     pub priority: f64,
-    /// Load-shedding instruction: when non-zero, the serving peer degrades the
-    /// response to the top-`shed_prefix` entries of its stored list instead of
-    /// queueing the full answer. Set by [`ReplicaAware`] when every live
-    /// holder of the key is saturated; `0` (the default) means a full answer.
-    pub shed_prefix: usize,
 }
 
 /// How the executor enforces the request's byte/hop budgets while running a plan.
@@ -211,11 +205,6 @@ pub struct PlanCtx<'a> {
     pub byte_budget: Option<u64>,
     /// The request's hop budget, if any.
     pub hop_budget: Option<usize>,
-    /// The querier's cached per-key sketches (see [`crate::sketch`]), or
-    /// `None` when the network maintains none
-    /// ([`crate::sketch::SketchPolicy::NoSketches`]). Only [`SketchAware`]
-    /// consults this; every other planner ignores it.
-    pub sketches: Option<&'a SketchCache>,
 }
 
 impl PlanCtx<'_> {
@@ -305,7 +294,6 @@ impl Planner for BestEffort {
                 est_bytes,
                 est_entries,
                 priority: 0.0,
-                shed_prefix: 0,
             });
         }
         finalize(QueryPlan {
@@ -420,7 +408,6 @@ impl Planner for GreedyCost {
                     est_bytes: 0,
                     est_entries: 0,
                     priority: 0.0,
-                    shed_prefix: 0,
                 });
                 continue;
             }
@@ -442,7 +429,6 @@ impl Planner for GreedyCost {
                     est_bytes: 0,
                     est_entries: 0,
                     priority: 0.0,
-                    shed_prefix: 0,
                 });
                 continue;
             }
@@ -455,7 +441,6 @@ impl Planner for GreedyCost {
                 est_bytes,
                 est_entries,
                 priority,
-                shed_prefix: 0,
             });
         }
         // Under a budget, rank the whole schedule by benefit/cost so the budget
@@ -487,259 +472,6 @@ impl Planner for GreedyCost {
     }
 }
 
-/// Replica-aware planner wrapper: delegates scheduling to an inner planner,
-/// then adjusts the schedule for the replication subsystem
-/// ([`alvisp2p_dht::replica`]).
-///
-/// For every scheduled probe whose key currently has live replicas, the
-/// wrapper
-///
-/// 1. **routes by hop estimate to each holder** — the probe can be served by
-///    any live holder, so its effective latency is the hop estimate to the
-///    *nearest* one. The improvement raises the node's `priority` (under a
-///    budget, Reserve-policy plans are re-ranked so cheap replicated probes
-///    are admitted first); `est_hops`/`est_bytes` deliberately stay the inner
-///    planner's worst-case bounds, so [`BudgetPolicy::Reserve`]'s
-///    never-exceed-the-budget guarantee is untouched;
-/// 2. **sheds load when every holder is saturated** — if all serving
-///    candidates (primary + replicas) are above `saturation_threshold` EWMA
-///    serve load, the node's [`PlanNode::shed_prefix`] is set, so the serving
-///    peer degrades to a truncated-prefix answer instead of queueing the full
-///    response (see [`GlobalIndex::probe`]). Disabled by default
-///    (`shed_prefix == 0`).
-///
-/// Wrapping a planner on an overlay without replication (or before any key
-/// has become hot) changes nothing but the plan's label.
-#[derive(Clone, Debug)]
-pub struct ReplicaAware {
-    inner: std::sync::Arc<dyn Planner>,
-    label: String,
-    /// EWMA serve load (see [`alvisp2p_dht::replica::LoadTracker`]) above
-    /// which a holder counts as saturated.
-    pub saturation_threshold: f64,
-    /// Prefix length served when all holders are saturated (`0` disables
-    /// shedding).
-    pub shed_prefix: usize,
-}
-
-impl ReplicaAware {
-    /// Wraps `inner` with replica-aware routing (shedding disabled).
-    pub fn new(inner: impl Planner + 'static) -> Self {
-        Self::from_arc(std::sync::Arc::new(inner))
-    }
-
-    /// Wraps an already-shared planner.
-    pub fn from_arc(inner: std::sync::Arc<dyn Planner>) -> Self {
-        let label = format!("replica-aware+{}", inner.label());
-        ReplicaAware {
-            inner,
-            label,
-            saturation_threshold: f64::INFINITY,
-            shed_prefix: 0,
-        }
-    }
-
-    /// Enables load shedding: when every live holder of a key is above
-    /// `saturation_threshold`, probes for it are degraded to the top-`prefix`
-    /// entries.
-    pub fn with_shedding(mut self, saturation_threshold: f64, prefix: usize) -> Self {
-        self.saturation_threshold = saturation_threshold;
-        self.shed_prefix = prefix;
-        self
-    }
-}
-
-impl Planner for ReplicaAware {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn plan(&self, ctx: &PlanCtx<'_>) -> QueryPlan {
-        let mut plan = self.inner.plan(ctx);
-        plan.planner = self.label.clone();
-        let mut reranked = false;
-        for node in &mut plan.nodes {
-            if node.decision != PlanDecision::Probe {
-                continue;
-            }
-            let candidates = ctx.global.serving_candidates(&node.key);
-            if candidates.len() > 1 {
-                // Nearest-holder routing estimate: any live holder can serve.
-                let mut best_hops = node.est_hops;
-                for &holder in &candidates[1..] {
-                    if let Ok(h) = ctx.global.estimate_hops_to_peer(ctx.origin, holder) {
-                        best_hops = best_hops.min(h);
-                    }
-                }
-                if best_hops < node.est_hops {
-                    node.priority *= (node.est_hops + 1) as f64 / (best_hops + 1) as f64;
-                    reranked = true;
-                }
-            }
-            if self.shed_prefix > 0
-                && !candidates.is_empty()
-                && candidates
-                    .iter()
-                    .all(|&p| ctx.global.peer_probe_load(p) >= self.saturation_threshold)
-            {
-                node.shed_prefix = self.shed_prefix;
-            }
-        }
-        // Under a budget a Reserve-policy inner planner ordered the schedule by
-        // priority; re-rank with the replica-adjusted priorities (the same
-        // comparator GreedyCost uses when budgeted). Cutoff planners keep
-        // their fixed order — it is part of their semantics.
-        let budgeted = ctx.byte_budget.is_some() || ctx.hop_budget.is_some();
-        if reranked && budgeted && plan.budget_policy == BudgetPolicy::Reserve {
-            plan.nodes
-                .sort_by(|a, b| b.priority.total_cmp(&a.priority).then(a.key.cmp(&b.key)));
-        }
-        plan
-    }
-}
-
-/// Sketch-aware planner wrapper: delegates scheduling to an inner planner,
-/// then sharpens the schedule with the querier's cached per-key sketches
-/// ([`crate::sketch::SketchCache`], via [`PlanCtx::sketches`]).
-///
-/// For every scheduled probe with fresh sketch evidence (the cached sketch's
-/// version matches the key's current
-/// [`GlobalIndex::publish_version`]), the wrapper
-///
-/// 1. **replaces independence estimates with real histogram mass** — a
-///    single-term key's priority becomes its sketch's quantized score mass
-///    per estimated byte; a multi-term key whose singleton sketches are all
-///    fresh, complete and membership-bearing gets its intersection benefit
-///    from the Bloom-filter intersection estimate instead of the
-///    `N · Π df/N` independence model [`GreedyCost`] uses;
-/// 2. **zeroes provably-empty intersections** — if any two of those singleton
-///    sketches are *proven* disjoint ([`KeySketch::may_intersect`] is
-///    `false`, sound because complete lists witness all matching documents),
-///    the multi-term key cannot hold any document and its priority drops to
-///    zero, so under a budget its slot goes to a probe that can still buy
-///    something.
-///
-/// Like [`ReplicaAware`], the wrapper only ever adjusts `priority`:
-/// decisions, `est_hops` and `est_bytes` stay the inner planner's, so
-/// [`BudgetPolicy::Reserve`]'s never-exceed-the-budget guarantee and the
-/// trace shape are untouched. Wrapping a planner with no cached sketches
-/// (the [`crate::sketch::SketchPolicy::NoSketches`] default) changes nothing
-/// but the plan's label. The *pre-send proof* that drops probes outright
-/// lives in the executor ([`crate::exec::QueryStream`]), where the running
-/// score floor is known — the planner seam only re-ranks.
-#[derive(Clone, Debug)]
-pub struct SketchAware {
-    inner: std::sync::Arc<dyn Planner>,
-    label: String,
-}
-
-impl SketchAware {
-    /// Wraps `inner` with sketch-aware priority sharpening.
-    pub fn new(inner: impl Planner + 'static) -> Self {
-        Self::from_arc(std::sync::Arc::new(inner))
-    }
-
-    /// Wraps an already-shared planner.
-    pub fn from_arc(inner: std::sync::Arc<dyn Planner>) -> Self {
-        let label = format!("sketch-aware+{}", inner.label());
-        SketchAware { inner, label }
-    }
-
-    /// The fresh singleton-subset sketches of `key`, provided **every**
-    /// single-term subset has one that can witness membership (complete, and
-    /// either empty or Bloom-bearing). `None` as soon as one is missing or
-    /// stale — partial evidence proves nothing about an intersection.
-    fn singleton_witnesses<'s>(
-        ctx: &PlanCtx<'_>,
-        cache: &'s SketchCache,
-        key: &TermKey,
-    ) -> Option<Vec<&'s KeySketch>> {
-        key.term_ids()
-            .iter()
-            .map(|t| {
-                let single = TermKey::from_term_ids([*t]);
-                cache
-                    .fresh(&single, ctx.global.publish_version(&single))
-                    .filter(|s| s.is_complete() && (s.is_empty() || s.membership().is_some()))
-            })
-            .collect()
-    }
-}
-
-impl Planner for SketchAware {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn plan(&self, ctx: &PlanCtx<'_>) -> QueryPlan {
-        let mut plan = self.inner.plan(ctx);
-        plan.planner = self.label.clone();
-        let Some(cache) = ctx.sketches.filter(|c| !c.is_empty()) else {
-            return plan;
-        };
-        let mut reranked = false;
-        for node in &mut plan.nodes {
-            if node.decision != PlanDecision::Probe {
-                continue;
-            }
-            let sharpened = if node.key.is_single() {
-                cache
-                    .fresh(&node.key, ctx.global.publish_version(&node.key))
-                    .and_then(KeySketch::score_mass)
-                    .map(|mass| mass / node.est_bytes.max(1) as f64)
-            } else if let Some(singles) = Self::singleton_witnesses(ctx, cache, &node.key) {
-                let disjoint = singles
-                    .iter()
-                    .enumerate()
-                    .any(|(i, a)| singles[i + 1..].iter().any(|b| !a.may_intersect(b)));
-                if disjoint {
-                    // Proven empty: the probe cannot return any document.
-                    Some(0.0)
-                } else {
-                    // Real intersection benefit: the tightest pairwise Bloom
-                    // estimate times the summed per-document score mass of
-                    // the member terms, per estimated byte.
-                    let est_inter = singles
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(i, a)| {
-                            singles[i + 1..]
-                                .iter()
-                                .filter_map(|b| a.estimate_intersection(b))
-                        })
-                        .fold(f64::INFINITY, f64::min);
-                    let per_doc: Option<f64> = singles
-                        .iter()
-                        .map(|s| Some(s.score_mass()? / s.len().max(1) as f64))
-                        .sum::<Option<f64>>();
-                    match per_doc {
-                        Some(per_doc) if est_inter.is_finite() => {
-                            Some(est_inter * per_doc / node.est_bytes.max(1) as f64)
-                        }
-                        _ => None,
-                    }
-                }
-            } else {
-                None
-            };
-            if let Some(p) = sharpened {
-                if p != node.priority {
-                    node.priority = p;
-                    reranked = true;
-                }
-            }
-        }
-        // Same re-rank discipline as ReplicaAware: only budgeted Reserve
-        // plans are priority-ordered; Cutoff planners keep their fixed order.
-        let budgeted = ctx.byte_budget.is_some() || ctx.hop_budget.is_some();
-        if reranked && budgeted && plan.budget_policy == BudgetPolicy::Reserve {
-            plan.nodes
-                .sort_by(|a, b| b.priority.total_cmp(&a.priority).then(a.key.cmp(&b.key)));
-        }
-        plan
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Plan execution state machine
 // ---------------------------------------------------------------------------
@@ -755,7 +487,7 @@ pub enum CursorStep {
 
 /// The deterministic state machine that executes a [`QueryPlan`]: walks the
 /// schedule, applies dynamic domination pruning, the probe cap and budget
-/// admission, and accumulates the [`LatticeTrace`].
+/// admission, and accumulates the [`crate::lattice::LatticeTrace`].
 ///
 /// The cursor is transport-agnostic: callers alternate [`PlanCursor::next_key`]
 /// (handing it the retrieval bytes spent so far) with the actual probe and
@@ -804,17 +536,8 @@ impl PlanCursor {
         &self.plan
     }
 
-    /// The node the cursor currently points at: after [`PlanCursor::next_key`]
-    /// returned [`CursorStep::Probe`], this is that probe's plan node (whose
-    /// result [`PlanCursor::record`] expects next) — executors read per-probe
-    /// instructions like [`PlanNode::shed_prefix`] from it. `None` once the
-    /// plan is exhausted.
-    pub fn pending_node(&self) -> Option<&PlanNode> {
-        self.plan.nodes.get(self.index)
-    }
-
     /// Stops the execution: every remaining scheduled probe is recorded as
-    /// skipped (used for observer-driven early termination).
+    /// skipped (used for caller-driven early termination).
     pub fn stop(&mut self) {
         self.stopped = true;
     }
@@ -822,11 +545,6 @@ impl PlanCursor {
     /// Overlay hops spent so far.
     pub fn hops_spent(&self) -> usize {
         self.hops_spent
-    }
-
-    /// Whether a budget has already truncated the plan.
-    pub fn budget_exhausted(&self) -> bool {
-        self.budget_exhausted
     }
 
     /// The retrieved `(key, postings)` pairs so far.
@@ -942,11 +660,6 @@ impl PlanCursor {
         debug_assert!(matches!(step, CursorStep::Done));
         (self.result, self.budget_exhausted)
     }
-
-    /// The trace accumulated so far.
-    pub fn trace(&self) -> &LatticeTrace {
-        &self.result.trace
-    }
 }
 
 #[cfg(test)]
@@ -986,7 +699,6 @@ mod tests {
             global,
             byte_budget: None,
             hop_budget: None,
-            sketches: None,
         }
     }
 
@@ -1278,261 +990,5 @@ mod tests {
         assert_eq!(cursor.next_key(500), CursorStep::Done);
         let (_, exhausted) = cursor.finish();
         assert!(!exhausted);
-    }
-
-    /// A 32-peer index with hot-key replication where the single-term key
-    /// `term` has been probed hot (live replica holders exist).
-    fn replicated_index(term: &str) -> (GlobalIndex, TermKey) {
-        let dht_config = DhtConfig {
-            replication: std::sync::Arc::new(alvisp2p_dht::HotKeyReplication::new(2)),
-            ..Default::default()
-        };
-        let mut global = GlobalIndex::new(dht_config, 1, 32);
-        let key = TermKey::single(term);
-        let delta = TruncatedPostingList::from_refs(
-            (0..5u32).map(|i| ScoredRef {
-                doc: DocId::new(0, i),
-                score: f64::from(5 - i),
-            }),
-            10,
-        );
-        global.publish_postings(0, &key, &delta, 10).unwrap();
-        for seq in 0..24 {
-            global.probe(0, &key, seq, 10, None, 0, 0, None).unwrap();
-        }
-        assert!(!global.replica_holders_of(&key).is_empty());
-        (global, key)
-    }
-
-    #[test]
-    fn replica_aware_is_a_pure_relabel_without_replicas() {
-        let query = TermKey::new(["a", "b"]);
-        let ranking = stats(&[("a", 3), ("b", 4)]);
-        let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        let c = ctx(
-            &query,
-            &ranking,
-            &global,
-            LatticeConfig::default(),
-            PlanHints::default(),
-        );
-        let plain = GreedyCost::default().plan(&c);
-        let wrapped = ReplicaAware::new(GreedyCost::default()).plan(&c);
-        assert_eq!(wrapped.planner, "replica-aware+greedy-cost");
-        assert_eq!(plain.nodes.len(), wrapped.nodes.len());
-        for (a, b) in plain.nodes.iter().zip(&wrapped.nodes) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.decision, b.decision);
-            assert_eq!(a.priority, b.priority);
-            assert_eq!(a.shed_prefix, 0);
-            assert_eq!(b.shed_prefix, 0);
-        }
-    }
-
-    #[test]
-    fn replica_aware_boosts_replicated_keys_but_keeps_budget_bounds() {
-        let (global, hot) = replicated_index("rare");
-        let query = TermKey::new(["rare", "common"]);
-        let ranking = stats(&[("rare", 9), ("common", 90)]);
-        // Plan from a replica holder: the nearest holder is zero hops away,
-        // while the primary (who the inner planner costs against) is not.
-        let origin = global.replica_holders_of(&hot)[0];
-        let c = PlanCtx {
-            query_key: &query,
-            origin,
-            lattice: LatticeConfig::default(),
-            hints: PlanHints::default(),
-            capacity: 10,
-            ranking: &ranking,
-            global: &global,
-            byte_budget: None,
-            hop_budget: None,
-            sketches: None,
-        };
-        let plain = GreedyCost::default().plan(&c);
-        let wrapped = ReplicaAware::new(GreedyCost::default()).plan(&c);
-        let node = |plan: &QueryPlan, key: &TermKey| {
-            plan.nodes.iter().find(|n| &n.key == key).cloned().unwrap()
-        };
-        let common = TermKey::single("common");
-        // The replicated key's priority rises; the unreplicated one's does not.
-        assert!(node(&wrapped, &hot).priority > node(&plain, &hot).priority);
-        assert_eq!(
-            node(&wrapped, &common).priority,
-            node(&plain, &common).priority
-        );
-        // Reserve admission bounds are untouched: est_hops/est_bytes stay the
-        // inner planner's worst-case estimates, per node and in total.
-        for (a, b) in plain.nodes.iter().zip(&wrapped.nodes) {
-            assert_eq!(a.est_hops, b.est_hops);
-            assert_eq!(a.est_bytes, b.est_bytes);
-        }
-        assert_eq!(plain.est_total_bytes, wrapped.est_total_bytes);
-        assert_eq!(plain.est_total_hops, wrapped.est_total_hops);
-    }
-
-    #[test]
-    fn sketch_aware_is_a_pure_relabel_without_sketches() {
-        let query = TermKey::new(["a", "b"]);
-        let ranking = stats(&[("a", 3), ("b", 4)]);
-        let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        let empty_cache = crate::sketch::SketchCache::new();
-        for cache in [None, Some(&empty_cache)] {
-            let mut c = ctx(
-                &query,
-                &ranking,
-                &global,
-                LatticeConfig::default(),
-                PlanHints::default(),
-            );
-            c.sketches = cache;
-            let plain = GreedyCost::default().plan(&c);
-            let wrapped = SketchAware::new(GreedyCost::default()).plan(&c);
-            assert_eq!(wrapped.planner, "sketch-aware+greedy-cost");
-            assert_eq!(plain.nodes.len(), wrapped.nodes.len());
-            for (a, b) in plain.nodes.iter().zip(&wrapped.nodes) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.decision, b.decision);
-                assert_eq!(a.priority, b.priority);
-                assert_eq!(a.est_hops, b.est_hops);
-                assert_eq!(a.est_bytes, b.est_bytes);
-            }
-        }
-    }
-
-    /// A cache with fresh, complete singleton sketches for `a` (docs 0..4 of
-    /// peer 1) and `b` (given docs), built at the keys' current (never
-    /// published → 0) versions.
-    fn sketch_cache_for(b_docs: &[DocId]) -> crate::sketch::SketchCache {
-        use crate::sketch::{KeySketch, SketchKinds};
-        let mut cache = crate::sketch::SketchCache::new();
-        let a_list = TruncatedPostingList::from_refs(
-            (0..4u32).map(|i| ScoredRef {
-                doc: DocId::new(1, i),
-                score: f64::from(4 - i),
-            }),
-            10,
-        );
-        let b_list = TruncatedPostingList::from_refs(
-            b_docs.iter().enumerate().map(|(i, d)| ScoredRef {
-                doc: *d,
-                score: (b_docs.len() - i) as f64 * 0.5,
-            }),
-            10,
-        );
-        cache.insert(
-            TermKey::single("a"),
-            KeySketch::build(0, &a_list, SketchKinds::all()),
-        );
-        cache.insert(
-            TermKey::single("b"),
-            KeySketch::build(0, &b_list, SketchKinds::all()),
-        );
-        cache
-    }
-
-    #[test]
-    fn sketch_aware_zeroes_provably_empty_intersections() {
-        let query = TermKey::new(["a", "b"]);
-        let ranking = stats(&[("a", 4), ("b", 4)]);
-        let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        // b's docs live on peer 2: provably disjoint from a's (peer 1).
-        let disjoint: Vec<DocId> = (0..4u32).map(|i| DocId::new(2, i)).collect();
-        let cache = sketch_cache_for(&disjoint);
-        let mut c = ctx(
-            &query,
-            &ranking,
-            &global,
-            LatticeConfig::default(),
-            PlanHints::default(),
-        );
-        c.sketches = Some(&cache);
-        let plan = SketchAware::new(GreedyCost::default()).plan(&c);
-        let pair = plan.nodes.iter().find(|n| n.key == query).unwrap();
-        assert_eq!(pair.priority, 0.0, "proven-empty intersection ranks last");
-        // The probe is still scheduled (the trace shape never changes) and its
-        // admission bounds are untouched.
-        assert_eq!(pair.decision, PlanDecision::Probe);
-        assert!(pair.est_bytes > 0);
-        // Overlapping doc sets are not zeroed.
-        let overlapping: Vec<DocId> = (2..6u32).map(|i| DocId::new(1, i)).collect();
-        let cache = sketch_cache_for(&overlapping);
-        c.sketches = Some(&cache);
-        let plan = SketchAware::new(GreedyCost::default()).plan(&c);
-        let pair = plan.nodes.iter().find(|n| n.key == query).unwrap();
-        assert!(pair.priority > 0.0);
-    }
-
-    #[test]
-    fn sketch_aware_reranks_budgeted_reserve_plans() {
-        let query = TermKey::new(["a", "b"]);
-        let ranking = stats(&[("a", 4), ("b", 4)]);
-        let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        let disjoint: Vec<DocId> = (0..4u32).map(|i| DocId::new(2, i)).collect();
-        let cache = sketch_cache_for(&disjoint);
-        let mut c = ctx(
-            &query,
-            &ranking,
-            &global,
-            LatticeConfig::default(),
-            PlanHints::default(),
-        );
-        c.byte_budget = Some(10_000);
-        c.sketches = Some(&cache);
-        let plan = SketchAware::new(GreedyCost::default()).plan(&c);
-        // Under a budget the zeroed pair drops behind the single-term probes,
-        // whose priorities now carry real sketch mass.
-        let probe_order: Vec<String> = plan.probes().map(|n| n.key.canonical()).collect();
-        assert_eq!(probe_order.last().unwrap(), "a+b");
-        assert!(plan.probes().take(2).all(|n| n.priority > 0.0));
-        // Stale sketches are ignored: at a bumped publish version the wrapper
-        // keeps the inner plan untouched.
-        let mut bumped = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        let delta = TruncatedPostingList::from_refs(
-            [ScoredRef {
-                doc: DocId::new(1, 0),
-                score: 1.0,
-            }],
-            10,
-        );
-        bumped
-            .publish_postings(0, &TermKey::single("a"), &delta, 10)
-            .unwrap();
-        bumped
-            .publish_postings(0, &TermKey::single("b"), &delta, 10)
-            .unwrap();
-        c.global = &bumped;
-        let plain = GreedyCost::default().plan(&c);
-        let wrapped = SketchAware::new(GreedyCost::default()).plan(&c);
-        for (a, b) in plain.nodes.iter().zip(&wrapped.nodes) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.priority, b.priority, "stale evidence must not rerank");
-        }
-    }
-
-    #[test]
-    fn replica_aware_sheds_only_when_every_holder_is_saturated() {
-        let (global, hot) = replicated_index("rare");
-        let query = TermKey::new(["rare", "common"]);
-        let ranking = stats(&[("rare", 9), ("common", 90)]);
-        let c = ctx(
-            &query,
-            &ranking,
-            &global,
-            LatticeConfig::default(),
-            PlanHints::default(),
-        );
-        // Threshold 0: every live peer counts as saturated, so probes degrade
-        // to the top-3 prefix.
-        let shedding = ReplicaAware::new(BestEffort).with_shedding(0.0, 3);
-        let plan = shedding.plan(&c);
-        let hot_node = plan.nodes.iter().find(|n| n.key == hot).unwrap();
-        assert_eq!(hot_node.shed_prefix, 3);
-        // Unreachable threshold: no holder is saturated, nothing is shed.
-        let calm = ReplicaAware::new(BestEffort).with_shedding(f64::INFINITY, 3);
-        assert!(calm.plan(&c).nodes.iter().all(|n| n.shed_prefix == 0));
-        // shed_prefix = 0 disables shedding regardless of the threshold.
-        let disabled = ReplicaAware::new(BestEffort).with_shedding(0.0, 0);
-        assert!(disabled.plan(&c).nodes.iter().all(|n| n.shed_prefix == 0));
     }
 }

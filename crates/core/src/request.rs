@@ -15,7 +15,7 @@ use alvisp2p_textindex::bm25::ScoredDoc;
 /// subsequent probes as a score floor (threshold-aware probes; the policy
 /// itself lives in [`crate::exec::QueryStream`]).
 ///
-/// The modes form a three-way safety ladder. With `m` query terms and running
+/// The four modes form a safety ladder. With `m` query terms and running
 /// k-th merged score `θ`:
 ///
 /// * [`ThresholdMode::Off`] never sends a floor (the PR 3 byte baseline).
@@ -38,11 +38,16 @@ use alvisp2p_textindex::bm25::ScoredDoc;
 ///   posting-list truncation itself makes, measured (bytes saved vs. result
 ///   overlap) by the bench arms instead of asserted equal.
 ///
-/// [`ThresholdMode::Conservative`] (floor `θ / (2m)`; still the default for
-/// compatibility) is a deprecated alias rung: rank-exactness was only ever
-/// pinned empirically, and `RankSafe` now dominates it — provably exact *and*
-/// at least as much elision wherever fresh maxima are available. It remains
-/// as the documented fallback `RankSafe` degrades to per-key under staleness.
+/// The fourth, [`ThresholdMode::Conservative`] (floor `θ / (2m)`; still the
+/// default for compatibility), is a deprecated alias rung: rank-exactness was
+/// only ever pinned empirically, and `RankSafe` now dominates it — provably
+/// exact *and* at least as much elision wherever fresh maxima are available.
+/// It remains as the documented fallback `RankSafe` degrades to per-key under
+/// staleness.
+///
+/// The committed `BENCH_bandwidth.json` numbers: `Conservative` equals `Off`
+/// to the byte on both arms, and on the long-lists arm `Aggressive` ships
+/// 2,182 B/query against `RankSafe`'s exact 2,087.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ThresholdMode {
     /// No score floor is ever sent.

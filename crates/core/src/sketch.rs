@@ -14,10 +14,14 @@
 //!   the byte-identical response locally and never sends the probe
 //!   (see [`crate::exec::QueryStream`]);
 //! * the doc-id Bloom/range filters of two *complete* single-term sketches
-//!   prove that a multi-term key cannot hold any document, letting the
-//!   [`crate::plan::SketchAware`] planner zero its priority; and
-//! * the quantized score histogram gives [`crate::plan::GreedyCost`]-style
-//!   planners real score mass instead of DF-and-independence estimates.
+//!   can prove that a multi-term key cannot hold any document
+//!   ([`KeySketch::may_intersect`]); and
+//! * the quantized score histogram carries real score mass
+//!   ([`KeySketch::score_mass`]) where [`crate::plan::GreedyCost`] has only
+//!   DF-and-independence estimates.
+//!
+//! Only the first proof has a reader today (the executor); no planner
+//! consults the other two.
 //!
 //! Whether a sketch is worth maintaining at all is itself a cost decision
 //! ([`SketchPolicy`]): each sketch kind's upkeep bytes (frame + envelope,

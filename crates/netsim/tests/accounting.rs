@@ -249,7 +249,7 @@ mod control_plane_ledger {
         let frame_len = alvisp2p_core::codec::encode_list(&postings, None).len();
         let before = net.traffic_snapshot();
         net.global_index_mut()
-            .probe(origin, &key, 1, capacity, None, 0, 0, None)
+            .probe(origin, &key, 1, capacity, None, 0, None)
             .unwrap();
         let delta = net.traffic_snapshot().since(&before);
         assert_eq!(
@@ -267,7 +267,7 @@ mod control_plane_ledger {
         assert!(elided_len < frame_len);
         let before = net.traffic_snapshot();
         net.global_index_mut()
-            .probe(origin, &key, 2, capacity, Some(floor), 0, 0, None)
+            .probe(origin, &key, 2, capacity, Some(floor), 0, None)
             .unwrap();
         let delta = net.traffic_snapshot().since(&before);
         assert_eq!(

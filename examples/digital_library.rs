@@ -99,8 +99,8 @@ fn main() {
 
     // --- Step 3: another peer searches for library content ---
     // Interactive searches stop paying network cost once the top-k stabilises:
-    // each query is planned, then executed under a `StableTopK` observer that
-    // terminates the probe schedule early when two consecutive probes leave the
+    // each query is planned, then streamed probe by probe, and the stream is
+    // stopped early once `StableTopK` sees two consecutive probes leave the
     // running top-k unchanged.
     for query in [
         "medieval manuscripts",
@@ -109,15 +109,21 @@ fn main() {
     ] {
         let request = QueryRequest::new(query).from_peer(4).top_k(5);
         let plan = net.plan(&request).expect("planning is free");
-        let mut observer = StableTopK::new(2);
-        let outcome = net
-            .run_observed(&plan, &request, &mut observer)
-            .expect("query succeeds");
+        let scheduled = plan.scheduled_probes();
+        let mut stable = StableTopK::new(2);
+        let mut stream = net.stream(plan, request).expect("valid request");
+        while let Some(event) = stream.next_event() {
+            event.expect("probe succeeds");
+            if stable.observe(&stream.running_top_k()) {
+                stream.stop();
+            }
+        }
+        let outcome = stream.finish().expect("query succeeds");
         println!(
             "\npeer 4 searches {query:?}: {} results ({} of {} scheduled probes sent)",
             outcome.results.len(),
             outcome.trace.probes,
-            plan.scheduled_probes(),
+            scheduled,
         );
         for r in &outcome.results {
             println!(

@@ -105,7 +105,7 @@ fn main() {
             event.outcome,
             event.bytes,
             event.spent_bytes,
-            event.top_k.first().map(|r| r.doc)
+            stream.running_top_k().first().map(|r| r.doc)
         );
     }
     let planned_outcome = stream.finish().expect("query succeeds");

@@ -57,10 +57,10 @@
 //!   fits — the spend never exceeds the budget.
 //!
 //! Results stream: [`prelude::AlvisNetwork::stream`] pulls one
-//! [`prelude::ProbeEvent`] per probe (key, outcome, bytes, running top-k), and
-//! [`prelude::AlvisNetwork::run_observed`] pushes the same events into an
-//! [`prelude::ExecutionObserver`] which may stop early — e.g. the built-in
-//! [`prelude::StableTopK`] once the top-k stops changing.
+//! [`prelude::ProbeEvent`] per probe (key, outcome, bytes), merges the running
+//! top-k on demand ([`prelude::QueryStream::running_top_k`]) and may be
+//! stopped early ([`prelude::QueryStream::stop`]) — e.g. once the built-in
+//! [`prelude::StableTopK`] reports that the top-k stopped changing.
 //!
 //! ```
 //! use alvisp2p::prelude::*;
@@ -90,10 +90,16 @@
 //! assert_eq!(probes_seen, response.trace.probes);
 //! assert!(response.bytes <= 50_000);
 //!
-//! // Or run to completion with early termination once the top-k stabilises.
-//! let mut observer = StableTopK::new(2);
-//! let observed = net.run_observed(&plan, &request, &mut observer).unwrap();
-//! assert!(!observed.results.is_empty());
+//! // Or stop early once the top-k stabilises.
+//! let mut stable = StableTopK::new(2);
+//! let mut stream = net.stream(plan, request).unwrap();
+//! while let Some(event) = stream.next_event() {
+//!     event.unwrap();
+//!     if stable.observe(&stream.running_top_k()) {
+//!         stream.stop();
+//!     }
+//! }
+//! assert!(!stream.finish().unwrap().results.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -113,12 +119,10 @@ pub mod prelude {
     // The session-oriented query API.
     pub use alvisp2p_core::request::{QueryRequest, QueryResponse, ThresholdMode};
     // The plan → execute pipeline: planners, plans and streaming execution.
-    pub use alvisp2p_core::exec::{
-        ExecutionControl, ExecutionObserver, ProbeEvent, QueryStream, StableTopK,
-    };
+    pub use alvisp2p_core::exec::{ProbeEvent, QueryStream, StableTopK};
     pub use alvisp2p_core::plan::{
         BestEffort, BudgetPolicy, GreedyCost, PlanCtx, PlanDecision, PlanHints, PlanNode, Planner,
-        QueryPlan, ReplicaAware, SketchAware,
+        QueryPlan,
     };
     // Per-key provenance sketches and the document digest.
     pub use alvisp2p_core::sketch::{

@@ -282,9 +282,10 @@ fn plan_run_and_stream_are_part_of_the_public_surface() {
     let mut stream = net.stream(plan.clone(), request.clone()).unwrap();
     let mut seen = 0usize;
     for event in stream.by_ref() {
-        assert!(event.top_k.len() <= 5);
+        assert!(event.bytes > 0);
         seen += 1;
     }
+    assert!(stream.running_top_k().len() <= 5);
     let streamed = stream.finish().unwrap();
     assert_eq!(seen, streamed.trace.probes);
 
@@ -338,26 +339,36 @@ fn custom_planners_plug_into_the_network() {
 
 #[test]
 fn observers_receive_probe_events_and_can_stop() {
-    struct CountAndStop(usize);
-    impl ExecutionObserver for CountAndStop {
-        fn on_probe(&mut self, event: &ProbeEvent) -> ExecutionControl {
-            assert!(event.bytes > 0);
-            self.0 += 1;
-            ExecutionControl::Stop
-        }
-    }
+    let strategy = Arc::new(CountingStrategy {
+        truncation_k: 8,
+        post_query_calls: AtomicUsize::new(0),
+    });
     let mut net = AlvisNetwork::builder()
         .peers(4)
-        .strategy(Hdk::default())
+        .strategy_arc(strategy.clone())
         .documents(demo_corpus())
         .build_indexed()
         .unwrap();
     let request = QueryRequest::new("peer to peer retrieval");
     let plan = net.plan(&request).unwrap();
-    let mut observer = CountAndStop(0);
-    let response = net.run_observed(&plan, &request, &mut observer).unwrap();
-    assert_eq!(observer.0, 1);
+    let scheduled = plan.scheduled_probes();
+    assert!(scheduled > 1);
+    let mut stream = net.stream(plan, request).unwrap();
+    let mut seen = 0usize;
+    while let Some(event) = stream.next_event() {
+        assert!(event.unwrap().bytes > 0);
+        seen += 1;
+        stream.stop();
+    }
+    let retrieved = stream.running_top_k();
+    let response = stream.finish().unwrap();
+    assert_eq!(seen, 1);
     assert_eq!(response.trace.probes, 1);
+    // The early stop records the remaining probes as skipped, the response is
+    // assembled from what was retrieved, and the strategy still sees the query.
+    assert_eq!(response.trace.skipped_keys().len(), scheduled - 1);
+    assert_eq!(response.results, retrieved);
+    assert_eq!(strategy.post_query_calls.load(Ordering::Relaxed), 1);
 }
 
 // ---------------------------------------------------------------------------

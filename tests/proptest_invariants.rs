@@ -484,7 +484,7 @@ proptest! {
                 if single_term_only && key.len() > 1 {
                     return Ok(ProbeResult::skipped(key.clone()));
                 }
-                gi.probe(origin, key, 1, capacity, None, 0, 0, None)
+                gi.probe(origin, key, 1, capacity, None, 0, None)
                     .map(|outcome| match outcome {
                         ProbeOutcome::Ok(probe) => probe,
                         failed => panic!("no fault plane is set: {failed:?}"),
