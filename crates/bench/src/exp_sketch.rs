@@ -284,7 +284,7 @@ pub fn run(params: &SketchParams) -> SketchReport {
     );
     let (mut sketched_row, sketched_answers) = run_arm(
         "cost-based",
-        SketchPolicy::cost_based(),
+        SketchPolicy::CostBased,
         &corpus,
         warmup,
         measured,

@@ -250,11 +250,11 @@ fn get_u16(buf: &[u8], pos: &mut usize) -> Result<u16, CodecError> {
     Ok(u16::from_le_bytes(bytes))
 }
 
-pub(crate) fn put_f32(out: &mut Vec<u8>, v: f32) {
+fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn get_f32(buf: &[u8], pos: &mut usize) -> Result<f32, CodecError> {
+fn get_f32(buf: &[u8], pos: &mut usize) -> Result<f32, CodecError> {
     let bytes: [u8; 4] = buf
         .get(*pos..*pos + 4)
         .ok_or_else(|| CodecError::new("truncated f32"))?
@@ -461,7 +461,7 @@ pub fn encode_list(list: &TruncatedPostingList, score_floor: Option<f64>) -> Vec
 
 /// Maps a score into the finite `f32`-representable range (NaN becomes 0) so
 /// the quantization range written to the wire is always finite.
-pub(crate) fn sanitize_score(v: f64) -> f64 {
+fn sanitize_score(v: f64) -> f64 {
     if v.is_nan() {
         0.0
     } else {
@@ -471,7 +471,7 @@ pub(crate) fn sanitize_score(v: f64) -> f64 {
 
 /// Next representable `f32` at or above `v` (so quantization ranges always
 /// contain the `f64` scores they were derived from).
-pub(crate) fn widen_up(v: f64) -> f32 {
+fn widen_up(v: f64) -> f32 {
     let f = v as f32;
     if f64::from(f) < v {
         f32::from_bits(if f >= 0.0 {
@@ -485,7 +485,7 @@ pub(crate) fn widen_up(v: f64) -> f32 {
 }
 
 /// Next representable `f32` at or below `v`.
-pub(crate) fn widen_down(v: f64) -> f32 {
+fn widen_down(v: f64) -> f32 {
     let f = v as f32;
     if f64::from(f) > v {
         f32::from_bits(if f > 0.0 {

@@ -826,11 +826,6 @@ impl GlobalIndex {
         self.dht.charge_external(category, bytes);
     }
 
-    /// Hashes a key to its ring identifier (helper for tests).
-    pub fn ring_id_of(key: &TermKey) -> RingId {
-        key.ring_id()
-    }
-
     // ------------------------------------------------------------------
     // Replication (skew-aware hot-key replicas)
     // ------------------------------------------------------------------

@@ -39,10 +39,12 @@
 //!   strategy, and run [`QueryRequest`]s — in one shot via `execute`, or as an
 //!   explicit plan → run pipeline — with full traffic accounting;
 //! * [`request`] — the [`QueryRequest`]/[`QueryResponse`] pair;
-//! * [`sketch`] — per-key provenance sketches ([`KeySketch`]: doc-id
-//!   Bloom/range filters and quantized score histograms) with cost-based
-//!   selection ([`SketchPolicy`]), plus the Alvis document digest
-//!   ([`DocumentDigest`]) for plugging external local engines into a peer;
+//! * [`sketch`] — per-key provenance sketches ([`KeySketch`]: the published
+//!   posting-list header that, with the key's published maximum score, proves
+//!   a probe useless before it is sent) with cost-based selection
+//!   ([`SketchPolicy`]);
+//! * [`digest`] — the Alvis document digest ([`DocumentDigest`]) for plugging
+//!   external local engines into a peer;
 //! * [`error`] — the unified [`AlvisError`] hierarchy;
 //! * [`baseline`] — the centralized reference engine;
 //! * [`stats`] — retrieval-quality metrics used by the experiments.
@@ -73,6 +75,7 @@
 
 pub mod baseline;
 pub mod codec;
+pub mod digest;
 pub mod error;
 pub mod exec;
 pub mod fault;
@@ -96,6 +99,7 @@ pub use codec::{
     decode_list, decode_list_above, encode_list, max_encoded_list_len, quantization_step,
     CodecError,
 };
+pub use digest::{DigestDocument, DigestTerm, DocumentDigest};
 pub use error::AlvisError;
 pub use exec::{ProbeEvent, QueryStream, StableTopK};
 pub use fault::{Completeness, FailureCause, FaultConfig, FaultPlane, ProbeOutcome, RetryPolicy};
@@ -115,9 +119,6 @@ pub use posting::{ScoredRef, TruncatedPostingList};
 pub use qdi::{ActivationDecision, QdiConfig, QdiReport};
 pub use ranking::{merge_retrieved, score_local_postings, GlobalRankingStats};
 pub use request::{QueryRequest, QueryResponse, ThresholdMode};
-pub use sketch::{
-    DigestDocument, DigestTerm, DocumentDigest, KeySketch, SketchBuildReport, SketchCache,
-    SketchCostModel, SketchDecision, SketchKinds, SketchPolicy,
-};
+pub use sketch::{KeySketch, SketchBuildReport, SketchDecision, SketchPolicy};
 pub use stats::{overlap_at_k, precision_at_k, recall_at_k, QualityAccumulator, QualitySummary};
 pub use strategy::{Hdk, IndexerCtx, Qdi, QueryCtx, SingleTermFull, Strategy};

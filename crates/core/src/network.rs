@@ -30,14 +30,14 @@ use crate::plan::{BestEffort, PlanCtx, Planner, QueryPlan};
 use crate::qdi::QdiReport;
 use crate::ranking::GlobalRankingStats;
 use crate::request::{QueryRequest, QueryResponse};
-use crate::sketch::{SketchBuildReport, SketchCache, SketchDecision, SketchPolicy};
+use crate::sketch::{KeySketch, PlannedSketch, SketchBuildReport, SketchDecision, SketchPolicy};
 use crate::strategy::{Hdk, IndexerCtx, QueryCtx, Strategy};
 use alvisp2p_dht::{DhtConfig, RepairReport, ReplicationPolicy, RingId};
 use alvisp2p_netsim::{TrafficCategory, TrafficStats};
 use alvisp2p_textindex::bm25::{Bm25Params, ScoredDoc};
 use alvisp2p_textindex::{Analyzer, Credentials, SyntheticCorpus};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Configuration of a whole AlvisP2P network.
@@ -138,12 +138,6 @@ impl AlvisNetworkBuilder {
     /// user-defined ones).
     pub fn planner(mut self, planner: impl Planner + 'static) -> Self {
         self.config.planner = Arc::new(planner);
-        self
-    }
-
-    /// Sets an already-shared planner.
-    pub fn planner_arc(mut self, planner: Arc<dyn Planner>) -> Self {
-        self.config.planner = planner;
         self
     }
 
@@ -303,7 +297,10 @@ pub struct AlvisNetwork {
     peers: Vec<AlvisPeer>,
     global: GlobalIndex,
     ranking: GlobalRankingStats,
-    sketches: SketchCache,
+    /// Querier-side cache of the sketches published by the most recent index
+    /// build; entries are consulted only while version-fresh (see
+    /// [`AlvisNetwork::sketch_prune`]).
+    sketches: HashMap<TermKey, KeySketch>,
     sketch_report: SketchBuildReport,
     centralized: CentralizedEngine,
     analyzer: Analyzer,
@@ -351,7 +348,7 @@ impl AlvisNetwork {
             peers,
             global,
             ranking: GlobalRankingStats::new(),
-            sketches: SketchCache::new(),
+            sketches: HashMap::new(),
             sketch_report: SketchBuildReport::default(),
             centralized,
             analyzer: Analyzer::default(),
@@ -414,12 +411,6 @@ impl AlvisNetwork {
     /// The aggregated global ranking statistics.
     pub fn ranking_stats(&self) -> &GlobalRankingStats {
         &self.ranking
-    }
-
-    /// The querier-side cache of per-key sketches published by the most recent
-    /// index build (empty under [`SketchPolicy::NoSketches`]).
-    pub fn sketch_cache(&self) -> &SketchCache {
-        &self.sketches
     }
 
     /// The cost-based sketch selection report of the most recent index build.
@@ -638,19 +629,16 @@ impl AlvisNetwork {
 
     /// Publishes the querier-facing evidence derived from the freshly built
     /// index: per-key maximum scores into the ranking statistics (the
-    /// rank-safety bound shared by `ThresholdMode` floors and sketch score
-    /// pruning, charged to [`TrafficCategory::Ranking`]) and — under a
-    /// cost-based [`SketchPolicy`] — the per-key sketches whose modeled
+    /// rank-safety bound shared by `ThresholdMode` floors and sketch pruning,
+    /// charged to [`TrafficCategory::Ranking`]) and — under
+    /// [`SketchPolicy::CostBased`] — the per-key sketches whose modeled
     /// probe-byte savings cover their measured upkeep (charged to
     /// [`TrafficCategory::Overlay`], cached at the querier).
     fn publish_key_evidence(&mut self) {
         let capacity = self.config.strategy.truncation_k();
-        let model = match self.config.sketch_policy {
-            SketchPolicy::NoSketches => None,
-            SketchPolicy::CostBased(model) => Some(model),
-        };
+        let sketching = self.config.sketch_policy.enabled();
         // Demand estimate: on a cold index (no probe ever observed) every key
-        // gets the model's uniform prior; once usage statistics exist, each
+        // gets the selector's uniform prior; once usage statistics exist, each
         // key's own observed probe count is projected forward instead, so
         // sketch upkeep concentrates on the keys queries actually hit.
         let demand_known = self.global.entries().any(|e| e.usage.probes > 0);
@@ -667,17 +655,15 @@ impl AlvisNetwork {
                 // rank-safe floor path checks exactly that before trusting it).
                 maxima.push((entry.key.clone(), best, version));
             }
-            let Some(model) = model else { continue };
+            if !sketching {
+                continue;
+            }
             considered += 1;
             let hops = self.global.estimate_hops(0, &entry.key).unwrap_or(0);
             let bound = entry.postings.len().min(capacity);
             let probe_cost = self.global.estimate_probe_bytes(&entry.key, hops, bound);
-            let expected = if demand_known {
-                entry.usage.probes as f64
-            } else {
-                model.expected_probes
-            };
-            if let Some(p) = model.plan(version, &entry.postings, probe_cost, expected) {
+            let observed = demand_known.then_some(entry.usage.probes);
+            if let Some(p) = PlannedSketch::select(version, &entry.postings, probe_cost, observed) {
                 planned.push((entry.key.clone(), p));
             }
         }
@@ -708,8 +694,6 @@ impl AlvisNetwork {
             report.modeled_savings += p.modeled_savings;
             report.decisions.push(SketchDecision {
                 key: key.canonical(),
-                scores: p.sketch.scores().is_some(),
-                membership: p.sketch.membership().is_some(),
                 upkeep_bytes: p.upkeep_bytes as u64,
                 modeled_savings: p.modeled_savings,
             });
@@ -861,15 +845,16 @@ impl AlvisNetwork {
     }
 
     /// Attempts to answer one planned probe from the querier's sketch cache
-    /// instead of the network: when a fresh sketch for `key` proves every
-    /// stored posting scores below `score_floor`, the wire response is known
-    /// in advance (the all-elided frame), so the probe is synthesized locally
-    /// for **zero traffic**. Interest still reaches the responsible peer's
-    /// usage statistics via [`GlobalIndex::note_interest`] so QDI keeps
-    /// observing demand. Returns the synthesized result plus the exact bytes
-    /// the probe would have charged — the executor admits those *virtual*
-    /// bytes against byte budgets so probe scheduling stays identical with and
-    /// without pruning.
+    /// instead of the network: when a fresh sketch for `key` together with
+    /// the key's fresh published maximum proves every stored posting scores
+    /// below `score_floor` ([`KeySketch::proves_all_elided`]), the wire
+    /// response is known in advance (the all-elided frame), so the probe is
+    /// synthesized locally for **zero traffic**. Interest still reaches the
+    /// responsible peer's usage statistics via
+    /// [`GlobalIndex::note_interest`] so QDI keeps observing demand. Returns
+    /// the synthesized result plus the exact bytes the probe would have
+    /// charged — the executor admits those *virtual* bytes against byte
+    /// budgets so probe scheduling stays identical with and without pruning.
     pub(crate) fn sketch_prune(
         &mut self,
         origin: usize,
@@ -881,8 +866,8 @@ impl AlvisNetwork {
             return None;
         }
         let version = self.global.publish_version(key);
-        let sketch = self.sketches.fresh(key, version)?;
-        if !sketch.prunes_all_below(score_floor) {
+        let sketch = self.sketches.get(key).filter(|s| s.version() == version)?;
+        if !sketch.proves_all_elided(self.ranking.key_max_fresh(key, version), score_floor) {
             return None;
         }
         let postings = sketch.pruned_response();
@@ -1044,11 +1029,13 @@ impl AlvisNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ProbeEvent;
     use crate::hdk::HdkConfig;
+    use crate::posting::{ScoredRef, TruncatedPostingList};
     use crate::qdi::QdiConfig;
     use crate::request::ThresholdMode;
     use crate::strategy::{Qdi, SingleTermFull};
-    use alvisp2p_textindex::demo_corpus;
+    use alvisp2p_textindex::{demo_corpus, DocId};
 
     fn demo_network(strategy: impl Strategy + 'static, peers: usize) -> AlvisNetwork {
         AlvisNetwork::builder()
@@ -1572,6 +1559,76 @@ mod tests {
         assert!(
             fallbacks > 0,
             "no probe took the stale-cap Conservative fallback"
+        );
+    }
+
+    #[test]
+    fn sketch_pruning_is_version_gated() {
+        let mut net = AlvisNetwork::builder()
+            .peers(4)
+            .strategy(Hdk::default())
+            .sketch_policy(SketchPolicy::CostBased)
+            .seed(7)
+            .documents(demo_corpus())
+            .build_indexed()
+            .unwrap();
+        // With top-1 answers the running floor climbs above whole keys, so
+        // some query has a probe answered from the sketch cache.
+        let probe_events = |net: &mut AlvisNetwork, text: &str| -> Vec<ProbeEvent> {
+            let req = QueryRequest::new(text)
+                .top_k(1)
+                .threshold_mode(ThresholdMode::Aggressive);
+            let plan = net.plan(&req).unwrap();
+            let mut stream = net.stream(plan, req).unwrap();
+            let mut events = Vec::new();
+            while let Some(event) = stream.next_event() {
+                events.push(event.unwrap());
+            }
+            stream.finish().unwrap();
+            events
+        };
+        let queries = [
+            "peer to peer retrieval",
+            "distributed hash table",
+            "posting list index",
+            "query driven indexing",
+            "network peers index",
+        ];
+        let (text, fresh) = queries
+            .iter()
+            .map(|text| (*text, probe_events(&mut net, text)))
+            .find(|(_, events)| events.iter().any(|e| e.pruned))
+            .expect("no demo query had a sketch-pruned probe");
+        let event = fresh.iter().find(|e| e.pruned).unwrap();
+        let (key, floor) = (event.key.clone(), event.score_floor);
+        assert_eq!(event.bytes, 0, "a pruned probe never touches the wire");
+        assert!(net.sketch_prune(0, &key, 0, floor).is_some());
+
+        // A post-build publication (scoring below the floor, so the answer
+        // cannot move) bumps the key's publish version: the cached sketch and
+        // the recorded maximum are both stale, nothing is proven any more and
+        // the probe goes to the wire.
+        let capacity = net.config.strategy.truncation_k();
+        let delta = TruncatedPostingList::from_refs(
+            [ScoredRef {
+                doc: DocId::new(0, 9_999),
+                score: 0.0,
+            }],
+            capacity,
+        );
+        net.global
+            .publish_postings(0, &key, &delta, capacity)
+            .unwrap();
+        let version = net.global.publish_version(&key);
+        assert_ne!(net.sketches[&key].version(), version);
+        assert!(net.ranking.key_max_fresh(&key, version).is_none());
+        assert!(net.sketch_prune(0, &key, 0, floor).is_none());
+        let stale = probe_events(&mut net, text);
+        let event = stale.iter().find(|e| e.key == key).unwrap();
+        assert!(!event.pruned);
+        assert!(
+            event.bytes > 0,
+            "the stale-sketch probe must pay for itself"
         );
     }
 

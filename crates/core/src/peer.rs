@@ -6,7 +6,7 @@
 //! the peer also enforces per-document access rights when another peer fetches a
 //! result, and serves the "second step" query refinement against its local engine.
 
-use crate::sketch::DocumentDigest;
+use crate::digest::DocumentDigest;
 use alvisp2p_textindex::bm25::{Bm25Searcher, ScoredDoc};
 use alvisp2p_textindex::{
     AccessDecision, Analyzer, CollectionStats, Credentials, DocId, Document, DocumentStore,

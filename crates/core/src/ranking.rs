@@ -41,7 +41,8 @@ pub struct GlobalRankingStats {
     /// *fresh* record — one whose version still matches the key's current
     /// publish version — upper-bounds every score the key's stored posting
     /// list can return; [`crate::request::ThresholdMode::RankSafe`] floors and
-    /// sketch score-histogram pruning share it as one provably-safe bound. A
+    /// sketch pruning ([`crate::sketch::KeySketch::proves_all_elided`]) share
+    /// it as one provably-safe bound — the sketch frame carries no copy. A
     /// stale record (lossy publications can leave the cache behind the list)
     /// bounds nothing, which is why the rank-safe path checks
     /// [`GlobalRankingStats::key_max_fresh`] and falls back rather than trust

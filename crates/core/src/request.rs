@@ -81,8 +81,8 @@ pub enum ThresholdMode {
 /// every other term combined, hence merges to `< θ_LB ≤ θ_final` — it could
 /// never have displaced a top-k member.
 ///
-/// The widening mirrors `prunes_all_below`: encode-side elision compares raw
-/// `f64` scores but the querier ranks *decoded* (quantized) scores, which sit
+/// The widening is needed because encode-side elision compares raw `f64`
+/// scores but the querier ranks *decoded* (quantized) scores, which sit
 /// within one grid step of raw. Subtracting one step of a grid spanning
 /// `[0, max(θ, cap_sum)]` — at least as coarse as any single frame's grid,
 /// since every frame's score range is bounded by one term's cap — keeps the

@@ -1,12 +1,12 @@
 //! Property tests for the per-key sketch subsystem: the pinned wire frame
-//! round-trips exactly for every kind combination, a sketch's floor-pruning
-//! verdict always agrees with what the posting-list codec would actually ship,
-//! the synthesized pruned response is byte-for-byte what the wire would have
-//! carried, and the Bloom membership section never produces false negatives.
+//! round-trips exactly, the decoder survives arbitrary bytes, a sketch's
+//! floor-pruning proof always agrees with what the posting-list codec would
+//! actually ship, and the synthesized pruned response is byte-for-byte what
+//! the wire would have carried.
 
 use alvisp2p_core::codec::{decode_list, encode_list};
 use alvisp2p_core::posting::{ScoredRef, TruncatedPostingList};
-use alvisp2p_core::sketch::{KeySketch, SketchKinds};
+use alvisp2p_core::sketch::{KeySketch, SKETCH_FORMAT_VERSION};
 use alvisp2p_textindex::DocId;
 use proptest::prelude::*;
 
@@ -20,34 +20,49 @@ fn scored_refs(max: usize) -> impl Strategy<Value = Vec<ScoredRef>> {
     )
 }
 
-fn kinds() -> impl Strategy<Value = SketchKinds> {
-    (any::<bool>(), any::<bool>())
-        .prop_map(|(scores, membership)| SketchKinds { scores, membership })
-}
-
 proptest! {
-    /// `decode(encode(sketch))` is the identity for every postings shape and
-    /// kind combination, and `encoded_len` is the exact frame length.
+    /// `decode(encode(sketch))` is the identity for every postings shape, and
+    /// `encoded_len` is the exact frame length.
     #[test]
     fn wire_frame_round_trips_exactly(
         refs in scored_refs(80),
         capacity in 1usize..64,
         version in 0u64..1_000,
-        kinds in kinds(),
     ) {
         let list = TruncatedPostingList::from_refs(refs, capacity);
-        let sketch = KeySketch::build(version, &list, kinds);
+        let sketch = KeySketch::build(version, &list);
         let frame = sketch.encode();
         prop_assert_eq!(frame.len(), sketch.encoded_len());
         let back = KeySketch::decode(&frame).unwrap();
         prop_assert_eq!(back, sketch);
     }
 
-    /// Whenever the sketch claims a floor elides everything, the codec agrees:
-    /// the floored encoding keeps zero entries, and the synthesized pruned
+    /// The decoder never panics on arbitrary bytes — it returns a sketch or a
+    /// typed `CodecError` — and whatever it accepts is canonical: re-encoding
+    /// yields the same bytes.
+    #[test]
+    fn decode_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..12),
+        well_versioned in any::<bool>(),
+    ) {
+        // Half the cases lead with the current format byte so the varint
+        // reader, not just the version check, sees the random tail.
+        let mut bytes = bytes;
+        if well_versioned && !bytes.is_empty() {
+            bytes[0] = SKETCH_FORMAT_VERSION;
+        }
+        if let Ok(sketch) = KeySketch::decode(&bytes) {
+            prop_assert_eq!(sketch.encode(), bytes);
+        }
+    }
+
+    /// Given the list's exact best score as the published maximum, whenever
+    /// the proof claims a floor elides everything the codec agrees: the
+    /// floored encoding keeps zero entries, and the synthesized pruned
     /// response matches the decoded wire frame field for field — same length
-    /// in bytes, same `full_df`, capacity and truncation status. The sketch
-    /// never prunes a probe whose response would have carried an entry.
+    /// in bytes, same `full_df`, capacity and truncation status. The proof
+    /// never fires for a probe whose response would have carried an entry,
+    /// and — the maximum being exact — fires for every one that would not.
     #[test]
     fn floor_pruning_always_agrees_with_the_codec(
         refs in scored_refs(80),
@@ -55,54 +70,26 @@ proptest! {
         floor_per_mille in 0u32..1_500,
     ) {
         let list = TruncatedPostingList::from_refs(refs, capacity);
-        let sketch = KeySketch::build(3, &list, SketchKinds::all());
-        let hi = list.best_score().unwrap_or(0.0);
+        let sketch = KeySketch::build(3, &list);
+        let max = list.best_score();
+        let hi = max.unwrap_or(0.0);
         let floor = hi * f64::from(floor_per_mille) / 1_000.0 + 1e-9;
         let frame = encode_list(&list, Some(floor));
         let shipped = decode_list(&frame).unwrap();
-        if sketch.prunes_all_below(Some(floor)) {
-            prop_assert_eq!(shipped.len(), 0,
-                "sketch pruned a probe whose response carried {} entries", shipped.len());
+        let proven = sketch.proves_all_elided(max, Some(floor));
+        prop_assert_eq!(proven, shipped.is_empty(),
+            "proof {} but the response carried {} entries", proven, shipped.len());
+        if proven {
             let synthesized = sketch.pruned_response();
+            prop_assert_eq!(&synthesized, &shipped);
             prop_assert_eq!(frame.len(), sketch.pruned_response_len());
-            prop_assert_eq!(synthesized.len(), shipped.len());
-            prop_assert_eq!(synthesized.full_df(), shipped.full_df());
-            prop_assert_eq!(synthesized.capacity(), shipped.capacity());
             prop_assert_eq!(synthesized.is_truncated(), shipped.is_truncated());
         }
-        // The converse need not hold (the f32 max is widened upward), but the
-        // slack is at most one ULP: a floor above the widened max must prune.
-        if !list.refs().is_empty() {
-            let above = sketch.scores().map(|_| f64::from(hi as f32) * 1.01 + 1.0);
-            if let Some(above) = above {
-                prop_assert!(sketch.prunes_all_below(Some(above)));
-            }
-        }
-    }
-
-    /// No false negatives: a complete sketch sees every document its list
-    /// holds, so two complete sketches sharing at least one document can never
-    /// be proven disjoint.
-    #[test]
-    fn membership_never_denies_a_shared_document(
-        refs in scored_refs(40),
-        split in 0usize..40,
-    ) {
-        // Capacity above the ref count keeps both lists complete (untruncated).
-        let a_list = TruncatedPostingList::from_refs(refs.clone(), 64);
-        let split = split.min(refs.len());
-        let b_list = TruncatedPostingList::from_refs(refs[..split].to_vec(), 64);
-        prop_assume!(!b_list.refs().is_empty());
-        let a = KeySketch::build(0, &a_list, SketchKinds::all());
-        let b = KeySketch::build(0, &b_list, SketchKinds::all());
-        prop_assert!(a.is_complete() && b.is_complete());
-        // b's documents are a subset of a's, so the intersection is non-empty.
-        prop_assert!(a.may_intersect(&b),
-            "disjointness proof fired on sets sharing {} documents", b_list.len());
-        // The intersection estimate stays within its clamp.
-        if let Some(est) = a.estimate_intersection(&b) {
-            prop_assert!(est >= 0.0);
-            prop_assert!(est <= a_list.len().min(b_list.len()) as f64 + 1e-9);
+        // A floor at or below the maximum never proves (the codec keeps
+        // `>= floor`), and neither does a missing maximum.
+        if let Some(m) = max {
+            prop_assert!(!sketch.proves_all_elided(max, Some(m)));
+            prop_assert!(!sketch.proves_all_elided(None, Some(floor)));
         }
     }
 
@@ -114,7 +101,7 @@ proptest! {
         version in 0u64..u64::MAX / 2,
     ) {
         let list = TruncatedPostingList::from_refs(refs, 32);
-        let sketch = KeySketch::build(version, &list, SketchKinds::all());
+        let sketch = KeySketch::build(version, &list);
         let back = KeySketch::decode(&sketch.encode()).unwrap();
         prop_assert_eq!(back.version(), version);
     }

@@ -131,7 +131,7 @@ fn assert_equivalent(
         let mut sketched = network(
             &c,
             Arc::clone(&strategy),
-            SketchPolicy::cost_based(),
+            SketchPolicy::CostBased,
             budget.is_some(),
             seed,
         );

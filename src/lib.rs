@@ -125,9 +125,8 @@ pub mod prelude {
         QueryPlan,
     };
     // Per-key provenance sketches and the document digest.
-    pub use alvisp2p_core::sketch::{
-        DocumentDigest, KeySketch, SketchBuildReport, SketchCache, SketchKinds, SketchPolicy,
-    };
+    pub use alvisp2p_core::digest::DocumentDigest;
+    pub use alvisp2p_core::sketch::{KeySketch, SketchBuildReport, SketchPolicy};
     // Fault injection and the policy that survives it.
     pub use alvisp2p_core::fault::{
         Completeness, FailureCause, FaultConfig, FaultPlane, ProbeOutcome, RetryPolicy,
