@@ -1,12 +1,11 @@
 //! CI regression guard over `BENCH_perf.json` (and optionally
-//! `BENCH_skew.json`, `BENCH_sketch.json`, `BENCH_faults.json`,
-//! `BENCH_chaos.json` and `BENCH_bandwidth.json`).
+//! `BENCH_skew.json`, `BENCH_faults.json`, `BENCH_chaos.json` and
+//! `BENCH_bandwidth.json`).
 //!
 //! Usage: `perf_guard <committed.json> <fresh.json> [<committed_skew.json>
-//! <fresh_skew.json> [<committed_sketch.json> <fresh_sketch.json>
-//! [<committed_faults.json> <fresh_faults.json>
+//! <fresh_skew.json> [<committed_faults.json> <fresh_faults.json>
 //! [<committed_chaos.json> <fresh_chaos.json>
-//! [<committed_bandwidth.json> <fresh_bandwidth.json>]]]]]`
+//! [<committed_bandwidth.json> <fresh_bandwidth.json>]]]]`
 //!
 //! Compares a fresh `exp_perf --quick` run against the committed perf
 //! trajectory and fails (exit code 1) when any comparable arm regressed by
@@ -19,14 +18,6 @@
 //! deterministic): every arm's top-k answers equal the unreplicated
 //! baseline's, the churn arm recovers the hot key and re-converges the
 //! replica placement, and the p99 per-peer load reduction stays ≥ 2x.
-//!
-//! When the two sketch-report paths are also given, the guard enforces the
-//! sketch subsystem's scale-independent guarantees on both reports: the
-//! cost-based arm's answers equal the sketch-free baseline's, the baseline
-//! never prunes, the cost-based arm prunes at least one probe, every
-//! maintained sketch's upkeep stays within its modeled savings, and the net
-//! bytes-per-query reduction (retrieval savings minus amortized upkeep)
-//! stays ≥ 1%.
 //!
 //! When the two faults-report paths are also given, the guard enforces the
 //! fault-tolerance acceptance bar on both reports: at the headline cell (10%
@@ -47,9 +38,8 @@
 //! rank-safe threshold mode's bar on both reports: top-k answers (docs, ranks
 //! and score bits) identical to the `greedy-cost`/`off` reference at every
 //! budget, bytes/query never above the off arm's, and — on the long-lists
-//! corpus — bytes/query at or below `Conservative`'s with the floors
-//! demonstrably firing (whole blocks skipped, strictly fewer bytes than
-//! Conservative at some budget).
+//! corpus — the floors demonstrably firing (whole blocks skipped, strictly
+//! fewer bytes than off at some budget).
 //!
 //! Two measures keep the guard meaningful across machines and
 //! configurations:
@@ -70,13 +60,8 @@ use alvisp2p_bench::exp_bandwidth::{BandwidthReport, PlannedBandwidthRow};
 use alvisp2p_bench::exp_chaos::ChaosReport;
 use alvisp2p_bench::exp_faults::FaultsReport;
 use alvisp2p_bench::exp_perf::PerfReport;
-use alvisp2p_bench::exp_sketch::SketchReport;
 use alvisp2p_bench::exp_skew::SkewReport;
 use std::process::ExitCode;
-
-/// The sketch arm must keep at least this fractional net bytes-per-query
-/// reduction (retrieval savings minus amortized sketch upkeep).
-const SKETCH_NET_REDUCTION_FLOOR: f64 = 0.01;
 
 /// The retry+failover arm must keep at least this recall@10 against the
 /// fault-free answers at the headline fault cell.
@@ -177,69 +162,6 @@ fn check_skew(label: &str, report: &SkewReport, failures: &mut Vec<String>) {
     if !report.churn.reconverged {
         failures.push(format!(
             "skew/{label}: replica placement did not re-converge after joins"
-        ));
-    }
-}
-
-fn load_sketch(path: &str) -> SketchReport {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("perf_guard: cannot read {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("perf_guard: cannot parse {path}: {e:?}"))
-}
-
-/// The sketch-report invariants are scale-independent, so the same bar
-/// applies to the committed full run and a fresh `--quick` run.
-fn check_sketch(label: &str, report: &SketchReport, failures: &mut Vec<String>) {
-    println!(
-        "sketch ({label}): net reduction {:.1}%, pruned {}, sketched {}/{}, topk {}, upkeep {}",
-        report.net_reduction * 100.0,
-        report.rows.iter().map(|r| r.pruned_probes).sum::<u64>(),
-        report.rows.last().map_or(0, |r| r.sketched_keys),
-        report.rows.last().map_or(0, |r| r.considered_keys),
-        if report.rows.iter().all(|r| r.identical_topk) {
-            "identical"
-        } else {
-            "DIVERGED"
-        },
-        if report.rows.iter().all(|r| r.upkeep_accounted) {
-            "accounted"
-        } else {
-            "UNACCOUNTED"
-        },
-    );
-    let Some((baseline, sketched)) = report
-        .rows
-        .iter()
-        .find(|r| r.arm == "no-sketches")
-        .zip(report.rows.iter().find(|r| r.arm == "cost-based"))
-    else {
-        failures.push(format!("sketch/{label}: missing an expected arm"));
-        return;
-    };
-    if baseline.pruned_probes != 0 {
-        failures.push(format!(
-            "sketch/{label}: the no-sketches baseline pruned {} probes",
-            baseline.pruned_probes
-        ));
-    }
-    if sketched.pruned_probes == 0 {
-        failures.push(format!(
-            "sketch/{label}: the cost-based arm never pruned a probe"
-        ));
-    }
-    if !sketched.identical_topk {
-        failures.push(format!("sketch/{label}: sketch pruning changed answers"));
-    }
-    if !sketched.upkeep_accounted {
-        failures.push(format!(
-            "sketch/{label}: a maintained sketch's upkeep exceeds its modeled savings"
-        ));
-    }
-    if report.net_reduction < SKETCH_NET_REDUCTION_FLOOR {
-        failures.push(format!(
-            "sketch/{label}: net bytes/query reduction {:.2}% below the {:.0}% floor",
-            report.net_reduction * 100.0,
-            SKETCH_NET_REDUCTION_FLOOR * 100.0
         ));
     }
 }
@@ -394,9 +316,9 @@ fn load_bandwidth(path: &str) -> BandwidthReport {
 /// applies to the committed full run and a fresh `--quick` run: the rank-safe
 /// arm's answers are bit-identical to `greedy-cost`/`off` at every budget and
 /// its bytes/query never exceed the off arm's (elision only shrinks
-/// responses) nor, on the long-lists corpus, the Conservative arm's — where
-/// the rank-safe floors must also demonstrably fire (whole blocks skipped,
-/// strictly fewer bytes than Conservative on some budget).
+/// responses); on the long-lists corpus the rank-safe floors must also
+/// demonstrably fire (whole blocks skipped, strictly fewer bytes than off on
+/// some budget).
 fn check_bandwidth(label: &str, report: &BandwidthReport, failures: &mut Vec<String>) {
     let arm = |rows: &'_ [PlannedBandwidthRow], budget: u64, threshold: &str| {
         rows.iter()
@@ -414,11 +336,9 @@ fn check_bandwidth(label: &str, report: &BandwidthReport, failures: &mut Vec<Str
             b
         };
         let mut skipped = 0u64;
-        let mut beats_conservative = false;
+        let mut beats_off = false;
         for &budget in &budgets {
-            let Some(((off, safe), conservative)) = arm(rows, budget, "off")
-                .zip(arm(rows, budget, "rank-safe"))
-                .zip(arm(rows, budget, "conservative"))
+            let Some((off, safe)) = arm(rows, budget, "off").zip(arm(rows, budget, "rank-safe"))
             else {
                 failures.push(format!(
                     "bandwidth/{label}: {sweep} budget {budget} is missing a threshold arm"
@@ -427,12 +347,11 @@ fn check_bandwidth(label: &str, report: &BandwidthReport, failures: &mut Vec<Str
             };
             println!(
                 "bandwidth ({label}): {sweep} budget {budget}: rank-safe {:.0} B/query \
-                 ({} blocks, {} B elided) vs off {:.0} / conservative {:.0}, topk {}",
+                 ({} blocks, {} B elided) vs off {:.0}, topk {}",
                 safe.mean_bytes,
                 safe.skipped_blocks,
                 safe.elided_bytes,
                 off.mean_bytes,
-                conservative.mean_bytes,
                 if safe.identical_topk {
                     "identical"
                 } else {
@@ -452,19 +371,8 @@ fn check_bandwidth(label: &str, report: &BandwidthReport, failures: &mut Vec<Str
                     safe.mean_bytes, off.mean_bytes
                 ));
             }
-            if sweep == "long-lists" {
-                if safe.mean_bytes > conservative.mean_bytes + 1e-6 {
-                    failures.push(format!(
-                        "bandwidth/{label}: long-lists budget {budget}: rank-safe {:.1} B/query \
-                         exceeds conservative {:.1}",
-                        safe.mean_bytes, conservative.mean_bytes
-                    ));
-                }
-                skipped += safe.skipped_blocks;
-                if safe.mean_bytes < conservative.mean_bytes - 1e-6 {
-                    beats_conservative = true;
-                }
-            }
+            skipped += safe.skipped_blocks;
+            beats_off |= safe.mean_bytes < off.mean_bytes - 1e-6;
         }
         if sweep == "long-lists" {
             if skipped == 0 {
@@ -473,10 +381,10 @@ fn check_bandwidth(label: &str, report: &BandwidthReport, failures: &mut Vec<Str
                      corpus — the floors never fired and every byte bar is vacuous"
                 ));
             }
-            if !beats_conservative {
+            if !beats_off {
                 failures.push(format!(
                     "bandwidth/{label}: rank-safe never ships strictly fewer bytes/query than \
-                     conservative on the long-lists corpus"
+                     off on the long-lists corpus"
                 ));
             }
         }
@@ -485,14 +393,13 @@ fn check_bandwidth(label: &str, report: &BandwidthReport, failures: &mut Vec<Str
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 || args.len() > 12 || !args.len().is_multiple_of(2) {
+    if args.len() < 2 || args.len() > 10 || !args.len().is_multiple_of(2) {
         eprintln!(
             "usage: perf_guard <committed.json> <fresh.json> \
              [<committed_skew.json> <fresh_skew.json> \
-             [<committed_sketch.json> <fresh_sketch.json> \
              [<committed_faults.json> <fresh_faults.json> \
              [<committed_chaos.json> <fresh_chaos.json> \
-             [<committed_bandwidth.json> <fresh_bandwidth.json>]]]]]"
+             [<committed_bandwidth.json> <fresh_bandwidth.json>]]]]"
         );
         return ExitCode::from(2);
     }
@@ -504,10 +411,9 @@ fn main() -> ExitCode {
     };
     let (committed_path, fresh_path) = (&args[0], &args[1]);
     let skew_paths = pair(1);
-    let sketch_paths = pair(2);
-    let faults_paths = pair(3);
-    let chaos_paths = pair(4);
-    let bandwidth_paths = pair(5);
+    let faults_paths = pair(2);
+    let chaos_paths = pair(3);
+    let bandwidth_paths = pair(4);
     let tolerance: f64 = std::env::var("ALVIS_PERF_TOLERANCE")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -574,14 +480,6 @@ fn main() -> ExitCode {
     if let Some((committed_skew, fresh_skew)) = skew_paths {
         check_skew("committed", &load_skew(&committed_skew), &mut regressions);
         check_skew("fresh", &load_skew(&fresh_skew), &mut regressions);
-    }
-    if let Some((committed_sketch, fresh_sketch)) = sketch_paths {
-        check_sketch(
-            "committed",
-            &load_sketch(&committed_sketch),
-            &mut regressions,
-        );
-        check_sketch("fresh", &load_sketch(&fresh_sketch), &mut regressions);
     }
     if let Some((committed_faults, fresh_faults)) = faults_paths {
         check_faults(

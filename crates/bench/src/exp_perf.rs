@@ -140,12 +140,10 @@ pub struct PerfRow {
 
 /// One measured posting-list bytes-per-query arm (the wire comparison the
 /// codec PR is about: what the same query workload charges under the PR 3
-/// fixed-width accounting vs the codec, with and without threshold-aware
-/// probes).
+/// fixed-width accounting vs the codec).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WireRow {
-    /// Accounting/probing arm (`pr3-f64`, `codec`, `codec+threshold`,
-    /// `codec+aggressive`).
+    /// Accounting arm (`pr3-f64`, `codec`).
     pub arm: String,
     /// Mean posting-list response bytes per query.
     pub posting_bytes_per_query: f64,
@@ -518,7 +516,7 @@ pub fn run(params: &PerfParams) -> Vec<PerfRow> {
 
     // --- planned_query: end-to-end plan + execute latency ------------------
     // Trajectory metric: the number future planner PRs must beat. The
-    // `interned` arm is the live default path (codec round-trip + conservative
+    // `interned` arm is the live default path (codec round-trip + rank-safe
     // threshold probes); `threshold-off` isolates the thresholding cost.
     // Neither arm reports `speedup_vs_legacy` — that field always means "vs
     // the frozen seed replica", and this bench has no such arm.
@@ -537,7 +535,7 @@ pub fn run(params: &PerfParams) -> Vec<PerfRow> {
             i += 1;
             let request = QueryRequest::new(&q.text)
                 .from_peer(i % params.peers)
-                .threshold_probes(false);
+                .threshold_mode(ThresholdMode::Off);
             net.execute(&request).expect("query succeeds").results.len()
         })
     };
@@ -583,42 +581,29 @@ fn pr3_key_bytes(key: &TermKey) -> u64 {
 }
 
 /// Measures posting-list bytes per query on the `planned_query` workload under
-/// four arms: the PR 3 fixed-width accounting model replayed over the same
-/// responses, the codec (threshold off), and the codec with conservative /
-/// aggressive threshold-aware probes.
-///
-/// The threshold arms are derived exactly: requests, routing and miss notices
-/// are identical across probing modes (floor elision preserves the trace), so
-/// `posting_bytes(threshold) = posting_bytes(codec) - (total(off) -
-/// total(threshold))`.
+/// two arms: the PR 3 fixed-width accounting model replayed over the same
+/// responses, and the codec (threshold off).
 pub fn run_wire(params: &PerfParams) -> Vec<WireRow> {
     let corpus = workloads::corpus(params.docs, params.seed);
     let log = workloads::query_log(&corpus, 32, false, params.seed);
     let queries: Vec<String> = log.queries.iter().map(|q| q.text.clone()).collect();
-    let build = || {
-        workloads::indexed_network(
-            &corpus,
-            Arc::new(Hdk::new(workloads::default_hdk())),
-            params.peers,
-            params.seed,
-        )
-    };
-    let mut off_net = build();
-    let mut conservative_net = build();
-    let mut aggressive_net = build();
+    let mut off_net = workloads::indexed_network(
+        &corpus,
+        Arc::new(Hdk::new(workloads::default_hdk())),
+        params.peers,
+        params.seed,
+    );
 
     let n = queries.len() as f64;
     let mut posting_codec = 0u64;
     let mut posting_pr3 = 0u64;
     let mut key_delta = 0i64;
     let mut total_off = 0u64;
-    let mut total_conservative = 0u64;
-    let mut total_aggressive = 0u64;
     for (i, text) in queries.iter().enumerate() {
-        let base = QueryRequest::new(text.clone()).from_peer(i % params.peers);
-        let off = off_net
-            .execute(&base.clone().threshold_probes(false))
-            .expect("query succeeds");
+        let request = QueryRequest::new(text.clone())
+            .from_peer(i % params.peers)
+            .threshold_mode(ThresholdMode::Off);
+        let off = off_net.execute(&request).expect("query succeeds");
         total_off += off.bytes;
         // With thresholding off, every found response shipped exactly the
         // stored list, so the per-arm posting bytes replay from the trace.
@@ -634,33 +619,8 @@ pub fn run_wire(params: &PerfParams) -> Vec<WireRow> {
         for key in off.trace.probed_keys() {
             key_delta += pr3_key_bytes(key) as i64 - key.wire_size() as i64;
         }
-        total_conservative += conservative_net
-            .execute(&base.clone())
-            .expect("query")
-            .bytes;
-        total_aggressive += aggressive_net
-            .execute(&base.clone().threshold_mode(ThresholdMode::Aggressive))
-            .expect("query")
-            .bytes;
     }
-    // The derivation assumes a threshold run never spends more than the off
-    // run (floor elision preserves the trace). That holds by construction for
-    // unbudgeted queries; assert it so a future workload that violates it
-    // fails loudly instead of underflowing into absurd rows.
-    for (arm, total) in [
-        ("conservative", total_conservative),
-        ("aggressive", total_aggressive),
-    ] {
-        assert!(
-            total <= total_off,
-            "{arm} threshold run spent {total} bytes > unthresholded {total_off}; \
-             the posting-byte derivation no longer applies"
-        );
-    }
-    let posting_conservative = posting_codec - (total_off - total_conservative);
-    let posting_aggressive = posting_codec - (total_off - total_aggressive);
     let total_pr3 = (total_off + posting_pr3 - posting_codec) as i64 + key_delta;
-    let reduction = |posting: u64| Some(posting_pr3 as f64 / posting.max(1) as f64);
     vec![
         WireRow {
             arm: "pr3-f64".to_string(),
@@ -672,19 +632,7 @@ pub fn run_wire(params: &PerfParams) -> Vec<WireRow> {
             arm: "codec".to_string(),
             posting_bytes_per_query: posting_codec as f64 / n,
             total_bytes_per_query: total_off as f64 / n,
-            reduction_vs_pr3: reduction(posting_codec),
-        },
-        WireRow {
-            arm: "codec+threshold".to_string(),
-            posting_bytes_per_query: posting_conservative as f64 / n,
-            total_bytes_per_query: total_conservative as f64 / n,
-            reduction_vs_pr3: reduction(posting_conservative),
-        },
-        WireRow {
-            arm: "codec+aggressive".to_string(),
-            posting_bytes_per_query: posting_aggressive as f64 / n,
-            total_bytes_per_query: total_aggressive as f64 / n,
-            reduction_vs_pr3: reduction(posting_aggressive),
+            reduction_vs_pr3: Some(posting_pr3 as f64 / posting_codec.max(1) as f64),
         },
     ]
 }
@@ -712,7 +660,7 @@ pub fn print(rows: &[PerfRow]) {
 /// Prints the wire bytes-per-query table.
 pub fn print_wire(rows: &[WireRow]) {
     let mut table = Table::new(
-        "P1-wire: posting-list bytes per query (PR 3 accounting vs codec vs threshold probes)",
+        "P1-wire: posting-list bytes per query (PR 3 accounting vs codec)",
         &["arm", "posting bytes/query", "total bytes/query", "vs pr3"],
     );
     for r in rows {
@@ -739,8 +687,7 @@ pub struct PerfReport {
     pub params: PerfParams,
     /// Measured rows.
     pub rows: Vec<PerfRow>,
-    /// Posting-list bytes-per-query arms (PR 3 accounting vs codec vs
-    /// threshold-aware probes).
+    /// Posting-list bytes-per-query arms (PR 3 accounting vs codec).
     pub wire: Vec<WireRow>,
 }
 
@@ -843,17 +790,12 @@ mod tests {
         };
         let rows = run_wire(&params);
         let arm = |name: &str| rows.iter().find(|r| r.arm == name).unwrap();
-        assert_eq!(rows.len(), 4);
-        // Even at smoke scale the codec beats the fixed-width accounting, and
-        // each threshold arm never ships more than the arm it tightens.
+        assert_eq!(rows.len(), 2);
+        // Even at smoke scale the codec beats the fixed-width accounting.
         let pr3 = arm("pr3-f64");
         let codec = arm("codec");
-        let conservative = arm("codec+threshold");
-        let aggressive = arm("codec+aggressive");
         assert!(codec.posting_bytes_per_query < pr3.posting_bytes_per_query);
         assert!(codec.reduction_vs_pr3.unwrap() > 1.0);
-        assert!(conservative.posting_bytes_per_query <= codec.posting_bytes_per_query);
-        assert!(aggressive.posting_bytes_per_query <= conservative.posting_bytes_per_query);
         for r in &rows {
             assert!(r.posting_bytes_per_query > 0.0, "{r:?}");
             assert!(
@@ -870,13 +812,11 @@ mod tests {
         // the PR 3 f64 wire accounting, with top-k equality pinned separately
         // by `alvisp2p-core/tests/proptest_codec.rs`.
         let rows = run_wire(&PerfParams::quick());
-        for arm in ["codec", "codec+threshold"] {
-            let row = rows.iter().find(|r| r.arm == arm).unwrap();
-            assert!(
-                row.reduction_vs_pr3.unwrap() >= 2.0,
-                "{arm} reduction {:?} below the 2x acceptance bar",
-                row.reduction_vs_pr3
-            );
-        }
+        let row = rows.iter().find(|r| r.arm == "codec").unwrap();
+        assert!(
+            row.reduction_vs_pr3.unwrap() >= 2.0,
+            "codec reduction {:?} below the 2x acceptance bar",
+            row.reduction_vs_pr3
+        );
     }
 }

@@ -16,7 +16,6 @@
 //! | E8 | posting-list truncation bounds traffic with marginal quality loss | [`exp_truncation`] | `exp_truncation` |
 //! | P1 | key/posting hot-path microbenchmarks (perf trajectory, `BENCH_perf.json`) | [`exp_perf`] | `exp_perf` |
 //! | P2 | hot-key replication under Zipf traffic (per-peer p99 load, `BENCH_skew.json`) | [`exp_skew`] | `exp_skew` |
-//! | P3 | per-key provenance sketches: probe pruning vs upkeep (`BENCH_sketch.json`) | [`exp_sketch`] | `exp_sketch` |
 //! | P4 | fault injection: recall@10 and bytes/query under loss + crashes, by retry policy (`BENCH_faults.json`) | [`exp_faults`] | `exp_faults` |
 //! | P5 | control-plane chaos: versioned publications, anti-entropy repair, frame integrity (`BENCH_chaos.json`) | [`exp_chaos`] | `exp_chaos` |
 //!
@@ -40,7 +39,6 @@ pub mod exp_perf;
 pub mod exp_qdi;
 pub mod exp_quality;
 pub mod exp_routing;
-pub mod exp_sketch;
 pub mod exp_skew;
 pub mod exp_storage;
 pub mod exp_truncation;

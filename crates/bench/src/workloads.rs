@@ -35,8 +35,8 @@ pub fn corpus(num_docs: usize, seed: u64) -> SyntheticCorpus {
 
 /// Like [`corpus`], but with the vocabulary capped at `vocab` terms: the same
 /// collection concentrated on fewer, more frequent terms, so every posting
-/// list is longer. This is the regime where truncation, threshold-aware
-/// elision and sketch pruning have the most bytes to save.
+/// list is longer. This is the regime where truncation and threshold-aware
+/// elision have the most bytes to save.
 pub fn dense_corpus(num_docs: usize, vocab: usize, seed: u64) -> SyntheticCorpus {
     let config = CorpusConfig {
         num_docs,

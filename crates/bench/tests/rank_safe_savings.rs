@@ -36,7 +36,7 @@ fn rank_safe_elides_bytes_on_head_term_pair_queries_without_rank_drift() {
         let safe_req = base.clone().threshold_mode(ThresholdMode::RankSafe);
         let plan_s = safe.plan_with(&planner, &safe_req).unwrap();
         let s = safe.run(&plan_s, &safe_req).unwrap();
-        let off_req = base.threshold_probes(false);
+        let off_req = base.threshold_mode(ThresholdMode::Off);
         let plan_o = off.plan_with(&planner, &off_req).unwrap();
         let o = off.run(&plan_o, &off_req).unwrap();
 

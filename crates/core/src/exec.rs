@@ -60,12 +60,6 @@ pub struct ProbeEvent {
     /// Number of live replica holders the key had at probe time (`0` unless
     /// the key is hot-replicated).
     pub replicas: usize,
-    /// Whether the probe was answered from the querier's sketch cache instead
-    /// of the network: a fresh [`crate::sketch::KeySketch`] proved the
-    /// response useless before it was sent, so [`ProbeEvent::bytes`] is `0`
-    /// while budget admission still accounts the bytes the probe would have
-    /// cost (see `AlvisNetwork::sketch_prune`).
-    pub pruned: bool,
     /// Number of re-sent attempts this probe needed (always `0` under
     /// [`crate::fault::FaultPlane::NoFaults`]). A probe with outcome
     /// [`NodeOutcome::Failed`] exhausted its [`crate::fault::RetryPolicy`];
@@ -129,21 +123,17 @@ pub struct QueryStream<'n> {
     sent: usize,
     base_bytes: u64,
     base_messages: u64,
-    /// Number of terms in the analyzed query (the `m` of the threshold bound).
-    query_terms: usize,
     /// How the running top-k becomes the floor the next probe carries, fixed
     /// at construction from the request's mode and the plan's shape.
     floor_rule: FloorRule,
-    /// RankSafe only: probes that carried the Conservative fallback floor
-    /// because a published maximum they depend on was stale.
+    /// RankSafe only: probes sent floor-free, after θ existed, because a
+    /// published maximum they depend on was stale.
     rank_safe_fallbacks: usize,
-    /// Bytes the sketch-pruned probes *would* have charged. Budget admission
-    /// runs on `spent + virtual_bytes` so the probe schedule is identical with
-    /// and without pruning — savings never buy extra probes the sketch-free
-    /// execution would not have sent.
+    /// Bytes rank-safe elision kept off the wire. Budget admission runs on
+    /// `spent + virtual_bytes` so the probe schedule is identical to the
+    /// [`ThresholdMode::Off`] execution's — savings never buy extra probes
+    /// it would not have sent.
     virtual_bytes: u64,
-    /// Number of probes answered from the sketch cache instead of the wire.
-    pruned: usize,
     /// Total re-sent probe attempts across the query (fault plane active).
     retries: usize,
     /// Probes whose every attempt failed (recorded in the trace, schedule
@@ -177,10 +167,6 @@ enum FloorRule {
     /// byte-identical to [`ThresholdMode::Off`] rather than silently
     /// approximate.
     Unfloored,
-    /// [`ThresholdMode::Conservative`] (`scale` 0.5) and
-    /// [`ThresholdMode::Aggressive`] (`scale` 1.0): every probe carries
-    /// `floor = θ · scale / m`, `None` until the running top-k is full.
-    Scaled { scale: f64, floor: Option<f64> },
     /// [`ThresholdMode::RankSafe`] over a laminar plan.
     ///
     /// `caps` holds, per scheduled probe key, the key's own published maximum
@@ -193,8 +179,8 @@ enum FloorRule {
     /// certified for it: its own cached maximum, or that of a disjoint key,
     /// is stale against the list's publish version (lossy publications,
     /// on-demand activation), so the recorded bound may undershoot the real
-    /// list and eliding against it would be unsound. Such a probe carries
-    /// `fallback`, the Conservative floor `θ / (2m)`.
+    /// list and eliding against it would be unsound. Such a probe carries no
+    /// floor at all.
     ///
     /// `theta_lb` is a monotone lower bound on the final k-th merged score:
     /// the largest running k-th merged score seen so far. Over a laminar
@@ -205,7 +191,6 @@ enum FloorRule {
     /// bound monotone against top-k ties resorting below `k`.
     RankSafe {
         caps: Vec<(TermKey, Option<(f64, f64)>)>,
-        fallback: Option<f64>,
         theta_lb: Option<f64>,
     },
 }
@@ -241,18 +226,9 @@ impl<'n> QueryStream<'n> {
             0
         };
         let planned = plan.scheduled_probes();
-        let query_terms = query_key.as_ref().map_or(0, TermKey::len);
         let cursor = PlanCursor::new(plan, &lattice, request.byte_budget, request.hop_budget);
         let floor_rule = match request.threshold {
             ThresholdMode::Off => FloorRule::Unfloored,
-            ThresholdMode::Conservative => FloorRule::Scaled {
-                scale: 0.5,
-                floor: None,
-            },
-            ThresholdMode::Aggressive => FloorRule::Scaled {
-                scale: 1.0,
-                floor: None,
-            },
             ThresholdMode::RankSafe => Self::rank_safe_rule(net, cursor.plan()),
         };
         QueryStream {
@@ -265,11 +241,9 @@ impl<'n> QueryStream<'n> {
             sent: 0,
             base_bytes,
             base_messages,
-            query_terms,
             floor_rule,
             rank_safe_fallbacks: 0,
             virtual_bytes: 0,
-            pruned: 0,
             retries: 0,
             failed: 0,
             corrupt: 0,
@@ -342,7 +316,6 @@ impl<'n> QueryStream<'n> {
             .collect();
         FloorRule::RankSafe {
             caps,
-            fallback: None,
             theta_lb: None,
         }
     }
@@ -357,43 +330,26 @@ impl<'n> QueryStream<'n> {
     /// its other covering lists, so its entry in list `i` scores at least the
     /// floor and survives elision — making the response byte-identical in
     /// ranking to [`ThresholdMode::Off`] at fewer posting bytes. A stale-cap
-    /// key degrades to the Conservative fallback floor for this probe
-    /// (counted in `rank_safe_fallbacks`, per-key as published maxima go
-    /// stale independently).
+    /// key's probe goes out floor-free — trivially `Off` for that probe —
+    /// and, once θ exists (a floor would otherwise have been sent), is
+    /// counted in `rank_safe_fallbacks`, per-key as published maxima go stale
+    /// independently.
     fn probe_floor(&mut self, key: &TermKey) -> Option<f64> {
-        match &self.floor_rule {
-            FloorRule::Unfloored => None,
-            FloorRule::Scaled { floor, .. } => *floor,
-            FloorRule::RankSafe {
-                caps,
-                fallback,
-                theta_lb,
-            } => match caps.iter().find(|(k, _)| k == key).and_then(|(_, c)| *c) {
-                Some((own, disjoint_sum)) => rank_safe_floor((*theta_lb)?, own + disjoint_sum, own),
-                None => {
-                    self.rank_safe_fallbacks += usize::from(fallback.is_some());
-                    *fallback
-                }
-            },
+        let FloorRule::RankSafe { caps, theta_lb } = &self.floor_rule else {
+            return None;
+        };
+        let theta = (*theta_lb)?;
+        match caps.iter().find(|(k, _)| k == key).and_then(|(_, c)| *c) {
+            Some((own, disjoint_sum)) => rank_safe_floor(theta, own + disjoint_sum, own),
+            None => {
+                self.rank_safe_fallbacks += 1;
+                None
+            }
         }
     }
 
-    /// Recomputes the threshold fed into subsequent probes from the running
-    /// top-k — which is merged here, and only when the [`FloorRule`] can turn
-    /// it into a floor.
-    ///
-    /// Once the running top-k holds the full `k` documents with k-th merged
-    /// score `θ`, the floor is `θ / (2m)` ([`ThresholdMode::Conservative`])
-    /// or `θ / m` ([`ThresholdMode::Aggressive`]), `m` being the number of
-    /// query terms — see [`ThresholdMode`] for the guarantee each point buys.
-    /// The conservative bound: a document whose every posting entry scores
-    /// below `θ / (2m)` aggregates to strictly less than `θ / 2` across the
-    /// at most `m` lattice keys that can contribute to it (`merge_retrieved`
-    /// counts each query term once), so eliding those entries at the
-    /// responsible peer cannot lift it into contention. The floor is
-    /// recomputed (not ratcheted) after every probe because the
-    /// coverage-weighted merge is not monotone in the retrieved set — `θ` can
-    /// move in either direction as larger keys arrive.
+    /// Ratchets θ_LB up to the running k-th merged score — which is merged
+    /// here, and only when the [`FloorRule`] can turn it into a floor.
     fn update_floor(&mut self) {
         if matches!(self.floor_rule, FloorRule::Unfloored) {
             return;
@@ -403,18 +359,8 @@ impl<'n> QueryStream<'n> {
             .running_top_k()
             .get(self.request.top_k - 1)
             .map(|worst| worst.score);
-        let m = self.query_terms as f64;
-        match &mut self.floor_rule {
-            FloorRule::Unfloored => {}
-            FloorRule::Scaled { scale, floor } => *floor = theta.map(|t| t * *scale / m),
-            FloorRule::RankSafe {
-                fallback, theta_lb, ..
-            } => {
-                *fallback = theta.map(|t| t * 0.5 / m);
-                if let Some(t) = theta {
-                    *theta_lb = Some(theta_lb.map_or(t, |lb| lb.max(t)));
-                }
-            }
+        if let (FloorRule::RankSafe { theta_lb, .. }, Some(t)) = (&mut self.floor_rule, theta) {
+            *theta_lb = Some(theta_lb.map_or(t, |lb| lb.max(t)));
         }
     }
 
@@ -547,13 +493,6 @@ impl<'n> QueryStream<'n> {
     /// the plan is exhausted (or stopped). The first overlay error is returned
     /// once; subsequent calls return `None`.
     ///
-    /// Before touching the wire, each probe is offered to the querier's sketch
-    /// cache (`AlvisNetwork::sketch_prune`): when a fresh
-    /// sketch proves the response cannot beat the running score floor, the
-    /// known all-elided response is recorded for zero traffic and the bytes the
-    /// probe would have charged are admitted *virtually* against the byte
-    /// budget, keeping the probe schedule identical with and without sketches.
-    ///
     /// A probe that exhausts the [`crate::fault::RetryPolicy`] yields an event
     /// with outcome [`NodeOutcome::Failed`] instead of an error: the failure
     /// is recorded in the trace, the key is *not* entered into the excluder
@@ -570,29 +509,13 @@ impl<'n> QueryStream<'n> {
             CursorStep::Probe(key) => {
                 let before = self.net.retrieval_totals().0;
                 let floor = self.probe_floor(&key);
-                let (acquired, pruned) =
-                    match self
-                        .net
-                        .sketch_prune(self.request.origin, &key, self.seq, floor)
-                    {
-                        Some((probe, virtual_bytes)) => {
-                            self.virtual_bytes += virtual_bytes;
-                            self.pruned += 1;
-                            let served = ProbeAcquisition::Served {
-                                probe,
-                                retries: 0,
-                                hedged: false,
-                            };
-                            (served, true)
-                        }
-                        None => match self.acquire_probe(&key, floor) {
-                            Ok(acquired) => (acquired, false),
-                            Err(err) => {
-                                self.error = Some(err.clone());
-                                return Some(Err(err));
-                            }
-                        },
-                    };
+                let acquired = match self.acquire_probe(&key, floor) {
+                    Ok(acquired) => acquired,
+                    Err(err) => {
+                        self.error = Some(err.clone());
+                        return Some(Err(err));
+                    }
+                };
                 let (outcome, hops, served_by, replicas, retries) = match acquired {
                     ProbeAcquisition::Served {
                         probe,
@@ -600,16 +523,11 @@ impl<'n> QueryStream<'n> {
                         hedged,
                     } => {
                         self.hedged += usize::from(hedged);
-                        if self.request.threshold == ThresholdMode::RankSafe {
-                            // Budget admission must see what the probe would
-                            // have cost without elision, so rank-safe savings
-                            // never buy extra probes the Off execution would
-                            // not have sent — the same counterfactual
-                            // accounting sketch pruning uses (a pruned probe
-                            // reports zero elision for exactly that reason:
-                            // its full cost is already virtual).
-                            self.virtual_bytes += probe.elided_bytes as u64;
-                        }
+                        // Budget admission must see what the probe would have
+                        // cost without elision (zero unless a floor was
+                        // sent), so rank-safe savings never buy extra probes
+                        // the Off execution would not have sent.
+                        self.virtual_bytes += probe.elided_bytes as u64;
                         let (hops, served_by) = (probe.hops, probe.served_by);
                         let replicas = probe.replica_set.len();
                         let outcome = self.cursor.record(probe);
@@ -643,7 +561,6 @@ impl<'n> QueryStream<'n> {
                     score_floor: floor,
                     served_by,
                     replicas,
-                    pruned,
                     retries,
                 };
                 self.sent += 1;
@@ -713,7 +630,6 @@ impl<'n> QueryStream<'n> {
             bytes: bytes_now - self.base_bytes,
             messages: messages_now - self.base_messages,
             budget_exhausted,
-            pruned_probes: self.pruned,
             retries: self.retries,
             failed_probes: self.failed,
             corrupt_probes: self.corrupt,

@@ -138,7 +138,7 @@ pub struct FaultConfig {
     /// [`crate::global_index::GlobalIndex::republish_round`]).
     #[serde(default)]
     pub publish_loss_rate: f64,
-    /// Probability that one replica-sync (or stats/sketch-publication)
+    /// Probability that one replica-sync (or stats-publication)
     /// message is dropped in flight, leaving that holder's copy stale until
     /// anti-entropy repair pulls a fresh one.
     #[serde(default)]
@@ -249,7 +249,7 @@ impl FaultPlane {
         self
     }
 
-    /// Sets the probability that one replica-sync (or stats/sketch
+    /// Sets the probability that one replica-sync (or stats
     /// publication) message is dropped in flight.
     pub fn with_sync_loss(mut self, rate: f64) -> Self {
         self.config_mut().sync_loss_rate = rate.clamp(0.0, 1.0);
@@ -409,7 +409,7 @@ impl FaultPlane {
         }
     }
 
-    /// Whether one replica-sync or stats/sketch-publication message is
+    /// Whether one replica-sync or stats-publication message is
     /// dropped in flight. `seq` identifies the sync operation and `attempt`
     /// the recipient within it.
     pub fn sync_lost(&self, ring: RingId, seq: u64, attempt: u32) -> bool {

@@ -187,8 +187,9 @@ pub struct GlobalIndex {
     probe_request_bytes: usize,
     /// Monotonic per-key publish versions, bumped on every mutation of a
     /// key's stored entry (publish, on-demand store, deactivation, eviction).
-    /// Cached evidence about an entry — a [`crate::sketch::KeySketch`] — is
-    /// only valid while its recorded version matches the current one.
+    /// Cached evidence about an entry — its published maximum score in
+    /// [`crate::ranking::GlobalRankingStats`] — is only valid while its
+    /// recorded version matches the current one.
     versions: HashMap<RingId, u64>,
     /// Publications whose application at the responsible peer has not been
     /// acknowledged, awaiting re-publication. Always empty under
@@ -617,41 +618,11 @@ impl GlobalIndex {
 
     /// The current publish version of `key`: bumped on every mutation of the
     /// key's stored entry (publish, on-demand store, deactivation, eviction),
-    /// `0` for a never-touched key. A cached [`crate::sketch::KeySketch`]
-    /// built at version `v` is valid evidence exactly while
-    /// `publish_version(key) == v`.
+    /// `0` for a never-touched key. A per-key maximum recorded at version `v`
+    /// ([`crate::ranking::GlobalRankingStats::key_max_fresh`]) is valid
+    /// evidence exactly while `publish_version(key) == v`.
     pub fn publish_version(&self, key: &TermKey) -> u64 {
         self.versions.get(&key.ring_id()).copied().unwrap_or(0)
-    }
-
-    /// Records interest in `key` exactly as a probe would — usage statistics
-    /// at the responsible peer (creating a statistics-only entry if the key is
-    /// unknown), with **zero traffic and zero serve load**.
-    ///
-    /// This is the bookkeeping counterpart of a sketch-pruned probe: the
-    /// querier proved the response useless and never sent the request, but
-    /// QDI's decentralized monitoring must still observe the demand, or
-    /// pruning would starve activation/eviction decisions. The update is
-    /// modelled as piggybacked on existing sketch-maintenance traffic.
-    /// Deliberately *not* updated: `served_requests` and the replication
-    /// load tracker — a pruned probe loads nobody, which is the point.
-    pub fn note_interest(&mut self, key: &TermKey, query_seq: u64, stats_capacity: usize) {
-        let ring_key = key.ring_id();
-        let Ok(responsible) = self.dht.responsible_for(ring_key) else {
-            return;
-        };
-        self.dht
-            .peer_mut(responsible)
-            .store
-            .upsert_with(ring_key, |slot| {
-                let entry = slot
-                    .get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), stats_capacity));
-                entry.usage.probes += 1;
-                entry.usage.last_probe = query_seq;
-                if entry.activated {
-                    entry.usage.hits += 1;
-                }
-            });
     }
 
     /// Estimates the overlay hops a probe for `key` from peer `from` would take,
@@ -691,20 +662,6 @@ impl GlobalIndex {
     /// where a probe for it would land.
     pub fn responsible_for(&self, key: &TermKey) -> Result<usize, DhtError> {
         self.dht.responsible_for(key.ring_id())
-    }
-
-    /// Exact bytes a probe for `key` would have charged had it been sent and
-    /// answered with a `response_bytes`-byte frame: per-hop routing messages,
-    /// the routed probe request and the response, each with its wire envelope.
-    /// Unlike [`GlobalIndex::estimate_probe_bytes`] (which bounds the response
-    /// by the codec's worst case) this mirrors [`GlobalIndex::probe`]'s
-    /// accounting to the byte, so a sketch-pruned probe can report the traffic
-    /// it avoided without perturbing budget admission.
-    pub fn virtual_probe_bytes(&self, key: &TermKey, hops: usize, response_bytes: usize) -> u64 {
-        use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
-        let routing = hops * (self.dht.config().lookup_request_bytes + ENVELOPE_OVERHEAD);
-        let request = self.probe_request_bytes + key.wire_size() + ENVELOPE_OVERHEAD;
-        (routing + request + response_bytes + ENVELOPE_OVERHEAD) as u64
     }
 
     /// Reads a key's entry without routing or traffic (ground truth for tests and
@@ -1156,25 +1113,6 @@ mod tests {
         assert_eq!(gi.publish_version(&key), 5);
         assert!(!gi.evict(&key), "no-op eviction does not bump");
         assert_eq!(gi.publish_version(&key), 5);
-    }
-
-    #[test]
-    fn note_interest_matches_probe_statistics_without_traffic() {
-        let mut gi = index(16);
-        let known = TermKey::new(["noted", "key"]);
-        gi.publish_postings(0, &known, &refs(3), 100).unwrap();
-        let before = gi.stats_snapshot();
-        gi.note_interest(&known, 5, 100);
-        gi.note_interest(&TermKey::single("unknown"), 6, 100);
-        let delta = gi.stats_snapshot().since(&before);
-        assert_eq!(delta.category(TrafficCategory::Retrieval).bytes, 0);
-        assert_eq!(delta.category(TrafficCategory::Overlay).bytes, 0);
-        // Statistics advanced exactly as a probe would have advanced them.
-        let usage = gi.usage(&known).unwrap();
-        assert_eq!((usage.probes, usage.hits, usage.last_probe), (1, 1, 5));
-        let usage = gi.usage(&TermKey::single("unknown")).unwrap();
-        assert_eq!((usage.probes, usage.hits, usage.last_probe), (1, 0, 6));
-        assert_eq!(gi.total_entries(), 2, "stats-only entry was created");
     }
 
     #[test]

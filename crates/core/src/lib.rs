@@ -39,10 +39,6 @@
 //!   strategy, and run [`QueryRequest`]s — in one shot via `execute`, or as an
 //!   explicit plan → run pipeline — with full traffic accounting;
 //! * [`request`] — the [`QueryRequest`]/[`QueryResponse`] pair;
-//! * [`sketch`] — per-key provenance sketches ([`KeySketch`]: the published
-//!   posting-list header that, with the key's published maximum score, proves
-//!   a probe useless before it is sent) with cost-based selection
-//!   ([`SketchPolicy`]);
 //! * [`digest`] — the Alvis document digest ([`DocumentDigest`]) for plugging
 //!   external local engines into a peer;
 //! * [`error`] — the unified [`AlvisError`] hierarchy;
@@ -90,7 +86,6 @@ pub mod posting;
 pub mod qdi;
 pub mod ranking;
 pub mod request;
-pub mod sketch;
 pub mod stats;
 pub mod strategy;
 
@@ -119,6 +114,5 @@ pub use posting::{ScoredRef, TruncatedPostingList};
 pub use qdi::{ActivationDecision, QdiConfig, QdiReport};
 pub use ranking::{merge_retrieved, score_local_postings, GlobalRankingStats};
 pub use request::{QueryRequest, QueryResponse, ThresholdMode};
-pub use sketch::{KeySketch, SketchBuildReport, SketchDecision, SketchPolicy};
 pub use stats::{overlap_at_k, precision_at_k, recall_at_k, QualityAccumulator, QualitySummary};
 pub use strategy::{Hdk, IndexerCtx, Qdi, QueryCtx, SingleTermFull, Strategy};

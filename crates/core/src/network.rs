@@ -21,7 +21,7 @@ use crate::baseline::CentralizedEngine;
 use crate::error::AlvisError;
 use crate::exec::QueryStream;
 use crate::fault::{FaultPlane, RetryPolicy};
-use crate::global_index::{GlobalIndex, ProbeResult};
+use crate::global_index::GlobalIndex;
 use crate::hdk::HdkLevelReport;
 use crate::key::TermKey;
 use crate::lattice::{LatticeConfig, LatticeResult};
@@ -30,14 +30,13 @@ use crate::plan::{BestEffort, PlanCtx, Planner, QueryPlan};
 use crate::qdi::QdiReport;
 use crate::ranking::GlobalRankingStats;
 use crate::request::{QueryRequest, QueryResponse};
-use crate::sketch::{KeySketch, PlannedSketch, SketchBuildReport, SketchDecision, SketchPolicy};
 use crate::strategy::{Hdk, IndexerCtx, QueryCtx, Strategy};
 use alvisp2p_dht::{DhtConfig, RepairReport, ReplicationPolicy, RingId};
 use alvisp2p_netsim::{TrafficCategory, TrafficStats};
 use alvisp2p_textindex::bm25::{Bm25Params, ScoredDoc};
 use alvisp2p_textindex::{Analyzer, Credentials, SyntheticCorpus};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Configuration of a whole AlvisP2P network.
@@ -57,10 +56,6 @@ pub struct NetworkConfig {
     pub bm25: Bm25Params,
     /// Query-lattice exploration parameters.
     pub lattice: LatticeConfig,
-    /// Per-key sketch publication policy (see [`crate::sketch`]). The default,
-    /// [`SketchPolicy::NoSketches`], keeps every byte of the query path
-    /// identical to a sketch-free network.
-    pub sketch_policy: SketchPolicy,
     /// How the executor responds to failed probe attempts (retries, backoff,
     /// replica failover). Inert while no attempt fails.
     pub retry_policy: RetryPolicy,
@@ -77,7 +72,6 @@ impl Default for NetworkConfig {
             planner: Arc::new(BestEffort),
             bm25: Bm25Params::default(),
             lattice: LatticeConfig::default(),
-            sketch_policy: SketchPolicy::default(),
             retry_policy: RetryPolicy::default(),
             seed: 42,
         }
@@ -172,14 +166,6 @@ impl AlvisNetworkBuilder {
     /// Sets the query-lattice exploration parameters.
     pub fn lattice(mut self, lattice: LatticeConfig) -> Self {
         self.config.lattice = lattice;
-        self
-    }
-
-    /// Sets the per-key sketch publication policy (see [`crate::sketch`]).
-    /// Defaults to [`SketchPolicy::NoSketches`], which keeps the query path
-    /// byte-identical to a sketch-free network.
-    pub fn sketch_policy(mut self, policy: SketchPolicy) -> Self {
-        self.config.sketch_policy = policy;
         self
     }
 
@@ -297,11 +283,6 @@ pub struct AlvisNetwork {
     peers: Vec<AlvisPeer>,
     global: GlobalIndex,
     ranking: GlobalRankingStats,
-    /// Querier-side cache of the sketches published by the most recent index
-    /// build; entries are consulted only while version-fresh (see
-    /// [`AlvisNetwork::sketch_prune`]).
-    sketches: HashMap<TermKey, KeySketch>,
-    sketch_report: SketchBuildReport,
     centralized: CentralizedEngine,
     analyzer: Analyzer,
     query_seq: u64,
@@ -348,8 +329,6 @@ impl AlvisNetwork {
             peers,
             global,
             ranking: GlobalRankingStats::new(),
-            sketches: HashMap::new(),
-            sketch_report: SketchBuildReport::default(),
             centralized,
             analyzer: Analyzer::default(),
             query_seq: 0,
@@ -411,11 +390,6 @@ impl AlvisNetwork {
     /// The aggregated global ranking statistics.
     pub fn ranking_stats(&self) -> &GlobalRankingStats {
         &self.ranking
-    }
-
-    /// The cost-based sketch selection report of the most recent index build.
-    pub fn sketch_report(&self) -> &SketchBuildReport {
-        &self.sketch_report
     }
 
     /// The centralized reference engine over the same collection.
@@ -556,37 +530,35 @@ impl AlvisNetwork {
     // Distributed index construction
     // ------------------------------------------------------------------
 
-    /// How many times one control-plane publication (a ranking-statistics
-    /// fragment or a sketch frame) is sent before the publisher gives up for
-    /// this build. With a per-message loss rate `p` the chance of losing all
-    /// sends is `p^3` — negligible at realistic rates, but honest: a fragment
-    /// or sketch that loses every send is genuinely absent.
+    /// How many times one ranking-statistics fragment is sent before the
+    /// publisher gives up for this build. With a per-message loss rate `p`
+    /// the chance of losing all sends is `p^3` — negligible at realistic
+    /// rates, but honest: a fragment that loses every send is genuinely
+    /// absent.
     const CONTROL_PUBLISH_ATTEMPTS: u32 = 3;
 
-    /// Sends one control-plane publication of `bytes` bytes, addressed by
-    /// `ring`. Every send is charged to `category` (a dropped message crossed
-    /// the wire before vanishing); a send the plane's sync-loss draw drops is
-    /// immediately re-sent, up to [`AlvisNetwork::CONTROL_PUBLISH_ATTEMPTS`]
-    /// sends in total. Returns whether one of them arrived.
-    fn publish_control(&mut self, category: TrafficCategory, ring: RingId, bytes: usize) -> bool {
-        self.control_seq += 1;
-        let seq = self.control_seq;
-        (0..Self::CONTROL_PUBLISH_ATTEMPTS).any(|attempt| {
-            self.global.charge(category, bytes);
-            !self.global.fault_plane().sync_lost(ring, seq, attempt)
-        })
-    }
-
     /// Publishes every peer's collection statistics to the ranking layer (L4) and
-    /// aggregates them into the global statistics used for scoring. A fragment
-    /// that loses every send (see [`AlvisNetwork::publish_control`]) is left
-    /// out of the aggregate.
+    /// aggregates them into the global statistics used for scoring. Every
+    /// send is charged (a dropped message crossed the wire before
+    /// vanishing); a send the plane's sync-loss draw drops is immediately
+    /// re-sent, up to [`AlvisNetwork::CONTROL_PUBLISH_ATTEMPTS`] sends in
+    /// total, and a fragment that loses every send is left out of the
+    /// aggregate.
     fn publish_ranking_stats(&mut self) {
         self.ranking = GlobalRankingStats::new();
         for i in 0..self.peers.len() {
             let fragment = self.peers[i].collection_stats();
             let bytes = GlobalRankingStats::fragment_wire_size(&fragment);
-            if self.publish_control(TrafficCategory::Ranking, RingId(i as u64), bytes) {
+            self.control_seq += 1;
+            let seq = self.control_seq;
+            let arrived = (0..Self::CONTROL_PUBLISH_ATTEMPTS).any(|attempt| {
+                self.global.charge(TrafficCategory::Ranking, bytes);
+                !self
+                    .global
+                    .fault_plane()
+                    .sync_lost(RingId(i as u64), seq, attempt)
+            });
+            if arrived {
                 self.ranking.merge_fragment(&fragment);
             }
         }
@@ -609,7 +581,7 @@ impl AlvisNetwork {
             self.config.bm25,
         );
         self.level_reports = strategy.build_index(&mut ctx);
-        self.publish_key_evidence();
+        self.publish_key_maxima();
         self.index_built = true;
 
         let after = self.traffic_snapshot();
@@ -627,44 +599,20 @@ impl AlvisNetwork {
         report
     }
 
-    /// Publishes the querier-facing evidence derived from the freshly built
-    /// index: per-key maximum scores into the ranking statistics (the
-    /// rank-safety bound shared by `ThresholdMode` floors and sketch pruning,
-    /// charged to [`TrafficCategory::Ranking`]) and — under
-    /// [`SketchPolicy::CostBased`] — the per-key sketches whose modeled
-    /// probe-byte savings cover their measured upkeep (charged to
-    /// [`TrafficCategory::Overlay`], cached at the querier).
-    fn publish_key_evidence(&mut self) {
-        let capacity = self.config.strategy.truncation_k();
-        let sketching = self.config.sketch_policy.enabled();
-        // Demand estimate: on a cold index (no probe ever observed) every key
-        // gets the selector's uniform prior; once usage statistics exist, each
-        // key's own observed probe count is projected forward instead, so
-        // sketch upkeep concentrates on the keys queries actually hit.
-        let demand_known = self.global.entries().any(|e| e.usage.probes > 0);
+    /// Publishes the per-key maximum scores of the freshly built index into
+    /// the ranking statistics — the bound [`crate::request::ThresholdMode::RankSafe`]
+    /// floors are derived from — charged to [`TrafficCategory::Ranking`].
+    fn publish_key_maxima(&mut self) {
         let mut maxima: Vec<(TermKey, f64, u64)> = Vec::new();
-        let mut planned = Vec::new();
-        let mut considered = 0usize;
         for entry in self.global.entries().filter(|e| e.activated) {
-            let version = self.global.publish_version(&entry.key);
             if let Some(best) = entry.postings.best_score() {
                 // Stamped with the key's publish version at recording time:
                 // the bound is only sound while the stored list is still at
                 // this version (later mutations — re-publications recovering
                 // lost updates, post-query indexing — leave it stale, and the
                 // rank-safe floor path checks exactly that before trusting it).
+                let version = self.global.publish_version(&entry.key);
                 maxima.push((entry.key.clone(), best, version));
-            }
-            if !sketching {
-                continue;
-            }
-            considered += 1;
-            let hops = self.global.estimate_hops(0, &entry.key).unwrap_or(0);
-            let bound = entry.postings.len().min(capacity);
-            let probe_cost = self.global.estimate_probe_bytes(&entry.key, hops, bound);
-            let observed = demand_known.then_some(entry.usage.probes);
-            if let Some(p) = PlannedSketch::select(version, &entry.postings, probe_cost, observed) {
-                planned.push((entry.key.clone(), p));
             }
         }
         maxima.sort_by(|a, b| a.0.cmp(&b.0));
@@ -675,31 +623,6 @@ impl AlvisNetwork {
             );
             self.ranking.record_key_max(&key, best, version);
         }
-        planned.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut report = SketchBuildReport {
-            considered_keys: considered,
-            ..SketchBuildReport::default()
-        };
-        self.sketches.clear();
-        for (key, p) in planned {
-            // `charge` adds the wire envelope, so the recorded Overlay bytes
-            // of a first-send delivery equal the measured `upkeep_bytes`
-            // (frame + envelope). A sketch losing every send never reaches
-            // the querier's cache.
-            if !self.publish_control(TrafficCategory::Overlay, key.ring_id(), p.frame.len()) {
-                continue;
-            }
-            report.sketched_keys += 1;
-            report.upkeep_bytes += p.upkeep_bytes as u64;
-            report.modeled_savings += p.modeled_savings;
-            report.decisions.push(SketchDecision {
-                key: key.canonical(),
-                upkeep_bytes: p.upkeep_bytes as u64,
-                modeled_savings: p.modeled_savings,
-            });
-            self.sketches.insert(key, p.sketch);
-        }
-        self.sketch_report = report;
     }
 
     /// Whether [`AlvisNetwork::build_index`] has run.
@@ -844,58 +767,6 @@ impl AlvisNetwork {
         self.query_seq
     }
 
-    /// Attempts to answer one planned probe from the querier's sketch cache
-    /// instead of the network: when a fresh sketch for `key` together with
-    /// the key's fresh published maximum proves every stored posting scores
-    /// below `score_floor` ([`KeySketch::proves_all_elided`]), the wire
-    /// response is known in advance (the all-elided frame), so the probe is
-    /// synthesized locally for **zero traffic**. Interest still reaches the
-    /// responsible peer's usage statistics via
-    /// [`GlobalIndex::note_interest`] so QDI keeps observing demand. Returns
-    /// the synthesized result plus the exact bytes the probe would have
-    /// charged — the executor admits those *virtual* bytes against byte
-    /// budgets so probe scheduling stays identical with and without pruning.
-    pub(crate) fn sketch_prune(
-        &mut self,
-        origin: usize,
-        key: &TermKey,
-        seq: u64,
-        score_floor: Option<f64>,
-    ) -> Option<(ProbeResult, u64)> {
-        if !self.config.sketch_policy.enabled() {
-            return None;
-        }
-        let version = self.global.publish_version(key);
-        let sketch = self.sketches.get(key).filter(|s| s.version() == version)?;
-        if !sketch.proves_all_elided(self.ranking.key_max_fresh(key, version), score_floor) {
-            return None;
-        }
-        let postings = sketch.pruned_response();
-        let response_len = sketch.pruned_response_len();
-        let hops = self.global.estimate_hops(origin, key).ok()?;
-        let responsible = self.global.responsible_for(key).ok()?;
-        let virtual_bytes = self.global.virtual_probe_bytes(key, hops, response_len);
-        let capacity = self.config.strategy.truncation_k();
-        self.global.note_interest(key, seq, capacity);
-        Some((
-            ProbeResult {
-                key: key.clone(),
-                postings: Some(postings),
-                hops,
-                responsible,
-                served_by: responsible,
-                replica_set: Vec::new(),
-                skipped: false,
-                // A pruned probe's savings are already captured whole by
-                // `virtual_bytes`; attributing elision here too would
-                // double-count against byte budgets.
-                skipped_blocks: 0,
-                elided_bytes: 0,
-            },
-            virtual_bytes,
-        ))
-    }
-
     /// Lets the strategy observe a finished query (QDI activation/eviction) and
     /// updates the behaviour counters.
     pub(crate) fn post_query_hook(
@@ -1029,13 +900,11 @@ impl AlvisNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ProbeEvent;
     use crate::hdk::HdkConfig;
-    use crate::posting::{ScoredRef, TruncatedPostingList};
     use crate::qdi::QdiConfig;
     use crate::request::ThresholdMode;
     use crate::strategy::{Qdi, SingleTermFull};
-    use alvisp2p_textindex::{demo_corpus, DocId};
+    use alvisp2p_textindex::demo_corpus;
 
     fn demo_network(strategy: impl Strategy + 'static, peers: usize) -> AlvisNetwork {
         AlvisNetwork::builder()
@@ -1499,43 +1368,36 @@ mod tests {
     }
 
     #[test]
-    fn stale_key_maxima_fall_back_to_conservative_floors() {
+    fn stale_key_maxima_send_no_floor() {
         // Lossy build: key-max evidence is recorded against the partially
         // published lists, then re-publication completes the lists and bumps
         // their versions — leaving the cached maxima stale (the true maximum
         // may now exceed them). Rank-safe execution must refuse to build
-        // floors from those caps and fall back per probe, counted in
-        // `rank_safe_fallbacks`.
-        let mut net = demo_network(Hdk::default(), 4);
-        net.set_fault_plane(FaultPlane::seeded(9).with_publish_loss(0.4));
-        net.build_index();
-        while net.pending_publishes() > 0 {
-            net.republish_round();
-        }
-        let stale: Vec<TermKey> = net
-            .global
-            .entries()
-            .filter(|e| e.activated)
-            .map(|e| e.key.clone())
-            .filter(|key| {
-                let version = net.global.publish_version(key);
-                net.ranking.key_max_score(key).is_some()
-                    && net.ranking.key_max_fresh(key, version).is_none()
-            })
-            .collect();
+        // floors from those caps: such a probe goes out floor-free, counted
+        // in `rank_safe_fallbacks` once θ exists.
+        // The lossy build is deterministic, so a second network is an exact
+        // replica to run the Off reference against.
+        let lossy_build = || {
+            let mut net = demo_network(Hdk::default(), 4);
+            net.set_fault_plane(FaultPlane::seeded(9).with_publish_loss(0.4));
+            net.build_index();
+            while net.pending_publishes() > 0 {
+                net.republish_round();
+            }
+            net
+        };
+        let (mut net, mut off_net) = (lossy_build(), lossy_build());
+        let is_stale = |net: &AlvisNetwork, key: &TermKey| {
+            let version = net.global.publish_version(key);
+            net.ranking.key_max_score(key).is_some()
+                && net.ranking.key_max_fresh(key, version).is_none()
+        };
         assert!(
-            !stale.is_empty(),
+            net.global
+                .entries()
+                .any(|e| e.activated && is_stale(&net, &e.key)),
             "drained re-publication should leave some cached maxima stale"
         );
-
-        // The same lossy build is deterministic, so a second network is an
-        // exact replica to run the Off reference against.
-        let mut off_net = demo_network(Hdk::default(), 4);
-        off_net.set_fault_plane(FaultPlane::seeded(9).with_publish_loss(0.4));
-        off_net.build_index();
-        while off_net.pending_publishes() > 0 {
-            off_net.republish_round();
-        }
 
         let queries = [
             "peer to peer retrieval",
@@ -1547,89 +1409,38 @@ mod tests {
         let mut fallbacks = 0usize;
         for (i, text) in queries.iter().enumerate() {
             let base = QueryRequest::new(*text).from_peer(i % 4).top_k(3);
-            let safe = net
-                .execute(&base.clone().threshold_mode(ThresholdMode::RankSafe))
-                .unwrap();
-            let off = off_net.execute(&base.threshold_probes(false)).unwrap();
-            let safe_docs: Vec<_> = safe.results.iter().map(|r| r.doc).collect();
-            let off_docs: Vec<_> = off.results.iter().map(|r| r.doc).collect();
-            assert_eq!(safe_docs, off_docs, "query {text:?} diverged");
-            fallbacks += safe.rank_safe_fallbacks;
-        }
-        assert!(
-            fallbacks > 0,
-            "no probe took the stale-cap Conservative fallback"
-        );
-    }
-
-    #[test]
-    fn sketch_pruning_is_version_gated() {
-        let mut net = AlvisNetwork::builder()
-            .peers(4)
-            .strategy(Hdk::default())
-            .sketch_policy(SketchPolicy::CostBased)
-            .seed(7)
-            .documents(demo_corpus())
-            .build_indexed()
-            .unwrap();
-        // With top-1 answers the running floor climbs above whole keys, so
-        // some query has a probe answered from the sketch cache.
-        let probe_events = |net: &mut AlvisNetwork, text: &str| -> Vec<ProbeEvent> {
-            let req = QueryRequest::new(text)
-                .top_k(1)
-                .threshold_mode(ThresholdMode::Aggressive);
-            let plan = net.plan(&req).unwrap();
-            let mut stream = net.stream(plan, req).unwrap();
+            let plan = net.plan(&base).unwrap();
+            let keys: Vec<TermKey> = plan.probes().map(|node| node.key.clone()).collect();
+            // A probe's cap is stale when its own maximum, or that of a plan
+            // key disjoint from it, is.
+            let stale_cap = |net: &AlvisNetwork, key: &TermKey| {
+                keys.iter().any(|other| {
+                    (other == key || other.term_ids().iter().all(|t| !key.term_ids().contains(t)))
+                        && is_stale(net, other)
+                })
+            };
+            let mut stream = net.stream(plan, base.clone()).unwrap();
             let mut events = Vec::new();
             while let Some(event) = stream.next_event() {
                 events.push(event.unwrap());
             }
-            stream.finish().unwrap();
-            events
-        };
-        let queries = [
-            "peer to peer retrieval",
-            "distributed hash table",
-            "posting list index",
-            "query driven indexing",
-            "network peers index",
-        ];
-        let (text, fresh) = queries
-            .iter()
-            .map(|text| (*text, probe_events(&mut net, text)))
-            .find(|(_, events)| events.iter().any(|e| e.pruned))
-            .expect("no demo query had a sketch-pruned probe");
-        let event = fresh.iter().find(|e| e.pruned).unwrap();
-        let (key, floor) = (event.key.clone(), event.score_floor);
-        assert_eq!(event.bytes, 0, "a pruned probe never touches the wire");
-        assert!(net.sketch_prune(0, &key, 0, floor).is_some());
-
-        // A post-build publication (scoring below the floor, so the answer
-        // cannot move) bumps the key's publish version: the cached sketch and
-        // the recorded maximum are both stale, nothing is proven any more and
-        // the probe goes to the wire.
-        let capacity = net.config.strategy.truncation_k();
-        let delta = TruncatedPostingList::from_refs(
-            [ScoredRef {
-                doc: DocId::new(0, 9_999),
-                score: 0.0,
-            }],
-            capacity,
-        );
-        net.global
-            .publish_postings(0, &key, &delta, capacity)
-            .unwrap();
-        let version = net.global.publish_version(&key);
-        assert_ne!(net.sketches[&key].version(), version);
-        assert!(net.ranking.key_max_fresh(&key, version).is_none());
-        assert!(net.sketch_prune(0, &key, 0, floor).is_none());
-        let stale = probe_events(&mut net, text);
-        let event = stale.iter().find(|e| e.key == key).unwrap();
-        assert!(!event.pruned);
-        assert!(
-            event.bytes > 0,
-            "the stale-sketch probe must pay for itself"
-        );
+            let safe = stream.finish().unwrap();
+            for event in events.iter().filter(|e| stale_cap(&net, &e.key)) {
+                assert_eq!(event.score_floor, None, "{text:?}: {:?}", event.key);
+            }
+            let off = off_net
+                .execute(&base.threshold_mode(ThresholdMode::Off))
+                .unwrap();
+            let bits = |r: &QueryResponse| -> Vec<_> {
+                r.results
+                    .iter()
+                    .map(|d| (d.doc, d.score.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&safe), bits(&off), "query {text:?} diverged");
+            fallbacks += safe.rank_safe_fallbacks;
+        }
+        assert!(fallbacks > 0, "no probe took the stale-cap fallback");
     }
 
     #[test]

@@ -40,13 +40,11 @@ pub struct GlobalRankingStats {
     /// records). Because every document is scored by exactly one owner, a
     /// *fresh* record — one whose version still matches the key's current
     /// publish version — upper-bounds every score the key's stored posting
-    /// list can return; [`crate::request::ThresholdMode::RankSafe`] floors and
-    /// sketch pruning ([`crate::sketch::KeySketch::proves_all_elided`]) share
-    /// it as one provably-safe bound — the sketch frame carries no copy. A
-    /// stale record (lossy publications can leave the cache behind the list)
-    /// bounds nothing, which is why the rank-safe path checks
-    /// [`GlobalRankingStats::key_max_fresh`] and falls back rather than trust
-    /// it.
+    /// list can return; [`crate::request::ThresholdMode::RankSafe`] floors
+    /// are built on it. A stale record (lossy publications can leave the
+    /// cache behind the list) bounds nothing, which is why the rank-safe path
+    /// checks [`GlobalRankingStats::key_max_fresh`] and sends no floor rather
+    /// than trust it.
     key_max: HashMap<TermKey, (f64, u64)>,
 }
 

@@ -11,62 +11,57 @@ use crate::lattice::LatticeTrace;
 use crate::network::RefinedResult;
 use alvisp2p_textindex::bm25::ScoredDoc;
 
-/// How aggressively the executor feeds the running k-th merged score back into
+/// Whether the executor feeds the running k-th merged score `θ` back into
 /// subsequent probes as a score floor (threshold-aware probes; the policy
-/// itself lives in [`crate::exec::QueryStream`]).
+/// itself lives in [`crate::exec::QueryStream`]). Exact or off — there is no
+/// lossy rung:
 ///
-/// The four modes form a safety ladder. With `m` query terms and running
-/// k-th merged score `θ`:
+/// * [`ThresholdMode::Off`] never sends a floor: the byte baseline, and the
+///   reference every exactness test compares against.
+/// * [`ThresholdMode::RankSafe`] (the default) is the Block-Max-WAND-style
+///   operating point: the floor sent to key *i* is
+///   `θ_LB − Σ_{j≠i} max_score(j)` (see [`rank_safe_floor`]), derived from
+///   per-key maximum scores that ride every publication into
+///   [`crate::ranking::GlobalRankingStats`] and from a *monotone lower bound*
+///   on `θ` (per-document first-list scores, immune to the coverage-weighted
+///   merge's non-monotonicity). A document elided under such a floor provably
+///   could not have entered the final top-k, so this mode returns the exact
+///   documents, ranks *and scores* of `Off` at no more posting bytes — the
+///   proptest-pinned headline invariant (2,087 vs 2,189 B/query on
+///   `BENCH_bandwidth.json`'s long-lists arm). A probe whose own cached
+///   maximum, or that of a key disjoint from it, is stale (older than the
+///   list's current publish version, possible under lossy publications) goes
+///   out floor-free; [`QueryResponse::rank_safe_fallbacks`] counts those
+///   probes.
 ///
-/// * [`ThresholdMode::Off`] never sends a floor (the PR 3 byte baseline).
-/// * [`ThresholdMode::RankSafe`] is the Block-Max-WAND-style operating point:
-///   the floor sent to key *i* is `θ_LB − Σ_{j≠i} max_score(j)` (see
-///   [`rank_safe_floor`]), derived from per-key maximum scores that ride
-///   every publication into [`crate::ranking::GlobalRankingStats`] and from a
-///   *monotone lower bound* on `θ` (per-document first-list scores, immune to
-///   the coverage-weighted merge's non-monotonicity). A document elided under
-///   such a floor provably could not have entered the final top-k, so this
-///   mode returns the exact documents *and ranks* of `Off` at strictly fewer
-///   posting bytes — the proptest-pinned headline invariant. Keys whose
-///   cached maximum is stale (older than the list's current publish version,
-///   possible under lossy publications) fall back to the `Conservative`
-///   floor; [`QueryResponse::rank_safe_fallbacks`] counts those probes.
-/// * [`ThresholdMode::Aggressive`] floors at `θ / m`: the bandwidth-first
-///   operating point. A document elided everywhere still cannot aggregate to
-///   `θ`, but merged scores of retrieved documents may lose sub-floor
-///   components, so boundary ranks are approximate — the same trade
-///   posting-list truncation itself makes, measured (bytes saved vs. result
-///   overlap) by the bench arms instead of asserted equal.
+/// Two inexact floors, `θ / (2m)` ("conservative", once the default and
+/// documented rank-exact "empirically") and `θ / m` ("aggressive"), and the
+/// per-key sketch layer that pre-pruned probes against them, were deleted:
+/// a skip is admissible only when the answer over the kept data is identical.
+/// Measured on 300 mid-term + head-term pair queries over HDK (250-doc-scale
+/// corpus, `top_k` 10; answers compared with the `Off` run's):
 ///
-/// The fourth, [`ThresholdMode::Conservative`] (floor `θ / (2m)`; still the
-/// default for compatibility), is a deprecated alias rung: rank-exactness was
-/// only ever pinned empirically, and `RankSafe` now dominates it — provably
-/// exact *and* at least as much elision wherever fresh maxima are available.
-/// It remains as the documented fallback `RankSafe` degrades to per-key under
-/// staleness.
+/// | mode | retrieval B/query | with sketches: pruned, net | answers ≠ `Off` (score bits) | top-10 doc set ≠ `Off` | mean overlap@10 |
+/// |---|---|---|---|---|---|
+/// | `Off` | 2,377 | 0 pruned, −0.2% | — | — | — |
+/// | `RankSafe` | 2,377 | 0 pruned, −0.2% | 0 / 300 | 0 / 300 | 1.0000 |
+/// | `θ / (2m)` | 1,848 | 181 pruned, +12.0% | 187 / 300 | 26 / 300 | 0.9653 |
+/// | `θ / m` | 1,834 | 189 pruned, +12.6% | 189 / 300 | 28 / 300 | 0.9547 |
 ///
-/// The committed `BENCH_bandwidth.json` numbers: `Conservative` equals `Off`
-/// to the byte on both arms, and on the long-lists arm `Aggressive` ships
-/// 2,182 B/query against `RankSafe`'s exact 2,087.
+/// The sketch proof `key_max < floor` is unsatisfiable under an exact floor
+/// for any non-empty list (`floor < cap(i)` always), hence the zero prunes.
+/// The lossy levers the paper itself has — posting-list truncation and
+/// [`QueryRequest::byte_budget`] with [`QueryResponse::budget_exhausted`] —
+/// stay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ThresholdMode {
     /// No score floor is ever sent.
     Off,
-    /// Floor at `θ / (2m)`: a fully-elided document cannot reach the running
-    /// k-th score as of the probe that elided it. Deprecated alias rung of
-    /// the ladder — prefer [`ThresholdMode::RankSafe`], which is provably
-    /// rank-exact instead of empirically so; `Conservative` survives as the
-    /// per-key fallback floor under stale maxima (and as the default, for
-    /// compatibility with pre-`RankSafe` callers).
-    #[default]
-    Conservative,
     /// Provably rank-safe per-probe floors from published per-key max scores:
-    /// byte-identical top-k documents and ranks to [`ThresholdMode::Off`] at
-    /// strictly fewer posting bytes.
+    /// byte-identical top-k documents, ranks and scores to
+    /// [`ThresholdMode::Off`] at no more posting bytes.
+    #[default]
     RankSafe,
-    /// Floor at `θ / m`: maximal safe-membership elision, approximate
-    /// boundary ranks.
-    Aggressive,
 }
 
 /// The rank-safe floor for one probe: `θ_LB − Σ_{j≠i} cap(j)`, widened down
@@ -127,11 +122,10 @@ pub struct QueryRequest {
     pub byte_budget: Option<u64>,
     /// Optional bound on the total overlay hops of the exploration.
     pub hop_budget: Option<usize>,
-    /// Threshold-aware probing mode: whether (and how aggressively) the
-    /// executor feeds the running k-th merged score back into subsequent
-    /// probes as a score floor, letting responsible peers elide posting
-    /// entries the running top-k already dominates. Defaults to
-    /// [`ThresholdMode::Conservative`].
+    /// Threshold-aware probing mode: whether the executor feeds the running
+    /// k-th merged score back into subsequent probes as a score floor,
+    /// letting responsible peers elide posting entries that provably cannot
+    /// enter the top-k. Defaults to [`ThresholdMode::RankSafe`].
     pub threshold: ThresholdMode,
 }
 
@@ -180,18 +174,7 @@ impl QueryRequest {
         self
     }
 
-    /// Enables or disables threshold-aware probes (shorthand for
-    /// [`ThresholdMode::Conservative`] / [`ThresholdMode::Off`]).
-    pub fn threshold_probes(mut self, enabled: bool) -> Self {
-        self.threshold = if enabled {
-            ThresholdMode::Conservative
-        } else {
-            ThresholdMode::Off
-        };
-        self
-    }
-
-    /// Sets the threshold-aware probing mode explicitly.
+    /// Sets the threshold-aware probing mode.
     pub fn threshold_mode(mut self, mode: ThresholdMode) -> Self {
         self.threshold = mode;
         self
@@ -226,13 +209,6 @@ pub struct QueryResponse {
     /// [`crate::plan::BudgetPolicy`] (`Cutoff` may overshoot by one probe,
     /// `Reserve` never exceeds the budget).
     pub budget_exhausted: bool,
-    /// Number of scheduled probes answered from the querier's sketch cache
-    /// instead of the network: a fresh [`crate::sketch::KeySketch`] proved the
-    /// response useless before it was sent, so the probe charged zero traffic
-    /// (its would-have-been bytes were still admitted against any byte budget,
-    /// keeping the schedule identical with and without sketches). Always `0`
-    /// under [`crate::sketch::SketchPolicy::NoSketches`].
-    pub pruned_probes: usize,
     /// Total probe re-sends across the query (each failed attempt that the
     /// [`crate::fault::RetryPolicy`] followed up on counts once). Always `0`
     /// under [`crate::fault::FaultPlane::NoFaults`].
@@ -250,12 +226,12 @@ pub struct QueryResponse {
     /// holder after the primary proved unresponsive. Always `0` under
     /// [`crate::fault::FaultPlane::NoFaults`].
     pub hedged: usize,
-    /// Under [`ThresholdMode::RankSafe`] only: the number of probes that fell
-    /// back to the `Conservative` floor because some query term had no fresh
-    /// published maximum — either never published, or cached at a version
-    /// older than the key's current publish version (possible under lossy
-    /// publications). Rank-safety is preserved either way; fallbacks only
-    /// cost elision depth. Always `0` in every other mode.
+    /// Under [`ThresholdMode::RankSafe`] only: the number of probes that went
+    /// out floor-free, although the running top-k was full, because a
+    /// published maximum their floor depends on was stale — cached at a
+    /// version older than the key's current publish version (possible under
+    /// lossy publications). Rank-safety is preserved either way; fallbacks
+    /// only cost elision. Always `0` under [`ThresholdMode::Off`].
     pub rank_safe_fallbacks: usize,
     /// How much of the planned document-frequency mass the answer actually
     /// covers, with per-key failure causes — the "gracefully degraded answer"
@@ -298,16 +274,13 @@ mod tests {
         assert!(!r.refine);
         assert_eq!(r.byte_budget, None);
         assert_eq!(r.hop_budget, None);
-        assert_eq!(r.threshold, ThresholdMode::Conservative);
-        assert_eq!(
-            QueryRequest::new("x").threshold_probes(false).threshold,
-            ThresholdMode::Off
-        );
+        assert_eq!(ThresholdMode::default(), ThresholdMode::RankSafe);
+        assert_eq!(r.threshold, ThresholdMode::RankSafe);
         assert_eq!(
             QueryRequest::new("x")
-                .threshold_mode(ThresholdMode::Aggressive)
+                .threshold_mode(ThresholdMode::Off)
                 .threshold,
-            ThresholdMode::Aggressive
+            ThresholdMode::Off
         );
     }
 

@@ -4,8 +4,8 @@
 //! baseline, Highly Discriminative Keys and Query-Driven Indexing. Earlier
 //! revisions hard-coded them as a closed enum inside the network driver; this
 //! module turns the policy into an object-safe [`Strategy`] trait so that new
-//! policies (e.g. skew-aware key placement or cost-based sketch selection, see
-//! PAPERS.md) plug in without touching `network.rs`:
+//! policies (e.g. skew-aware key placement, see PAPERS.md) plug in without
+//! touching `network.rs`:
 //!
 //! * [`Strategy::build_index`] plans and publishes the keys for every peer's
 //!   documents through an [`IndexerCtx`];

@@ -81,7 +81,6 @@ fn eager_reference(net: &mut AlvisNetwork, request: &QueryRequest) -> Observed {
     let lattice = net.strategy().lattice_config(&net.config().lattice);
     let capacity = net.strategy().truncation_k();
     let seq = net.queries_processed() + 1;
-    let m = plan.query_key.as_ref().expect("non-empty query").len() as f64;
     let keys: Vec<TermKey> = plan.probes().map(|n| n.key.clone()).collect();
     let laminar = keys_are_laminar(&keys);
     let fresh: Vec<Option<f64>> = keys
@@ -109,7 +108,7 @@ fn eager_reference(net: &mut AlvisNetwork, request: &QueryRequest) -> Observed {
 
     let mut cursor = PlanCursor::new(plan, &lattice, request.byte_budget, None);
     let before = retrieval_bytes(net);
-    let (mut scaled, mut theta_lb): (Option<f64>, Option<f64>) = (None, None);
+    let mut theta_lb: Option<f64> = None;
     let mut observed = Observed {
         floors: Vec::new(),
         top_ks: Vec::new(),
@@ -121,15 +120,14 @@ fn eager_reference(net: &mut AlvisNetwork, request: &QueryRequest) -> Observed {
     while let CursorStep::Probe(key) = cursor.next_key(retrieval_bytes(net) - before) {
         let floor = match request.threshold {
             ThresholdMode::Off => None,
-            ThresholdMode::Conservative | ThresholdMode::Aggressive => scaled,
             ThresholdMode::RankSafe if !laminar => None,
             ThresholdMode::RankSafe => match cap(&key) {
                 Some((own, disjoint_sum)) => {
                     theta_lb.and_then(|t| rank_safe_floor(t, own + disjoint_sum, own))
                 }
                 None => {
-                    observed.fallbacks += usize::from(scaled.is_some());
-                    scaled
+                    observed.fallbacks += usize::from(theta_lb.is_some());
+                    None
                 }
             },
         };
@@ -143,11 +141,6 @@ fn eager_reference(net: &mut AlvisNetwork, request: &QueryRequest) -> Observed {
         cursor.record(probe);
         let top_k = merge_retrieved(cursor.retrieved(), TOP_K);
         let theta = (top_k.len() >= TOP_K).then(|| top_k.last().unwrap().score);
-        scaled = match request.threshold {
-            ThresholdMode::Off => None,
-            ThresholdMode::Aggressive => theta.map(|t| t * 1.0 / m),
-            ThresholdMode::Conservative | ThresholdMode::RankSafe => theta.map(|t| t * 0.5 / m),
-        };
         if let (ThresholdMode::RankSafe, true, Some(t)) = (request.threshold, laminar, theta) {
             theta_lb = Some(theta_lb.map_or(t, |lb| lb.max(t)));
         }
@@ -193,12 +186,7 @@ fn lazy_theta_matches_the_eager_reference_in_every_mode() {
     // Frequent vocabulary terms: lists long enough for the top-k to fill.
     let vocab = &corpus.vocabulary;
     for terms in [2usize, 3] {
-        for mode in [
-            ThresholdMode::Off,
-            ThresholdMode::Conservative,
-            ThresholdMode::RankSafe,
-            ThresholdMode::Aggressive,
-        ] {
+        for mode in [ThresholdMode::Off, ThresholdMode::RankSafe] {
             let mut floors_sent = 0usize;
             for i in 5..13 {
                 let text = vocab[i..i + terms].join(" ");
@@ -233,11 +221,14 @@ fn lazy_theta_matches_the_eager_reference_in_every_mode() {
                 assert_eq!(got.trace.elided_bytes, want.trace.elided_bytes, "{ctx}");
                 floors_sent += got.floors.iter().flatten().count();
             }
-            // Non-vacuous on both sides of the rule: the modes that can
-            // derive a floor do send some, the others never do.
-            let floorless =
-                mode == ThresholdMode::Off || (mode == ThresholdMode::RankSafe && terms == 3);
-            assert_eq!(floors_sent == 0, floorless, "{mode:?} x {terms} terms");
+            // Non-vacuous on both sides of the rule: RankSafe over the
+            // laminar plans does send floors, everything else never does.
+            let want = if mode == ThresholdMode::RankSafe && terms == 2 {
+                8
+            } else {
+                0
+            };
+            assert_eq!(floors_sent, want, "{mode:?} x {terms} terms");
         }
     }
 }

@@ -17,7 +17,7 @@ use alvisp2p_core::codec::{
 };
 use alvisp2p_core::network::AlvisNetwork;
 use alvisp2p_core::posting::{ScoredRef, TruncatedPostingList};
-use alvisp2p_core::request::{QueryRequest, ThresholdMode};
+use alvisp2p_core::request::{QueryRequest, QueryResponse, ThresholdMode};
 use alvisp2p_core::strategy::{Hdk, Qdi, SingleTermFull, Strategy as IndexingStrategy};
 use alvisp2p_textindex::{
     CorpusConfig, CorpusGenerator, DocId, QueryLogConfig, QueryLogGenerator, SyntheticCorpus,
@@ -219,12 +219,56 @@ fn query_texts(corpus: &SyntheticCorpus, n: usize, seed: u64) -> Vec<String> {
     .collect()
 }
 
-/// The headline equality: across random corpora and strategies, the ranked
-/// top-k documents under the default [`ThresholdMode::Conservative`] are
-/// identical — docs and traces — to unthresholded execution, and the
-/// thresholded run never ships more bytes. (Deterministic: seeds are fixed.)
+/// Runs `queries` through two identical networks — the default request on
+/// one, [`ThresholdMode::Off`] on the other — and asserts the answers are
+/// identical in documents, ranks and score bits, the traces probe-for-probe
+/// (floor elision only shrinks responses; pruning is preserved), and the
+/// default never ships more bytes.
+fn assert_default_equals_off(
+    ctx: &str,
+    with: &mut AlvisNetwork,
+    without: &mut AlvisNetwork,
+    queries: &[String],
+) {
+    let peers = with.peer_count();
+    for (i, text) in queries.iter().enumerate() {
+        let base = QueryRequest::new(text.clone())
+            .from_peer(i % peers)
+            .top_k(10);
+        let on = with.execute(&base).unwrap();
+        let off = without
+            .execute(&base.threshold_mode(ThresholdMode::Off))
+            .unwrap();
+        assert_eq!(
+            ranked_bits(&on),
+            ranked_bits(&off),
+            "{ctx} query {i} {text:?}: top-k changed"
+        );
+        assert_eq!(on.trace.nodes, off.trace.nodes, "{ctx} query {i}");
+        assert!(
+            on.bytes <= off.bytes,
+            "{ctx} query {i}: thresholded probe shipped more bytes"
+        );
+    }
+}
+
+/// Bit-exact view of a response's ranking.
+fn ranked_bits(response: &QueryResponse) -> Vec<(DocId, u64)> {
+    response
+        .results
+        .iter()
+        .map(|r| (r.doc, r.score.to_bits()))
+        .collect()
+}
+
+/// The headline equality: a [`QueryRequest`] with no `.threshold_mode(..)`
+/// call answers exactly like unthresholded execution — across random corpora
+/// and strategies, and on the head-term-pair regime (one mid-frequency term
+/// whose matches set a high floor, one head term with a long low-idf list)
+/// where the old `θ / (2m)` default returned a different top-10.
+/// (Deterministic: seeds are fixed.)
 #[test]
-fn conservative_threshold_keeps_the_top_k_exactly() {
+fn default_threshold_keeps_the_top_k_exactly() {
     let strategies: Vec<(&str, Arc<dyn IndexingStrategy>)> = vec![
         ("single-term", Arc::new(SingleTermFull)),
         ("hdk", Arc::new(Hdk::default())),
@@ -235,77 +279,45 @@ fn conservative_threshold_keeps_the_top_k_exactly() {
         for (label, strategy) in &strategies {
             let mut with = network(&corpus, Arc::clone(strategy), seed);
             let mut without = network(&corpus, Arc::clone(strategy), seed);
-            for (i, text) in queries.iter().enumerate() {
-                let base = QueryRequest::new(text.clone()).from_peer(i % 8).top_k(10);
-                let on = with.execute(&base.clone()).unwrap();
-                let off = without.execute(&base.threshold_probes(false)).unwrap();
-                let on_docs: Vec<_> = on.results.iter().map(|r| r.doc).collect();
-                let off_docs: Vec<_> = off.results.iter().map(|r| r.doc).collect();
-                assert_eq!(
-                    on_docs, off_docs,
-                    "{label} corpus({docs},{seed}) query {i} {text:?}: top-k changed"
-                );
-                // Floor elision only shrinks responses; pruning is preserved,
-                // so the traces are identical probe-for-probe.
-                assert_eq!(on.trace.nodes, off.trace.nodes);
-                assert!(
-                    on.bytes <= off.bytes,
-                    "{label} query {i}: thresholded probe shipped more bytes"
-                );
-            }
+            let ctx = format!("{label} corpus({docs},{seed})");
+            assert_default_equals_off(&ctx, &mut with, &mut without, &queries);
         }
     }
-}
 
-/// The bandwidth-first [`ThresholdMode::Aggressive`] point (`θ / m`): real
-/// byte savings on the frequent-term workload (the paper's problematic case)
-/// at near-identical top-k membership. Deterministic, so the measured trade
-/// is pinned rather than asserted as exact equality.
-#[test]
-fn aggressive_threshold_trades_bounded_overlap_loss_for_bytes() {
-    let corpus = corpus(300, 7);
-    // Frequent vocabulary terms: the long posting lists thresholds act on.
-    let queries: Vec<String> = (5..25)
-        .map(|i| format!("{} {}", corpus.vocabulary[i], corpus.vocabulary[i + 1]))
+    let seed = 20_080_824;
+    let head_pairs = CorpusGenerator::new(
+        CorpusConfig {
+            num_docs: 250,
+            vocab_size: 500,
+            num_topics: 6,
+            topic_vocab: 60,
+            doc_len_mean: 80,
+            doc_len_spread: 30,
+            ..Default::default()
+        },
+        seed,
+    )
+    .generate();
+    let vocab = &head_pairs.vocabulary;
+    let queries: Vec<String> = (0..24)
+        .map(|i| format!("{} {}", vocab[80 + 2 * i], vocab[i]))
         .collect();
-    let mut aggressive = network(&corpus, Arc::new(SingleTermFull), 7);
-    let mut off = network(&corpus, Arc::new(SingleTermFull), 7);
-    let mut overlap_sum = 0.0;
-    let mut queries_scored = 0usize;
-    let mut aggressive_bytes = 0u64;
-    let mut off_bytes = 0u64;
-    for (i, text) in queries.iter().enumerate() {
-        let base = QueryRequest::new(text.clone()).from_peer(i % 8).top_k(10);
-        let a = aggressive
-            .execute(&base.clone().threshold_mode(ThresholdMode::Aggressive))
-            .unwrap();
-        let o = off.execute(&base.threshold_probes(false)).unwrap();
-        let a_docs: std::collections::HashSet<_> = a.results.iter().map(|r| r.doc).collect();
-        let o_docs: std::collections::HashSet<_> = o.results.iter().map(|r| r.doc).collect();
-        if !o_docs.is_empty() {
-            overlap_sum += a_docs.intersection(&o_docs).count() as f64 / o_docs.len() as f64;
-            queries_scored += 1;
-        }
-        aggressive_bytes += a.bytes;
-        off_bytes += o.bytes;
-    }
-    let mean_overlap = overlap_sum / queries_scored as f64;
-    assert!(
-        mean_overlap >= 0.9,
-        "aggressive thresholding lost too much of the top-k: overlap {mean_overlap:.3}"
-    );
-    assert!(
-        aggressive_bytes < off_bytes,
-        "aggressive thresholding saved no bytes ({aggressive_bytes} vs {off_bytes})"
-    );
+    let build = || {
+        AlvisNetwork::builder()
+            .peers(16)
+            .strategy(Hdk::default())
+            .seed(seed)
+            .corpus(&head_pairs)
+            .build_indexed()
+            .expect("valid configuration")
+    };
+    assert_default_equals_off("hdk head-term pairs", &mut build(), &mut build(), &queries);
 }
 
 /// The headline `RankSafe` invariant: across random corpora × strategies ×
 /// byte budgets, rank-safe execution returns top-k documents **and ranks**
 /// byte-identical to [`ThresholdMode::Off`] — the merged scores compared as
 /// raw bits, not approximately — while never shipping more posting bytes.
-/// This is the deterministic-equality bar the heuristic `Aggressive` mode can
-/// never meet, and `Conservative`'s soundness argument never covered.
 /// (Deterministic: seeds are fixed.)
 #[test]
 fn rank_safe_matches_off_bit_for_bit_across_the_matrix() {
@@ -330,21 +342,12 @@ fn rank_safe_matches_off_bit_for_bit_across_the_matrix() {
                     let safe_req = base.clone().threshold_mode(ThresholdMode::RankSafe);
                     let plan_s = safe.plan_with(&planner, &safe_req).unwrap();
                     let s = safe.run(&plan_s, &safe_req).unwrap();
-                    let off_req = base.threshold_probes(false);
+                    let off_req = base.threshold_mode(ThresholdMode::Off);
                     let plan_o = off.plan_with(&planner, &off_req).unwrap();
                     let o = off.run(&plan_o, &off_req).unwrap();
-                    let s_ranked: Vec<(DocId, u64)> = s
-                        .results
-                        .iter()
-                        .map(|r| (r.doc, r.score.to_bits()))
-                        .collect();
-                    let o_ranked: Vec<(DocId, u64)> = o
-                        .results
-                        .iter()
-                        .map(|r| (r.doc, r.score.to_bits()))
-                        .collect();
                     assert_eq!(
-                        s_ranked, o_ranked,
+                        ranked_bits(&s),
+                        ranked_bits(&o),
                         "{label} corpus({docs},{seed}) budget {budget:?} query {i} {text:?}: \
                          rank-safe diverged from off"
                     );
@@ -377,20 +380,10 @@ fn rank_safe_matches_off_under_qdi_activation() {
         let safe_req = base.clone().threshold_mode(ThresholdMode::RankSafe);
         let plan_s = safe.plan_with(&planner, &safe_req).unwrap();
         let s = safe.run(&plan_s, &safe_req).unwrap();
-        let off_req = base.threshold_probes(false);
+        let off_req = base.threshold_mode(ThresholdMode::Off);
         let plan_o = off.plan_with(&planner, &off_req).unwrap();
         let o = off.run(&plan_o, &off_req).unwrap();
-        let s_ranked: Vec<(DocId, u64)> = s
-            .results
-            .iter()
-            .map(|r| (r.doc, r.score.to_bits()))
-            .collect();
-        let o_ranked: Vec<(DocId, u64)> = o
-            .results
-            .iter()
-            .map(|r| (r.doc, r.score.to_bits()))
-            .collect();
-        assert_eq!(s_ranked, o_ranked, "qdi query {i} {text:?}");
+        assert_eq!(ranked_bits(&s), ranked_bits(&o), "qdi query {i} {text:?}");
         assert!(
             s.bytes <= o.bytes,
             "qdi query {i}: rank-safe shipped more bytes"
@@ -418,7 +411,7 @@ fn threshold_probes_respect_budgets_and_agree_when_not_truncated() {
                 .plan_with(&alvisp2p_core::plan::GreedyCost::default(), &base)
                 .unwrap();
             let on = with.run(&plan_on, &base).unwrap();
-            let off_request = base.threshold_probes(false);
+            let off_request = base.threshold_mode(ThresholdMode::Off);
             let plan_off = without
                 .plan_with(&alvisp2p_core::plan::GreedyCost::default(), &off_request)
                 .unwrap();

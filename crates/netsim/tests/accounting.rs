@@ -210,74 +210,6 @@ mod control_plane_ledger {
         assert_eq!(delta.category(TrafficCategory::Retrieval).bytes, 0);
     }
 
-    /// The counterfactual ledger [`virtual_probe_bytes`] mirrors a real
-    /// probe's Retrieval charge to the byte — including the 4-byte Adler-32
-    /// frame trailer — for both a full response and a floor-elided one whose
-    /// frame keeps no entries. If the counterfactual dropped the trailer (or
-    /// any envelope), sketch-pruned probes would under-report their savings
-    /// and budget admission would drift from the sketch-free schedule.
-    ///
-    /// [`virtual_probe_bytes`]: alvisp2p_core::index::GlobalIndex::virtual_probe_bytes
-    #[test]
-    fn virtual_probe_bytes_match_a_real_probe_charge_exactly() {
-        let docs = (0..12).map(|i| {
-            (
-                format!("doc{i}"),
-                format!("peer to peer retrieval of distributed document {i} index"),
-            )
-        });
-        let mut net = AlvisNetwork::builder()
-            .peers(4)
-            .strategy(Hdk::default())
-            .seed(7)
-            .documents(docs)
-            .build()
-            .expect("valid configuration");
-        net.build_index();
-        let (key, postings) = net
-            .global_index()
-            .entries()
-            .find(|e| e.activated && !e.postings.is_empty())
-            .map(|e| (e.key.clone(), e.postings.clone()))
-            .expect("an activated key");
-        let origin = 2;
-        let hops = net.global_index().estimate_hops(origin, &key).unwrap();
-        let capacity = postings.capacity();
-
-        // Full response: the frame as the responsible peer encodes it,
-        // checksum trailer and all.
-        let frame_len = alvisp2p_core::codec::encode_list(&postings, None).len();
-        let before = net.traffic_snapshot();
-        net.global_index_mut()
-            .probe(origin, &key, 1, capacity, None, 0, None)
-            .unwrap();
-        let delta = net.traffic_snapshot().since(&before);
-        assert_eq!(
-            delta.category(TrafficCategory::Retrieval).bytes,
-            net.global_index()
-                .virtual_probe_bytes(&key, hops, frame_len),
-            "counterfactual diverged from the real probe charge"
-        );
-
-        // All-elided response: a floor above the best score keeps nothing,
-        // so the frame is the empty-payload header plus the trailer. The
-        // counterfactual must still match to the byte.
-        let floor = postings.best_score().unwrap() + 1.0;
-        let elided_len = alvisp2p_core::codec::encode_list(&postings, Some(floor)).len();
-        assert!(elided_len < frame_len);
-        let before = net.traffic_snapshot();
-        net.global_index_mut()
-            .probe(origin, &key, 2, capacity, Some(floor), 0, None)
-            .unwrap();
-        let delta = net.traffic_snapshot().since(&before);
-        assert_eq!(
-            delta.category(TrafficCategory::Retrieval).bytes,
-            net.global_index()
-                .virtual_probe_bytes(&key, hops, elided_len),
-            "all-elided counterfactual diverged (trailer under-reported?)"
-        );
-    }
-
     /// Draining the re-publication queue after a lossy index build charges
     /// Overlay only: no re-send byte is booked as first-time Indexing traffic
     /// and none leaks into the Retrieval books.

@@ -17,8 +17,8 @@
 //!   by every experiment.
 //!
 //! The *Alvis document digest* (the interchange format for plugging external
-//! search engines into a peer) lives upstream in `alvisp2p-core`'s sketch
-//! module, alongside the other compact per-collection summaries.
+//! search engines into a peer) lives upstream in `alvisp2p-core`'s `digest`
+//! module.
 //!
 //! ```
 //! use alvisp2p_textindex::{Analyzer, Bm25Searcher, DocId, InvertedIndex};

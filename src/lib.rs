@@ -124,9 +124,8 @@ pub mod prelude {
         BestEffort, BudgetPolicy, GreedyCost, PlanCtx, PlanDecision, PlanHints, PlanNode, Planner,
         QueryPlan,
     };
-    // Per-key provenance sketches and the document digest.
+    // The document digest.
     pub use alvisp2p_core::digest::DocumentDigest;
-    pub use alvisp2p_core::sketch::{KeySketch, SketchBuildReport, SketchPolicy};
     // Fault injection and the policy that survives it.
     pub use alvisp2p_core::fault::{
         Completeness, FailureCause, FaultConfig, FaultPlane, ProbeOutcome, RetryPolicy,
