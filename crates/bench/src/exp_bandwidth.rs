@@ -345,22 +345,28 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
     };
     let texts: Vec<String> = log.queries.iter().map(|q| q.text.clone()).collect();
 
-    // HDK is non-adaptive (no post-query index changes) and every metric below
-    // comes from per-response deltas, so one indexed network serves every
-    // (budget, planner) combination — and doubles as the centralized reference.
-    let mut net = workloads::indexed_network(
-        &corpus,
-        Arc::new(Hdk::new(workloads::default_hdk())),
-        params.peers,
-        params.seed,
-    );
-    net.reset_traffic();
+    // HDK is non-adaptive (no post-query index changes), but the peers of a
+    // network remember where they found each key (routing shortcuts), so an
+    // arm that ran after another on the same network would be charged fewer
+    // routing bytes for the same probes. Every (budget, planner) combination
+    // therefore gets an identically seeded network of its own: the byte
+    // differences between arms are the planner's and the threshold's alone.
+    let build = || {
+        workloads::indexed_network(
+            &corpus,
+            Arc::new(Hdk::new(workloads::default_hdk())),
+            params.peers,
+            params.seed,
+        )
+    };
     // The centralized reference ranking depends only on the query text, so
     // compute it once per query rather than per (budget, planner) combination.
+    let reference_net = build();
     let references: Vec<HashSet<DocId>> = texts
         .iter()
         .map(|text| {
-            net.reference_search(text, 10)
+            reference_net
+                .reference_search(text, 10)
                 .iter()
                 .map(|r| r.doc)
                 .collect()
@@ -386,6 +392,7 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
         ];
         let mut reference_answers: Option<Vec<Vec<(DocId, u64)>>> = None;
         for (label, planner, threshold) in arms {
+            let mut net = build();
             let mut bytes = Vec::with_capacity(texts.len());
             let mut probes = Vec::with_capacity(texts.len());
             let mut recalls = Vec::with_capacity(texts.len());

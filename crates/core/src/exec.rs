@@ -45,6 +45,10 @@ pub struct ProbeEvent {
     pub bytes: u64,
     /// Overlay hops this probe took.
     pub hops: usize,
+    /// The served attempt was dialled through a fresh routing shortcut instead
+    /// of being routed (see [`ProbeResult::via_shortcut`]); `false` for a
+    /// failed probe.
+    pub via_shortcut: bool,
     /// Cumulative retrieval bytes of the query so far.
     pub spent_bytes: u64,
     /// Cumulative overlay hops of the query so far.
@@ -516,7 +520,7 @@ impl<'n> QueryStream<'n> {
                         return Some(Err(err));
                     }
                 };
-                let (outcome, hops, served_by, replicas, retries) = match acquired {
+                let (outcome, hops, via_shortcut, served_by, replicas, retries) = match acquired {
                     ProbeAcquisition::Served {
                         probe,
                         retries,
@@ -529,9 +533,10 @@ impl<'n> QueryStream<'n> {
                         // the Off execution would not have sent.
                         self.virtual_bytes += probe.elided_bytes as u64;
                         let (hops, served_by) = (probe.hops, probe.served_by);
+                        let via_shortcut = probe.via_shortcut;
                         let replicas = probe.replica_set.len();
                         let outcome = self.cursor.record(probe);
-                        (outcome, hops, served_by, replicas, retries)
+                        (outcome, hops, via_shortcut, served_by, replicas, retries)
                     }
                     ProbeAcquisition::Failed {
                         cause,
@@ -543,7 +548,7 @@ impl<'n> QueryStream<'n> {
                         let replicas = self.net.global_index().replica_holders_of(&key).len();
                         self.cursor.record_failure(key.clone(), cause, hops);
                         let outcome = NodeOutcome::Failed { cause };
-                        (outcome, hops, served_by, replicas, retries)
+                        (outcome, hops, false, served_by, replicas, retries)
                     }
                 };
                 self.retries += retries;
@@ -556,6 +561,7 @@ impl<'n> QueryStream<'n> {
                     outcome,
                     bytes,
                     hops,
+                    via_shortcut,
                     spent_bytes: self.spent_bytes(),
                     spent_hops: self.cursor.hops_spent(),
                     score_floor: floor,

@@ -116,6 +116,10 @@ pub struct ProbeResult {
     pub postings: Option<TruncatedPostingList>,
     /// Overlay hops the probe took.
     pub hops: usize,
+    /// The request was dialled straight to the primary through a fresh
+    /// routing shortcut of the querier (see [`alvisp2p_dht::shortcut`])
+    /// instead of being routed hop by hop.
+    pub via_shortcut: bool,
     /// Index of the peer responsible for the key (the primary copy).
     pub responsible: usize,
     /// Index of the peer that actually served the response — the primary, or
@@ -143,6 +147,7 @@ impl ProbeResult {
             key,
             postings: None,
             hops: 0,
+            via_shortcut: false,
             responsible: 0,
             served_by: 0,
             replica_set: Vec::new(),
@@ -485,16 +490,24 @@ impl GlobalIndex {
     /// preserves the original truncation status — lattice domination pruning
     /// behaves identically with and without elision.
     ///
-    /// **Placement.** Replication changes placement only: the probe is routed
-    /// to the key exactly as before (same hops — primary and replicas sit in
-    /// the same ring neighbourhood), the usage statistics and the response
-    /// bytes come from the primary's canonical copy (replicas are kept
-    /// byte-identical by [`alvisp2p_dht::Dht::sync_replicas`]), and only the
-    /// *serve* — who spends the request-handling capacity — moves to the
-    /// least-loaded live holder, or to `serve_override`, the executor's
-    /// failover target. When the primary itself is down the override answers
-    /// from its synchronized replica copy, and the primary's canonical usage
-    /// statistics cannot advance — exactly as in a real deployment.
+    /// **Placement.** The request reaches the key's *primary* — dialled in one
+    /// hop when `from` holds a fresh routing shortcut for the key, routed hop
+    /// by hop otherwise, and one wasted dial plus the routed lookup when
+    /// membership change made the shortcut stale (see
+    /// [`alvisp2p_dht::Dht::route_probe`]; a served response teaches `from`
+    /// the shortcut). How the request got there changes the hops and routing
+    /// bytes charged and nothing else: everything below runs from `primary`
+    /// identically, and a peer the *fault plane* holds down is not stale —
+    /// the dial reaches the same dead peer the lookup would. Replication
+    /// moves only the *serve*: the usage statistics and the response bytes
+    /// come from the primary's canonical copy (replicas are kept
+    /// byte-identical by [`alvisp2p_dht::Dht::sync_replicas`]), and who spends
+    /// the request-handling capacity is the least-loaded live holder, or
+    /// `serve_override`, the executor's failover target — the shortcut names
+    /// the primary, never a holder, so it cannot pin load. When the primary
+    /// itself is down the override answers from its synchronized replica
+    /// copy, and the primary's canonical usage statistics cannot advance —
+    /// exactly as in a real deployment.
     ///
     /// **Faults.** `attempt` (`0` for the first send) and `query_seq` are the
     /// coordinates of the plane's deterministic draws. Accounting mirrors what
@@ -529,7 +542,9 @@ impl GlobalIndex {
         serve_override: Option<usize>,
     ) -> Result<ProbeOutcome, DhtError> {
         let ring_key = key.ring_id();
-        let info = self.dht.route(from, ring_key, TrafficCategory::Retrieval)?;
+        let (info, via_shortcut) =
+            self.dht
+                .route_probe(from, ring_key, TrafficCategory::Retrieval)?;
         let hops = info.hops;
         let primary = info.responsible;
         self.dht.charge_external(
@@ -603,10 +618,14 @@ impl GlobalIndex {
                 }
             }
         };
+        // The response names the primary that answered: next time `from`
+        // dials it instead of looking the key up.
+        self.dht.learn_shortcut(from, ring_key, primary);
         Ok(ProbeOutcome::Ok(ProbeResult {
             key: key.clone(),
             postings,
             hops,
+            via_shortcut,
             responsible: primary,
             served_by,
             replica_set,
@@ -625,8 +644,12 @@ impl GlobalIndex {
         self.versions.get(&key.ring_id()).copied().unwrap_or(0)
     }
 
-    /// Estimates the overlay hops a probe for `key` from peer `from` would take,
-    /// without sending anything (see [`Dht::estimate_hops`]). Planners use this to
+    /// An upper bound on the overlay hops the next [`GlobalIndex::probe`] for
+    /// `key` from peer `from` charges, without sending anything: the routed
+    /// hop count, plus one when `from` holds a stale routing shortcut for the
+    /// key (see [`Dht::estimate_hops`]). A fresh shortcut is not credited —
+    /// it may be evicted between planning and the run — so budget admission
+    /// built on the estimate never overspends. Planners use this to
     /// cost-annotate probe schedules before spending bandwidth.
     pub fn estimate_hops(&self, from: usize, key: &TermKey) -> Result<usize, DhtError> {
         self.dht.estimate_hops(from, key.ring_id())

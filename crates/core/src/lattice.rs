@@ -237,6 +237,7 @@ mod tests {
                 key: key.clone(),
                 postings: self.lists.get(key).cloned(),
                 hops: 2,
+                via_shortcut: false,
                 responsible: 0,
                 served_by: 0,
                 replica_set: Vec::new(),

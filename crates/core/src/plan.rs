@@ -92,8 +92,9 @@ pub struct PlanNode {
     pub key: TermKey,
     /// What to do with it.
     pub decision: PlanDecision,
-    /// Estimated overlay hops of the probe (exact while routing tables are
-    /// converged; see [`GlobalIndex::estimate_hops`]).
+    /// Upper bound on the overlay hops of the probe while routing tables are
+    /// converged (a probe dialled through a routing shortcut takes fewer; see
+    /// [`GlobalIndex::estimate_hops`]).
     pub est_hops: usize,
     /// Upper bound on the retrieval bytes the probe can charge
     /// (see [`GlobalIndex::estimate_probe_bytes`]).
@@ -881,6 +882,7 @@ mod tests {
                 capacity,
             )),
             hops: 2,
+            via_shortcut: false,
             responsible: 0,
             served_by: 0,
             replica_set: Vec::new(),
@@ -919,6 +921,7 @@ mod tests {
                             key: key.clone(),
                             postings: None,
                             hops: 2,
+                            via_shortcut: false,
                             responsible: 0,
                             served_by: 0,
                             replica_set: Vec::new(),

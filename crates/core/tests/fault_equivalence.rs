@@ -511,3 +511,119 @@ fn message_loss_is_absorbed_by_retries() {
         "with 2 retries, p(probe exhausted) ~ 0.1^3; mean completeness was {mean_fraction}"
     );
 }
+
+#[test]
+fn a_warm_network_takes_the_same_fault_decisions_as_a_cold_one() {
+    // Routing shortcuts change how a request reaches the primary, never what
+    // happens there: under loss + slow + corrupt replies and a crashed
+    // primary with replicas, a network whose queriers already hold a
+    // shortcut for every key retries, fails over, rejects frames and reports
+    // completeness exactly like one that starts cold, query for query — a
+    // crashed primary is not a stale shortcut, so failover runs unchanged.
+    // Only bytes and hops differ.
+    let seed = 11u64;
+    let c = corpus(250, seed);
+    let plane = FaultPlane::seeded(5)
+        .with_loss(0.08)
+        .with_slow(0.05)
+        .with_corruption(0.05);
+    let build = || {
+        network(
+            &c,
+            Arc::new(Hdk::default()),
+            Arc::new(HotKeyReplication::new(3)),
+            plane.clone(),
+            RetryPolicy::default(),
+            seed,
+        )
+    };
+    let (mut cold, mut warm) = (build(), build());
+
+    // Heat the hot query's keys over the replication threshold through the
+    // load tracker alone: no probe is sent, so neither network learns a
+    // shortcut or consumes a query sequence number (the fault draws'
+    // coordinates).
+    let hot = QueryRequest::new(queries(&c)[0].clone()).from_peer(0);
+    let hot_keys: Vec<TermKey> = cold
+        .plan(&hot)
+        .expect("plan")
+        .probes()
+        .map(|n| n.key.clone())
+        .collect();
+    for net in [&mut cold, &mut warm] {
+        for key in &hot_keys {
+            let primary = net.global_index().responsible_for(key).expect("live");
+            for _ in 0..10 {
+                net.global_index_mut()
+                    .dht_mut()
+                    .record_probe(key.ring_id(), primary);
+            }
+        }
+    }
+    let crashed = hot_keys
+        .iter()
+        .find(|key| !cold.global_index().replica_holders_of(key).is_empty())
+        .map(|key| cold.global_index().responsible_for(key).expect("live"))
+        .expect("a hot key was replicated");
+    cold.fault_plane_mut().crash(crashed);
+    warm.fault_plane_mut().crash(crashed);
+
+    let requests: Vec<QueryRequest> = queries(&c)
+        .into_iter()
+        .enumerate()
+        .map(|(i, text)| QueryRequest::new(text).from_peer(i % 24).top_k(10))
+        .filter(|request| request.origin != crashed)
+        .collect();
+    for request in &requests {
+        for node in warm.plan(request).expect("plan").probes() {
+            let primary = warm
+                .global_index()
+                .responsible_for(&node.key)
+                .expect("live");
+            warm.global_index_mut().dht_mut().learn_shortcut(
+                request.origin,
+                node.key.ring_id(),
+                primary,
+            );
+        }
+    }
+
+    let (mut retries, mut corrupt, mut hedged, mut failed) = (0, 0, 0, 0);
+    let (mut cold_bytes, mut warm_bytes) = (0u64, 0u64);
+    for (i, request) in requests.iter().enumerate() {
+        let a = cold.execute(request).expect("cold query");
+        let b = warm.execute(request).expect("warm query");
+        let decisions = |r: &alvisp2p_core::request::QueryResponse| {
+            (
+                r.results
+                    .iter()
+                    .map(|d| (d.doc, d.score.to_bits()))
+                    .collect::<Vec<_>>(),
+                format!("{:?}", r.trace.nodes),
+                (r.retries, r.failed_probes, r.corrupt_probes, r.hedged),
+                r.completeness.clone(),
+            )
+        };
+        assert_eq!(decisions(&a), decisions(&b), "query {i} diverged");
+        assert!(
+            b.bytes <= a.bytes && b.hops <= a.hops,
+            "query {i} got dearer"
+        );
+        retries += a.retries;
+        corrupt += a.corrupt_probes;
+        hedged += a.hedged;
+        failed += a.failed_probes;
+        cold_bytes += a.bytes;
+        warm_bytes += b.bytes;
+    }
+    // Every fault class fired, so nothing above held vacuously.
+    assert!(
+        retries > 0 && corrupt > 0 && hedged > 0,
+        "{retries} {corrupt} {hedged}"
+    );
+    assert!(failed > 0, "no probe ever exhausted its retries");
+    assert!(warm_bytes < cold_bytes);
+    let stats = warm.global_index().dht().shortcut_stats();
+    assert!(stats.hits > 0);
+    assert_eq!(stats.stale, 0, "a crashed primary is not a stale shortcut");
+}

@@ -122,6 +122,8 @@ impl<V: Clone + WireSize> Dht<V> {
         self.peer_mut(index).alive = false;
         // Any replica copies the peer held die with it.
         let _ = self.peer_mut(index).replica_store.drain_all();
+        // ...and so does what it had learned as a querier.
+        self.peer_mut(index).shortcuts = Default::default();
         self.remove_from_ring(id);
         self.rebuild_routing_tables();
     }
@@ -305,6 +307,24 @@ mod tests {
         d.join(RingId::hash_u64(0xC0FFEE)).expect("fresh id");
         assert_eq!(d.replica_consistency(), 1.0);
         assert!(d.replication().stats().repairs_pulled > 0);
+    }
+
+    #[test]
+    fn a_departing_peer_drops_its_shortcuts() {
+        for graceful in [true, false] {
+            let mut d = dht(16);
+            let key = RingId::hash_str("remembered");
+            let primary = d.responsible_for(key).unwrap();
+            let querier = (0..16).find(|p| *p != primary).unwrap();
+            d.learn_shortcut(querier, key, primary);
+            assert_eq!(d.peer(querier).shortcuts.get(key), Some(primary));
+            if graceful {
+                d.leave(querier).unwrap();
+            } else {
+                d.fail(querier).unwrap();
+            }
+            assert_eq!(d.peer(querier).shortcuts.get(key), None);
+        }
     }
 
     #[test]

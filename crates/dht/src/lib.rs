@@ -6,6 +6,8 @@
 //! * **skew-tolerant hop-space routing tables** (Klemm et al., P2P 2007) and a
 //!   Chord-style finger-table baseline ([`routing`]);
 //! * greedy O(log n) **lookup** ([`mod@lookup`]);
+//! * per-querier **routing shortcuts** that dial a key's primary instead of
+//!   looking it up again ([`shortcut`]);
 //! * routed, traffic-accounted **storage operations** over the overlay ([`network`]);
 //! * peer **churn**: joins, graceful departures, abrupt failures ([`churn`]);
 //! * the **congestion controller** that protects hot-spot peers from collapse
@@ -40,6 +42,7 @@ pub mod node;
 pub mod replica;
 pub mod ring;
 pub mod routing;
+pub mod shortcut;
 pub mod storage;
 
 pub use congestion::{AimdController, CongestionConfig, CongestionOutcome, HotspotScenario};
@@ -56,4 +59,5 @@ pub use routing::{
     build_routing_table, build_routing_table_with, RoutingEntry, RoutingStrategy, RoutingTable,
     SUCCESSOR_LIST_LEN,
 };
+pub use shortcut::{ShortcutStats, SHORTCUT_CAPACITY};
 pub use storage::LocalStore;

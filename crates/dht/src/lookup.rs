@@ -41,19 +41,45 @@ pub fn lookup<V>(
     key: RingId,
     max_hops: usize,
 ) -> Option<LookupResult> {
+    let mut path = Vec::new();
+    let responsible = walk(peers, ring, from, key, max_hops, |peer| path.push(peer))?;
+    Some(LookupResult { responsible, path })
+}
+
+/// The hop count of [`lookup`] without materialising the path — for callers
+/// that only cost a request (hop estimation, hop-count experiments).
+pub(crate) fn lookup_hops<V>(
+    peers: &[Peer<V>],
+    ring: &Ring,
+    from: usize,
+    key: RingId,
+    max_hops: usize,
+) -> Option<usize> {
+    let mut visited = 0usize;
+    walk(peers, ring, from, key, max_hops, |_| visited += 1)?;
+    Some(visited - 1)
+}
+
+/// The greedy walk itself: calls `visit` for every peer traversed, originator
+/// first and responsible peer last, and returns the responsible peer.
+fn walk<V>(
+    peers: &[Peer<V>],
+    ring: &Ring,
+    from: usize,
+    key: RingId,
+    max_hops: usize,
+    mut visit: impl FnMut(usize),
+) -> Option<usize> {
     if from >= peers.len() || !peers[from].alive || ring.is_empty() {
         return None;
     }
     let mut current = from;
-    let mut path = vec![current];
+    visit(current);
 
     for _ in 0..=max_hops {
         let cur = &peers[current];
         if ring.is_responsible(cur.id, key) {
-            return Some(LookupResult {
-                responsible: current,
-                path,
-            });
+            return Some(current);
         }
         let dist_to_key = cur.id.distance_to(key);
 
@@ -88,7 +114,7 @@ pub fn lookup<V>(
             return None;
         }
         current = next;
-        path.push(current);
+        visit(current);
     }
     None
 }

@@ -7,11 +7,12 @@
 //! harness can report exactly how many messages and bytes each mechanism costs.
 
 use crate::id::RingId;
-use crate::lookup::{lookup, LookupResult};
+use crate::lookup::{lookup, lookup_hops};
 use crate::node::Peer;
 use crate::replica::{NoReplication, ReplicaManager, ReplicationPolicy};
 use crate::ring::Ring;
 use crate::routing::{build_routing_table_with, RoutingStrategy, SUCCESSOR_LIST_LEN};
+use crate::shortcut::ShortcutStats;
 use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
 use alvisp2p_netsim::{PowerLaw, SimRng, TrafficCategory, TrafficStats, WireSize};
 use std::sync::Arc;
@@ -105,6 +106,7 @@ pub struct Dht<V> {
     stats: TrafficStats,
     rng: SimRng,
     replicas: ReplicaManager,
+    shortcut_stats: ShortcutStats,
 }
 
 impl<V: Clone + WireSize> Dht<V> {
@@ -118,6 +120,7 @@ impl<V: Clone + WireSize> Dht<V> {
             stats: TrafficStats::new(),
             rng: SimRng::new(seed).derive(0xD47),
             replicas,
+            shortcut_stats: ShortcutStats::default(),
         }
     }
 
@@ -227,6 +230,12 @@ impl<V: Clone + WireSize> Dht<V> {
         &mut self.replicas
     }
 
+    /// What the peers' shortcut tables did for [`Dht::route_probe`] so far
+    /// (see [`crate::shortcut`]).
+    pub fn shortcut_stats(&self) -> ShortcutStats {
+        self.shortcut_stats
+    }
+
     /// Traffic statistics accumulated by routed operations.
     pub fn stats(&self) -> &TrafficStats {
         &self.stats
@@ -260,11 +269,13 @@ impl<V: Clone + WireSize> Dht<V> {
         key: RingId,
         category: TrafficCategory,
     ) -> Result<RouteInfo, DhtError> {
-        let result = self.raw_lookup(from, key)?;
+        self.check_origin(from)?;
+        let result = lookup(&self.peers, &self.ring, from, key, self.config.max_hops)
+            .ok_or(DhtError::LookupFailed)?;
         let hops = result.hops();
-        for window in result.path.windows(2) {
-            self.peers[window[0]].forwarded_lookups += 1;
-            let _ = window;
+        // Every peer on the path but the last forwarded the request once.
+        for forwarder in &result.path[..hops] {
+            self.peers[*forwarder].forwarded_lookups += 1;
         }
         let msg = self.config.lookup_request_bytes + ENVELOPE_OVERHEAD;
         for _ in 0..hops {
@@ -276,22 +287,97 @@ impl<V: Clone + WireSize> Dht<V> {
         })
     }
 
-    /// Like [`Dht::route`] but without recording any traffic — used by experiments
-    /// that only measure hop counts (E5).
-    pub fn probe_hops(&self, from: usize, key: RingId) -> Result<usize, DhtError> {
-        self.raw_lookup(from, key).map(|r| r.hops())
+    /// Routes a *probe* for `key` from peer `from`: like [`Dht::route`], but
+    /// `from` first consults its shortcut table (see [`crate::shortcut`]) and
+    /// dials the primary it names instead of looking the key up again. The
+    /// flag is `true` when a fresh shortcut carried the request.
+    ///
+    /// * **fresh** shortcut — the named peer is the key's primary: **one**
+    ///   lookup-request message straight to it, `hops = 1`, nothing
+    ///   forwarded;
+    /// * **stale** shortcut — membership changed and the named peer is gone or
+    ///   no longer the key's primary: that one dial is wasted, the entry is
+    ///   dropped and the request is routed as usual (`hops = 1 + routed`);
+    /// * **no** shortcut, or `from` is itself the primary (which it knows
+    ///   without asking anyone): exactly [`Dht::route`].
+    ///
+    /// Entries come only from [`Dht::learn_shortcut`]. Only probes use this
+    /// entry point; `put` / `get` / `update` / `remove` keep routing.
+    pub fn route_probe(
+        &mut self,
+        from: usize,
+        key: RingId,
+        category: TrafficCategory,
+    ) -> Result<(RouteInfo, bool), DhtError> {
+        self.check_origin(from)?;
+        let primary = self.responsible_for(key)?;
+        let mut wasted_dials = 0;
+        if primary != from {
+            let msg = self.config.lookup_request_bytes + ENVELOPE_OVERHEAD;
+            match self.peers[from].shortcuts.get(key) {
+                Some(named) if named == primary => {
+                    self.shortcut_stats.hits += 1;
+                    self.stats.record(category, msg);
+                    let info = RouteInfo {
+                        responsible: primary,
+                        hops: 1,
+                    };
+                    return Ok((info, true));
+                }
+                Some(_) => {
+                    self.shortcut_stats.stale += 1;
+                    self.stats.record(category, msg);
+                    self.peers[from].shortcuts.forget(key);
+                    wasted_dials = 1;
+                }
+                None => self.shortcut_stats.misses += 1,
+            }
+        }
+        let mut info = self.route(from, key, category)?;
+        info.hops += wasted_dials;
+        Ok((info, false))
     }
 
-    /// Estimates the overlay hops a request for `key` from peer `from` would take,
-    /// **without sending or charging anything**: the simulator replays the exact
-    /// greedy lookup a routed request would perform (walking every en-route peer's
-    /// routing table), so the estimate matches the subsequent request exactly as
-    /// long as membership and routing state do not change in between. In a real
-    /// deployment this would be an analytic `O(log n)` estimate computed at the
-    /// querying peer. Query planners use it to cost-annotate probe schedules
-    /// before spending any bandwidth.
+    /// Peer `from` learns (or re-confirms) that `primary` is responsible for
+    /// `key` — the probe layer calls this for every served response, which
+    /// names the primary that answered. A peer needs no shortcut to itself, so
+    /// `primary == from` is ignored.
+    pub fn learn_shortcut(&mut self, from: usize, key: RingId, primary: usize) {
+        if primary != from && self.peers[from].shortcuts.learn(key, primary) {
+            self.shortcut_stats.evictions += 1;
+        }
+    }
+
+    /// The hops [`Dht::route`] would take, without recording any traffic — used
+    /// by experiments that only measure hop counts (E5).
+    pub fn probe_hops(&self, from: usize, key: RingId) -> Result<usize, DhtError> {
+        self.check_origin(from)?;
+        lookup_hops(&self.peers, &self.ring, from, key, self.config.max_hops)
+            .ok_or(DhtError::LookupFailed)
+    }
+
+    /// An **upper bound** on the overlay hops [`Dht::route_probe`] would charge
+    /// a request for `key` from peer `from`, **without sending or charging
+    /// anything**: the simulator replays the exact greedy lookup a routed
+    /// request would perform (walking every en-route peer's routing table),
+    /// plus the one wasted dial when `from` holds a stale shortcut for the
+    /// key. A fresh shortcut is deliberately not credited — its entry may be
+    /// evicted before the request is sent, and its single dial never costs
+    /// more than the routed lookup — so the request charges at most the
+    /// estimate as long as membership and routing state do not change in
+    /// between, and exactly the estimate when it is routed. In a real
+    /// deployment this would be an analytic `O(log n)` estimate computed at
+    /// the querying peer. Query planners use it to cost-annotate probe
+    /// schedules before spending any bandwidth.
     pub fn estimate_hops(&self, from: usize, key: RingId) -> Result<usize, DhtError> {
-        self.probe_hops(from, key)
+        let routed = self.probe_hops(from, key)?;
+        let primary = self.responsible_for(key)?;
+        let stale = primary != from
+            && self.peers[from]
+                .shortcuts
+                .get(key)
+                .is_some_and(|named| named != primary);
+        Ok(routed + usize::from(stale))
     }
 
     /// The peer currently responsible for `key` (no routing, no traffic) — the ground
@@ -303,15 +389,14 @@ impl<V: Clone + WireSize> Dht<V> {
             .ok_or(DhtError::EmptyNetwork)
     }
 
-    fn raw_lookup(&self, from: usize, key: RingId) -> Result<LookupResult, DhtError> {
+    fn check_origin(&self, from: usize) -> Result<(), DhtError> {
         if self.ring.is_empty() {
             return Err(DhtError::EmptyNetwork);
         }
         if from >= self.peers.len() || !self.peers[from].alive {
             return Err(DhtError::BadOrigin);
         }
-        lookup(&self.peers, &self.ring, from, key, self.config.max_hops)
-            .ok_or(DhtError::LookupFailed)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -564,6 +649,91 @@ mod tests {
             d.estimate_hops(999, RingId(1)).unwrap_err(),
             DhtError::BadOrigin
         );
+    }
+
+    #[test]
+    fn route_probe_dials_fresh_shortcuts_and_wastes_one_dial_on_stale_ones() {
+        let mut d = dht(64);
+        let key = RingId::hash_str("dialled");
+        let primary = d.responsible_for(key).unwrap();
+        let from = (0..64).find(|p| *p != primary).unwrap();
+        let wrong = (0..64).find(|p| *p != primary && *p != from).unwrap();
+        let routed = d.probe_hops(from, key).unwrap();
+        assert!(routed >= 1);
+        let dial = (d.config().lookup_request_bytes + ENVELOPE_OVERHEAD) as u64;
+        let forwarded = |d: &Dht<Vec<u32>>| -> u64 {
+            (0..d.peer_slots())
+                .map(|p| d.peer(p).forwarded_lookups)
+                .sum()
+        };
+        let probe = |d: &mut Dht<Vec<u32>>| {
+            let before = d.stats().category(TrafficCategory::Retrieval);
+            let estimate = d.estimate_hops(from, key).unwrap();
+            let (info, via_shortcut) = d
+                .route_probe(from, key, TrafficCategory::Retrieval)
+                .unwrap();
+            let after = d.stats().category(TrafficCategory::Retrieval);
+            assert_eq!(info.responsible, primary);
+            assert!(info.hops <= estimate, "{} > {estimate}", info.hops);
+            assert_eq!(after.messages - before.messages, info.hops as u64);
+            assert_eq!(after.bytes - before.bytes, info.hops as u64 * dial);
+            (info.hops, via_shortcut)
+        };
+
+        // Miss: exactly `route`, and a routed lookup of `h` hops is forwarded
+        // by `h` peers.
+        assert_eq!(probe(&mut d), (routed, false));
+        assert_eq!(forwarded(&d), routed as u64);
+        // Hit: one dial, forwarded by nobody.
+        d.learn_shortcut(from, key, primary);
+        assert_eq!(probe(&mut d), (1, true));
+        assert_eq!(forwarded(&d), routed as u64);
+        // Stale: the wasted dial, then the routed lookup; the entry is gone.
+        d.learn_shortcut(from, key, wrong);
+        assert_eq!(d.estimate_hops(from, key).unwrap(), routed + 1);
+        assert_eq!(probe(&mut d), (routed + 1, false));
+        assert_eq!(probe(&mut d), (routed, false));
+        // The primary itself never consults its table.
+        d.learn_shortcut(primary, key, wrong);
+        let (local, via_shortcut) = d
+            .route_probe(primary, key, TrafficCategory::Retrieval)
+            .unwrap();
+        assert_eq!((local.hops, via_shortcut), (0, false));
+        assert_eq!(
+            d.shortcut_stats(),
+            ShortcutStats {
+                hits: 1,
+                misses: 2,
+                stale: 1,
+                evictions: 0
+            }
+        );
+        assert_eq!(
+            d.route_probe(999, key, TrafficCategory::Retrieval),
+            Err(DhtError::BadOrigin)
+        );
+    }
+
+    #[test]
+    fn storage_operations_never_consult_shortcuts() {
+        let mut d = dht(64);
+        let key = RingId::hash_str("published");
+        let primary = d.responsible_for(key).unwrap();
+        let from = (0..64).find(|p| *p != primary).unwrap();
+        let routed = d.probe_hops(from, key).unwrap();
+        d.learn_shortcut(from, key, primary);
+        let put = d
+            .put(from, key, vec![1], TrafficCategory::Indexing)
+            .unwrap();
+        let (got, _) = d.get(from, key, TrafficCategory::Retrieval).unwrap();
+        let updated = d
+            .update(from, key, 8, TrafficCategory::Indexing, |_| {})
+            .unwrap();
+        let (removed, _) = d.remove(from, key, TrafficCategory::Indexing).unwrap();
+        for info in [put, got, updated, removed] {
+            assert_eq!(info.hops, routed);
+        }
+        assert_eq!(d.shortcut_stats(), ShortcutStats::default());
     }
 
     #[test]

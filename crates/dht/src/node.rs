@@ -2,6 +2,7 @@
 
 use crate::id::RingId;
 use crate::routing::RoutingTable;
+use crate::shortcut::ShortcutTable;
 use crate::storage::LocalStore;
 
 /// The overlay-level state of a single peer: its position on the ring, its routing
@@ -25,6 +26,9 @@ pub struct Peer<V> {
     pub forwarded_lookups: u64,
     /// Number of storage requests (get/put/update) served by this peer.
     pub served_requests: u64,
+    /// Where this peer, as a querier, last found each key's primary (see
+    /// [`crate::shortcut`]); dropped when the peer leaves the overlay.
+    pub(crate) shortcuts: ShortcutTable,
 }
 
 impl<V> Peer<V> {
@@ -38,6 +42,7 @@ impl<V> Peer<V> {
             replica_store: LocalStore::new(),
             forwarded_lookups: 0,
             served_requests: 0,
+            shortcuts: ShortcutTable::default(),
         }
     }
 }

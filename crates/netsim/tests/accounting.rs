@@ -252,3 +252,82 @@ mod control_plane_ledger {
         );
     }
 }
+
+mod probe_ledger {
+    //! One probe's Retrieval bytes split exactly into routing + request +
+    //! response, however its request reached the primary.
+
+    use alvisp2p_core::codec::encode_list;
+    use alvisp2p_core::fault::ProbeOutcome;
+    use alvisp2p_core::{AlvisNetwork, Hdk, ProbeResult, TermKey};
+    use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
+    use alvisp2p_netsim::{TrafficCategory, WireSize};
+
+    /// Probes `key` from `origin` and reconciles the Retrieval delta against
+    /// the three messages kinds a probe sends.
+    fn reconciled_probe(net: &mut AlvisNetwork, origin: usize, key: &TermKey) -> ProbeResult {
+        let before = net.traffic_snapshot();
+        let outcome = net
+            .global_index_mut()
+            .probe(origin, key, 0, 10, None, 0, None);
+        let Ok(ProbeOutcome::Ok(result)) = outcome else {
+            panic!("fault-free probe must be served");
+        };
+        let delta = net.traffic_snapshot().since(&before);
+        let index = net.global_index();
+        let hop_message = index.dht().config().lookup_request_bytes + ENVELOPE_OVERHEAD;
+        let request = index.probe_request_bytes() + key.wire_size() + ENVELOPE_OVERHEAD;
+        let stored = &index.peek(key).expect("an activated key").postings;
+        let response = encode_list(stored, None).len() + ENVELOPE_OVERHEAD;
+        let retrieval = delta.category(TrafficCategory::Retrieval);
+        assert_eq!(
+            retrieval.bytes,
+            (result.hops * hop_message + request + response) as u64,
+            "routing + request + response != bytes at {} hops",
+            result.hops
+        );
+        assert_eq!(retrieval.messages, result.hops as u64 + 2);
+        assert_eq!(
+            delta.bytes_sent(),
+            retrieval.bytes,
+            "a probe is Retrieval only"
+        );
+        result
+    }
+
+    #[test]
+    fn probe_bytes_split_exactly_on_a_shortcut_hit_miss_and_stale_entry() {
+        let docs = (0..12).map(|i| {
+            (
+                format!("doc{i}"),
+                format!("peer to peer retrieval of distributed document {i} index"),
+            )
+        });
+        let mut net = AlvisNetwork::builder()
+            .peers(16)
+            .strategy(Hdk::default())
+            .seed(7)
+            .documents(docs)
+            .build_indexed()
+            .expect("valid configuration");
+        let key = net.global_index().activated_key_list()[0].clone();
+        let primary = net.global_index().responsible_for(&key).unwrap();
+        let origin = (0..16).find(|p| *p != primary).unwrap();
+        let wrong = (0..16).find(|p| *p != primary && *p != origin).unwrap();
+
+        let miss = reconciled_probe(&mut net, origin, &key);
+        assert!(miss.hops >= 1 && !miss.via_shortcut);
+        let hit = reconciled_probe(&mut net, origin, &key);
+        assert_eq!((hit.hops, hit.via_shortcut), (1, true));
+        net.global_index_mut()
+            .dht_mut()
+            .learn_shortcut(origin, key.ring_id(), wrong);
+        let stale = reconciled_probe(&mut net, origin, &key);
+        assert_eq!((stale.hops, stale.via_shortcut), (miss.hops + 1, false));
+        // The primary probing its own key sends no routing message at all.
+        let local = reconciled_probe(&mut net, primary, &key);
+        assert_eq!((local.hops, local.via_shortcut), (0, false));
+        assert_eq!(hit.postings, miss.postings);
+        assert_eq!(stale.postings, miss.postings);
+    }
+}

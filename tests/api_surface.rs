@@ -295,6 +295,39 @@ fn plan_run_and_stream_are_part_of_the_public_surface() {
     assert_eq!(best_effort.nodes.len(), plan.nodes.len());
 }
 
+#[test]
+fn routing_shortcuts_are_observable_per_probe_and_per_overlay() {
+    let mut net = AlvisNetwork::builder()
+        .peers(8)
+        .strategy(Hdk::default())
+        .documents(demo_corpus())
+        .build_indexed()
+        .unwrap();
+    for pass in 0..2 {
+        for origin in 0..8 {
+            let request = QueryRequest::new("peer to peer retrieval").from_peer(origin);
+            let plan = net.plan(&request).unwrap();
+            for event in net.stream(plan, request).unwrap() {
+                // Once a querier has been answered for a key it dials the
+                // key's primary: one hop (none when it is the primary itself).
+                if pass == 1 {
+                    assert_eq!(event.via_shortcut, event.hops == 1);
+                } else {
+                    assert!(!event.via_shortcut);
+                }
+            }
+        }
+    }
+    let alvisp2p::dht::ShortcutStats {
+        hits,
+        misses,
+        stale,
+        evictions,
+    } = net.global_index().dht().shortcut_stats();
+    assert!(hits > 0 && hits == misses);
+    assert_eq!((stale, evictions), (0, 0));
+}
+
 /// A user-defined planner: schedules only the single-term probes, cheapest
 /// first. Exercises the `Planner` seam a third-party policy would implement.
 #[derive(Debug)]

@@ -2,6 +2,7 @@
 //! churn resilience of the distributed index and congestion control under hot-spot
 //! retrieval load.
 
+use alvisp2p::core::{KeyIndexEntry, ProbeResult};
 use alvisp2p::dht::congestion::{run_hotspot, CongestionConfig, HotspotScenario};
 use alvisp2p::netsim::SimDuration;
 use alvisp2p::prelude::*;
@@ -182,4 +183,90 @@ fn light_load_is_served_fully_with_and_without_congestion_control() {
             "light load should complete, got {out:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Routing shortcuts under churn
+// ---------------------------------------------------------------------------
+
+/// One fault-free probe for `key` from `origin`.
+fn probe(net: &mut AlvisNetwork, origin: usize, key: &TermKey) -> ProbeResult {
+    match net
+        .global_index_mut()
+        .probe(origin, key, 0, 30, None, 0, None)
+    {
+        Ok(ProbeOutcome::Ok(result)) => result,
+        other => panic!("fault-free probe must be served, got {other:?}"),
+    }
+}
+
+/// Two identically seeded networks, the first of which has a shortcut from
+/// `origin` to the primary of `key`; `churn` — a membership change that makes
+/// that shortcut stale — is then applied to both. The hinted network's next
+/// probe must charge the wasted dial on top of the routed lookup, answer
+/// exactly like the network that never had a shortcut, and re-learn.
+fn assert_stale_shortcut_is_repaired(
+    seed: u64,
+    churn: impl Fn(&mut Dht<KeyIndexEntry>, &TermKey, usize),
+) {
+    let (mut hinted, _) = indexed_network(20, seed);
+    let (mut cold, _) = indexed_network(20, seed);
+    let key = hinted.global_index().activated_key_list()[0].clone();
+    let old_primary = hinted.global_index().responsible_for(&key).unwrap();
+    let origin = (0..20).find(|p| *p != old_primary).unwrap();
+
+    assert!(!probe(&mut hinted, origin, &key).via_shortcut);
+    assert!(probe(&mut hinted, origin, &key).via_shortcut);
+
+    churn(hinted.global_index_mut().dht_mut(), &key, old_primary);
+    churn(cold.global_index_mut().dht_mut(), &key, old_primary);
+    let new_primary = hinted.global_index().responsible_for(&key).unwrap();
+    assert_ne!(new_primary, old_primary, "the churn must move the key");
+    assert_ne!(new_primary, origin);
+
+    let routed = cold
+        .global_index()
+        .dht()
+        .probe_hops(origin, key.ring_id())
+        .unwrap();
+    assert_eq!(
+        hinted.global_index().estimate_hops(origin, &key),
+        Ok(routed + 1),
+        "the estimate must cover the wasted dial"
+    );
+    let stale = probe(&mut hinted, origin, &key);
+    let reference = probe(&mut cold, origin, &key);
+    assert_eq!(reference.hops, routed);
+    assert_eq!((stale.hops, stale.via_shortcut), (routed + 1, false));
+    assert_eq!(stale.responsible, new_primary);
+    assert_eq!(stale.postings, reference.postings);
+    assert_eq!(hinted.global_index().dht().shortcut_stats().stale, 1);
+
+    // Re-learned from the served response: the next probe is one fresh dial.
+    let again = probe(&mut hinted, origin, &key);
+    assert_eq!((again.hops, again.via_shortcut), (1, true));
+    assert_eq!(again.postings, reference.postings);
+}
+
+#[test]
+fn a_join_that_splits_a_hinted_keys_arc_costs_one_wasted_dial() {
+    // The newcomer takes the key's own identifier, so it becomes the key's
+    // successor while the old primary stays alive.
+    assert_stale_shortcut_is_repaired(7, |dht, key, _| {
+        dht.join(key.ring_id()).expect("fresh id");
+    });
+}
+
+#[test]
+fn a_hinted_primary_that_leaves_costs_one_wasted_dial() {
+    assert_stale_shortcut_is_repaired(17, |dht, _, primary| dht.leave(primary).unwrap());
+}
+
+#[test]
+fn a_hinted_primary_that_fails_costs_one_wasted_dial() {
+    // The failed peer's slice is lost in both networks: the answers agree on
+    // the miss.
+    assert_stale_shortcut_is_repaired(27, |dht, _, primary| {
+        dht.fail(primary).unwrap();
+    });
 }

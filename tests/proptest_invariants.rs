@@ -289,6 +289,7 @@ proptest! {
                     key: k.clone(),
                     postings: entry.map(|(_, complete)| make_list(*complete)),
                     hops: 1,
+                    via_shortcut: false,
                     responsible: 0,
                     served_by: 0,
                     replica_set: Vec::new(),
