@@ -1,9 +1,11 @@
 //! E2 — retrieval bandwidth: single-term baseline vs HDK vs QDI, plus the E2c
-//! planned/threshold sweep; writes `BENCH_bandwidth.json`. See `EXPERIMENTS.md`.
+//! planned/threshold sweep; writes `BENCH_bandwidth.json` and exits 1 when it
+//! breaks `exp_bandwidth::check`. See the `exp_bandwidth` module docs.
 use alvisp2p_bench::{exp_bandwidth, quick_mode, table};
+use std::process::ExitCode;
 
-fn main() {
-    let quick = quick_mode() || std::env::args().any(|a| a == "--quick");
+fn main() -> ExitCode {
+    let quick = quick_mode();
     let params = if quick {
         exp_bandwidth::BandwidthParams::quick()
     } else {
@@ -42,4 +44,13 @@ fn main() {
         std::env::var("ALVIS_BENCH_OUT").unwrap_or_else(|_| "BENCH_bandwidth.json".to_string());
     std::fs::write(&path, json + "\n").expect("write BENCH_bandwidth.json");
     println!("wrote {path}");
+    let failures = exp_bandwidth::check(&report);
+    for failure in &failures {
+        eprintln!("bar broken: {failure}");
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -1,4 +1,4 @@
-//! E6 — congestion control vs congestion collapse. See `EXPERIMENTS.md`.
+//! E6 — congestion control vs congestion collapse. See the `exp_congestion` module docs.
 use alvisp2p_bench::{exp_congestion, quick_mode, table};
 
 fn main() {

@@ -1,4 +1,4 @@
-//! E1 — Figure 1: query-lattice processing. See `EXPERIMENTS.md`.
+//! E1 — Figure 1: query-lattice processing. See the `exp_lattice` module docs.
 use alvisp2p_bench::{exp_lattice, table};
 
 fn main() {

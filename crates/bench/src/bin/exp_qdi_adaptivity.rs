@@ -1,4 +1,4 @@
-//! E7 — Query-Driven Indexing adaptivity over a query stream. See `EXPERIMENTS.md`.
+//! E7 — Query-Driven Indexing adaptivity over a query stream. See the `exp_qdi` module docs.
 use alvisp2p_bench::{exp_qdi, quick_mode, table};
 
 fn main() {

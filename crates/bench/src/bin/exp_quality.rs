@@ -1,4 +1,4 @@
-//! E4 — retrieval quality vs the centralized reference. See `EXPERIMENTS.md`.
+//! E4 — retrieval quality vs the centralized reference. See the `exp_quality` module docs.
 use alvisp2p_bench::{exp_quality, quick_mode, table};
 
 fn main() {

@@ -1,4 +1,4 @@
-//! E5 — O(log n) routing under identifier skew. See `EXPERIMENTS.md`.
+//! E5 — O(log n) routing under identifier skew. See the `exp_routing` module docs.
 use alvisp2p_bench::{exp_routing, quick_mode, table};
 
 fn main() {

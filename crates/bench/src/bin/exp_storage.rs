@@ -1,4 +1,4 @@
-//! E3 — HDK index size and storage scalability. See `EXPERIMENTS.md`.
+//! E3 — HDK index size and storage scalability. See the `exp_storage` module docs.
 use alvisp2p_bench::{exp_storage, quick_mode, table};
 
 fn main() {

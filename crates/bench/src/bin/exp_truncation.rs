@@ -1,4 +1,5 @@
-//! E8 — posting-list truncation: bounded transfers, marginal quality loss. See `EXPERIMENTS.md`.
+//! E8 — posting-list truncation: bounded transfers, marginal quality loss. See
+//! the `exp_truncation` module docs.
 use alvisp2p_bench::{exp_truncation, quick_mode, table};
 
 fn main() {

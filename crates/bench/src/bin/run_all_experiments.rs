@@ -1,6 +1,7 @@
 //! Runs every experiment (E1–E8) in sequence, printing each table.
 //!
-//! Set `ALVIS_QUICK=1` for a fast smoke-test pass over all experiments.
+//! Set `ALVIS_QUICK=1` (or pass `--quick`) for a fast smoke-test pass over all
+//! experiments.
 use alvisp2p_bench as bench;
 
 fn main() {

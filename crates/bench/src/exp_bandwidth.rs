@@ -252,7 +252,7 @@ pub struct PlannedBandwidthRow {
 }
 
 /// The E2c report committed as `BENCH_bandwidth.json` and guarded by
-/// `perf_guard`: the planned sweep over the default corpus and over the
+/// [`check`]: the planned sweep over the default corpus and over the
 /// long-posting-list corpus (capped vocabulary), where floor-based elision
 /// has the most bytes to save.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -461,6 +461,74 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
     rows
 }
 
+/// The rank-safe threshold mode's bar, one message per broken invariant: at
+/// every budget of both sweeps the `greedy-cost`/`rank-safe` arm's answers are
+/// bit-identical to `greedy-cost`/`off` and its bytes/query never exceed the
+/// off arm's (elision only shrinks responses); on the long-lists corpus the
+/// floors must also demonstrably fire (whole blocks skipped, strictly fewer
+/// bytes than off at some budget). Scale-independent, so it holds for
+/// `--quick` and full runs alike.
+pub fn check(report: &BandwidthReport) -> Vec<String> {
+    let mut failures = Vec::new();
+    let arm = |rows: &'_ [PlannedBandwidthRow], budget: u64, threshold: &str| {
+        rows.iter()
+            .find(|r| r.budget == budget && r.planner == "greedy-cost" && r.threshold == threshold)
+            .cloned()
+    };
+    for (sweep, rows) in [
+        ("planned", &report.planned),
+        ("long-lists", &report.long_lists),
+    ] {
+        let budgets: Vec<u64> = {
+            let mut b: Vec<u64> = rows.iter().map(|r| r.budget).collect();
+            b.sort_unstable();
+            b.dedup();
+            b
+        };
+        let mut skipped = 0u64;
+        let mut beats_off = false;
+        for &budget in &budgets {
+            let Some((off, safe)) = arm(rows, budget, "off").zip(arm(rows, budget, "rank-safe"))
+            else {
+                failures.push(format!(
+                    "bandwidth: {sweep} budget {budget} is missing a threshold arm"
+                ));
+                continue;
+            };
+            if !safe.identical_topk {
+                failures.push(format!(
+                    "bandwidth: {sweep} budget {budget}: rank-safe answers diverged from off"
+                ));
+            }
+            if safe.mean_bytes > off.mean_bytes + 1e-6 {
+                failures.push(format!(
+                    "bandwidth: {sweep} budget {budget}: rank-safe {:.1} B/query exceeds off {:.1}",
+                    safe.mean_bytes, off.mean_bytes
+                ));
+            }
+            skipped += safe.skipped_blocks;
+            beats_off |= safe.mean_bytes < off.mean_bytes - 1e-6;
+        }
+        if sweep == "long-lists" {
+            if skipped == 0 {
+                failures.push(
+                    "bandwidth: rank-safe never skipped a block on the long-lists corpus — the \
+                     floors never fired and every byte bar is vacuous"
+                        .to_string(),
+                );
+            }
+            if !beats_off {
+                failures.push(
+                    "bandwidth: rank-safe never ships strictly fewer bytes/query than off on the \
+                     long-lists corpus"
+                        .to_string(),
+                );
+            }
+        }
+    }
+    failures
+}
+
 /// Prints the E2c table.
 pub fn print_planned(rows: &[PlannedBandwidthRow]) {
     let mut t = Table::new(
@@ -555,6 +623,20 @@ mod tests {
             base_growth > hdk_growth,
             "baseline growth {base_growth:.2} vs hdk growth {hdk_growth:.2}"
         );
+    }
+
+    #[test]
+    #[ignore = "quick()-scale experiment (minutes in debug); run with `cargo test -- --ignored` (nightly CI job)"]
+    fn rank_safe_bar_holds_at_quick_scale() {
+        // The full run takes ≈12 minutes in release, so the nightly job
+        // checks the bar at the scale CI's `exp_bandwidth --quick` runs.
+        let params = PlannedParams::quick();
+        let report = BandwidthReport {
+            quick: true,
+            planned: run_planned(&params),
+            long_lists: run_planned(&params.clone().long_lists()),
+        };
+        assert_eq!(check(&report), Vec::<String>::new());
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! final replica-consistency fraction and the number of publications still
 //! un-acked. The acceptance bar: the repair arm restores replica consistency
 //! to 1.0 and recall@10 to ≥ 0.95 of fault-free, while the no-repair arm
-//! shows a non-vacuous gap on both. `perf_guard` enforces exactly that on the
-//! committed and fresh reports.
+//! shows a non-vacuous gap on both. [`check`] states exactly that bar; the
+//! `exp_chaos` binary exits 1 when a run breaks it.
 //!
 //! Results go to `BENCH_chaos.json` (`ALVIS_BENCH_OUT` overrides the path).
 
@@ -104,8 +104,8 @@ impl Default for ChaosParams {
 
 impl ChaosParams {
     /// Fast smoke-test configuration (`ALVIS_QUICK=1` / `--quick`). Keeps the
-    /// full fault mix so `perf_guard` can enforce the same invariants on a
-    /// quick run.
+    /// full fault mix so [`check`] enforces the same invariants on a quick
+    /// run.
     pub fn quick() -> Self {
         ChaosParams {
             peers: 16,
@@ -380,6 +380,92 @@ pub fn run(params: &ChaosParams) -> ChaosReport {
     }
 }
 
+/// The repair arm must keep at least this recall@10 against the fault-free
+/// answers under the combined control-plane fault mix.
+const RECALL_FLOOR: f64 = 0.95;
+
+/// The no-repair arm must trail the repair arm by at least this much recall
+/// ("the degradation the repair machinery prevents is non-vacuous").
+const DEGRADATION_GAP: f64 = 0.02;
+
+/// The repair arm's bytes/query over the fault-free run's (repair traffic is
+/// Overlay, but retries on lost/corrupt probes inflate Retrieval too).
+const BYTE_OVERHEAD_CEILING: f64 = 2.0;
+
+/// The repair arm must leave at least this fraction of replica copies
+/// consistent with their primary.
+const CONSISTENCY_FLOOR: f64 = 0.999;
+
+/// The control-plane recovery bar, one message per broken invariant: the
+/// repair arm drains every un-acked publication, restores replica
+/// consistency (`CONSISTENCY_FLOOR`) and keeps recall@10 at or above
+/// `RECALL_FLOOR` at no more than `BYTE_OVERHEAD_CEILING` times the
+/// fault-free bytes/query, while the no-repair arm under the identical plane
+/// stays divergent (pending publications, consistency below 1.0, a recall
+/// gap of at least `DEGRADATION_GAP`) and frame corruption demonstrably fired
+/// (corrupt frames counted). Scale-independent — the quick configuration
+/// keeps the full fault mix — so it holds for `--quick` and full runs alike.
+pub fn check(report: &ChaosReport) -> Vec<String> {
+    let mut failures = Vec::new();
+    if report.repair_recall < RECALL_FLOOR {
+        failures.push(format!(
+            "chaos: repair recall {:.3} below the {RECALL_FLOOR} floor",
+            report.repair_recall
+        ));
+    }
+    if report.no_repair_recall > report.repair_recall - DEGRADATION_GAP {
+        failures.push(format!(
+            "chaos: no-repair recall {:.3} not measurably below repair {:.3}",
+            report.no_repair_recall, report.repair_recall
+        ));
+    }
+    if report.repair_consistency < CONSISTENCY_FLOOR {
+        failures.push(format!(
+            "chaos: repair left replica consistency at {:.3}",
+            report.repair_consistency
+        ));
+    }
+    if report.no_repair_consistency >= 1.0 {
+        failures.push(
+            "chaos: the no-repair arm stayed fully consistent — the injected divergence \
+             never fired and the consistency bar is vacuous"
+                .to_string(),
+        );
+    }
+    if report.repair_pending != 0 {
+        failures.push(format!(
+            "chaos: {} publications still un-acked after repair",
+            report.repair_pending
+        ));
+    }
+    if report.no_repair_pending == 0 {
+        failures.push(
+            "chaos: the no-repair arm has no pending publications — the injected publish \
+             loss never fired and the recall bar is vacuous"
+                .to_string(),
+        );
+    }
+    if report.repair_byte_overhead > BYTE_OVERHEAD_CEILING {
+        failures.push(format!(
+            "chaos: byte overhead {:.2}x exceeds the {BYTE_OVERHEAD_CEILING}x ceiling",
+            report.repair_byte_overhead
+        ));
+    }
+    if report
+        .rows
+        .iter()
+        .map(|r| r.robustness.corrupt_probes)
+        .sum::<u64>()
+        == 0
+    {
+        failures.push(
+            "chaos: no corrupt frame was ever counted — the injected bit flips never fired"
+                .to_string(),
+        );
+    }
+    failures
+}
+
 /// Prints the result table.
 pub fn print(report: &ChaosReport) {
     let mut table = Table::new(
@@ -493,26 +579,6 @@ mod tests {
     #[test]
     #[ignore = "full-scale experiment (minutes in debug); run with `cargo test -- --ignored` (nightly CI job)"]
     fn repair_recovers_recall_and_consistency_at_full_scale() {
-        let report = run(&ChaosParams::default());
-        assert!(
-            report.repair_recall >= 0.95,
-            "repair recall {:.3} below the 0.95 acceptance bar",
-            report.repair_recall
-        );
-        assert!(
-            report.no_repair_recall <= report.repair_recall - 0.02,
-            "no-repair ({:.3}) did not measurably degrade vs repair ({:.3})",
-            report.no_repair_recall,
-            report.repair_recall
-        );
-        assert!(report.repair_consistency >= 0.999);
-        assert!(report.no_repair_consistency < 1.0);
-        assert_eq!(report.repair_pending, 0);
-        assert!(report.no_repair_pending > 0);
-        assert!(
-            report.repair_byte_overhead <= 2.0,
-            "repair byte overhead {:.2}x exceeds the 2.0x bound",
-            report.repair_byte_overhead
-        );
+        assert_eq!(check(&run(&ChaosParams::default())), Vec::<String>::new());
     }
 }

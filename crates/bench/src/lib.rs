@@ -1,8 +1,8 @@
 //! # alvisp2p-bench
 //!
 //! The experiment harness of the AlvisP2P reproduction. Every behavioural figure and
-//! quantitative claim of the paper maps to one experiment module (see `DESIGN.md` §4
-//! and `EXPERIMENTS.md` at the workspace root):
+//! quantitative claim of the paper maps to one experiment module (each module's docs
+//! describe its workload and expected shape; the README summarises the results):
 //!
 //! | experiment | paper source | module | binary |
 //! |---|---|---|---|
@@ -14,18 +14,22 @@
 //! | E6 | congestion control prevents congestion collapse | [`exp_congestion`] | `exp_congestion` |
 //! | E7 | QDI adapts the index to query popularity | [`exp_qdi`] | `exp_qdi_adaptivity` |
 //! | E8 | posting-list truncation bounds traffic with marginal quality loss | [`exp_truncation`] | `exp_truncation` |
-//! | P1 | key/posting hot-path microbenchmarks (perf trajectory, `BENCH_perf.json`) | [`exp_perf`] | `exp_perf` |
 //! | P2 | hot-key replication under Zipf traffic (per-peer p99 load, `BENCH_skew.json`) | [`exp_skew`] | `exp_skew` |
 //! | P4 | fault injection: recall@10 and bytes/query under loss + crashes, by retry policy (`BENCH_faults.json`) | [`exp_faults`] | `exp_faults` |
 //! | P5 | control-plane chaos: versioned publications, anti-entropy repair, frame integrity (`BENCH_chaos.json`) | [`exp_chaos`] | `exp_chaos` |
 //!
 //! Each module exposes a `run(...)` function returning typed rows (so integration
-//! tests and Criterion benches reuse the same code) and a `print(...)` helper that
-//! renders the table the corresponding binary prints. All experiments are seeded and
-//! deterministic.
+//! tests reuse the same code) and a `print(...)` helper that renders the table the
+//! corresponding binary prints. All experiments are seeded and deterministic.
 //!
-//! Binaries honour the `ALVIS_QUICK=1` environment variable, which shrinks the sweeps
-//! to a fast smoke-test configuration.
+//! The four experiments that commit a `BENCH_*.json` report ([`exp_bandwidth`],
+//! [`exp_skew`], [`exp_faults`], [`exp_chaos`]) also define their acceptance bar as
+//! `check(&report) -> Vec<String>` (one message per broken invariant): the binary
+//! exits 1 when it is non-empty, and the tests apply it to the committed reports
+//! and to full-scale runs.
+//!
+//! Binaries honour `ALVIS_QUICK=1` (or a `--quick` argument), which shrinks the
+//! sweeps to a fast smoke-test configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +39,6 @@ pub mod exp_chaos;
 pub mod exp_congestion;
 pub mod exp_faults;
 pub mod exp_lattice;
-pub mod exp_perf;
 pub mod exp_qdi;
 pub mod exp_quality;
 pub mod exp_routing;
@@ -45,9 +48,35 @@ pub mod exp_truncation;
 pub mod table;
 pub mod workloads;
 
-/// Whether the quick (smoke-test) configuration was requested via `ALVIS_QUICK=1`.
+/// Whether the quick (smoke-test) configuration was requested, via
+/// `ALVIS_QUICK=1` (or `true`) or a `--quick` argument.
 pub fn quick_mode() -> bool {
-    std::env::var("ALVIS_QUICK")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false)
+    quick_requested(
+        std::env::var("ALVIS_QUICK").ok().as_deref(),
+        std::env::args().skip(1),
+    )
+}
+
+fn quick_requested(env: Option<&str>, mut args: impl Iterator<Item = String>) -> bool {
+    env.is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true")) || args.any(|a| a == "--quick")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quick_requested;
+
+    fn args<'a>(a: &'a [&str]) -> impl Iterator<Item = String> + 'a {
+        a.iter().map(|s| s.to_string())
+    }
+
+    #[test]
+    fn quick_mode_honours_the_env_var_and_the_flag() {
+        assert!(!quick_requested(None, args(&[])));
+        assert!(quick_requested(Some("1"), args(&[])));
+        assert!(quick_requested(Some("TRUE"), args(&[])));
+        assert!(!quick_requested(Some("0"), args(&["--json"])));
+        assert!(quick_requested(None, args(&["--quick"])));
+        assert!(quick_requested(Some("0"), args(&["x", "--quick"])));
+        assert!(!quick_requested(None, args(&["--quicker"])));
+    }
 }

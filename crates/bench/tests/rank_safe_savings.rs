@@ -4,7 +4,7 @@
 //! and its posting lists are long. Rank-safe execution must return results
 //! bit-identical to `ThresholdMode::Off` while eliding a strictly positive
 //! number of posting bytes — the measured savings `BENCH_bandwidth.json`
-//! commits and `perf_guard` enforces, reproduced here at test scale.
+//! commits and `exp_bandwidth::check` enforces, reproduced here at test scale.
 
 use alvisp2p_bench::workloads;
 use alvisp2p_core::plan::GreedyCost;

@@ -1,7 +1,7 @@
 //! Pins `#[serde(default)]` support in the in-workspace serde stand-in.
 //!
-//! Bench reports gain fields over time; perf_guard must still parse reports
-//! committed before a field existed. A `#[serde(default)]` field therefore has
+//! Bench reports gain fields over time; the committed-report tests must still
+//! parse reports committed before a field existed. A `#[serde(default)]` field therefore has
 //! to deserialize to `Default::default()` when absent — and still round-trip
 //! normally when present.
 

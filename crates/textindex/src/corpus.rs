@@ -5,7 +5,7 @@
 //! the exact documents but their *distributional* properties: a Zipfian vocabulary,
 //! topical co-occurrence of terms, and realistic document-length variation. The
 //! [`CorpusGenerator`] produces seeded collections with exactly those properties, so
-//! every experiment in `EXPERIMENTS.md` is reproducible bit-for-bit.
+//! every experiment in `alvisp2p-bench` is reproducible bit-for-bit.
 //!
 //! A small hand-written [`demo_corpus`] about P2P information retrieval is also
 //! provided for the examples and quick tests.

@@ -15,7 +15,7 @@ use alvisp2p_netsim::TrafficCategory;
 fn main() {
     // 1. Build an 8-peer network using the HDK indexing strategy.
     //    df_max is tiny because the demo corpus is tiny; real deployments use a few
-    //    hundred (see EXPERIMENTS.md).
+    //    hundred (`HdkConfig::default()` uses 200, the bench crate's experiments 100).
     //    Each peer publishes its local documents (the demo corpus is spread
     //    round-robin, as if every participant dropped files into its shared folder).
     let mut net = AlvisNetwork::builder()
