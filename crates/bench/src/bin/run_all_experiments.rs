@@ -1,4 +1,5 @@
-//! Runs every experiment (E1–E8) in sequence, printing each table.
+//! Runs the E-series experiments (E2, E3, E5, E6, E7) in sequence, printing each
+//! table.
 //!
 //! Set `ALVIS_QUICK=1` (or pass `--quick`) for a fast smoke-test pass over all
 //! experiments.
@@ -7,10 +8,6 @@ use alvisp2p_bench as bench;
 fn main() {
     let quick = bench::quick_mode();
     println!("AlvisP2P experiment harness (quick mode: {quick})\n");
-
-    let rows = bench::exp_lattice::run(&bench::exp_lattice::LatticeParams::default());
-    bench::exp_lattice::print(&rows);
-    bench::exp_lattice::print_planned(&bench::exp_lattice::LatticeParams::default(), 1_000);
 
     let p = if quick {
         bench::exp_bandwidth::BandwidthParams::quick()
@@ -33,13 +30,6 @@ fn main() {
     bench::exp_storage::print(&p, &bench::exp_storage::run(&p));
 
     let p = if quick {
-        bench::exp_quality::QualityParams::quick()
-    } else {
-        Default::default()
-    };
-    bench::exp_quality::print(&bench::exp_quality::run(&p));
-
-    let p = if quick {
         bench::exp_routing::RoutingParams::quick()
     } else {
         Default::default()
@@ -59,11 +49,4 @@ fn main() {
         Default::default()
     };
     bench::exp_qdi::print(&bench::exp_qdi::run(&p));
-
-    let p = if quick {
-        bench::exp_truncation::TruncationParams::quick()
-    } else {
-        Default::default()
-    };
-    bench::exp_truncation::print(&bench::exp_truncation::run(&p));
 }

@@ -4,8 +4,9 @@
 //!
 //! * [`CentralizedEngine`] — a conventional centralized search engine over the whole
 //!   collection. It is the **retrieval-quality reference**: the paper claims AlvisP2P's
-//!   quality is "fully comparable to state-of-the-art centralized search engines", and
-//!   experiment E4 measures precision/overlap against exactly this engine.
+//!   quality is "fully comparable to state-of-the-art centralized search engines".
+//!   The root `tests/end_to_end.rs` measures precision and overlap against exactly
+//!   this engine, and `alvis_bench` gates its `overlap_at_10`.
 //! * The **single-term full-posting-list** distributed strategy of Zhang & Suel
 //!   (reference \[11\] of the paper) — the approach AlvisP2P argues against: every term's
 //!   complete posting list is stored in the DHT and shipped to the querying peer, so

@@ -16,7 +16,7 @@
 //! version          u8       == FORMAT_VERSION
 //! full_df          varint   true document frequency at the responsible peer
 //! capacity         varint   truncation capacity of the stored list
-//! total_refs       varint   references stored at the responsible peer
+//! total_refs       varint   references stored at the responsible peer (≤ capacity)
 //! kept_refs        varint   references actually encoded (≤ total_refs; the
 //!                           difference is what a score floor elided)
 //! -- present only when kept_refs > 0 --
@@ -42,6 +42,12 @@
 //! [`CodecError::ChecksumMismatch`] instead of a silently wrong (or
 //! panicking) decode. The probe path maps that error onto the retryable
 //! [`crate::fault::ProbeOutcome::Corrupt`].
+//!
+//! Past the trailer, the list decoder rejects bodies no encoder writes: more
+//! references than the capacity, a document listed twice, or more declared
+//! entries than the body can hold (checked before allocating for them).
+//! `tests/proptest_codec.rs` fuzzes every decoder with arbitrary bodies under
+//! a valid trailer.
 //!
 //! Because blocks are score-descending and each block leads with `max_q` and
 //! its payload length, a decoder given a score floor stops at the first block
@@ -92,6 +98,11 @@ pub const SCORE_LEVELS: u16 = u16::MAX;
 /// Worst-case encoded size of one entry: two 32-bit varints (5 bytes each,
 /// absolute or zigzag delta) plus the 2-byte quantized score.
 pub const MAX_ENTRY_LEN: usize = 5 + 5 + 2;
+
+/// Smallest encoded size of one entry: two one-byte varints plus the score.
+/// The decoder allocates for a frame's declared entries only when its body
+/// can hold that many.
+const MIN_ENTRY_LEN: usize = 1 + 1 + 2;
 
 /// A frame the decoder rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -340,7 +351,8 @@ pub fn decode_key(frame: &[u8]) -> Result<Vec<String>, CodecError> {
     let buf = verify_trailer(frame)?;
     let mut pos = 0usize;
     let n = get_varint(buf, &mut pos)? as usize;
-    let mut terms = Vec::with_capacity(n.min(64));
+    // Every term takes at least its one-byte length varint.
+    let mut terms = Vec::with_capacity(n.min(buf.len() - pos));
     for _ in 0..n {
         let len = get_varint(buf, &mut pos)? as usize;
         let end = pos
@@ -614,7 +626,15 @@ fn decode_list_inner(frame: &[u8], floor: Option<f64>) -> Result<TruncatedPostin
     if kept > total {
         return Err(CodecError::new("kept_refs exceeds total_refs"));
     }
-    let mut refs: Vec<ScoredRef> = Vec::with_capacity(kept.min(4096));
+    if total > capacity {
+        return Err(CodecError::new("total_refs exceeds capacity"));
+    }
+    if kept > (buf.len() - pos) / MIN_ENTRY_LEN {
+        return Err(CodecError::new(
+            "kept_refs exceeds what the frame can carry",
+        ));
+    }
+    let mut refs: Vec<ScoredRef> = Vec::with_capacity(kept);
     if kept > 0 {
         let hi = f64::from(get_f32(buf, &mut pos)?);
         let lo = f64::from(get_f32(buf, &mut pos)?);
@@ -693,9 +713,11 @@ fn decode_list_inner(frame: &[u8], floor: Option<f64>) -> Result<TruncatedPostin
     refs.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
     let elided = (total - kept) + (kept - refs.len());
     let full_df = full_df.saturating_sub(elided as u64);
-    Ok(TruncatedPostingList::from_wire_parts(
-        refs, capacity, full_df,
-    ))
+    let list = TruncatedPostingList::from_wire_parts(refs, capacity, full_df);
+    if list.has_repeated_docs() {
+        return Err(CodecError::new("list frame repeats a document"));
+    }
+    Ok(list)
 }
 
 #[cfg(test)]

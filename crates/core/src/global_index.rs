@@ -128,10 +128,6 @@ pub struct ProbeResult {
     /// The peers currently holding replica copies of the key (empty unless a
     /// [`alvisp2p_dht::replica::ReplicationPolicy`] has replicated it).
     pub replica_set: Vec<usize>,
-    /// The probe was never sent: the caller pruned it (e.g. a strategy without
-    /// multi-term keys, or an exhausted byte/hop budget). Recorded as
-    /// [`crate::lattice::NodeOutcome::Skipped`] and excluded from probe counts.
-    pub skipped: bool,
     /// Whole codec blocks the probe's score floor elided from the response
     /// frame (see [`crate::codec::ElisionStats`]). `0` for unfloored probes.
     pub skipped_blocks: usize,
@@ -141,22 +137,6 @@ pub struct ProbeResult {
 }
 
 impl ProbeResult {
-    /// A probe the caller declined to send for `key`.
-    pub fn skipped(key: TermKey) -> Self {
-        ProbeResult {
-            key,
-            postings: None,
-            hops: 0,
-            via_shortcut: false,
-            responsible: 0,
-            served_by: 0,
-            replica_set: Vec::new(),
-            skipped: true,
-            skipped_blocks: 0,
-            elided_bytes: 0,
-        }
-    }
-
     /// Whether the key was found in the global index.
     pub fn found(&self) -> bool {
         self.postings.is_some()
@@ -188,7 +168,9 @@ const MAX_REPUBLISH_BACKOFF_ROUNDS: u64 = 8;
 /// A typed, traffic-accounted view of the distributed index.
 pub struct GlobalIndex {
     dht: Dht<KeyIndexEntry>,
-    /// Size in bytes of a probe request (key + originator address).
+    /// Size in bytes of a probe request's fixed header (48 B, the originator
+    /// address included). [`GlobalIndex::probe`] charges the key frame
+    /// (`key.wire_size()`) on top of it.
     probe_request_bytes: usize,
     /// Monotonic per-key publish versions, bumped on every mutation of a
     /// key's stored entry (publish, on-demand store, deactivation, eviction).
@@ -629,7 +611,6 @@ impl GlobalIndex {
             responsible: primary,
             served_by,
             replica_set,
-            skipped: false,
             skipped_blocks: elision.skipped_blocks,
             elided_bytes: elision.elided_bytes,
         }))
@@ -655,7 +636,9 @@ impl GlobalIndex {
         self.dht.estimate_hops(from, key.ring_id())
     }
 
-    /// Size in bytes of a probe request (key excluded).
+    /// Size in bytes of a probe request's fixed header (48 B). A probe's
+    /// request charge is this header plus the key frame (`key.wire_size()`)
+    /// plus the wire envelope.
     pub fn probe_request_bytes(&self) -> usize {
         self.probe_request_bytes
     }

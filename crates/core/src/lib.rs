@@ -19,7 +19,8 @@
 //! * [`hdk`] — Highly Discriminative Keys: document-frequency-driven key expansion;
 //! * [`qdi`] — Query-Driven Indexing: popularity-driven on-demand key activation and
 //!   eviction;
-//! * [`lattice`] — the query-lattice retrieval algorithm of Figure 1;
+//! * [`lattice`] — the bounds and trace of the query-lattice walk of Figure 1
+//!   (the walk itself is [`PlanCursor`]);
 //! * [`plan`] — budget-aware query planning: the [`Planner`] seam producing
 //!   ordered, cost-annotated [`QueryPlan`]s over the term lattice (built-ins:
 //!   the PR 1-equivalent [`BestEffort`] and the cost-based [`GreedyCost`]);
@@ -101,7 +102,7 @@ pub use fault::{Completeness, FailureCause, FaultConfig, FaultPlane, ProbeOutcom
 pub use global_index::{GlobalIndex, KeyIndexEntry, KeyUsageStats, ProbeResult};
 pub use hdk::{HdkConfig, HdkLevelReport};
 pub use key::TermKey;
-pub use lattice::{explore_lattice, LatticeConfig, LatticeResult, LatticeTrace, NodeOutcome};
+pub use lattice::{LatticeConfig, LatticeResult, LatticeTrace, NodeOutcome};
 pub use network::{
     AlvisNetwork, AlvisNetworkBuilder, IndexBuildReport, NetworkConfig, RefinedResult,
 };
@@ -114,5 +115,5 @@ pub use posting::{ScoredRef, TruncatedPostingList};
 pub use qdi::{ActivationDecision, QdiConfig, QdiReport};
 pub use ranking::{merge_retrieved, score_local_postings, GlobalRankingStats};
 pub use request::{QueryRequest, QueryResponse, ThresholdMode};
-pub use stats::{overlap_at_k, precision_at_k, recall_at_k, QualityAccumulator, QualitySummary};
+pub use stats::{overlap_at_k, precision_at_k, recall_at_k};
 pub use strategy::{Hdk, IndexerCtx, Qdi, QueryCtx, SingleTermFull, Strategy};

@@ -23,10 +23,10 @@
 //!   the spend **never** exceeds it.
 //! * [`PlanHints`] — what a [`crate::strategy::Strategy`] tells planners about the
 //!   index shape (longest indexed key, whether probing missing keys has value).
-//! * [`PlanCursor`] — the deterministic execution state machine shared by
-//!   [`crate::exec::QueryStream`] / [`crate::network::AlvisNetwork::run`] and the
-//!   experiment harness: it walks a plan, applies dynamic domination pruning and
-//!   budget admission, and accumulates the trace.
+//! * [`PlanCursor`] — the deterministic execution state machine behind
+//!   [`crate::exec::QueryStream`] / [`crate::network::AlvisNetwork::run`], and
+//!   the one lattice walker: it walks a plan, applies dynamic domination pruning
+//!   and budget admission, and accumulates the trace.
 
 use crate::global_index::{GlobalIndex, ProbeResult};
 use crate::key::TermKey;
@@ -492,8 +492,9 @@ pub enum CursorStep {
 ///
 /// The cursor is transport-agnostic: callers alternate [`PlanCursor::next_key`]
 /// (handing it the retrieval bytes spent so far) with the actual probe and
-/// [`PlanCursor::record`]. This is what [`crate::exec::QueryStream`] and the
-/// experiment harness share.
+/// [`PlanCursor::record`]. [`crate::exec::QueryStream`] drives it over the
+/// network; tests drive it over a fake index or direct
+/// [`GlobalIndex::probe`] calls.
 #[derive(Debug)]
 pub struct PlanCursor {
     plan: QueryPlan,
@@ -664,10 +665,12 @@ impl PlanCursor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::posting::{ScoredRef, TruncatedPostingList};
+    use crate::fault::ProbeOutcome;
+    use crate::posting::ScoredRef;
     use alvisp2p_dht::DhtConfig;
+    use alvisp2p_netsim::TrafficCategory;
     use alvisp2p_textindex::{CollectionStats, DocId};
     use std::collections::BTreeMap;
 
@@ -871,80 +874,345 @@ mod tests {
         }
     }
 
-    fn found(key: &TermKey, docs: u32, capacity: usize) -> ProbeResult {
+    /// `n` postings of documents `offset..offset + n`, best first, bounded to
+    /// `capacity` (truncated when `n > capacity`).
+    fn postings(n: u32, offset: u32, capacity: usize) -> TruncatedPostingList {
+        let refs = (0..n).map(|i| ScoredRef {
+            doc: DocId::new(0, offset + i),
+            score: f64::from(n - i),
+        });
+        TruncatedPostingList::from_refs(refs, capacity)
+    }
+
+    /// A fake index's two-hop answer for `key`: `Some((docs, capacity))` is
+    /// a list of [`postings`], `None` a miss.
+    fn answer(key: &TermKey, list: Option<(u32, usize)>) -> ProbeResult {
         ProbeResult {
             key: key.clone(),
-            postings: Some(TruncatedPostingList::from_refs(
-                (0..docs).map(|i| ScoredRef {
-                    doc: DocId::new(0, i),
-                    score: f64::from(docs - i),
-                }),
-                capacity,
-            )),
+            postings: list.map(|(docs, capacity)| postings(docs, 0, capacity)),
             hops: 2,
             via_shortcut: false,
             responsible: 0,
             served_by: 0,
             replica_set: Vec::new(),
-            skipped: false,
             skipped_blocks: 0,
             elided_bytes: 0,
         }
     }
 
-    #[test]
-    fn cursor_applies_domination_pruning_like_explore_lattice() {
-        let query = TermKey::new(["a", "b", "c"]);
-        let ranking = stats(&[("a", 3), ("b", 4), ("c", 4)]);
+    /// A key from its canonical form (`"b+c"`).
+    fn key(canonical: &str) -> TermKey {
+        TermKey::new(canonical.split('+'))
+    }
+
+    /// The canonical forms of `keys`, in order.
+    fn names<'a>(keys: impl IntoIterator<Item = &'a TermKey>) -> Vec<String> {
+        keys.into_iter().map(TermKey::canonical).collect()
+    }
+
+    /// One lattice walk: the query, the indexed keys as `(key, docs,
+    /// capacity)`, the bounds, and what walking a [`BestEffort`] plan must do.
+    /// Keys are canonical strings, lists in trace order.
+    struct Walk {
+        name: &'static str,
+        query: &'static str,
+        indexed: &'static [(&'static str, u32, usize)],
+        lattice: LatticeConfig,
+        probed: &'static [&'static str],
+        skipped: &'static [&'static str],
+        found: &'static [&'static str],
+        probes_hops: (usize, usize),
+    }
+
+    fn walks() -> Vec<Walk> {
+        let abc_all = &["a+b+c", "a+b", "a+c", "b+c", "a", "b", "c"];
+        vec![
+            // The paper's scenario: bc (truncated) and the singles are indexed;
+            // the truncated bc prunes b and c, the result is bc ∪ a.
+            Walk {
+                name: "figure 1",
+                query: "a+b+c",
+                indexed: &[("b+c", 10, 5), ("a", 3, 5), ("b", 4, 5), ("c", 4, 5)],
+                lattice: LatticeConfig::default(),
+                probed: &["a+b+c", "a+b", "a+c", "b+c", "a"],
+                skipped: &["b", "c"],
+                found: &["b+c", "a"],
+                probes_hops: (5, 10),
+            },
+            Walk {
+                name: "a complete query key prunes everything",
+                query: "a+b+c",
+                indexed: &[("a+b+c", 5, 100)],
+                lattice: LatticeConfig::default(),
+                probed: &["a+b+c"],
+                skipped: &["a+b", "a+c", "b+c", "a", "b", "c"],
+                found: &["a+b+c"],
+                probes_hops: (1, 2),
+            },
+            Walk {
+                name: "truncated keys do not prune when told not to",
+                query: "a+b+c",
+                indexed: &[("b+c", 10, 5), ("b", 4, 5), ("c", 4, 5)],
+                lattice: LatticeConfig {
+                    prune_below_truncated: false,
+                    ..Default::default()
+                },
+                probed: abc_all,
+                skipped: &[],
+                found: &["b+c", "b", "c"],
+                probes_hops: (7, 14),
+            },
+            Walk {
+                name: "a single-term query probes once",
+                query: "databas",
+                indexed: &[("databas", 2, 10)],
+                lattice: LatticeConfig::default(),
+                probed: &["databas"],
+                skipped: &[],
+                found: &["databas"],
+                probes_hops: (1, 2),
+            },
+            Walk {
+                name: "nothing indexed",
+                query: "a+b+c",
+                indexed: &[],
+                lattice: LatticeConfig::default(),
+                probed: abc_all,
+                skipped: &[],
+                found: &[],
+                probes_hops: (7, 14),
+            },
+            // The 3-term subsets exceed the bound; the query itself is still
+            // probed first.
+            Walk {
+                name: "max_probe_len spares the query",
+                query: "a+b+c+d",
+                indexed: &[],
+                lattice: LatticeConfig {
+                    max_probe_len: 2,
+                    max_probes: 1_000,
+                    ..Default::default()
+                },
+                probed: &[
+                    "a+b+c+d", "a+b", "a+c", "a+d", "b+c", "b+d", "c+d", "a", "b", "c", "d",
+                ],
+                skipped: &[],
+                found: &[],
+                probes_hops: (11, 22),
+            },
+            Walk {
+                name: "max_probes caps the walk",
+                query: "a+b+c+d",
+                indexed: &[],
+                lattice: LatticeConfig {
+                    max_probes: 3,
+                    max_probe_len: 0,
+                    ..Default::default()
+                },
+                probed: &["a+b+c+d", "a+b+c", "a+b+d"],
+                skipped: &[
+                    "a+c+d", "b+c+d", "a+b", "a+c", "a+d", "b+c", "b+d", "c+d", "a", "b", "c", "d",
+                ],
+                found: &[],
+                probes_hops: (3, 6),
+            },
+        ]
+    }
+
+    /// Walks a [`BestEffort`] plan of `walk` with a [`PlanCursor`] against
+    /// its fake index and checks every expectation of the row.
+    fn check(walk: &Walk) {
+        let name = walk.name;
+        let query = key(walk.query);
+        let ranking = stats(&[]);
         let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
         let plan = BestEffort.plan(&ctx(
             &query,
             &ranking,
             &global,
-            LatticeConfig::default(),
+            walk.lattice.clone(),
             PlanHints::default(),
         ));
-        let mut cursor = PlanCursor::new(plan, &LatticeConfig::default(), None, None);
-        // Figure 1: bc found truncated, a found complete, everything else missing.
+        let mut cursor = PlanCursor::new(plan, &walk.lattice, None, None);
         let mut sent = Vec::new();
-        loop {
-            match cursor.next_key(0) {
-                CursorStep::Done => break,
-                CursorStep::Probe(key) => {
-                    sent.push(key.canonical());
-                    if key == TermKey::new(["b", "c"]) {
-                        cursor.record(found(&key, 10, 5));
-                    } else if key == TermKey::single("a") {
-                        cursor.record(found(&key, 3, 5));
-                    } else {
-                        cursor.record(ProbeResult {
-                            key: key.clone(),
-                            postings: None,
-                            hops: 2,
-                            via_shortcut: false,
-                            responsible: 0,
-                            served_by: 0,
-                            replica_set: Vec::new(),
-                            skipped: false,
-                            skipped_blocks: 0,
-                            elided_bytes: 0,
-                        });
-                    }
+        while let CursorStep::Probe(probed) = cursor.next_key(0) {
+            sent.push(probed.canonical());
+            let list = walk
+                .indexed
+                .iter()
+                .find(|(k, ..)| key(k) == probed)
+                .map(|&(_, docs, capacity)| (docs, capacity));
+            cursor.record(answer(&probed, list));
+        }
+        let (result, exhausted) = cursor.finish();
+        let trace = &result.trace;
+        assert!(!exhausted, "{name}");
+        assert_eq!(sent, walk.probed, "{name}: probes sent");
+        assert_eq!(names(trace.probed_keys()), walk.probed, "{name}: probed");
+        assert_eq!(names(trace.skipped_keys()), walk.skipped, "{name}: skipped");
+        assert_eq!(names(trace.found_keys()), walk.found, "{name}: found");
+        let retrieved = names(result.retrieved.iter().map(|(k, _)| k));
+        assert_eq!(retrieved, walk.found, "{name}: retrieved");
+        assert_eq!((trace.probes, trace.hops), walk.probes_hops, "{name}");
+        // The trace covers the lattice once; a node neither probed nor
+        // skipped is a non-query key longer than the bound.
+        assert_eq!(trace.nodes.len(), (1 << query.len()) - 1, "{name}");
+        for (k, outcome) in &trace.nodes {
+            match outcome {
+                NodeOutcome::TooLong => {
+                    assert!(
+                        k.len() > walk.lattice.max_probe_len && *k != query,
+                        "{name}"
+                    )
                 }
+                NodeOutcome::Found { truncated } => {
+                    let &(_, docs, capacity) =
+                        walk.indexed.iter().find(|(c, ..)| key(c) == *k).unwrap();
+                    assert_eq!(*truncated, docs as usize > capacity, "{name}: {k}");
+                }
+                _ => {}
             }
         }
-        assert_eq!(sent, vec!["a+b+c", "a+b", "a+c", "b+c", "a"]);
+    }
+
+    /// Checks the row of [`walks`] called `name`; the `lattice` module's
+    /// tests pin one row each.
+    pub(crate) fn check_walk(name: &str) {
+        let walk = walks().into_iter().find(|w| w.name == name);
+        check(&walk.unwrap_or_else(|| panic!("no lattice walk named {name:?}")));
+    }
+
+    #[test]
+    fn cursor_walks_the_query_lattice() {
+        for walk in walks() {
+            check(&walk);
+        }
+    }
+
+    /// Plans Figure 1's query from peer 1 with `planner` under `byte_budget`
+    /// and `lattice` and runs it over a 16-peer index holding `b+c`
+    /// truncated (12 matches, capacity 5) and the single terms complete: the
+    /// walk's result, the retrieval bytes spent, and whether the budget
+    /// withheld a probe.
+    fn walk_figure_1(
+        planner: &dyn Planner,
+        lattice: &LatticeConfig,
+        byte_budget: u64,
+    ) -> (LatticeResult, u64, bool) {
+        let mut index = GlobalIndex::new(DhtConfig::default(), 1, 16);
+        for (k, n, offset) in [("b+c", 12, 100), ("a", 3, 0), ("b", 4, 200), ("c", 4, 300)] {
+            let list = postings(n, offset, 5);
+            index.publish_postings(0, &key(k), &list, 5).unwrap();
+        }
+        let fragment = CollectionStats {
+            doc_count: 23,
+            total_terms: 1_000,
+            doc_frequencies: [("a", 3u64), ("b", 12), ("c", 12)]
+                .into_iter()
+                .map(|(t, df)| (t.to_string(), df))
+                .collect(),
+        };
+        let ranking = GlobalRankingStats::aggregate([&fragment]);
+        let query = key("a+b+c");
+        let plan = planner.plan(&PlanCtx {
+            origin: 1,
+            capacity: 5,
+            byte_budget: Some(byte_budget),
+            ..ctx(
+                &query,
+                &ranking,
+                &index,
+                lattice.clone(),
+                PlanHints::default(),
+            )
+        });
+        let retrieval =
+            |index: &GlobalIndex| index.stats().category(TrafficCategory::Retrieval).bytes;
+        let base = retrieval(&index);
+        let mut cursor = PlanCursor::new(plan, lattice, Some(byte_budget), None);
+        while let CursorStep::Probe(k) = cursor.next_key(retrieval(&index) - base) {
+            match index.probe(1, &k, 1, 5, None, 0, None).unwrap() {
+                ProbeOutcome::Ok(probe) => cursor.record(probe),
+                failed => unreachable!("no fault plane is set: {failed:?}"),
+            };
+        }
         let (result, exhausted) = cursor.finish();
-        assert!(!exhausted);
-        let skipped: Vec<String> = result
+        (result, retrieval(&index) - base, exhausted)
+    }
+
+    /// [`walk_figure_1`] under the default lattice bounds: the retrieved
+    /// keys, the retrieval bytes spent, and whether the budget withheld a
+    /// probe.
+    fn run_figure_1(planner: &dyn Planner, byte_budget: u64) -> (Vec<String>, u64, bool) {
+        let (result, bytes, exhausted) =
+            walk_figure_1(planner, &LatticeConfig::default(), byte_budget);
+        let retrieved = names(result.retrieved.iter().map(|(k, _)| k));
+        (retrieved, bytes, exhausted)
+    }
+
+    #[test]
+    fn reproduces_figure_1_pattern() {
+        let (result, _, _) = walk_figure_1(&BestEffort, &LatticeConfig::default(), 1_000_000);
+        let outcomes: Vec<(String, NodeOutcome)> = result
             .trace
-            .skipped_keys()
+            .nodes
             .iter()
-            .map(|k| k.canonical())
+            .map(|(k, o)| (k.canonical(), o.clone()))
             .collect();
-        assert_eq!(skipped, vec!["b", "c"]);
-        assert_eq!(result.trace.probes, 5);
-        assert_eq!(result.trace.hops, 10);
+        let found = |truncated| NodeOutcome::Found { truncated };
+        let expected = [
+            ("a+b+c", NodeOutcome::Missing),
+            ("a+b", NodeOutcome::Missing),
+            ("a+c", NodeOutcome::Missing),
+            ("b+c", found(true)),
+            ("a", found(false)),
+            ("b", NodeOutcome::Skipped),
+            ("c", NodeOutcome::Skipped),
+        ]
+        .map(|(k, o)| (k.to_string(), o));
+        assert_eq!(outcomes, expected);
+        // The result union comes from bc and a, exactly as in the paper.
+        let retrieved = names(result.retrieved.iter().map(|(k, _)| k));
+        assert_eq!(retrieved, vec!["b+c", "a"]);
+    }
+
+    #[test]
+    fn without_pruning_the_singles_are_probed() {
+        let lattice = LatticeConfig {
+            prune_below_truncated: false,
+            ..Default::default()
+        };
+        let (result, _, _) = walk_figure_1(&BestEffort, &lattice, 1_000_000);
+        assert!(result.trace.skipped_keys().is_empty());
+        assert_eq!(names(result.trace.found_keys()), vec!["b+c", "a", "b", "c"]);
+    }
+
+    #[test]
+    fn greedy_cost_retrieves_figure_1_within_a_budget_best_effort_wastes() {
+        // Generous budget: both planners end with the Figure 1 result union.
+        let (best_loose, _, _) = run_figure_1(&BestEffort, 1_000_000);
+        let (mut greedy_loose, _, greedy_exhausted) =
+            run_figure_1(&GreedyCost::default(), 1_000_000);
+        assert_eq!(best_loose, vec!["b+c", "a"]);
+        greedy_loose.sort();
+        assert_eq!(greedy_loose, vec!["a", "b+c"]);
+        assert!(!greedy_exhausted);
+
+        // Tight budget (roughly two probes): the cost-based plan spends it on
+        // the keys that are actually indexed and still retrieves the full
+        // union, while the fixed-order cutoff burns it on the missing
+        // multi-term prefixes. Reserve admission never exceeds the budget.
+        let budget = 800;
+        let (best, _, _) = run_figure_1(&BestEffort, budget);
+        let (greedy, greedy_bytes, _) = run_figure_1(&GreedyCost::default(), budget);
+        assert!(greedy_bytes <= budget, "greedy spent {greedy_bytes}");
+        assert!(
+            greedy.len() >= best.len(),
+            "greedy {greedy:?} vs best-effort {best:?}"
+        );
+        assert!(greedy.contains(&"a".to_string()));
+        assert!(greedy.contains(&"b+c".to_string()));
+        assert!(best.is_empty());
     }
 
     #[test]
@@ -989,7 +1257,7 @@ mod tests {
         let CursorStep::Probe(key) = cursor.next_key(0) else {
             panic!("first probe admitted")
         };
-        cursor.record(found(&key, 4, 10));
+        cursor.record(answer(&key, Some((4, 10))));
         assert_eq!(cursor.next_key(500), CursorStep::Done);
         let (_, exhausted) = cursor.finish();
         assert!(!exhausted);

@@ -199,6 +199,13 @@ impl TruncatedPostingList {
             members,
         }
     }
+
+    /// Whether two stored references name the same document — impossible for
+    /// a list built by insertion, so a decoded list that does came from a
+    /// malformed frame.
+    pub(crate) fn has_repeated_docs(&self) -> bool {
+        self.members.len() != self.refs.len()
+    }
 }
 
 impl WireSize for TruncatedPostingList {

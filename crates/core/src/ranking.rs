@@ -12,8 +12,8 @@
 //! statistics, merging reduces to summing the contributions of the query-term subsets
 //! actually covered by each retrieved key — documents covered by an exact term cover
 //! receive exactly their centralized BM25 score, which is why retrieval quality stays
-//! comparable to a centralized engine (experiment E4 quantifies the residual loss due
-//! to truncation).
+//! comparable to a centralized engine. The root `tests/end_to_end.rs` pins the
+//! residual loss due to truncation, and `alvis_bench` gates its `overlap_at_10`.
 
 use crate::key::TermKey;
 use crate::posting::{ScoredRef, TruncatedPostingList};

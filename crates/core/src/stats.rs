@@ -6,7 +6,6 @@
 
 use alvisp2p_textindex::bm25::ScoredDoc;
 use alvisp2p_textindex::DocId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Precision@k of `results` against a set of relevant documents: the fraction of the
@@ -48,62 +47,6 @@ pub fn overlap_at_k(results: &[ScoredDoc], reference: &[ScoredDoc], k: usize) ->
 /// usual proxy for relevance judgements when no human assessments exist.
 pub fn reference_relevant(reference: &[ScoredDoc], k: usize) -> HashSet<DocId> {
     reference.iter().take(k).map(|r| r.doc).collect()
-}
-
-/// Aggregated quality over a query set.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct QualitySummary {
-    /// Number of queries evaluated.
-    pub queries: usize,
-    /// Mean precision@k (reference top-k treated as relevant).
-    pub mean_precision: f64,
-    /// Mean recall@k.
-    pub mean_recall: f64,
-    /// Mean overlap@k with the reference ranking.
-    pub mean_overlap: f64,
-}
-
-/// Accumulates per-query quality measurements into a [`QualitySummary`].
-#[derive(Clone, Debug, Default)]
-pub struct QualityAccumulator {
-    precision: Vec<f64>,
-    recall: Vec<f64>,
-    overlap: Vec<f64>,
-}
-
-impl QualityAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        QualityAccumulator::default()
-    }
-
-    /// Adds one query's results, judged against the reference ranking at cutoff `k`.
-    pub fn add(&mut self, results: &[ScoredDoc], reference: &[ScoredDoc], k: usize) {
-        let relevant = reference_relevant(reference, k);
-        self.precision.push(precision_at_k(results, &relevant, k));
-        self.recall.push(recall_at_k(results, &relevant, k));
-        self.overlap.push(overlap_at_k(results, reference, k));
-    }
-
-    /// Number of queries accumulated so far.
-    pub fn len(&self) -> usize {
-        self.precision.len()
-    }
-
-    /// Whether nothing has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.precision.is_empty()
-    }
-
-    /// The aggregated summary.
-    pub fn summary(&self) -> QualitySummary {
-        QualitySummary {
-            queries: self.precision.len(),
-            mean_precision: mean(&self.precision),
-            mean_recall: mean(&self.recall),
-            mean_overlap: mean(&self.overlap),
-        }
-    }
 }
 
 /// Arithmetic mean (0 for an empty slice).
@@ -187,20 +130,6 @@ mod tests {
         assert!((overlap_at_k(&half, &reference, 5) - 0.4).abs() < 1e-9);
         assert_eq!(overlap_at_k(&[], &reference, 5), 0.0);
         assert_eq!(overlap_at_k(&half, &[], 5), 1.0);
-    }
-
-    #[test]
-    fn accumulator_aggregates_means() {
-        let reference = docs(&[1, 2, 3, 4]);
-        let mut acc = QualityAccumulator::new();
-        assert!(acc.is_empty());
-        acc.add(&docs(&[1, 2, 3, 4]), &reference, 4); // perfect
-        acc.add(&docs(&[9, 8, 7, 6]), &reference, 4); // disjoint
-        let s = acc.summary();
-        assert_eq!(s.queries, 2);
-        assert!((s.mean_precision - 0.5).abs() < 1e-9);
-        assert!((s.mean_overlap - 0.5).abs() < 1e-9);
-        assert_eq!(acc.len(), 2);
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //!   the fully decoded list at or above the floor;
 //! * executing the same query workload with threshold-aware probes on and off
 //!   returns the same ranked top-k documents (and never more bytes) across
-//!   random corpora and budgets.
+//!   random corpora and budgets;
+//! * the decoders survive arbitrary bodies under a valid checksum trailer:
+//!   every call returns `Ok` or a typed `CodecError`, never panics, never
+//!   allocates more than the frame justifies, and every `Ok` list is
+//!   well-formed.
 
 use alvisp2p_core::codec::{
-    decode_list, decode_list_above, encode_list, encoded_list_len, max_encoded_list_len,
-    quantization_step,
+    decode_key, decode_list, decode_list_above, encode_list, encoded_list_len, frame_checksum,
+    max_encoded_list_len, quantization_step, FORMAT_VERSION,
 };
 use alvisp2p_core::network::AlvisNetwork;
 use alvisp2p_core::posting::{ScoredRef, TruncatedPostingList};
@@ -23,6 +27,9 @@ use alvisp2p_textindex::{
     CorpusConfig, CorpusGenerator, DocId, QueryLogConfig, QueryLogGenerator, SyntheticCorpus,
 };
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn scored_refs(max: usize) -> impl Strategy<Value = Vec<ScoredRef>> {
@@ -164,6 +171,222 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder fuzz: arbitrary bodies under a valid checksum trailer
+// ---------------------------------------------------------------------------
+
+// `GlobalAlloc` cannot be implemented without `unsafe`. This allocator only
+// delegates to `System` and, while the current thread measures, adds up the
+// bytes it hands out. The tally is thread-local, so tests running in parallel
+// do not perturb each other.
+struct MeasuringAllocator;
+
+thread_local! {
+    /// Heap bytes requested on this thread since measuring began, or `None`
+    /// when the thread is not measuring.
+    static REQUESTED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn tally(bytes: usize) {
+    let _ = REQUESTED.try_with(|r| {
+        if let Some(n) = r.get() {
+            r.set(Some(n + bytes));
+        }
+    });
+}
+
+// SAFETY: delegates verbatim to `System`, which upholds the `GlobalAlloc`
+// contract; the tally has no effect on allocation behaviour and never
+// allocates itself (a const-initialised `Cell` needs no lazy TLS setup).
+unsafe impl GlobalAlloc for MeasuringAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: MeasuringAllocator = MeasuringAllocator;
+
+/// Runs `f` and returns its result with the heap bytes it requested.
+fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    REQUESTED.set(Some(0));
+    let out = f();
+    (out, REQUESTED.replace(None).expect("measuring"))
+}
+
+/// What a frame of `len` bytes justifies: a decoded list costs its entries
+/// (16 B each), a sort buffer and a membership set, and every entry takes at
+/// least 4 frame bytes — so a fixed multiple of the frame length, plus room
+/// for an error message.
+fn justified_bytes(len: usize) -> usize {
+    32 * len + 256
+}
+
+/// Appends `v` as an LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// `body` followed by its valid checksum trailer.
+fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let sum = frame_checksum(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// A random body, small bytes (plausible varints) half the time, led by
+/// [`FORMAT_VERSION`] in half the cases.
+fn raw_body() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<bool>(),
+        proptest::collection::vec((any::<bool>(), any::<u8>()), 0..48),
+    )
+        .prop_map(|(versioned, bytes)| {
+            let bytes = bytes
+                .into_iter()
+                .map(|(small, b)| if small { b % 4 } else { b });
+            versioned
+                .then_some(FORMAT_VERSION)
+                .into_iter()
+                .chain(bytes)
+                .collect()
+        })
+}
+
+/// A list-frame body with the format's shape but random contents: header
+/// counts that agree with the entries in half the cases and are arbitrary
+/// (`kept` above `total` or the capacity) in the rest, a finite score range,
+/// and blocks of entries whose doc-id deltas are often zero. The declared
+/// block length is usually exact.
+fn list_body() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (any::<bool>(), (0u64..6, 0u64..6, 0u64..6, 0u64..6)),
+        (0u64..4, any::<u16>(), 0u64..4),
+        proptest::collection::vec((0u64..4, 0u64..4, any::<u16>()), 0..6),
+    )
+        .prop_map(
+            |((wild, (full_df, a, b, c)), (blocks, max_q, slop), entries)| {
+                let n = entries.len() as u64;
+                let (capacity, total, kept) = if wild {
+                    (a, b, c)
+                } else {
+                    (n + a + b, n + a, n)
+                };
+                let mut body = vec![FORMAT_VERSION];
+                for v in [full_df, capacity, total, kept] {
+                    put_varint(&mut body, v);
+                }
+                body.extend_from_slice(&2.0f32.to_le_bytes());
+                body.extend_from_slice(&1.0f32.to_le_bytes());
+                // Usually one block; sometimes none, sometimes the block twice.
+                let blocks = blocks.div_ceil(2);
+                put_varint(&mut body, blocks);
+                let mut payload = Vec::new();
+                for &(peer, local, q) in &entries {
+                    put_varint(&mut payload, peer);
+                    put_varint(&mut payload, local);
+                    payload.extend_from_slice(&q.to_le_bytes());
+                }
+                for _ in 0..blocks {
+                    body.extend_from_slice(&max_q.to_le_bytes());
+                    put_varint(&mut body, n);
+                    put_varint(&mut body, payload.len() as u64 + slop / 3);
+                    body.extend_from_slice(&payload);
+                }
+                body
+            },
+        )
+}
+
+/// Every decoder on `frame`: `Ok` or a typed error, within the justified
+/// allocation, and every `Ok` list bounded by its capacity with distinct
+/// documents.
+fn assert_decoders_are_safe(frame: &[u8], floor: f64) {
+    let (list, list_bytes) = bytes_requested(|| decode_list(frame));
+    let (above, above_bytes) = bytes_requested(|| decode_list_above(frame, floor));
+    let (_, key_bytes) = bytes_requested(|| decode_key(frame));
+    for bytes in [list_bytes, above_bytes, key_bytes] {
+        let budget = justified_bytes(frame.len());
+        assert!(bytes <= budget, "{bytes} B allocated for {frame:?}");
+    }
+    for list in [list, above].into_iter().flatten() {
+        let docs: HashSet<DocId> = list.refs().iter().map(|r| r.doc).collect();
+        assert!(list.len() <= list.capacity(), "{list:?} from {frame:?}");
+        assert_eq!(docs.len(), list.len(), "repeated doc in {frame:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn decoders_survive_arbitrary_bodies_under_a_valid_trailer(
+        raw in raw_body(),
+        shaped in list_body(),
+        floor in 0.0f64..3.0,
+    ) {
+        assert_decoders_are_safe(&seal(raw), floor);
+        assert_decoders_are_safe(&seal(shaped), floor);
+    }
+}
+
+/// Frames the decoder fuzz found before the decoder rejected them: each one
+/// was accepted or over-allocated.
+const FUZZ_REGRESSIONS: &[(&str, &[u8])] = &[
+    (
+        "kept_refs beyond what the body can carry (allocated 64 KiB)",
+        &[
+            2, 217, 136, 2, 247, 174, 73, 247, 124, 220, 231, 0, 136, 165, 1, 164, 55, 77, 230,
+            230, 3, 0, 175, 10, 78, 130,
+        ],
+    ),
+    (
+        "one document in two blocks",
+        &[
+            2, 1, 3, 2, 2, 0, 0, 0, 64, 0, 0, 128, 63, 2, 34, 103, 1, 4, 0, 2, 82, 170, 34, 103, 1,
+            4, 0, 2, 82, 170, 36, 4, 195, 43,
+        ],
+    ),
+    (
+        "three entries under capacity 1",
+        &[
+            2, 0, 1, 4, 3, 0, 0, 0, 64, 0, 0, 128, 63, 1, 139, 156, 3, 12, 1, 2, 18, 191, 1, 0,
+            153, 88, 2, 3, 234, 253, 243, 5, 14, 55,
+        ],
+    ),
+    (
+        "a key frame claiming 5,896 terms (allocated 1.5 KiB)",
+        &[
+            136, 174, 1, 82, 12, 210, 0, 2, 219, 200, 33, 92, 1, 2, 204, 231, 186, 163, 1, 3, 2, 2,
+            1, 3, 0, 1, 2, 105, 60, 81, 8, 223, 149,
+        ],
+    ),
+];
+
+#[test]
+fn decoder_fuzz_regressions_are_rejected() {
+    for (what, frame) in FUZZ_REGRESSIONS {
+        assert!(decode_list(frame).is_err(), "{what}");
+        assert!(decode_list_above(frame, 0.0).is_err(), "{what}");
+        assert!(decode_key(frame).is_err(), "{what}");
+        assert_decoders_are_safe(frame, 0.0);
     }
 }
 

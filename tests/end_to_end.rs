@@ -52,34 +52,56 @@ fn build(
 #[test]
 fn hdk_retrieval_quality_is_comparable_to_centralized() {
     let (corpus, queries) = corpus_and_queries(300, 11);
-    let mut net = build(
-        Hdk::new(HdkConfig {
-            df_max: 50,
-            truncation_k: 50,
-            ..Default::default()
-        }),
-        &corpus,
-        12,
-    );
-    let mut total_precision = 0.0;
-    let mut evaluated = 0usize;
-    for (i, q) in queries.iter().enumerate() {
-        let outcome = net
-            .execute(&QueryRequest::new(q.clone()).from_peer(i % 12))
-            .expect("query succeeds");
-        let reference = net.reference_search(q, 10);
-        if reference.is_empty() {
-            continue;
-        }
-        let relevant = reference_relevant(&reference, 10);
-        total_precision += precision_at_k(&outcome.results, &relevant, 10);
-        evaluated += 1;
-    }
-    assert!(evaluated >= 20, "too few evaluable queries: {evaluated}");
-    let mean_precision = total_precision / evaluated as f64;
+    // Per truncation bound, at one df_max: mean precision@10, overlap@10 and
+    // bytes/query over the queries the reference can answer.
+    let runs: Vec<(f64, f64, f64)> = [10, 50]
+        .into_iter()
+        .map(|k| {
+            let mut net = build(
+                Hdk::new(HdkConfig {
+                    df_max: 50,
+                    truncation_k: k,
+                    ..Default::default()
+                }),
+                &corpus,
+                12,
+            );
+            let (mut precision, mut overlap, mut bytes, mut evaluated) = (0.0, 0.0, 0u64, 0usize);
+            for (i, q) in queries.iter().enumerate() {
+                let outcome = net
+                    .execute(&QueryRequest::new(q.clone()).from_peer(i % 12))
+                    .expect("query succeeds");
+                let reference = net.reference_search(q, 10);
+                if reference.is_empty() {
+                    continue;
+                }
+                let relevant = reference_relevant(&reference, 10);
+                precision += precision_at_k(&outcome.results, &relevant, 10);
+                overlap += overlap_at_k(&outcome.results, &reference, 10);
+                bytes += outcome.bytes;
+                evaluated += 1;
+            }
+            assert!(evaluated >= 20, "too few evaluable queries: {evaluated}");
+            let n = evaluated as f64;
+            (precision / n, overlap / n, bytes as f64 / n)
+        })
+        .collect();
+    let [(_, small_overlap, small_bytes), (precision, overlap, bytes)] = runs[..] else {
+        unreachable!("two truncation bounds")
+    };
     assert!(
-        mean_precision > 0.75,
-        "HDK precision@10 vs centralized reference too low: {mean_precision:.3}"
+        precision > 0.75,
+        "HDK precision@10 vs centralized reference too low: {precision:.3}"
+    );
+    // Truncation trades quality for bytes: the larger bound answers at least
+    // as well and ships at least as much.
+    assert!(
+        overlap >= small_overlap,
+        "overlap@10 fell as truncation grew: {small_overlap:.3} -> {overlap:.3}"
+    );
+    assert!(
+        bytes >= small_bytes,
+        "bytes/query fell as truncation grew: {small_bytes:.0} -> {bytes:.0}"
     );
 }
 

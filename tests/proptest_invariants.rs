@@ -5,7 +5,8 @@
 //! order-insensitivity, key-lattice algebra, lattice-exploration pruning soundness,
 //! analyzer/stemmer behaviour and digest round-trips.
 
-use alvisp2p::core::lattice::{explore_lattice, LatticeConfig, NodeOutcome};
+use alvisp2p::core::lattice::{LatticeConfig, NodeOutcome};
+use alvisp2p::core::plan::{CursorStep, PlanCursor, PlanDecision, PlanNode, QueryPlan};
 use alvisp2p::core::{DocumentDigest, ProbeResult, ScoredRef, TermKey, TruncatedPostingList};
 use alvisp2p::dht::{lookup, Dht, DhtConfig, IdDistribution, Peer, Ring, RingId, RoutingStrategy};
 use alvisp2p::netsim::{SimRng, TrafficCategory, WireSize, Zipf};
@@ -278,28 +279,43 @@ proptest! {
             }
             list
         };
-        let mut probed: Vec<TermKey> = Vec::new();
-        let result = explore_lattice(
-            &query,
-            &LatticeConfig { max_probe_len: 0, max_probes: 1024, prune_below_truncated: true },
-            |k| {
-                probed.push(k.clone());
-                let entry = table.iter().find(|(tk, _)| tk == k);
-                Ok::<ProbeResult, ()>(ProbeResult {
-                    key: k.clone(),
-                    postings: entry.map(|(_, complete)| make_list(*complete)),
-                    hops: 1,
-                    via_shortcut: false,
-                    responsible: 0,
-                    served_by: 0,
-                    replica_set: Vec::new(),
-                    skipped: false,
-                    skipped_blocks: 0,
-                    elided_bytes: 0,
+        // Every lattice node scheduled as a probe: the cursor alone prunes.
+        let lattice =
+            LatticeConfig { max_probe_len: 0, max_probes: 1024, prune_below_truncated: true };
+        let plan = QueryPlan {
+            query_key: Some(query.clone()),
+            nodes: query
+                .all_subsets_desc()
+                .into_iter()
+                .map(|key| PlanNode {
+                    key,
+                    decision: PlanDecision::Probe,
+                    est_hops: 0,
+                    est_bytes: 0,
+                    est_entries: 0,
+                    priority: 0.0,
                 })
-            },
-        )
-        .unwrap();
+                .collect(),
+            ..QueryPlan::empty("all-probe", 0)
+        };
+        let mut cursor = PlanCursor::new(plan, &lattice, None, None);
+        let mut probed: Vec<TermKey> = Vec::new();
+        while let CursorStep::Probe(k) = cursor.next_key(0) {
+            probed.push(k.clone());
+            let entry = table.iter().find(|(tk, _)| *tk == k);
+            cursor.record(ProbeResult {
+                postings: entry.map(|(_, complete)| make_list(*complete)),
+                key: k,
+                hops: 1,
+                via_shortcut: false,
+                responsible: 0,
+                served_by: 0,
+                replica_set: Vec::new(),
+                skipped_blocks: 0,
+                elided_bytes: 0,
+            });
+        }
+        let (result, _) = cursor.finish();
 
         // Soundness of pruning: no probed node is a strict subset of a previously
         // *found* node (found nodes always prune their sub-lattice here).
@@ -443,9 +459,10 @@ proptest! {
         prop_assert!(plan.scheduled_probes() <= lattice.len());
     }
 
-    /// (c) The BestEffort planner reproduces the pre-planner (PR 1) execution
-    /// trace key-for-key on budget-free queries: same nodes, same outcomes,
-    /// same order, same traffic.
+    /// (c) Running a BestEffort plan through the network's stream reproduces a
+    /// bare `PlanCursor` walk of the same plan over direct probes, key for
+    /// key on budget-free queries: same nodes, same outcomes, same order,
+    /// same traffic.
     #[test]
     fn best_effort_reproduces_pre_planner_traces(
         strategy_pick: u8,
@@ -455,49 +472,43 @@ proptest! {
         use alvisp2p::prelude::*;
         let text = pool_query(&picks);
 
-        // New path: plan with BestEffort, run the plan.
+        // The network's path: plan with BestEffort, run the plan.
         let mut planned_net = demo_net(strategy_pick, 23);
-        let request = QueryRequest::new(text.clone()).from_peer(origin);
+        let request = QueryRequest::new(text).from_peer(origin);
         let plan = planned_net.plan_with(&BestEffort, &request).unwrap();
         let response = planned_net.run(&plan, &request).unwrap();
 
-        // Reference: the PR 1 `execute` loop, replicated verbatim over an
-        // identically-built network via `explore_lattice`.
+        // Reference: the same plan walked by a bare `PlanCursor` over direct
+        // `GlobalIndex::probe` calls on an identically-built network.
         let mut reference_net = demo_net(strategy_pick, 23);
-        let analyzer = Analyzer::default();
-        // The query path analyzes lookup-only (never-published terms are
-        // dropped and never intern — see `textindex::intern::try_term_id`),
-        // so the reference must build its query key the same way.
-        let terms = analyzer.analyze_query_ids(&text);
-        if terms.is_empty() {
+        let plan = reference_net.plan_with(&BestEffort, &request).unwrap();
+        if plan.query_key.is_none() {
             prop_assert!(response.trace.nodes.is_empty());
             return;
         }
-        let query_key = TermKey::from_term_ids(terms);
-        let strategy = reference_net.strategy().clone();
-        let lattice_config = strategy.lattice_config(&reference_net.config().lattice);
-        let single_term_only = lattice_config.max_probe_len == 1;
-        let capacity = strategy.truncation_k();
+        let lattice = reference_net.strategy().lattice_config(&reference_net.config().lattice);
+        let capacity = reference_net.strategy().truncation_k();
+        let seq = reference_net.queries_processed() + 1;
         let before = reference_net.traffic_snapshot();
-        let reference = {
-            let gi = reference_net.global_index_mut();
-            explore_lattice(&query_key, &lattice_config, |key| {
-                if single_term_only && key.len() > 1 {
-                    return Ok(ProbeResult::skipped(key.clone()));
-                }
-                gi.probe(origin, key, 1, capacity, None, 0, None)
-                    .map(|outcome| match outcome {
-                        ProbeOutcome::Ok(probe) => probe,
-                        failed => panic!("no fault plane is set: {failed:?}"),
-                    })
-            })
-            .unwrap()
+        let spent = |net: &AlvisNetwork| {
+            net.traffic_snapshot()
+                .since(&before)
+                .category(TrafficCategory::Retrieval)
+                .bytes
         };
-        let reference_bytes = reference_net
-            .traffic_snapshot()
-            .since(&before)
-            .category(TrafficCategory::Retrieval)
-            .bytes;
+        let mut cursor = PlanCursor::new(plan, &lattice, None, None);
+        while let CursorStep::Probe(key) = cursor.next_key(spent(&reference_net)) {
+            match reference_net
+                .global_index_mut()
+                .probe(origin, &key, seq, capacity, None, 0, None)
+                .unwrap()
+            {
+                ProbeOutcome::Ok(probe) => cursor.record(probe),
+                failed => panic!("no fault plane is set: {failed:?}"),
+            };
+        }
+        let reference_bytes = spent(&reference_net);
+        let (reference, _) = cursor.finish();
 
         prop_assert_eq!(&response.trace.nodes, &reference.trace.nodes);
         prop_assert_eq!(response.trace.probes, reference.trace.probes);
