@@ -42,7 +42,7 @@ pub struct BandwidthRow {
     pub mean_messages: f64,
     /// Mean probes (keys requested) per query.
     pub mean_probes: f64,
-    /// Aggregated robustness counters (all zeros under `NoFaults`).
+    /// Aggregated robustness counters (all zeros under the default fault plane).
     pub robustness: Robustness,
 }
 
@@ -247,7 +247,7 @@ pub struct PlannedBandwidthRow {
     /// was stale (always 0 for the other arms).
     #[serde(default)]
     pub rank_safe_fallbacks: u64,
-    /// Aggregated robustness counters (all zeros under `NoFaults`).
+    /// Aggregated robustness counters (all zeros under the default fault plane).
     pub robustness: Robustness,
 }
 
@@ -382,13 +382,9 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
         // answer reference every other arm's `identical_topk` is measured
         // against.
         let arms: [(&str, &dyn Planner, ThresholdMode); 3] = [
-            ("greedy-cost", &GreedyCost::default(), ThresholdMode::Off),
+            ("greedy-cost", &GreedyCost, ThresholdMode::Off),
             ("best-effort", &BestEffort, ThresholdMode::Off),
-            (
-                "greedy-cost",
-                &GreedyCost::default(),
-                ThresholdMode::RankSafe,
-            ),
+            ("greedy-cost", &GreedyCost, ThresholdMode::RankSafe),
         ];
         let mut reference_answers: Option<Vec<Vec<(DocId, u64)>>> = None;
         for (label, planner, threshold) in arms {

@@ -169,7 +169,7 @@ fn network(corpus: &SyntheticCorpus, policy: RetryPolicy, params: &FaultsParams)
 }
 
 /// Runs the full log once against the warm network, heating the replication
-/// tracker exactly the same way in every arm (the plane is still `NoFaults`).
+/// tracker exactly the same way in every arm (the plane is still the default).
 fn warm(net: &mut AlvisNetwork, queries: &[String], params: &FaultsParams) {
     for (i, text) in queries.iter().enumerate() {
         let request = QueryRequest::new(text.clone())

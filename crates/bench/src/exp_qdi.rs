@@ -41,7 +41,7 @@ pub struct QdiRow {
     /// Whether the popularity drift has already happened at this point.
     pub after_drift: bool,
     /// Aggregated robustness counters inside the window (all zeros under
-    /// `NoFaults`).
+    /// the default fault plane).
     pub robustness: Robustness,
 }
 

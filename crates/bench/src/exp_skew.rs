@@ -118,7 +118,7 @@ pub struct SkewRow {
     pub replica_serves: u64,
     /// Whether every query's top-k equals the `none` arm's answer.
     pub identical_topk: bool,
-    /// Aggregated robustness counters (all zeros under `NoFaults`; defaulted
+    /// Aggregated robustness counters (all zeros under the default fault plane; defaulted
     /// when reading reports written before the field existed).
     #[serde(default)]
     pub robustness: Robustness,

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Every experiment that executes queries feeds its responses through
 /// [`Robustness::observe`] and prints the [`Robustness::summary`] line after
 /// its table, so fault-tolerance activity (or its absence — all zeros under
-/// `NoFaults`) is visible in every experiment's output, not only in
+/// the default fault plane) is visible in every experiment's output, not only in
 /// `exp_faults`.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct Robustness {

@@ -21,7 +21,7 @@ fn rank_safe_elides_bytes_on_head_term_pair_queries_without_rank_drift() {
     let strategy = Arc::new(Hdk::new(workloads::default_hdk()));
     let mut safe = workloads::indexed_network(&corpus, strategy.clone(), 8, seed);
     let mut off = workloads::indexed_network(&corpus, strategy, 8, seed);
-    let planner = GreedyCost::default();
+    let planner = GreedyCost;
 
     let mut safe_bytes = 0u64;
     let mut off_bytes = 0u64;

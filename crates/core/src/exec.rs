@@ -64,8 +64,8 @@ pub struct ProbeEvent {
     /// Number of live replica holders the key had at probe time (`0` unless
     /// the key is hot-replicated).
     pub replicas: usize,
-    /// Number of re-sent attempts this probe needed (always `0` under
-    /// [`crate::fault::FaultPlane::NoFaults`]). A probe with outcome
+    /// Number of re-sent attempts this probe needed (always `0` under the
+    /// default [`crate::fault::FaultPlane`]). A probe with outcome
     /// [`NodeOutcome::Failed`] exhausted its [`crate::fault::RetryPolicy`];
     /// its [`ProbeEvent::bytes`] and [`ProbeEvent::hops`] are what the failed
     /// attempts really spent.
@@ -372,14 +372,14 @@ impl<'n> QueryStream<'n> {
     /// [`crate::global_index::GlobalIndex::probe`], the one wire path.
     ///
     /// A failed attempt is answered per the network's
-    /// [`crate::fault::RetryPolicy`]: bounded re-sends with exponential
-    /// backoff and deterministic jitter in simulated time, a per-probe
-    /// deadline, and — after an unresponsive peer — failover of the serve to
-    /// the next live holder in the key's replica set. Every failed attempt's
-    /// traffic is really charged, so retries compete against the query's
-    /// byte/hop budgets like any other spend. Under an inactive
-    /// [`crate::fault::FaultPlane`] the first attempt cannot fail, so the
-    /// loop body runs once and nothing below the `match` is reached.
+    /// [`crate::fault::RetryPolicy`]: up to `max_retries` re-sends, each sent
+    /// as the next attempt straight away, and — after an unresponsive peer —
+    /// failover of the serve to the next live holder in the key's replica
+    /// set. Every failed attempt's traffic is really charged, so retries
+    /// compete against the query's byte/hop budgets like any other spend.
+    /// Under an inactive [`crate::fault::FaultPlane`] the first attempt
+    /// cannot fail, so the loop body runs once and nothing below the `match`
+    /// is reached.
     ///
     /// A routing-level [`DhtError::LookupFailed`] (the responsible peer is
     /// dead or the routing state is stale) is downgraded to a recorded
@@ -397,7 +397,6 @@ impl<'n> QueryStream<'n> {
         let mut retries = 0usize;
         let mut hedged = false;
         let mut failed_hops = 0usize;
-        let mut elapsed_us = 0u64;
         let mut serve_override: Option<usize> = None;
         // Assigned by every match arm that falls through to the retry logic.
         let mut last_cause;
@@ -456,21 +455,13 @@ impl<'n> QueryStream<'n> {
             if attempt as usize >= policy.max_retries {
                 break;
             }
-            let plane = self.net.fault_plane();
-            elapsed_us += policy.backoff_us(attempt)
-                + plane.jitter_us(key.ring_id(), self.seq, attempt, policy.jitter_us);
-            if policy.deadline_us > 0 && elapsed_us > policy.deadline_us {
-                break;
-            }
             if policy.failover && last_cause == FailureCause::PeerDown {
                 // Re-serve from the first live holder of the key (primary
                 // first, then its replica set); every peer an earlier attempt
                 // found down is down for the plane too.
+                let plane = self.net.fault_plane();
                 let candidates = self.net.global_index().serving_candidates(key);
-                let next = candidates
-                    .iter()
-                    .copied()
-                    .find(|c| !plane.peer_down(*c, self.seq));
+                let next = candidates.iter().copied().find(|c| !plane.peer_down(*c));
                 match next {
                     Some(c) => {
                         serve_override = Some(c);

@@ -1,35 +1,39 @@
-//! Deterministic fault injection for the probe path, and the policy that
-//! survives it.
+//! Deterministic fault injection for the wire, and the policy that survives
+//! it.
 //!
 //! The paper's setting is a P2P overlay where message loss and abrupt peer
 //! failure are the normal case. This module makes those events a first-class
 //! *input* to query execution:
 //!
-//! * [`FaultPlane`] — a seeded, deterministic source of per-operation fault
-//!   decisions: message loss, slow replies past the deadline, crashed or
-//!   stalled peers, response bit-flip corruption (caught by the codec's
-//!   checksum trailer), lost posting publications, and lost replica-sync /
-//!   stats-publication messages. It is *data* the one probe path and the one
-//!   publication path of [`crate::global_index::GlobalIndex`] consult, not a
-//!   switch between two paths: the default, [`FaultPlane::NoFaults`] — like
-//!   any plane whose rates are zero and whose crash set is empty — answers
-//!   "no" to every question without drawing randomness, so it charges nothing
-//!   extra and changes no byte (pinned by the `fault_equivalence` suite).
-//! * [`RetryPolicy`] — how the executor responds: bounded retries with
-//!   exponential backoff and deterministic jitter in simulated time, a
-//!   per-probe deadline, and failover to a live replica holder of the key
-//!   (see [`alvisp2p_dht::replica`]).
+//! * [`FaultPlane`] — the one authority on injected faults: a seeded,
+//!   deterministic source of per-operation fault decisions — message loss,
+//!   replies that arrive too late to use, crashed peers, response bit-flip
+//!   corruption (caught by the codec's checksum trailer), lost posting
+//!   publications, and lost replica-sync / stats-publication messages. No
+//!   other code holds a fault seed or rate or draws a fault: the overlay's
+//!   replica sync ([`alvisp2p_dht::Dht::sync_replicas`]) asks its caller, and
+//!   [`crate::global_index::GlobalIndex`] answers with
+//!   [`FaultPlane::replica_sync_lost`]. The plane is *data* the one probe path
+//!   and the one publication path of the global index consult, not a switch
+//!   between two paths: the default plane — every rate zero, nobody crashed
+//!   — answers "no" to every question without drawing randomness, so it
+//!   charges nothing extra and changes no byte (pinned by the
+//!   `fault_equivalence` suite).
+//! * [`RetryPolicy`] — how the executor responds: a bounded number of
+//!   re-sends and failover to a live replica holder of the key (see
+//!   [`alvisp2p_dht::replica`]). A retry is simply the next attempt: the query
+//!   path has no clock, so there is no backoff, jitter or deadline.
 //! * [`ProbeOutcome`] / [`FailureCause`] — the fallible-by-design probe
 //!   result and the per-key cause recorded when a probe is exhausted.
 //! * [`Completeness`] — the degraded-answer report on
 //!   [`crate::request::QueryResponse`]: what fraction of the planned document
 //!   frequency the answer actually covers, and why the rest is missing.
 //!
-//! Fault decisions are **stateless**: each one hashes `(plane seed, key ring
-//! identifier, query sequence number, attempt index)` into a fresh
-//! [`SimRng`] and takes a single draw. No RNG state is carried between
-//! probes, so decisions are order-independent, replayable, and — crucially —
-//! an inactive plane consumes zero randomness.
+//! Fault decisions are **stateless**: each one hashes `(plane seed, salt of
+//! the decision type, key ring identifier, sequence number, attempt index)`
+//! into a fresh [`SimRng`] and takes a single draw. No RNG state is carried
+//! between decisions, so they are order-independent, replayable, and — crucially
+//! — a zero rate consumes zero randomness.
 
 use crate::global_index::ProbeResult;
 use alvisp2p_dht::RingId;
@@ -42,11 +46,12 @@ use std::collections::BTreeSet;
 pub enum FailureCause {
     /// The request or its response was dropped in flight.
     Lost,
-    /// The response arrived after the per-probe deadline (the bytes still
-    /// crossed the wire and are charged).
+    /// The response arrived too late to use (the bytes still crossed the
+    /// wire and are charged). The plane's slow-reply draw decides this; no
+    /// deadline clock stands behind it.
     TimedOut,
-    /// The peer that would have served the probe is crashed or stalled (or
-    /// overlay routing could not reach a responsible peer at all).
+    /// The peer that would have served the probe is crashed (or overlay
+    /// routing could not reach a responsible peer at all).
     PeerDown,
     /// The response arrived but failed frame-integrity verification (its
     /// checksum trailer disagreed with its bytes); the full round trip was
@@ -81,15 +86,16 @@ pub enum ProbeOutcome {
         /// Overlay hops the attempt spent.
         hops: usize,
     },
-    /// The response arrived past the deadline: the full round trip was
-    /// charged and the serving peer observed the request, but the payload is
-    /// useless to the querier.
+    /// The response arrived too late to use: the full round trip was charged
+    /// and the serving peer observed the request, but the payload is useless
+    /// to the querier. The plane's slow-reply draw decides this; no deadline
+    /// clock stands behind it.
     TimedOut {
         /// Overlay hops the attempt spent.
         hops: usize,
     },
-    /// The peer that would have served the probe is crashed or stalled;
-    /// routing and request bytes were spent before the failure was apparent.
+    /// The peer that would have served the probe is crashed; routing and
+    /// request bytes were spent before the failure was apparent.
     PeerDown {
         /// The unresponsive peer.
         peer: usize,
@@ -105,80 +111,29 @@ pub enum ProbeOutcome {
     },
 }
 
-/// A window of query sequence numbers during which a peer is unresponsive
-/// (a transient stall, as opposed to a [`FaultConfig::crashed`] peer).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StallWindow {
-    /// The stalled peer.
-    pub peer: usize,
-    /// First query sequence number of the stall (inclusive).
-    pub from_seq: u64,
-    /// Last query sequence number of the stall (inclusive).
-    pub until_seq: u64,
-}
-
-/// The knobs of a seeded fault plane.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FaultConfig {
-    /// Seed of the stateless per-decision hash.
-    pub seed: u64,
-    /// Probability that a probe attempt's message (or response) is dropped.
-    pub loss_rate: f64,
-    /// Probability that a served response arrives past the per-probe
-    /// deadline.
-    pub slow_rate: f64,
-    /// Probability that a served response frame suffers a bit-flip in flight
-    /// (caught by the codec's checksum trailer and surfaced as the retryable
-    /// [`ProbeOutcome::Corrupt`]).
-    #[serde(default)]
-    pub corrupt_rate: f64,
-    /// Probability that a posting-publication message is dropped in flight:
-    /// the traffic is charged but the responsible peer never applies the
-    /// update, leaving the publication un-acked (see
-    /// [`crate::global_index::GlobalIndex::republish_round`]).
-    #[serde(default)]
-    pub publish_loss_rate: f64,
-    /// Probability that one replica-sync (or stats-publication)
-    /// message is dropped in flight, leaving that holder's copy stale until
-    /// anti-entropy repair pulls a fresh one.
-    #[serde(default)]
-    pub sync_loss_rate: f64,
-    /// Peers that have crashed abruptly: still present in the overlay's
-    /// routing state (no graceful departure ran), but unresponsive.
-    pub crashed: BTreeSet<usize>,
-    /// Transient per-peer stall windows, keyed by query sequence number.
-    pub stalls: Vec<StallWindow>,
-}
-
-impl FaultConfig {
-    /// A config with the given seed and no faults configured.
-    pub fn new(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            loss_rate: 0.0,
-            slow_rate: 0.0,
-            corrupt_rate: 0.0,
-            publish_loss_rate: 0.0,
-            sync_loss_rate: 0.0,
-            crashed: BTreeSet::new(),
-            stalls: Vec::new(),
-        }
-    }
-}
-
 /// Deterministic fault injection for the wire operations of
 /// [`crate::global_index::GlobalIndex`], which owns the plane. Under the
-/// default, [`FaultPlane::NoFaults`], every decision function below returns
-/// `false` / `None` / `0` without drawing randomness, so probes and
-/// publications run the same code as under an active plane and simply never
-/// fail.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub enum FaultPlane {
-    /// No faults are ever injected (the default).
-    #[default]
-    NoFaults,
-    /// Faults are injected per the embedded [`FaultConfig`].
-    Seeded(FaultConfig),
+/// default plane every decision function below returns `false` / `None`
+/// without drawing randomness, so probes and publications run the same code
+/// as under an active plane and simply never fail.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FaultPlane {
+    /// Seed of the stateless per-decision hash.
+    seed: u64,
+    /// Probability that a probe attempt's message (or response) is dropped.
+    loss_rate: f64,
+    /// Probability that a served response arrives too late to use.
+    slow_rate: f64,
+    /// Probability that a served response frame suffers a bit-flip in flight.
+    corrupt_rate: f64,
+    /// Probability that a posting-publication message is dropped in flight.
+    publish_loss_rate: f64,
+    /// Probability that one replica-sync or stats-publication message is
+    /// dropped in flight.
+    sync_loss_rate: f64,
+    /// Peers that have crashed abruptly: still present in the overlay's
+    /// routing state (no graceful departure ran), but unresponsive.
+    crashed: BTreeSet<usize>,
 }
 
 /// Salt of the message-loss draw (distinct per decision type so one decision
@@ -186,16 +141,16 @@ pub enum FaultPlane {
 const SALT_LOSS: u64 = 0x6c6f_7373; // "loss"
 /// Salt of the slow-reply draw.
 const SALT_SLOW: u64 = 0x736c_6f77; // "slow"
-/// Salt of the backoff-jitter draw.
-const SALT_JITTER: u64 = 0x6a69_7474; // "jitt"
 /// Salt of the response-corruption draw.
 const SALT_CORRUPT: u64 = 0x636f_7272; // "corr"
 /// Salt of the corrupted-bit-position draw.
 const SALT_CORRUPT_BIT: u64 = 0x666c_6970; // "flip"
 /// Salt of the publish-loss draw.
 const SALT_PUBLISH: u64 = 0x7075_626c; // "publ"
-/// Salt of the replica-sync / stats-publication loss draw.
+/// Salt of the stats-publication loss draw.
 const SALT_SYNC: u64 = 0x7379_6e63; // "sync"
+/// Salt of the replica-sync loss draw.
+const SALT_REPLICA_SYNC: u64 = 0x7273_796e; // "rsyn"
 
 /// Mixes the decision coordinates into one seed (splitmix64-style finalizer
 /// over the xor-folded inputs).
@@ -210,91 +165,67 @@ fn mix(seed: u64, salt: u64, ring: RingId, seq: u64, attempt: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One uniform draw in `[0, 1)` for the decision at these coordinates.
-fn draw(seed: u64, salt: u64, ring: RingId, seq: u64, attempt: u32) -> f64 {
-    SimRng::new(mix(seed, salt, ring, seq, attempt)).gen_f64()
-}
-
 impl FaultPlane {
     /// A seeded plane with no faults configured yet (use the `with_*` and
-    /// [`FaultPlane::crash`] / [`FaultPlane::stall`] knobs to add some).
+    /// [`FaultPlane::crash`] knobs to add some).
     pub fn seeded(seed: u64) -> Self {
-        FaultPlane::Seeded(FaultConfig::new(seed))
+        FaultPlane {
+            seed,
+            ..FaultPlane::default()
+        }
     }
 
     /// Sets the per-attempt message loss probability.
     pub fn with_loss(mut self, rate: f64) -> Self {
-        self.config_mut().loss_rate = rate.clamp(0.0, 1.0);
+        self.loss_rate = rate.clamp(0.0, 1.0);
         self
     }
 
-    /// Sets the probability that a served response misses the deadline.
+    /// Sets the probability that a served response arrives too late to use.
     pub fn with_slow(mut self, rate: f64) -> Self {
-        self.config_mut().slow_rate = rate.clamp(0.0, 1.0);
+        self.slow_rate = rate.clamp(0.0, 1.0);
         self
     }
 
     /// Sets the probability that a served response frame suffers a bit-flip
-    /// in flight (detected by the codec checksum trailer).
+    /// in flight (detected by the codec checksum trailer and surfaced as the
+    /// retryable [`ProbeOutcome::Corrupt`]).
     pub fn with_corruption(mut self, rate: f64) -> Self {
-        self.config_mut().corrupt_rate = rate.clamp(0.0, 1.0);
+        self.corrupt_rate = rate.clamp(0.0, 1.0);
         self
     }
 
     /// Sets the probability that a posting-publication message is dropped in
-    /// flight (the publication stays un-acked and is re-sent by
-    /// [`crate::global_index::GlobalIndex::republish_round`]).
+    /// flight: the traffic is charged but the responsible peer never applies
+    /// the update, leaving the publication un-acked until
+    /// [`crate::global_index::GlobalIndex::republish_round`] re-sends it.
     pub fn with_publish_loss(mut self, rate: f64) -> Self {
-        self.config_mut().publish_loss_rate = rate.clamp(0.0, 1.0);
+        self.publish_loss_rate = rate.clamp(0.0, 1.0);
         self
     }
 
-    /// Sets the probability that one replica-sync (or stats
-    /// publication) message is dropped in flight.
+    /// Sets the probability that one replica-sync (or stats publication)
+    /// message is dropped in flight, leaving that holder's copy stale until
+    /// anti-entropy repair pulls a fresh one.
     pub fn with_sync_loss(mut self, rate: f64) -> Self {
-        self.config_mut().sync_loss_rate = rate.clamp(0.0, 1.0);
+        self.sync_loss_rate = rate.clamp(0.0, 1.0);
         self
     }
 
     /// Crashes a peer abruptly: it stays in the overlay's routing state (no
-    /// graceful departure runs) but stops answering probes. Upgrades a
-    /// [`FaultPlane::NoFaults`] plane to a seeded one with zero rates.
+    /// graceful departure runs) but stops answering probes.
     pub fn crash(&mut self, peer: usize) {
-        self.config_mut().crashed.insert(peer);
+        self.crashed.insert(peer);
     }
 
     /// Restores a crashed peer.
     pub fn restore(&mut self, peer: usize) {
-        if let FaultPlane::Seeded(cfg) = self {
-            cfg.crashed.remove(&peer);
-        }
+        self.crashed.remove(&peer);
     }
 
-    /// Stalls a peer for the query sequence window `[from_seq, until_seq]`.
-    pub fn stall(&mut self, peer: usize, from_seq: u64, until_seq: u64) {
-        self.config_mut().stalls.push(StallWindow {
-            peer,
-            from_seq,
-            until_seq,
-        });
-    }
-
-    /// The crashed-peer set (empty under [`FaultPlane::NoFaults`]).
-    pub fn crashed(&self) -> Option<&BTreeSet<usize>> {
-        match self {
-            FaultPlane::NoFaults => None,
-            FaultPlane::Seeded(cfg) => Some(&cfg.crashed),
-        }
-    }
-
-    fn config_mut(&mut self) -> &mut FaultConfig {
-        if let FaultPlane::NoFaults = self {
-            *self = FaultPlane::seeded(0);
-        }
-        match self {
-            FaultPlane::Seeded(cfg) => cfg,
-            FaultPlane::NoFaults => unreachable!("just upgraded"),
-        }
+    /// The crashed-peer set.
+    pub fn crashed(&self) -> &BTreeSet<usize> {
+        &self.crashed
     }
 
     /// Whether the plane can inject anything at all. Purely descriptive (for
@@ -302,78 +233,39 @@ impl FaultPlane {
     /// inert because each decision function answers "no", not because it is
     /// bypassed.
     pub fn is_active(&self) -> bool {
-        match self {
-            FaultPlane::NoFaults => false,
-            FaultPlane::Seeded(cfg) => {
-                cfg.loss_rate > 0.0
-                    || cfg.slow_rate > 0.0
-                    || cfg.corrupt_rate > 0.0
-                    || cfg.publish_loss_rate > 0.0
-                    || cfg.sync_loss_rate > 0.0
-                    || !cfg.crashed.is_empty()
-                    || !cfg.stalls.is_empty()
-            }
-        }
+        self.loss_rate > 0.0
+            || self.slow_rate > 0.0
+            || self.corrupt_rate > 0.0
+            || self.publish_loss_rate > 0.0
+            || self.sync_loss_rate > 0.0
+            || !self.crashed.is_empty()
     }
 
-    /// The seed of the plane's stateless decision hash (`None` under
-    /// [`FaultPlane::NoFaults`]). [`crate::global_index::GlobalIndex::set_fault_plane`]
-    /// hands it to the dht layer so replica-sync loss draws share the same
-    /// determinism guarantees.
-    pub fn seed(&self) -> Option<u64> {
-        match self {
-            FaultPlane::NoFaults => None,
-            FaultPlane::Seeded(cfg) => Some(cfg.seed),
-        }
+    /// Whether `peer` is unresponsive (crashed).
+    pub fn peer_down(&self, peer: usize) -> bool {
+        self.crashed.contains(&peer)
     }
 
-    /// The replica-sync loss probability (`0.0` under
-    /// [`FaultPlane::NoFaults`]).
-    pub fn sync_loss_rate(&self) -> f64 {
-        match self {
-            FaultPlane::NoFaults => 0.0,
-            FaultPlane::Seeded(cfg) => cfg.sync_loss_rate,
-        }
-    }
-
-    /// Whether `peer` is unresponsive (crashed, or stalled at `seq`).
-    pub fn peer_down(&self, peer: usize, seq: u64) -> bool {
-        match self {
-            FaultPlane::NoFaults => false,
-            FaultPlane::Seeded(cfg) => {
-                cfg.crashed.contains(&peer)
-                    || cfg
-                        .stalls
-                        .iter()
-                        .any(|s| s.peer == peer && s.from_seq <= seq && seq <= s.until_seq)
-            }
-        }
+    /// Whether the decision of type `salt` at these coordinates fires under
+    /// `rate`: one uniform draw in `[0, 1)`, taken only when `rate > 0`.
+    fn fires(&self, rate: f64, salt: u64, ring: RingId, seq: u64, attempt: u32) -> bool {
+        rate > 0.0 && SimRng::new(mix(self.seed, salt, ring, seq, attempt)).gen_f64() < rate
     }
 
     /// Whether the attempt's message is lost in flight.
     pub fn message_lost(&self, ring: RingId, seq: u64, attempt: u32) -> bool {
-        match self {
-            FaultPlane::NoFaults => false,
-            FaultPlane::Seeded(cfg) => {
-                cfg.loss_rate > 0.0 && draw(cfg.seed, SALT_LOSS, ring, seq, attempt) < cfg.loss_rate
-            }
-        }
+        self.fires(self.loss_rate, SALT_LOSS, ring, seq, attempt)
     }
 
-    /// Whether the attempt's served response misses the deadline.
+    /// Whether the attempt's served response arrives too late to use.
     pub fn reply_timed_out(&self, ring: RingId, seq: u64, attempt: u32) -> bool {
-        match self {
-            FaultPlane::NoFaults => false,
-            FaultPlane::Seeded(cfg) => {
-                cfg.slow_rate > 0.0 && draw(cfg.seed, SALT_SLOW, ring, seq, attempt) < cfg.slow_rate
-            }
-        }
+        self.fires(self.slow_rate, SALT_SLOW, ring, seq, attempt)
     }
 
     /// Whether the attempt's served response suffers a bit-flip in flight; if
     /// so, returns the (deterministically drawn) bit index to flip in the
     /// `frame_len`-byte response frame. `None` when the fault does not fire
-    /// (or the frame is empty, or under [`FaultPlane::NoFaults`]).
+    /// or the frame is empty.
     pub fn response_corrupt_bit(
         &self,
         ring: RingId,
@@ -381,83 +273,47 @@ impl FaultPlane {
         attempt: u32,
         frame_len: usize,
     ) -> Option<usize> {
-        match self {
-            FaultPlane::NoFaults => None,
-            FaultPlane::Seeded(cfg) => {
-                if frame_len == 0
-                    || cfg.corrupt_rate == 0.0
-                    || draw(cfg.seed, SALT_CORRUPT, ring, seq, attempt) >= cfg.corrupt_rate
-                {
-                    return None;
-                }
-                let bits = frame_len * 8;
-                Some((mix(cfg.seed, SALT_CORRUPT_BIT, ring, seq, attempt) % bits as u64) as usize)
-            }
+        if frame_len == 0 || !self.fires(self.corrupt_rate, SALT_CORRUPT, ring, seq, attempt) {
+            return None;
         }
+        let bits = frame_len as u64 * 8;
+        Some((mix(self.seed, SALT_CORRUPT_BIT, ring, seq, attempt) % bits) as usize)
     }
 
     /// Whether a posting-publication message is dropped in flight.
     /// `seq` is the publisher's publish sequence number; `attempt` counts
     /// re-publications of the same pending publication.
     pub fn publish_lost(&self, ring: RingId, seq: u64, attempt: u32) -> bool {
-        match self {
-            FaultPlane::NoFaults => false,
-            FaultPlane::Seeded(cfg) => {
-                cfg.publish_loss_rate > 0.0
-                    && draw(cfg.seed, SALT_PUBLISH, ring, seq, attempt) < cfg.publish_loss_rate
-            }
-        }
+        self.fires(self.publish_loss_rate, SALT_PUBLISH, ring, seq, attempt)
     }
 
-    /// Whether one replica-sync or stats-publication message is
-    /// dropped in flight. `seq` identifies the sync operation and `attempt`
-    /// the recipient within it.
+    /// Whether one stats-publication message is dropped in flight. `seq`
+    /// identifies the publication and `attempt` the send within it.
     pub fn sync_lost(&self, ring: RingId, seq: u64, attempt: u32) -> bool {
-        match self {
-            FaultPlane::NoFaults => false,
-            FaultPlane::Seeded(cfg) => {
-                cfg.sync_loss_rate > 0.0
-                    && draw(cfg.seed, SALT_SYNC, ring, seq, attempt) < cfg.sync_loss_rate
-            }
-        }
+        self.fires(self.sync_loss_rate, SALT_SYNC, ring, seq, attempt)
     }
 
-    /// Deterministic backoff jitter in `[0, span]` microseconds for the given
-    /// retry coordinates (`0` under [`FaultPlane::NoFaults`]).
-    pub fn jitter_us(&self, ring: RingId, seq: u64, attempt: u32, span: u64) -> u64 {
-        match self {
-            FaultPlane::NoFaults => 0,
-            FaultPlane::Seeded(cfg) => {
-                if span == 0 {
-                    0
-                } else {
-                    (draw(cfg.seed, SALT_JITTER, ring, seq, attempt) * span as f64) as u64
-                }
-            }
-        }
+    /// Whether the replica-sync message of sync operation `seq` to the
+    /// `recipient`-th holder of `key` is dropped in flight (the decision
+    /// [`alvisp2p_dht::Dht::sync_replicas`] asks its caller for). Drawn at the
+    /// sync-loss rate under a salt of its own.
+    pub fn replica_sync_lost(&self, key: RingId, seq: u64, recipient: u32) -> bool {
+        self.fires(self.sync_loss_rate, SALT_REPLICA_SYNC, key, seq, recipient)
     }
 }
 
-/// How the executor responds to probe-attempt failures: bounded retries with
-/// exponential backoff (deterministic jitter, simulated time), a per-probe
-/// deadline, and failover to a live replica holder of the key.
+/// How the executor responds to probe-attempt failures: up to `max_retries`
+/// re-sends, each sent as the next attempt straight away, and failover to a
+/// live replica holder of the key.
 ///
 /// The default policy retries twice with failover enabled — and is
 /// byte-identical to no policy at all when the [`FaultPlane`] is inactive,
 /// because retries only happen after a failed attempt and an inactive plane
 /// never fails one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum number of re-sends after the first attempt (`0` = no retries).
     pub max_retries: usize,
-    /// Backoff before retry `i` (0-based) is `base_backoff_us << i` plus
-    /// jitter, in simulated microseconds.
-    pub base_backoff_us: u64,
-    /// Upper bound of the deterministic jitter added to each backoff.
-    pub jitter_us: u64,
-    /// Per-probe deadline in simulated microseconds: once the accumulated
-    /// backoff exceeds it, the probe is abandoned (`0` = no deadline).
-    pub deadline_us: u64,
     /// Whether retries may re-route the serve to another live holder in the
     /// key's replica set (see [`alvisp2p_dht::replica`]).
     pub failover: bool,
@@ -467,9 +323,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 2,
-            base_backoff_us: 500,
-            jitter_us: 250,
-            deadline_us: 50_000,
             failover: true,
         }
     }
@@ -480,9 +333,6 @@ impl RetryPolicy {
     pub fn none() -> Self {
         RetryPolicy {
             max_retries: 0,
-            base_backoff_us: 0,
-            jitter_us: 0,
-            deadline_us: 0,
             failover: false,
         }
     }
@@ -492,14 +342,7 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries,
             failover: false,
-            ..RetryPolicy::default()
         }
-    }
-
-    /// The base (jitter-free) backoff before 0-based retry `attempt`.
-    pub fn backoff_us(&self, attempt: u32) -> u64 {
-        self.base_backoff_us
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
     }
 }
 
@@ -553,15 +396,14 @@ mod tests {
     fn no_faults_is_inert() {
         let plane = FaultPlane::default();
         assert!(!plane.is_active());
-        assert!(!plane.peer_down(0, 1));
+        assert!(!plane.peer_down(0));
+        assert!(plane.crashed().is_empty());
         assert!(!plane.message_lost(ring(42), 1, 0));
         assert!(!plane.reply_timed_out(ring(42), 1, 0));
         assert!(plane.response_corrupt_bit(ring(42), 1, 0, 64).is_none());
         assert!(!plane.publish_lost(ring(42), 1, 0));
         assert!(!plane.sync_lost(ring(42), 1, 0));
-        assert_eq!(plane.seed(), None);
-        assert_eq!(plane.sync_loss_rate(), 0.0);
-        assert_eq!(plane.jitter_us(ring(42), 1, 0, 1000), 0);
+        assert!(!plane.replica_sync_lost(ring(42), 1, 0));
     }
 
     #[test]
@@ -598,10 +440,33 @@ mod tests {
             .filter(|s| plane.publish_lost(ring(9), *s, 0) != plane.sync_lost(ring(9), *s, 0))
             .count();
         assert!(disagree > 100, "salted draws should frequently disagree");
+        let disagree = (0..512u64)
+            .filter(|s| plane.sync_lost(ring(9), *s, 0) != plane.replica_sync_lost(ring(9), *s, 0))
+            .count();
+        assert!(disagree > 100, "replica syncs draw under their own salt");
         let lost = (0..10_000u64)
             .filter(|s| plane.publish_lost(ring(5), *s, 0))
             .count();
         assert!((4600..5400).contains(&lost), "~50% of 10k, got {lost}");
+    }
+
+    #[test]
+    fn replica_sync_draws_are_deterministic_and_rate_bounded() {
+        let plane = FaultPlane::seeded(7).with_sync_loss(0.3);
+        let key = ring(42);
+        let a: Vec<bool> = (0..512)
+            .map(|s| plane.replica_sync_lost(key, s, 0))
+            .collect();
+        let b: Vec<bool> = (0..512)
+            .map(|s| plane.replica_sync_lost(key, s, 0))
+            .collect();
+        assert_eq!(a, b);
+        let lost = a.iter().filter(|l| **l).count();
+        assert!((100..210).contains(&lost), "~30% of 512, got {lost}");
+        assert!(
+            !FaultPlane::seeded(7).replica_sync_lost(key, 1, 0),
+            "zero rate never fires"
+        );
     }
 
     #[test]
@@ -624,6 +489,57 @@ mod tests {
         assert!(seq_hits > 100, "salted draws should frequently disagree");
     }
 
+    /// Every decision's outcome at 16 fixed `(ring, seq, attempt)`
+    /// coordinates, seed 20080824, every rate 0.5: the corrupted bit of a
+    /// 64-byte frame, and the decisions that fire, named by their salts. The
+    /// `rsyn` column was computed by the overlay's former private copy of the
+    /// replica-sync draw (`dht::replica`), so this table pins that moving it
+    /// into the plane changed no decision.
+    type Coords = (u64, u64, u32);
+    const GOLDEN: [(Coords, Option<usize>, &str); 16] = [
+        ((0x0, 0, 0), Some(50), "loss slow"),
+        ((0x1, 0, 0), Some(217), "loss publ sync rsyn"),
+        ((0x0, 1, 0), None, "loss slow rsyn"),
+        ((0x0, 0, 1), Some(174), "slow publ sync"),
+        ((0x2a, 7, 0), Some(320), "sync rsyn"),
+        ((0x2a, 7, 1), None, "slow publ sync rsyn"),
+        ((0x2a, 7, 2), Some(242), "publ sync"),
+        ((0xdead_beef, 3, 0), Some(346), "slow"),
+        ((u64::MAX, 0, 0), Some(51), "loss slow publ sync"),
+        ((u64::MAX, u64::MAX, 3), Some(448), "loss publ rsyn"),
+        ((0x1234_5678_9abc_def0, 99, 1), None, "slow rsyn"),
+        ((0x7, 1_000_000, 0), Some(307), "slow publ"),
+        ((0x8000_0000_0000_0000, 5, 2), None, "publ sync"),
+        ((0x1f, 31, 31), None, "loss publ rsyn"),
+        ((0xfeed_f00d, 12, 0), None, "loss slow publ rsyn"),
+        ((0x7d8, 824, 1), Some(356), "sync"),
+    ];
+
+    #[test]
+    fn draws_match_their_golden_vectors() {
+        let plane = FaultPlane::seeded(20080824)
+            .with_loss(0.5)
+            .with_slow(0.5)
+            .with_corruption(0.5)
+            .with_publish_loss(0.5)
+            .with_sync_loss(0.5);
+        for ((r, seq, attempt), bit, fired) in GOLDEN {
+            let key = ring(r);
+            let drawn = [
+                ("loss", plane.message_lost(key, seq, attempt)),
+                ("slow", plane.reply_timed_out(key, seq, attempt)),
+                ("publ", plane.publish_lost(key, seq, attempt)),
+                ("sync", plane.sync_lost(key, seq, attempt)),
+                ("rsyn", plane.replica_sync_lost(key, seq, attempt)),
+            ];
+            let drawn: Vec<&str> = drawn.iter().filter(|d| d.1).map(|d| d.0).collect();
+            let at = (r, seq, attempt);
+            assert_eq!(drawn.join(" "), fired, "decisions at {at:?}");
+            let corrupt = plane.response_corrupt_bit(key, seq, attempt, 64);
+            assert_eq!(corrupt, bit, "corruption at {at:?}");
+        }
+    }
+
     #[test]
     fn loss_rate_is_roughly_honored() {
         let plane = FaultPlane::seeded(11).with_loss(0.1);
@@ -634,29 +550,23 @@ mod tests {
     }
 
     #[test]
-    fn crash_stall_and_restore_track_peers() {
+    fn crash_and_restore_track_peers() {
         let mut plane = FaultPlane::default();
         plane.crash(3);
         assert!(plane.is_active());
-        assert!(plane.peer_down(3, 1) && !plane.peer_down(4, 1));
+        assert!(plane.peer_down(3) && !plane.peer_down(4));
+        assert_eq!(plane.crashed(), &BTreeSet::from([3]));
         plane.restore(3);
-        assert!(!plane.peer_down(3, 1));
-        plane.stall(5, 10, 20);
-        assert!(!plane.peer_down(5, 9));
-        assert!(plane.peer_down(5, 10) && plane.peer_down(5, 20));
-        assert!(!plane.peer_down(5, 21));
+        assert!(!plane.peer_down(3));
+        assert!(!plane.is_active());
     }
 
     #[test]
-    fn retry_policy_backoff_grows_exponentially() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_us(0), 500);
-        assert_eq!(p.backoff_us(1), 1000);
-        assert_eq!(p.backoff_us(2), 2000);
-        assert_eq!(RetryPolicy::none().max_retries, 0);
-        assert!(!RetryPolicy::none().failover);
-        assert!(!RetryPolicy::retry_only(2).failover);
-        assert_eq!(RetryPolicy::retry_only(2).max_retries, 2);
+    fn retry_policies_set_retries_and_failover() {
+        let knobs = |p: RetryPolicy| (p.max_retries, p.failover);
+        assert_eq!(knobs(RetryPolicy::default()), (2, true));
+        assert_eq!(knobs(RetryPolicy::none()), (0, false));
+        assert_eq!(knobs(RetryPolicy::retry_only(2)), (2, false));
     }
 
     #[test]
@@ -671,15 +581,5 @@ mod tests {
         };
         assert_eq!(c.fraction(), 0.75);
         assert!(c.is_degraded());
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic() {
-        let plane = FaultPlane::seeded(3).with_loss(0.01);
-        for attempt in 0..8 {
-            let j = plane.jitter_us(ring(77), 9, attempt, 250);
-            assert!(j <= 250);
-            assert_eq!(plane.jitter_us(ring(77), 9, attempt, 250), j);
-        }
     }
 }

@@ -15,9 +15,11 @@
 //! what the wire does to a message. There is **one** probe path
 //! ([`GlobalIndex::probe`]) and **one** publication path
 //! ([`GlobalIndex::publish_postings`]); both consult the plane at every point
-//! a message could be lost, delayed or damaged. An inactive plane answers
-//! "no" to every question without drawing randomness and charges nothing
-//! extra, so the fault-free system is that same path, not a second one.
+//! a message could be lost, delayed or damaged, and the overlay's replica
+//! sync asks this index, which answers with the plane's draw. An inactive
+//! plane answers "no" to every question without drawing randomness and
+//! charges nothing extra, so the fault-free system is that same path, not a
+//! second one.
 
 use crate::fault::{FaultPlane, ProbeOutcome};
 use crate::key::TermKey;
@@ -179,8 +181,8 @@ pub struct GlobalIndex {
     /// recorded version matches the current one.
     versions: HashMap<RingId, u64>,
     /// Publications whose application at the responsible peer has not been
-    /// acknowledged, awaiting re-publication. Always empty under
-    /// [`FaultPlane::NoFaults`].
+    /// acknowledged, awaiting re-publication. Always empty unless the plane
+    /// drops publications.
     pending: Vec<PendingPublish>,
     /// Monotonic sequence number carried by every publication (versioned,
     /// acknowledged publications — the coordinates of loss draws).
@@ -206,7 +208,7 @@ impl GlobalIndex {
             pending: Vec::new(),
             publish_seq: 0,
             republish_rounds: 0,
-            faults: FaultPlane::NoFaults,
+            faults: FaultPlane::default(),
         }
     }
 
@@ -216,23 +218,17 @@ impl GlobalIndex {
         &self.faults
     }
 
-    /// In-place edits of the plane: [`FaultPlane::crash`],
-    /// [`FaultPlane::restore`] and [`FaultPlane::stall`] between (or during)
-    /// queries. To *replace* the plane use [`GlobalIndex::set_fault_plane`] —
-    /// assigning through this reference leaves the overlay's replica
-    /// sync-loss seed and rate at the old plane's values.
+    /// In-place edits of the plane: [`FaultPlane::crash`] and
+    /// [`FaultPlane::restore`] between (or during) queries. Assigning a whole
+    /// plane through this reference is the same as
+    /// [`GlobalIndex::set_fault_plane`]: nothing else holds a copy of it.
     pub fn fault_plane_mut(&mut self) -> &mut FaultPlane {
         &mut self.faults
     }
 
-    /// Replaces the fault plane and pushes its replica sync-loss seed and rate
-    /// into the overlay's replication subsystem (the `dht` crate cannot depend
-    /// on this one, so the plane itself cannot cross the boundary): replica
-    /// synchronisation messages fail under the same deterministic plane as
-    /// probes and publications.
+    /// Replaces the fault plane. Probes, publications and the overlay's
+    /// replica syncs all draw from it from the next message on.
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.dht
-            .set_replica_faults(plane.seed().unwrap_or(0), plane.sync_loss_rate());
         self.faults = plane;
     }
 
@@ -341,9 +337,20 @@ impl GlobalIndex {
                 entry.postings.merge(delta);
                 entry.activated = true;
             })?;
-        self.dht.sync_replicas(ring_key, category);
+        self.sync_replicas(ring_key, category);
         *self.versions.entry(ring_key).or_insert(0) += 1;
         Ok(info.hops)
+    }
+
+    /// Brings `ring_key`'s replica copies level with the primary (a no-op
+    /// unless the key is hot-replicated). The overlay asks, per recipient,
+    /// whether the sync message is lost; the plane answers.
+    fn sync_replicas(&mut self, ring_key: RingId, category: TrafficCategory) {
+        let faults = &self.faults;
+        self.dht
+            .sync_replicas(ring_key, category, |seq, recipient| {
+                faults.replica_sync_lost(ring_key, seq, recipient)
+            });
     }
 
     /// A publish message dropped in flight: it still crossed part of the wire,
@@ -376,7 +383,8 @@ impl GlobalIndex {
     /// control-plane repair, never Retrieval or first-publication Indexing.
     ///
     /// Returns `(resent, applied)`. A no-op (both zero) when nothing is
-    /// pending — in particular always under [`FaultPlane::NoFaults`].
+    /// pending — in particular always under a plane that drops no
+    /// publication.
     pub fn republish_round(&mut self) -> (usize, usize) {
         self.republish_rounds += 1;
         let round = self.republish_rounds;
@@ -443,7 +451,7 @@ impl GlobalIndex {
             activated: true,
         };
         self.dht.peer_mut(responsible).store.insert(ring_key, entry);
-        self.dht.sync_replicas(ring_key, TrafficCategory::Indexing);
+        self.sync_replicas(ring_key, TrafficCategory::Indexing);
         *self.versions.entry(ring_key).or_insert(0) += 1;
     }
 
@@ -502,7 +510,7 @@ impl GlobalIndex {
     ///   never reached a live peer (or vanished with its response);
     /// * [`ProbeOutcome::TimedOut`] charges the full round trip and advances
     ///   the serving side's statistics — the response crossed the wire but
-    ///   arrived past the deadline;
+    ///   arrived too late to use;
     /// * [`ProbeOutcome::Corrupt`] charges the full round trip and advances
     ///   the serving side's statistics — the response crossed the wire with a
     ///   flipped bit, the codec's checksum trailer rejected the frame at the
@@ -539,7 +547,7 @@ impl GlobalIndex {
             None if replica_set.is_empty() => primary,
             None => self.dht.least_loaded_holder(ring_key).unwrap_or(primary),
         };
-        if self.faults.peer_down(served_by, query_seq) {
+        if self.faults.peer_down(served_by) {
             return Ok(ProbeOutcome::PeerDown {
                 peer: served_by,
                 hops,
@@ -549,7 +557,7 @@ impl GlobalIndex {
             return Ok(ProbeOutcome::Lost { hops });
         }
         let mut response = None;
-        if served_by == primary || !self.faults.peer_down(primary, query_seq) {
+        if served_by == primary || !self.faults.peer_down(primary) {
             // Usage statistics and response encoding happen at the primary's
             // canonical copy, whoever ends up serving.
             self.dht
@@ -1171,9 +1179,9 @@ mod tests {
 
     #[test]
     fn a_plane_that_injects_nothing_is_the_fault_free_wire() {
-        // One path: the plane is data it consults. `NoFaults` and a seeded
-        // plane with every rate zero and nobody crashed must agree to the
-        // byte across publish + probe + republish.
+        // One path: the plane is data it consults. The default plane and a
+        // differently seeded one with every rate zero and nobody crashed
+        // must agree to the byte across publish + probe + republish.
         let run = |plane: FaultPlane| {
             let mut gi = index(16);
             gi.set_fault_plane(plane);
@@ -1197,9 +1205,34 @@ mod tests {
             let versions: Vec<u64> = keys.iter().map(|k| gi.publish_version(k)).collect();
             (format!("{:?}", gi.stats_snapshot()), versions, probes)
         };
-        let fault_free = run(FaultPlane::NoFaults);
+        let fault_free = run(FaultPlane::default());
         assert_eq!(fault_free.1, vec![2, 2, 0]);
         assert_eq!(fault_free, run(FaultPlane::seeded(0xA1)));
+    }
+
+    #[test]
+    fn a_plane_assigned_in_place_drops_replica_syncs_like_an_installed_one() {
+        use alvisp2p_dht::HotKeyReplication;
+        use std::sync::Arc;
+        let key = TermKey::new(["hot", "sync"]);
+        let run = |install: fn(&mut GlobalIndex, FaultPlane)| {
+            let mut gi = index(24);
+            gi.set_replication_policy(Arc::new(HotKeyReplication::new(3)));
+            gi.publish_postings(0, &key, &refs(5), 100).unwrap();
+            for seq in 0..10u64 {
+                answered(gi.probe(seq as usize % 24, &key, seq, 100, None, 0, None));
+            }
+            assert_eq!(gi.replica_holders_of(&key).len(), 3);
+            install(&mut gi, FaultPlane::seeded(4).with_sync_loss(1.0));
+            gi.publish_postings(1, &key, &refs(8), 100).unwrap();
+            (
+                gi.dht().replica_consistency(),
+                format!("{:?}", gi.stats_snapshot()),
+            )
+        };
+        let installed = run(|gi, plane| gi.set_fault_plane(plane));
+        assert_eq!(installed.0, 0.0, "every sync to the three holders is lost");
+        assert_eq!(installed, run(|gi, plane| *gi.fault_plane_mut() = plane));
     }
 
     #[test]

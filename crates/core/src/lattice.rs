@@ -59,7 +59,7 @@ pub enum NodeOutcome {
     /// The key was probed but every attempt failed (loss, timeout or an
     /// unresponsive peer — see [`crate::fault`]); the retry policy was
     /// exhausted and the schedule continued without it. Never recorded under
-    /// [`crate::fault::FaultPlane::NoFaults`].
+    /// the default [`crate::fault::FaultPlane`].
     Failed {
         /// Why the final attempt failed.
         cause: crate::fault::FailureCause,
@@ -118,7 +118,7 @@ impl LatticeTrace {
     }
 
     /// Keys whose probe was exhausted by faults, with the final failure
-    /// cause (empty under [`crate::fault::FaultPlane::NoFaults`]).
+    /// cause (empty under the default [`crate::fault::FaultPlane`]).
     pub fn failed_probes(&self) -> Vec<(&TermKey, crate::fault::FailureCause)> {
         self.nodes
             .iter()

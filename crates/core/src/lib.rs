@@ -27,10 +27,11 @@
 //! * [`exec`] — plan execution with streaming results: [`QueryStream`]s
 //!   with per-probe events, an on-demand running top-k and early
 //!   termination;
-//! * [`fault`] — the deterministic fault-injection plane ([`FaultPlane`]:
-//!   seeded per-probe message loss, crashed/stalled peers, slow replies) and
-//!   the [`RetryPolicy`] (bounded retries, backoff, replica failover) that
-//!   lets queries degrade gracefully instead of aborting;
+//! * [`fault`] — the deterministic fault-injection plane ([`FaultPlane`],
+//!   the one authority on injected faults: seeded message loss, crashed
+//!   peers, late and corrupt replies, lost publications and replica syncs)
+//!   and the [`RetryPolicy`] (bounded retries, replica failover) that lets
+//!   queries degrade gracefully instead of aborting;
 //! * [`ranking`] — the distributed BM25 ranking layer (global statistics, result
 //!   merging);
 //! * [`peer`] — an AlvisP2P participant: shared documents, local engine, access
@@ -98,7 +99,7 @@ pub use codec::{
 pub use digest::{DigestDocument, DigestTerm, DocumentDigest};
 pub use error::AlvisError;
 pub use exec::{ProbeEvent, QueryStream, StableTopK};
-pub use fault::{Completeness, FailureCause, FaultConfig, FaultPlane, ProbeOutcome, RetryPolicy};
+pub use fault::{Completeness, FailureCause, FaultPlane, ProbeOutcome, RetryPolicy};
 pub use global_index::{GlobalIndex, KeyIndexEntry, KeyUsageStats, ProbeResult};
 pub use hdk::{HdkConfig, HdkLevelReport};
 pub use key::TermKey;

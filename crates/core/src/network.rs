@@ -56,8 +56,8 @@ pub struct NetworkConfig {
     pub bm25: Bm25Params,
     /// Query-lattice exploration parameters.
     pub lattice: LatticeConfig,
-    /// How the executor responds to failed probe attempts (retries, backoff,
-    /// replica failover). Inert while no attempt fails.
+    /// How the executor responds to failed probe attempts (retries, replica
+    /// failover). Inert while no attempt fails.
     pub retry_policy: RetryPolicy,
     /// Master seed for all randomness.
     pub seed: u64,
@@ -149,14 +149,6 @@ impl AlvisNetworkBuilder {
         self
     }
 
-    /// Sets the length of each peer's ring successor list (the candidate set
-    /// hot-key replicas are placed on). Defaults to
-    /// [`alvisp2p_dht::SUCCESSOR_LIST_LEN`].
-    pub fn successor_list_len(mut self, len: usize) -> Self {
-        self.config.dht.successor_list_len = len;
-        self
-    }
-
     /// Sets the BM25 ranking parameters.
     pub fn bm25(mut self, bm25: Bm25Params) -> Self {
         self.config.bm25 = bm25;
@@ -171,7 +163,7 @@ impl AlvisNetworkBuilder {
 
     /// Sets the fault-injection plane the network starts with (see
     /// [`crate::fault`]; handed to [`AlvisNetwork::set_fault_plane`]).
-    /// Defaults to [`FaultPlane::NoFaults`], under which no message is ever
+    /// Defaults to [`FaultPlane::default`], under which no message is ever
     /// lost, delayed or damaged.
     pub fn faults(mut self, plane: FaultPlane) -> Self {
         self.faults = plane;
@@ -430,17 +422,13 @@ impl AlvisNetwork {
     }
 
     /// In-place edits of the plane — lets tests and experiments
-    /// [`FaultPlane::crash`], [`FaultPlane::stall`] or
-    /// [`FaultPlane::restore`] peers between (or during) queries. Use
-    /// [`AlvisNetwork::set_fault_plane`] to *replace* the plane (see
-    /// [`GlobalIndex::fault_plane_mut`] for why).
+    /// [`FaultPlane::crash`] or [`FaultPlane::restore`] peers between (or
+    /// during) queries (see [`GlobalIndex::fault_plane_mut`]).
     pub fn fault_plane_mut(&mut self) -> &mut FaultPlane {
         self.global.fault_plane_mut()
     }
 
-    /// Replaces the fault plane, including the replica sync-loss seed and
-    /// rate the overlay's replication subsystem draws from (see
-    /// [`GlobalIndex::set_fault_plane`]).
+    /// Replaces the fault plane (see [`GlobalIndex::set_fault_plane`]).
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
         self.global.set_fault_plane(plane);
     }
@@ -457,7 +445,7 @@ impl AlvisNetwork {
     /// requests). Digest exchanges and repair pulls are charged to
     /// [`TrafficCategory::Overlay`].
     pub fn repair_round(&mut self) -> RepairReport {
-        let crashed = self.fault_plane().crashed().cloned().unwrap_or_default();
+        let crashed = self.fault_plane().crashed().clone();
         self.global.dht_mut().repair_round_excluding(&crashed)
     }
 
@@ -465,13 +453,14 @@ impl AlvisNetwork {
     /// byte-consistent with their key's canonical content (`1.0` when nothing
     /// is replicated). The convergence metric of the chaos experiments.
     pub fn replica_consistency(&self) -> f64 {
-        let crashed = self.fault_plane().crashed().cloned().unwrap_or_default();
-        self.global.dht().replica_consistency_excluding(&crashed)
+        self.global
+            .dht()
+            .replica_consistency_excluding(self.fault_plane().crashed())
     }
 
     /// Number of publications whose acknowledgement is still outstanding
     /// (they were dropped by the plane and await re-publication). Always `0`
-    /// under [`FaultPlane::NoFaults`].
+    /// under a plane that drops no publication.
     pub fn pending_publishes(&self) -> usize {
         self.global.pending_publishes()
     }
@@ -1197,9 +1186,7 @@ mod tests {
         net.reset_traffic();
         let request = QueryRequest::new("peer to peer retrieval");
         let plan = net.plan(&request).unwrap();
-        let greedy = net
-            .plan_with(&crate::plan::GreedyCost::default(), &request)
-            .unwrap();
+        let greedy = net.plan_with(&crate::plan::GreedyCost, &request).unwrap();
         assert_eq!(net.traffic_snapshot().bytes_sent(), 0, "planning is free");
         assert!(plan.scheduled_probes() > 0);
         assert!(greedy.scheduled_probes() > 0);
@@ -1218,9 +1205,7 @@ mod tests {
             net.reset_traffic();
             let request =
                 QueryRequest::new("peer to peer retrieval overlay network").byte_budget(budget);
-            let plan = net
-                .plan_with(&crate::plan::GreedyCost::default(), &request)
-                .unwrap();
+            let plan = net.plan_with(&crate::plan::GreedyCost, &request).unwrap();
             let response = net.run(&plan, &request).unwrap();
             assert!(
                 response.bytes <= budget,
@@ -1233,9 +1218,7 @@ mod tests {
             net.build_index();
             let request =
                 QueryRequest::new("peer to peer retrieval overlay network").hop_budget(hop_budget);
-            let plan = net
-                .plan_with(&crate::plan::GreedyCost::default(), &request)
-                .unwrap();
+            let plan = net.plan_with(&crate::plan::GreedyCost, &request).unwrap();
             let response = net.run(&plan, &request).unwrap();
             assert!(
                 response.hops <= hop_budget,

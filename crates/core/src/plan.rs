@@ -330,18 +330,8 @@ impl Planner for BestEffort {
 /// 3. **enforces budgets by admission** ([`BudgetPolicy::Reserve`]): a probe is
 ///    sent only when its worst-case cost still fits, so planned executions never
 ///    exceed `byte_budget`/`hop_budget`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GreedyCost {
-    /// Benefit discount applied per multi-term key (multiplied with
-    /// [`PlanHints::multi_term_prior`]). 1.0 trusts the strategy's prior as is.
-    pub risk_aversion: f64,
-}
-
-impl Default for GreedyCost {
-    fn default() -> Self {
-        GreedyCost { risk_aversion: 1.0 }
-    }
-}
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GreedyCost;
 
 impl GreedyCost {
     /// Expected number of postings a probe for `key` returns if the key is
@@ -371,7 +361,7 @@ impl GreedyCost {
     /// independence proxy (summed idf of the key's terms). Staleness is
     /// irrelevant here: a somewhat-outdated measurement still beats the
     /// blind proxy, and planning priorities need no soundness guarantee.
-    fn benefit(&self, ctx: &PlanCtx<'_>, key: &TermKey, entries_upper_bound: usize) -> f64 {
+    fn benefit(ctx: &PlanCtx<'_>, key: &TermKey, entries_upper_bound: usize) -> f64 {
         let n = ctx.ranking.doc_count() as f64;
         let per_entry = match ctx.ranking.key_max_score(key) {
             Some(max) if max > 0.0 => max,
@@ -384,7 +374,7 @@ impl GreedyCost {
         let p_indexed = if key.is_single() {
             1.0
         } else {
-            (ctx.hints.multi_term_prior * self.risk_aversion).clamp(0.0, 1.0)
+            ctx.hints.multi_term_prior.clamp(0.0, 1.0)
         };
         Self::expected_entries(ctx, key, entries_upper_bound) * per_entry * p_indexed
     }
@@ -434,7 +424,7 @@ impl Planner for GreedyCost {
                 continue;
             }
             let (est_hops, est_bytes, est_entries) = ctx.annotate(&key);
-            let priority = self.benefit(ctx, &key, est_entries.max(1)) / est_bytes.max(1) as f64;
+            let priority = Self::benefit(ctx, &key, est_entries.max(1)) / est_bytes.max(1) as f64;
             nodes.push(PlanNode {
                 key,
                 decision: PlanDecision::Probe,
@@ -778,7 +768,7 @@ pub(crate) mod tests {
         let query = TermKey::new(["a", "b", "ghost"]);
         let ranking = stats(&[("a", 50), ("b", 2)]); // "ghost" has df 0
         let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        let plan = GreedyCost::default().plan(&ctx(
+        let plan = GreedyCost.plan(&ctx(
             &query,
             &ranking,
             &global,
@@ -817,7 +807,7 @@ pub(crate) mod tests {
             max_probe_len: 2,
             ..Default::default()
         };
-        let plan = GreedyCost::default().plan(&ctx(
+        let plan = GreedyCost.plan(&ctx(
             &query,
             &ranking,
             &global,
@@ -831,7 +821,7 @@ pub(crate) mod tests {
         assert!(plan.probes().any(|n| n.key == query));
         // Once the strategy cannot index or activate the key at all, probing it
         // buys nothing and it is dropped (unlike BestEffort's query-first probe).
-        let plan = GreedyCost::default().plan(&ctx(
+        let plan = GreedyCost.plan(&ctx(
             &query,
             &ranking,
             &global,
@@ -856,7 +846,7 @@ pub(crate) mod tests {
         // so the rare term's far higher idf dominates the benefit/cost ratio.
         let ranking = stats(&[("rare", 9), ("common", 90)]);
         let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        let plan = GreedyCost::default().plan(&ctx(
+        let plan = GreedyCost.plan(&ctx(
             &query,
             &ranking,
             &global,
@@ -1191,8 +1181,7 @@ pub(crate) mod tests {
     fn greedy_cost_retrieves_figure_1_within_a_budget_best_effort_wastes() {
         // Generous budget: both planners end with the Figure 1 result union.
         let (best_loose, _, _) = run_figure_1(&BestEffort, 1_000_000);
-        let (mut greedy_loose, _, greedy_exhausted) =
-            run_figure_1(&GreedyCost::default(), 1_000_000);
+        let (mut greedy_loose, _, greedy_exhausted) = run_figure_1(&GreedyCost, 1_000_000);
         assert_eq!(best_loose, vec!["b+c", "a"]);
         greedy_loose.sort();
         assert_eq!(greedy_loose, vec!["a", "b+c"]);
@@ -1204,7 +1193,7 @@ pub(crate) mod tests {
         // multi-term prefixes. Reserve admission never exceeds the budget.
         let budget = 800;
         let (best, _, _) = run_figure_1(&BestEffort, budget);
-        let (greedy, greedy_bytes, _) = run_figure_1(&GreedyCost::default(), budget);
+        let (greedy, greedy_bytes, _) = run_figure_1(&GreedyCost, budget);
         assert!(greedy_bytes <= budget, "greedy spent {greedy_bytes}");
         assert!(
             greedy.len() >= best.len(),
@@ -1220,7 +1209,7 @@ pub(crate) mod tests {
         let query = TermKey::new(["a", "b"]);
         let ranking = stats(&[("a", 8), ("b", 8)]);
         let global = GlobalIndex::new(DhtConfig::default(), 1, 8);
-        let plan = GreedyCost::default().plan(&ctx(
+        let plan = GreedyCost.plan(&ctx(
             &query,
             &ranking,
             &global,

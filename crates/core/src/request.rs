@@ -211,20 +211,20 @@ pub struct QueryResponse {
     pub budget_exhausted: bool,
     /// Total probe re-sends across the query (each failed attempt that the
     /// [`crate::fault::RetryPolicy`] followed up on counts once). Always `0`
-    /// under [`crate::fault::FaultPlane::NoFaults`].
+    /// under the default [`crate::fault::FaultPlane`].
     pub retries: usize,
     /// Number of scheduled probes that exhausted the retry policy and were
     /// recorded as failed instead of aborting the query. Always `0` under
-    /// [`crate::fault::FaultPlane::NoFaults`].
+    /// the default [`crate::fault::FaultPlane`].
     pub failed_probes: usize,
     /// Number of probe responses discarded because their frame failed the
     /// codec's checksum verification (a bit-flip in flight). Each corrupt
     /// response also counts as a failed attempt the retry policy may follow
-    /// up on. Always `0` under [`crate::fault::FaultPlane::NoFaults`].
+    /// up on. Always `0` under the default [`crate::fault::FaultPlane`].
     pub corrupt_probes: usize,
     /// Number of probes whose serve was failed over to a non-primary replica
     /// holder after the primary proved unresponsive. Always `0` under
-    /// [`crate::fault::FaultPlane::NoFaults`].
+    /// the default [`crate::fault::FaultPlane`].
     pub hedged: usize,
     /// Under [`ThresholdMode::RankSafe`] only: the number of probes that went
     /// out floor-free, although the running top-k was full, because a

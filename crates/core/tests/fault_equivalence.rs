@@ -1,5 +1,5 @@
 //! The fault plane must be invisible until it injects something: a network
-//! running [`FaultPlane::NoFaults`] with the default [`RetryPolicy`] is
+//! running the default [`FaultPlane`] with the default [`RetryPolicy`] is
 //! byte-identical to one built before the plane existed — same top-k
 //! documents and scores, same lattice trace, same retrieval bytes and hops —
 //! and reports zero retries, zero failed probes, zero hedged serves and a
@@ -110,7 +110,7 @@ fn assert_byte_identical(strategy_label: &str, strategy: Arc<dyn Strategy>, faul
             &c,
             Arc::clone(&strategy),
             Arc::new(NoReplication),
-            FaultPlane::NoFaults,
+            FaultPlane::default(),
             RetryPolicy::default(),
             seed,
         );
@@ -143,18 +143,18 @@ fn no_faults_is_byte_identical_for_single_term() {
     assert_byte_identical(
         "single-term",
         Arc::new(SingleTermFull),
-        FaultPlane::NoFaults,
+        FaultPlane::default(),
     );
 }
 
 #[test]
 fn no_faults_is_byte_identical_for_hdk() {
-    assert_byte_identical("hdk", Arc::new(Hdk::default()), FaultPlane::NoFaults);
+    assert_byte_identical("hdk", Arc::new(Hdk::default()), FaultPlane::default());
 }
 
 #[test]
 fn no_faults_is_byte_identical_for_qdi() {
-    assert_byte_identical("qdi", Arc::new(Qdi::default()), FaultPlane::NoFaults);
+    assert_byte_identical("qdi", Arc::new(Qdi::default()), FaultPlane::default());
 }
 
 #[test]
@@ -195,7 +195,7 @@ fn warmed_pair(seed: u64) -> (AlvisNetwork, AlvisNetwork, QueryRequest) {
             &c,
             Arc::new(Hdk::default()),
             Arc::new(HotKeyReplication::new(3)),
-            FaultPlane::NoFaults,
+            FaultPlane::default(),
             RetryPolicy::default(),
             seed,
         )
@@ -303,7 +303,7 @@ fn crashed_primary_without_replicas_degrades_instead_of_erroring() {
         &c,
         Arc::new(Hdk::default()),
         Arc::new(NoReplication),
-        FaultPlane::NoFaults,
+        FaultPlane::default(),
         RetryPolicy::default(),
         seed,
     );
@@ -350,7 +350,7 @@ fn routing_failures_no_longer_abort_the_query_stream() {
     // unreachable keys as per-probe failures with a `PeerDown` cause.
     //
     // `LookupFailed` is downgraded in exactly one place, whatever the plane:
-    // the same log under `NoFaults` and under a seeded plane that injects
+    // the same log under the default plane and under a seeded plane that injects
     // nothing must report the same failures, completeness, bytes and hops.
     let seed = 11u64;
     let c = corpus(250, seed);
@@ -388,7 +388,7 @@ fn routing_failures_no_longer_abort_the_query_stream() {
         }
         reports
     };
-    let reports = run(FaultPlane::NoFaults);
+    let reports = run(FaultPlane::default());
     let failed: usize = reports.iter().map(|r| r.0).sum();
     assert!(
         failed > 0,
@@ -398,7 +398,7 @@ fn routing_failures_no_longer_abort_the_query_stream() {
     assert_eq!(
         reports,
         run(FaultPlane::seeded(seed)),
-        "an all-zero seeded plane diverged from NoFaults on routing failures"
+        "an all-zero seeded plane diverged from the default plane on routing failures"
     );
 }
 
@@ -421,7 +421,7 @@ fn corrupt_frames_are_absorbed_by_retries_without_changing_the_answer() {
             seed,
         )
     };
-    let mut clean = build(FaultPlane::NoFaults);
+    let mut clean = build(FaultPlane::default());
     let mut corrupted = build(FaultPlane::seeded(5).with_corruption(0.05));
     let mut corrupt_frames = 0usize;
     for (i, text) in qs.iter().enumerate() {
@@ -456,7 +456,7 @@ fn corrupt_frames_are_absorbed_by_retries_without_changing_the_answer() {
 #[test]
 fn publish_machinery_is_inert_under_no_faults() {
     // The versioned-publication path must be invisible until publish loss is
-    // injected: a NoFaults build acknowledges every publication inline, so
+    // injected: a build under the default plane acknowledges every publication inline, so
     // the pending set is empty and a re-publication round is a pure no-op —
     // no resends, no applications, not a single byte charged.
     let seed = 29u64;
@@ -465,7 +465,7 @@ fn publish_machinery_is_inert_under_no_faults() {
         &c,
         Arc::new(Hdk::default()),
         Arc::new(NoReplication),
-        FaultPlane::NoFaults,
+        FaultPlane::default(),
         RetryPolicy::default(),
         seed,
     );

@@ -72,7 +72,7 @@ struct Observed {
 /// rank-safe floors become positive. The budget itself never binds.
 fn plan(net: &AlvisNetwork, request: &QueryRequest) -> QueryPlan {
     assert_eq!(request.byte_budget, Some(u64::MAX));
-    net.plan_with(&GreedyCost::default(), request).unwrap()
+    net.plan_with(&GreedyCost, request).unwrap()
 }
 
 /// The eager reference executor: a merge after every probe, whatever the mode.

@@ -549,7 +549,7 @@ fn rank_safe_matches_off_bit_for_bit_across_the_matrix() {
         ("hdk", Arc::new(Hdk::default())),
     ];
     let budgets: [Option<u64>; 3] = [None, Some(1_500), Some(4_000)];
-    let planner = alvisp2p_core::plan::GreedyCost::default();
+    let planner = alvisp2p_core::plan::GreedyCost;
     for (docs, seed) in [(160usize, 31u64), (320, 43)] {
         let corpus = corpus(docs, seed);
         let queries = query_texts(&corpus, 16, seed ^ 0x5f);
@@ -595,7 +595,7 @@ fn rank_safe_matches_off_bit_for_bit_across_the_matrix() {
 fn rank_safe_matches_off_under_qdi_activation() {
     let corpus = corpus(200, 77);
     let queries = query_texts(&corpus, 6, 77 ^ 0x5f);
-    let planner = alvisp2p_core::plan::GreedyCost::default();
+    let planner = alvisp2p_core::plan::GreedyCost;
     for (i, text) in queries.iter().enumerate() {
         let mut safe = network(&corpus, Arc::new(Qdi::default()), 77);
         let mut off = network(&corpus, Arc::new(Qdi::default()), 77);
@@ -631,12 +631,12 @@ fn threshold_probes_respect_budgets_and_agree_when_not_truncated() {
                 .top_k(10)
                 .byte_budget(budget);
             let plan_on = with
-                .plan_with(&alvisp2p_core::plan::GreedyCost::default(), &base)
+                .plan_with(&alvisp2p_core::plan::GreedyCost, &base)
                 .unwrap();
             let on = with.run(&plan_on, &base).unwrap();
             let off_request = base.threshold_mode(ThresholdMode::Off);
             let plan_off = without
-                .plan_with(&alvisp2p_core::plan::GreedyCost::default(), &off_request)
+                .plan_with(&alvisp2p_core::plan::GreedyCost, &off_request)
                 .unwrap();
             let off = without.run(&plan_off, &off_request).unwrap();
             assert!(on.bytes <= budget, "threshold-on exceeded the budget");

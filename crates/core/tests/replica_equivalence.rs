@@ -40,7 +40,7 @@ fn network(
         .seed(seed)
         .corpus(corpus);
     if budgeted {
-        builder = builder.planner(GreedyCost::default());
+        builder = builder.planner(GreedyCost);
     }
     builder.build_indexed().expect("valid configuration")
 }

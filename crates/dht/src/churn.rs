@@ -10,7 +10,6 @@
 
 use crate::id::RingId;
 use crate::network::{Dht, DhtError};
-use crate::node::Peer;
 use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
 use alvisp2p_netsim::{TrafficCategory, WireSize};
 
@@ -135,29 +134,6 @@ impl<V: Clone + WireSize> Dht<V> {
     pub(crate) fn record_overlay(&mut self, bytes: usize) {
         self.stats_record(TrafficCategory::Overlay, bytes);
     }
-}
-
-/// A helper describing a peer's view for debugging and test diagnostics.
-#[derive(Clone, Debug)]
-pub struct PeerSummary {
-    /// Ring identifier.
-    pub id: RingId,
-    /// Whether the peer is live.
-    pub alive: bool,
-    /// Number of keys it stores.
-    pub keys: usize,
-}
-
-/// Produces a summary of every peer slot (live and departed).
-pub fn summarize<V>(peers: &[Peer<V>]) -> Vec<PeerSummary> {
-    peers
-        .iter()
-        .map(|p| PeerSummary {
-            id: p.id,
-            alive: p.alive,
-            keys: p.store.len(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -291,7 +267,6 @@ mod tests {
         let mut d = dht(24);
         d.set_replication_policy(Arc::new(HotKeyReplication::new(2)));
         d.set_repair_enabled(true);
-        d.set_replica_faults(3, 1.0); // every sync message is dropped
         let key = RingId::hash_str("churny hot key");
         d.put(0, key, vec![5], TrafficCategory::Indexing).unwrap();
         let primary = d.responsible_for(key).unwrap();
@@ -300,8 +275,9 @@ mod tests {
         }
         assert!(!d.replica_holders(key).is_empty());
         // An update whose syncs all vanish leaves the holders stale...
-        d.put_replicated(0, key, vec![6, 6], TrafficCategory::Indexing)
+        d.put(0, key, vec![6, 6], TrafficCategory::Indexing)
             .unwrap();
+        d.sync_replicas(key, TrafficCategory::Indexing, |_, _| true);
         assert!(d.replica_consistency() < 1.0);
         // ...and the next churn event repairs them as a side effect.
         d.join(RingId::hash_u64(0xC0FFEE)).expect("fresh id");
@@ -325,21 +301,5 @@ mod tests {
             }
             assert_eq!(d.peer(querier).shortcuts.get(key), None);
         }
-    }
-
-    #[test]
-    fn summarize_reports_all_slots() {
-        let mut d = dht(6);
-        fill(&mut d, 30);
-        d.fail(1).unwrap();
-        // Access peers through the public accessors to build the summary.
-        let peers: Vec<_> = (0..d.peer_slots()).map(|i| d.peer(i).clone()).collect();
-        let summary = summarize(&peers);
-        assert_eq!(summary.len(), 6);
-        assert_eq!(summary.iter().filter(|s| !s.alive).count(), 1);
-        assert_eq!(
-            summary.iter().map(|s| s.keys).sum::<usize>(),
-            d.total_keys()
-        );
     }
 }

@@ -51,8 +51,8 @@ pub use lookup::{lookup, LookupResult};
 pub use network::{Dht, DhtConfig, DhtError, IdDistribution, RouteInfo};
 pub use node::Peer;
 pub use replica::{
-    CopyDigest, HotKeyReplication, LoadTracker, NoReplication, ReconvergeReport, RepairReport,
-    ReplicaManager, ReplicaStats, ReplicationPolicy,
+    CopyDigest, HotKeyReplication, NoReplication, ReconvergeReport, RepairReport, ReplicaManager,
+    ReplicaStats, ReplicationPolicy,
 };
 pub use ring::Ring;
 pub use routing::{

@@ -11,15 +11,14 @@
 //!   [`NoReplication`] (today's semantics, the default — every key lives only
 //!   at its responsible peer) and [`HotKeyReplication`] (hysteresis thresholds
 //!   over an EWMA probe load).
-//! * [`LoadTracker`] — per-key and per-peer EWMA probe counters. In the
-//!   deployed system each responsible peer tracks the keys it stores (the same
-//!   served-request signals the congestion controller in [`crate::congestion`]
-//!   reacts to); the simulator keeps the union of those per-node trackers in
-//!   one structure, which is equivalent because every key has exactly one
-//!   responsible peer observing its probes.
 //! * [`ReplicaManager`] — the bookkeeping carried by [`Dht`]: the active
-//!   policy, the tracker and the *replica directory* mapping each replicated
-//!   key to the peers currently holding a copy.
+//!   policy, the *replica directory* mapping each replicated key to the peers
+//!   currently holding a copy, and per-key and per-peer EWMA probe counters.
+//!   In the deployed system each responsible peer tracks the keys it stores
+//!   (the same served-request signals the congestion controller in
+//!   [`crate::congestion`] reacts to); the simulator keeps the union of those
+//!   per-node trackers in one structure, which is equivalent because every
+//!   key has exactly one responsible peer observing its probes.
 //!
 //! Replica copies live in a **separate** per-peer store
 //! ([`crate::node::Peer::replica_store`]), never in the primary store, so the
@@ -38,8 +37,9 @@
 //! # Anti-entropy repair
 //!
 //! On a faulty wire the "copies stay byte-identical" invariant breaks: a
-//! sync message dropped in flight leaves a holder's copy **stale**, and bit
-//! rot leaves it **corrupt**. The manager therefore tracks a monotonic
+//! sync message dropped in flight (the overlay holds no fault state; it asks
+//! the caller of [`Dht::sync_replicas`] which messages are lost) leaves a
+//! holder's copy **stale**, and bit rot leaves it **corrupt**. The manager therefore tracks a monotonic
 //! content version per replicated key and the version each holder last
 //! received; [`Dht::repair_round`] — driven periodically from the churn loop
 //! once [`Dht::set_repair_enabled`] turns it on — exchanges compact per-key
@@ -53,7 +53,7 @@
 use crate::id::RingId;
 use crate::network::Dht;
 use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
-use alvisp2p_netsim::{SimRng, TrafficCategory, WireSize};
+use alvisp2p_netsim::{TrafficCategory, WireSize};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -66,10 +66,10 @@ use std::sync::Arc;
 /// when the replicas are withdrawn again.
 ///
 /// The decisions are driven by an EWMA probe load per key (see
-/// [`LoadTracker`]): `should_replicate` is consulted for keys that are not
-/// yet replicated, `should_withdraw` for keys that are — keeping the two
-/// thresholds apart gives hysteresis, so a key oscillating around one
-/// threshold does not thrash copies on and off the network.
+/// [`ReplicaManager::key_load`]): `should_replicate` is consulted for keys
+/// that are not yet replicated, `should_withdraw` for keys that are —
+/// keeping the two thresholds apart gives hysteresis, so a key oscillating
+/// around one threshold does not thrash copies on and off the network.
 ///
 /// # Worked example
 ///
@@ -239,7 +239,7 @@ struct Ewma {
 /// of two every `half_life` ticks. Decay is applied lazily, so idle keys
 /// cost nothing.
 #[derive(Clone, Debug)]
-pub struct LoadTracker {
+pub(crate) struct LoadTracker {
     half_life: f64,
     tick: u64,
     keys: HashMap<RingId, Ewma>,
@@ -248,7 +248,7 @@ pub struct LoadTracker {
 
 impl LoadTracker {
     /// Creates a tracker whose loads halve every `half_life` observed probes.
-    pub fn new(half_life: f64) -> Self {
+    fn new(half_life: f64) -> Self {
         LoadTracker {
             half_life: half_life.max(1.0),
             tick: 0,
@@ -264,7 +264,7 @@ impl LoadTracker {
 
     /// Records one probe for `key` served by peer `served_by`; advances the
     /// clock and returns the key's updated load.
-    pub fn observe(&mut self, key: RingId, served_by: usize) -> f64 {
+    fn observe(&mut self, key: RingId, served_by: usize) -> f64 {
         self.tick += 1;
         let tick = self.tick;
         let half_life = self.half_life;
@@ -288,21 +288,16 @@ impl LoadTracker {
     }
 
     /// The key's current (decayed) EWMA probe load.
-    pub fn key_load(&self, key: RingId) -> f64 {
+    fn key_load(&self, key: RingId) -> f64 {
         self.keys.get(&key).map(|e| self.decayed(e)).unwrap_or(0.0)
     }
 
     /// The peer's current (decayed) EWMA serve load.
-    pub fn peer_load(&self, peer: usize) -> f64 {
+    fn peer_load(&self, peer: usize) -> f64 {
         self.peers
             .get(&peer)
             .map(|e| self.decayed(e))
             .unwrap_or(0.0)
-    }
-
-    /// Number of probes observed so far (the tracker's clock).
-    pub fn observed(&self) -> u64 {
-        self.tick
     }
 }
 
@@ -354,30 +349,6 @@ impl CopyDigest {
 
 const DIGEST_BYTES: usize = CopyDigest::WIRE_BYTES;
 
-/// Salt of the deterministic replica-sync loss draw. Mirrors the core fault
-/// plane's stateless-draw construction (seeded splitmix finalizer, one
-/// [`SimRng`] draw per decision) — the dht crate cannot depend on the core
-/// crate, so the layer above wires `(seed, rate)` in via
-/// [`Dht::set_replica_faults`].
-const SALT_REPLICA_SYNC: u64 = 0x7273_796e; // "rsyn"
-
-/// Whether one replica-sync message is dropped in flight, at these
-/// deterministic coordinates.
-fn sync_message_lost(seed: u64, rate: f64, key: RingId, seq: u64, recipient: u64) -> bool {
-    if rate <= 0.0 {
-        return false;
-    }
-    let mut z = seed
-        ^ SALT_REPLICA_SYNC.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ key.0.wrapping_mul(0xbf58_476d_1ce4_e5b9)
-        ^ seq.wrapping_mul(0x94d0_49bb_1331_11eb)
-        ^ recipient.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    SimRng::new(z).gen_f64() < rate
-}
-
 /// The replication bookkeeping carried by a [`Dht`]: the active policy, the
 /// EWMA load tracker and the replica directory (key → holder peer indices).
 #[derive(Debug)]
@@ -399,11 +370,8 @@ pub struct ReplicaManager {
     /// Replica copies marked bit-rotted by fault injection; their digest no
     /// longer matches their recorded version.
     corrupt: BTreeSet<(RingId, usize)>,
-    /// Deterministic sync-loss injection wired in by the layer above:
-    /// `(seed, loss rate)`.
-    sync_faults: Option<(u64, f64)>,
-    /// Sequence number of the next replica-sync operation (the coordinates of
-    /// its loss draws).
+    /// Sequence number of the next replica-sync operation (what
+    /// [`Dht::sync_replicas`] hands its caller's loss decision).
     sync_seq: u64,
 }
 
@@ -419,7 +387,6 @@ impl ReplicaManager {
             versions: HashMap::new(),
             holder_versions: HashMap::new(),
             corrupt: BTreeSet::new(),
-            sync_faults: None,
             sync_seq: 0,
         }
     }
@@ -495,11 +462,6 @@ impl ReplicaManager {
         self.tracker.peer_load(peer)
     }
 
-    /// Number of probes the tracker has observed.
-    pub fn observed_probes(&self) -> u64 {
-        self.tracker.observed()
-    }
-
     pub(crate) fn observe(&mut self, key: RingId, served_by: usize) -> f64 {
         self.tracker.observe(key, served_by)
     }
@@ -567,26 +529,11 @@ impl<V: Clone + WireSize> Dht<V> {
         for key in self.replication().replicated_key_list() {
             self.withdraw_replicas(key);
         }
-        // Fault wiring and the repair switch outlive policy swaps: they
-        // describe the wire, not the policy.
+        // The repair switch outlives policy swaps: it describes the
+        // maintenance loop, not the policy.
         let repair_enabled = self.replication().repair_enabled;
-        let sync_faults = self.replication().sync_faults;
         *self.replicas_mut() = ReplicaManager::new(policy);
         self.replicas_mut().repair_enabled = repair_enabled;
-        self.replicas_mut().sync_faults = sync_faults;
-    }
-
-    /// Wires deterministic replica-sync loss into the overlay: each sync
-    /// message is dropped with probability `sync_loss_rate`, decided by a
-    /// stateless seeded draw (the same construction as the core fault plane,
-    /// which pushes its seed and rate down through this call). A zero rate
-    /// disables injection entirely.
-    pub fn set_replica_faults(&mut self, seed: u64, sync_loss_rate: f64) {
-        self.replicas_mut().sync_faults = if sync_loss_rate > 0.0 {
-            Some((seed, sync_loss_rate.clamp(0.0, 1.0)))
-        } else {
-            None
-        };
     }
 
     /// Turns the churn-driven anti-entropy repair loop on or off (off by
@@ -747,12 +694,20 @@ impl<V: Clone + WireSize> Dht<V> {
     /// byte-identical and any holder can serve). Transfer bytes are charged to
     /// `category`. No-op if the key is not replicated.
     ///
-    /// Each per-holder refresh bumps the key's canonical content version and
-    /// crosses the (possibly faulty) wire independently: a message dropped by
-    /// the [`Dht::set_replica_faults`] loss draw still charges its bytes but
-    /// leaves that holder's copy — and its recorded version — **stale**,
-    /// until anti-entropy repair pulls a fresh one.
-    pub fn sync_replicas(&mut self, key: RingId, category: TrafficCategory) {
+    /// Each sync operation bumps the key's canonical content version, and each
+    /// per-holder message crosses the (possibly faulty) wire independently.
+    /// The overlay holds no fault state: it asks `lost(sync_seq, recipient)`
+    /// — the operation's sequence number and the holder's position in the
+    /// replica set — whether the message to that live holder is dropped. A
+    /// dropped message still charges its bytes but leaves that holder's copy —
+    /// and its recorded version — **stale**, until anti-entropy repair pulls a
+    /// fresh one. `|_, _| false` is the fault-free wire.
+    pub fn sync_replicas(
+        &mut self,
+        key: RingId,
+        category: TrafficCategory,
+        mut lost: impl FnMut(u64, u32) -> bool,
+    ) {
         let holders = self.replication().holders_raw(key);
         if holders.is_empty() {
             return;
@@ -765,49 +720,28 @@ impl<V: Clone + WireSize> Dht<V> {
             self.withdraw_replicas(key);
             return;
         };
-        let (version, seq, faults) = {
+        let (version, seq) = {
             let m = self.replicas_mut();
             let v = m.versions.entry(key).or_insert(0);
             *v += 1;
             let version = *v;
             let seq = m.sync_seq;
             m.sync_seq += 1;
-            (version, seq, m.sync_faults)
+            (version, seq)
         };
         let bytes = 8 + value.wire_size();
         for (recipient, h) in holders.into_iter().enumerate() {
             if h < self.peer_slots() && self.peer(h).alive {
                 self.charge_external(category, bytes);
-                if let Some((seed, rate)) = faults {
-                    if sync_message_lost(seed, rate, key, seq, recipient as u64) {
-                        // Dropped in flight: the holder keeps its stale copy.
-                        continue;
-                    }
+                if lost(seq, recipient as u32) {
+                    // Dropped in flight: the holder keeps its stale copy.
+                    continue;
                 }
                 self.peer_mut(h).replica_store.insert(key, value.clone());
                 self.replicas_mut().note_copy(key, h, version);
             }
         }
         self.replicas_mut().stats_mut().syncs += 1;
-    }
-
-    /// Withdraws every replicated key that has cooled below the policy's
-    /// withdraw threshold (a periodic sweep complementing the probe-driven
-    /// hysteresis, which only re-evaluates keys that are still being probed).
-    /// Returns the number of keys withdrawn.
-    pub fn maintain_replicas(&mut self) -> usize {
-        let policy = Arc::clone(self.replication().policy());
-        if !policy.tracks() {
-            return 0;
-        }
-        let mut withdrawn = 0;
-        for key in self.replication().replicated_key_list() {
-            if policy.should_withdraw(self.replication().key_load(key)) {
-                self.withdraw_replicas(key);
-                withdrawn += 1;
-            }
-        }
-        withdrawn
     }
 
     /// Re-converges every replica set after a membership change: recovers a
@@ -1050,57 +984,6 @@ impl<V: Clone + WireSize> Dht<V> {
             consistent as f64 / total as f64
         }
     }
-
-    /// Replica-aware fetch: routes the request for `key` as usual (same hops
-    /// and routing charges as [`Dht::get`] — the request travels into the
-    /// key's ring neighbourhood, where primary and replicas sit side by side),
-    /// then serves the value from the least-loaded live holder. Feeds the load
-    /// tracker, so hot keys replicate and cool keys withdraw as a side effect.
-    ///
-    /// Returns the route, the value and the index of the serving peer.
-    #[allow(clippy::type_complexity)]
-    pub fn get_replicated(
-        &mut self,
-        from: usize,
-        key: RingId,
-        category: TrafficCategory,
-    ) -> Result<(crate::network::RouteInfo, Option<V>, usize), crate::network::DhtError> {
-        let info = self.route(from, key, category)?;
-        let served_by = self.least_loaded_holder(key).unwrap_or(info.responsible);
-        self.peer_mut(served_by).served_requests += 1;
-        let value = {
-            let p = self.peer(served_by);
-            p.store
-                .get(&key)
-                .cloned()
-                .or_else(|| p.replica_store.get(&key).cloned())
-        };
-        self.charge_external(category, value.as_ref().map(|v| v.wire_size()).unwrap_or(1));
-        self.record_probe(key, served_by);
-        Ok((info, value, served_by))
-    }
-
-    /// Replica-aware store: [`Dht::put`] followed by a refresh of any existing
-    /// replica copies, so holders never serve a stale value.
-    pub fn put_replicated(
-        &mut self,
-        from: usize,
-        key: RingId,
-        value: V,
-        category: TrafficCategory,
-    ) -> Result<crate::network::RouteInfo, crate::network::DhtError> {
-        let info = self.put(from, key, value, category)?;
-        self.sync_replicas(key, category);
-        Ok(info)
-    }
-
-    /// Total approximate bytes of replica copies across all live peers.
-    pub fn replica_storage_bytes(&self) -> usize {
-        self.live_peer_indices()
-            .into_iter()
-            .map(|i| self.peer(i).replica_store.storage_bytes())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -1119,6 +1002,17 @@ mod tests {
         for _ in 0..probes {
             dht.record_probe(key, primary);
         }
+    }
+
+    /// Stores a new primary value and syncs the replicas, dropping every sync
+    /// message when `lost`.
+    fn update(dht: &mut Dht<Vec<u8>>, key: RingId, value: Vec<u8>, lost: bool) {
+        dht.put(0, key, value, TrafficCategory::Indexing).unwrap();
+        dht.sync_replicas(key, TrafficCategory::Indexing, |_, _| lost);
+    }
+
+    fn no_replica_copies(dht: &Dht<Vec<u8>>) -> bool {
+        (0..dht.peer_slots()).all(|p| dht.peer(p).replica_store.is_empty())
     }
 
     #[test]
@@ -1140,7 +1034,7 @@ mod tests {
             "half-life decay: {hot} -> {cooled}"
         );
         assert!(t.peer_load(0) > 0.0 && t.peer_load(1) > 0.0);
-        assert_eq!(t.observed(), 7);
+        assert_eq!(t.tick, 7);
     }
 
     #[test]
@@ -1150,14 +1044,18 @@ mod tests {
         dht.put(0, key, vec![1], TrafficCategory::Indexing).unwrap();
         heat(&mut dht, key, 200);
         assert_eq!(dht.replication().replicated_keys(), 0);
-        assert_eq!(dht.replication().observed_probes(), 0);
+        assert_eq!(dht.replication().tracker.tick, 0);
         assert!(dht.replica_holders(key).is_empty());
-        assert_eq!(dht.replica_storage_bytes(), 0);
+        assert!(no_replica_copies(&dht));
     }
 
     #[test]
     fn hot_key_crosses_threshold_and_cools_back_down() {
-        let mut dht = hot_dht(24, 3);
+        let mut dht: Dht<Vec<u8>> = Dht::with_peers(DhtConfig::default(), 11, 24);
+        dht.set_replication_policy(Arc::new(HotKeyReplication {
+            cool_threshold: 1.5,
+            ..HotKeyReplication::new(3)
+        }));
         let key = RingId::hash_str("head term");
         dht.put(0, key, vec![9; 32], TrafficCategory::Indexing)
             .unwrap();
@@ -1175,12 +1073,14 @@ mod tests {
         let stats = dht.replication().stats();
         assert_eq!(stats.replications, 1);
 
-        // Cooling: probes for other keys decay the EWMA; the sweep withdraws.
+        // Cooling: probes for other keys decay the EWMA, so the key's next
+        // probe finds it below the withdraw threshold.
         for i in 0..2_000u64 {
             let other = RingId::hash_u64(i);
             dht.record_probe(other, dht.responsible_for(other).unwrap());
         }
-        assert_eq!(dht.maintain_replicas(), 1);
+        assert!(dht.replication().is_replicated(key));
+        heat(&mut dht, key, 1);
         assert!(!dht.replication().is_replicated(key));
         assert!(dht.replica_holders(key).is_empty());
         assert_eq!(dht.replication().stats().withdrawals, 1);
@@ -1207,15 +1107,16 @@ mod tests {
         dht.put(0, key, vec![1, 2], TrafficCategory::Indexing)
             .unwrap();
         heat(&mut dht, key, 10);
-        // Serve through the replica-aware read path; the serves should now be
-        // spread over primary + 3 replicas instead of hammering one peer.
+        // Serve each probe where the probe path does, at the least-loaded
+        // holder; the serves should now be spread over primary + 3 replicas
+        // instead of hammering one peer, and every holder has the value.
         let mut served = std::collections::BTreeMap::new();
-        for i in 0..80 {
-            let origin = dht.live_peer_indices()[i % 24];
-            let (_, value, by) = dht
-                .get_replicated(origin, key, TrafficCategory::Retrieval)
-                .unwrap();
-            assert_eq!(value, Some(vec![1, 2]));
+        for _ in 0..80 {
+            let by = dht.least_loaded_holder(key).unwrap();
+            let holder = dht.peer(by);
+            let value = holder.store.get(&key).or(holder.replica_store.get(&key));
+            assert_eq!(value, Some(&vec![1, 2]));
+            dht.record_probe(key, by);
             *served.entry(by).or_insert(0u64) += 1;
         }
         assert!(served.len() >= 3, "serves spread over holders: {served:?}");
@@ -1230,8 +1131,16 @@ mod tests {
         let key = RingId::hash_str("synced");
         dht.put(0, key, vec![1], TrafficCategory::Indexing).unwrap();
         heat(&mut dht, key, 10);
-        dht.put_replicated(0, key, vec![1, 2, 3], TrafficCategory::Indexing)
+        dht.put(0, key, vec![1, 2, 3], TrafficCategory::Indexing)
             .unwrap();
+        // The overlay asks about each live holder of the first sync
+        // operation, in replica-set order.
+        let mut asked = Vec::new();
+        dht.sync_replicas(key, TrafficCategory::Indexing, |seq, recipient| {
+            asked.push((seq, recipient));
+            false
+        });
+        assert_eq!(asked, vec![(0, 0), (0, 1)]);
         for h in dht.replica_holders(key) {
             assert_eq!(dht.peer(h).replica_store.get(&key), Some(&vec![1, 2, 3]));
         }
@@ -1259,9 +1168,7 @@ mod tests {
         assert!(dht.replication().stats().recovered >= 1);
         // And it is still readable over the overlay.
         let origin = dht.live_peer_indices()[0];
-        let (_, v, _) = dht
-            .get_replicated(origin, key, TrafficCategory::Retrieval)
-            .unwrap();
+        let (_, v) = dht.get(origin, key, TrafficCategory::Retrieval).unwrap();
         assert_eq!(v, Some(vec![42; 16]));
     }
 
@@ -1297,22 +1204,20 @@ mod tests {
         assert_eq!(dht.replication().replicated_keys(), 1);
         dht.set_replication_policy(Arc::new(NoReplication));
         assert_eq!(dht.replication().replicated_keys(), 0);
-        assert_eq!(dht.replica_storage_bytes(), 0);
+        assert!(no_replica_copies(&dht));
         assert_eq!(dht.replication().policy().label(), "none");
     }
 
     #[test]
     fn lost_syncs_leave_stale_copies_and_repair_pulls_them_fresh() {
         let mut dht = hot_dht(24, 3);
-        dht.set_replica_faults(99, 1.0); // every sync message is dropped
         let key = RingId::hash_str("stale prone");
         dht.put(0, key, vec![1], TrafficCategory::Indexing).unwrap();
         heat(&mut dht, key, 10);
         assert_eq!(dht.replica_holders(key).len(), 3);
         assert_eq!(dht.replica_consistency(), 1.0, "placement itself is clean");
         // An update whose syncs are all dropped: holders keep the old copy.
-        dht.put_replicated(0, key, vec![9, 9, 9], TrafficCategory::Indexing)
-            .unwrap();
+        update(&mut dht, key, vec![9, 9, 9], true);
         assert!(dht.replica_consistency() < 1.0);
         for h in dht.replica_holders(key) {
             assert_eq!(dht.peer(h).replica_store.get(&key), Some(&vec![1]));
@@ -1363,12 +1268,10 @@ mod tests {
     #[test]
     fn repair_skips_unresponsive_peers_and_sources_from_the_freshest() {
         let mut dht = hot_dht(24, 3);
-        dht.set_replica_faults(5, 1.0);
         let key = RingId::hash_str("partial repair");
         dht.put(0, key, vec![1], TrafficCategory::Indexing).unwrap();
         heat(&mut dht, key, 10);
-        dht.put_replicated(0, key, vec![2, 2], TrafficCategory::Indexing)
-            .unwrap();
+        update(&mut dht, key, vec![2, 2], true);
         let holders = dht.replica_holders(key);
         let down: BTreeSet<usize> = [holders[0]].into();
         let report = dht.repair_round_excluding(&down);
@@ -1385,24 +1288,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_loss_draws_are_deterministic_and_rate_bounded() {
-        let key = RingId(42);
-        let a: Vec<bool> = (0..512)
-            .map(|s| sync_message_lost(7, 0.3, key, s, 0))
-            .collect();
-        let b: Vec<bool> = (0..512)
-            .map(|s| sync_message_lost(7, 0.3, key, s, 0))
-            .collect();
-        assert_eq!(a, b);
-        let lost = a.iter().filter(|l| **l).count();
-        assert!((100..210).contains(&lost), "~30% of 512, got {lost}");
-        assert!(
-            !sync_message_lost(7, 0.0, key, 1, 0),
-            "zero rate never fires"
-        );
-    }
-
-    #[test]
     fn repair_disabled_overlay_stays_clean_without_faults() {
         let mut dht = hot_dht(16, 2);
         assert!(!dht.replication().repair_enabled());
@@ -1410,8 +1295,7 @@ mod tests {
         dht.put(0, key, vec![3; 8], TrafficCategory::Indexing)
             .unwrap();
         heat(&mut dht, key, 10);
-        dht.put_replicated(0, key, vec![4; 8], TrafficCategory::Indexing)
-            .unwrap();
+        update(&mut dht, key, vec![4; 8], false);
         assert_eq!(dht.replica_consistency(), 1.0);
         // A repair round on a healthy overlay exchanges digests but moves no
         // bytes of content.

@@ -249,10 +249,10 @@ proptest! {
         }
 
         // Diverge: updates whose syncs are all dropped leave stale copies...
-        dht.set_replica_faults(seed ^ 0xA5A5, 1.0);
         for (i, ring_key) in ring_keys.iter().enumerate() {
             if update_mask[i % update_mask.len()] {
-                dht.put_replicated(i % initial_peers, *ring_key, vec![0xFE; (i % 5) + 2], TrafficCategory::Indexing).unwrap();
+                dht.put(i % initial_peers, *ring_key, vec![0xFE; (i % 5) + 2], TrafficCategory::Indexing).unwrap();
+                dht.sync_replicas(*ring_key, TrafficCategory::Indexing, |_, _| true);
             }
         }
         // ...and arbitrary holders suffer bit rot.

@@ -165,7 +165,6 @@ mod control_plane_ledger {
     fn repair_round_bytes_reconcile_exactly_and_stay_out_of_retrieval() {
         let mut dht: Dht<Vec<u8>> = Dht::with_peers(DhtConfig::default(), 11, 24);
         dht.set_replication_policy(Arc::new(HotKeyReplication::new(3)));
-        dht.set_replica_faults(99, 1.0); // every sync message is dropped
         let key = RingId::hash_str("audited key");
         let stale = vec![1u8; 40];
         let fresh = vec![9u8; 40];
@@ -177,8 +176,9 @@ mod control_plane_ledger {
         assert_eq!(dht.replica_holders(key).len(), 3);
         // An update whose replica syncs are all dropped: the three holders
         // keep the stale copy, and the next repair round must pull three.
-        dht.put_replicated(0, key, fresh.clone(), TrafficCategory::Indexing)
+        dht.put(0, key, fresh.clone(), TrafficCategory::Indexing)
             .unwrap();
+        dht.sync_replicas(key, TrafficCategory::Indexing, |_, _| true);
 
         let before = dht.stats_snapshot();
         let report = dht.repair_round();

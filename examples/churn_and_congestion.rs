@@ -305,7 +305,7 @@ fn control_plane_repair_demo() {
             .expect("valid configuration")
     };
     let hot_query = format!("{} {}", corpus.vocabulary[60], corpus.vocabulary[61]);
-    let reference: Vec<DocId> = build(FaultPlane::NoFaults)
+    let reference: Vec<DocId> = build(FaultPlane::default())
         .execute(&QueryRequest::new(hot_query.clone()).from_peer(0))
         .unwrap()
         .results

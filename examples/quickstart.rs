@@ -85,7 +85,7 @@ fn main() {
         .top_k(5)
         .byte_budget(2_000);
     let plan = net
-        .plan_with(&GreedyCost::default(), &request)
+        .plan_with(&GreedyCost, &request)
         .expect("planning is free");
     println!("\nplanned {:?} with a 2,000-byte budget:", request.text);
     for node in plan.probes() {

@@ -111,7 +111,7 @@ fn main() {
     let popular = &log.queries[log.queries.len() - 1].text;
     let request = QueryRequest::new(popular.clone()).byte_budget(3_000);
     let plan = net
-        .plan_with(&GreedyCost::default(), &request)
+        .plan_with(&GreedyCost, &request)
         .expect("planning is free");
     let outcome = net.run(&plan, &request).expect("query succeeds");
     let reference = net.reference_search(popular, 10);

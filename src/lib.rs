@@ -68,7 +68,7 @@
 //! let mut net = AlvisNetwork::builder()
 //!     .peers(4)
 //!     .strategy(Hdk::new(HdkConfig { df_max: 2, ..Default::default() }))
-//!     .planner(GreedyCost::default())
+//!     .planner(GreedyCost)
 //!     .documents(demo_corpus())
 //!     .build_indexed()
 //!     .unwrap();
@@ -128,7 +128,7 @@ pub mod prelude {
     pub use alvisp2p_core::digest::DocumentDigest;
     // Fault injection and the policy that survives it.
     pub use alvisp2p_core::fault::{
-        Completeness, FailureCause, FaultConfig, FaultPlane, ProbeOutcome, RetryPolicy,
+        Completeness, FailureCause, FaultPlane, ProbeOutcome, RetryPolicy,
     };
     // The unified error hierarchy.
     pub use alvisp2p_core::error::AlvisError;

@@ -255,7 +255,7 @@ fn plan_run_and_stream_are_part_of_the_public_surface() {
             truncation_k: 5,
             ..Default::default()
         }))
-        .planner(GreedyCost::default())
+        .planner(GreedyCost)
         .documents(demo_corpus())
         .build_indexed()
         .unwrap();

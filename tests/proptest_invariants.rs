@@ -410,7 +410,7 @@ proptest! {
             .from_peer(origin)
             .byte_budget(byte_budget)
             .hop_budget(hop_budget);
-        let plan = net.plan_with(&GreedyCost::default(), &request).unwrap();
+        let plan = net.plan_with(&GreedyCost, &request).unwrap();
         let response = net.run(&plan, &request).unwrap();
         prop_assert!(
             response.bytes <= byte_budget,
@@ -439,7 +439,7 @@ proptest! {
         let picks: Vec<usize> = picks.into_iter().collect();
         let request = QueryRequest::new(pool_query(&picks));
         let plan = if greedy {
-            net.plan_with(&GreedyCost::default(), &request).unwrap()
+            net.plan_with(&GreedyCost, &request).unwrap()
         } else {
             net.plan_with(&BestEffort, &request).unwrap()
         };
@@ -535,7 +535,7 @@ fn demo_net_with_faults(
         f.crash(9_999);
         f
     } else {
-        FaultPlane::NoFaults
+        FaultPlane::default()
     };
     let builder = AlvisNetwork::builder()
         .peers(4)
@@ -562,7 +562,7 @@ fn demo_net_with_faults(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `NoFaults` plus the default `RetryPolicy` is byte-identical to a
+    /// The default plane plus the default `RetryPolicy` is byte-identical to a
     /// network built without any fault configuration — same documents and
     /// score bits, same trace, same bytes and hops — and so is an *active*
     /// plane whose faults never fire (pinning the retry loop's per-attempt
