@@ -43,7 +43,8 @@ pub struct ProbeEvent {
     pub outcome: NodeOutcome,
     /// Retrieval bytes this probe charged.
     pub bytes: u64,
-    /// Overlay hops this probe took.
+    /// Lookup messages that did not deliver this probe's requests, summed
+    /// over its attempts (see [`ProbeResult::hops`]).
     pub hops: usize,
     /// The served attempt was dialled through a fresh routing shortcut instead
     /// of being routed (see [`ProbeResult::via_shortcut`]); `false` for a

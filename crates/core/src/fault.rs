@@ -73,7 +73,8 @@ impl std::fmt::Display for FailureCause {
 /// The result of one probe attempt (see
 /// [`crate::global_index::GlobalIndex::probe`]).
 ///
-/// Every variant reports the overlay hops the attempt spent — failed attempts
+/// Every variant reports the attempt's hops — the lookup messages that did
+/// not deliver the request (see [`ProbeResult::hops`]). Failed attempts
 /// consumed real routing traffic and are charged against hop budgets.
 #[derive(Clone, Debug)]
 pub enum ProbeOutcome {

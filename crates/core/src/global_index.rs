@@ -116,7 +116,10 @@ pub struct ProbeResult {
     pub key: TermKey,
     /// The posting list, if the key is indexed.
     pub postings: Option<TruncatedPostingList>,
-    /// Overlay hops the probe took.
+    /// Lookup messages that did not deliver the request: `routed − 1` for a
+    /// routed probe (the request rides the final hop), `0` for a fresh
+    /// shortcut or a local primary, one more for a stale shortcut's wasted
+    /// dial (see [`GlobalIndex::probe`]'s **Placement**).
     pub hops: usize,
     /// The request was dialled straight to the primary through a fresh
     /// routing shortcut of the querier (see [`alvisp2p_dht::shortcut`])
@@ -462,7 +465,8 @@ impl GlobalIndex {
     /// One probe attempt for `key` on behalf of peer `from` — the single way a
     /// posting list leaves the index.
     ///
-    /// The probe is routed over the overlay (hops charged to
+    /// The probe's request reaches the key's primary over the overlay (see
+    /// **Placement**; every message charged to
     /// [`TrafficCategory::Retrieval`]); the responsible peer updates the key's usage
     /// statistics (creating a statistics-only entry if the key is unknown, exactly as
     /// QDI prescribes) and returns the posting list if the key is activated. The
@@ -480,12 +484,22 @@ impl GlobalIndex {
     /// preserves the original truncation status — lattice domination pruning
     /// behaves identically with and without elision.
     ///
-    /// **Placement.** The request reaches the key's *primary* — dialled in one
-    /// hop when `from` holds a fresh routing shortcut for the key, routed hop
-    /// by hop otherwise, and one wasted dial plus the routed lookup when
-    /// membership change made the shortcut stale (see
-    /// [`alvisp2p_dht::Dht::route_probe`]; a served response teaches `from`
-    /// the shortcut). How the request got there changes the hops and routing
+    /// **Placement.** The request reaches the key's *primary*
+    /// ([`alvisp2p_dht::Dht::route_probe`]; a served response teaches `from`
+    /// the shortcut). The request message is itself the last overlay step:
+    /// an attempt charges one request plus one 80 B lookup message for every
+    /// step that does not deliver it, and `hops` counts those lookup
+    /// messages. With `L` a lookup message, `R` the request and a route of
+    /// `h` hops, the messages one attempt sends before the response:
+    ///
+    /// | placement | before: sequence, `hops` | now: sequence, `hops` |
+    /// |---|---|---|
+    /// | `from` is the primary | `R`, 0 | `R`, 0 |
+    /// | fresh shortcut | `L R`, 1 | `R` (the request is the dial), 0 |
+    /// | no shortcut, routed | `Lʰ R`, `h` | `Lʰ⁻¹ R` (`R` rides hop `h`), `h − 1` |
+    /// | stale shortcut | `L Lʰ R`, `h + 1` | `L Lʰ⁻¹ R` (one wasted dial), `h` |
+    ///
+    /// How the request got there changes the hops and routing
     /// bytes charged and nothing else: everything below runs from `primary`
     /// identically, and a peer the *fault plane* holds down is not stale —
     /// the dial reaches the same dead peer the lookup would. Replication
@@ -633,9 +647,10 @@ impl GlobalIndex {
         self.versions.get(&key.ring_id()).copied().unwrap_or(0)
     }
 
-    /// An upper bound on the overlay hops the next [`GlobalIndex::probe`] for
-    /// `key` from peer `from` charges, without sending anything: the routed
-    /// hop count, plus one when `from` holds a stale routing shortcut for the
+    /// An upper bound on the hops (lookup messages) the next
+    /// [`GlobalIndex::probe`] for `key` from peer `from` charges, without
+    /// sending anything: the routed hop count less the final hop the request
+    /// travels, plus one when `from` holds a stale routing shortcut for the
     /// key (see [`Dht::estimate_hops`]). A fresh shortcut is not credited —
     /// it may be evicted between planning and the run — so budget admission
     /// built on the estimate never overspends. Planners use this to
@@ -655,8 +670,9 @@ impl GlobalIndex {
     /// hop count and an upper bound on the number of posting references the response
     /// can carry (`max_entries`, e.g. `min(df, truncation_k)`).
     ///
-    /// The bound mirrors [`GlobalIndex::probe`]'s accounting exactly: per-hop routing
-    /// messages, the routed probe request, and the posting-list response — each with
+    /// The bound mirrors [`GlobalIndex::probe`]'s accounting exactly: the `hops`
+    /// lookup messages that do not deliver the request, the probe request, and
+    /// the posting-list response — each with
     /// its wire envelope. The actual charge is never larger as long as the response
     /// really carries at most `max_entries` references (a miss response of 1 byte is
     /// always within the bound).

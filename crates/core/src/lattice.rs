@@ -76,7 +76,8 @@ pub struct LatticeTrace {
     pub nodes: Vec<(TermKey, NodeOutcome)>,
     /// Number of probes actually sent.
     pub probes: usize,
-    /// Total overlay hops across all probes.
+    /// Lookup messages that did not deliver a probe's request, summed over
+    /// all probes (see [`crate::global_index::ProbeResult::hops`]).
     pub hops: usize,
     /// Whole codec blocks score floors elided from response frames across all
     /// probes (see [`crate::codec::ElisionStats`]); `0` when no floors were

@@ -198,7 +198,9 @@ pub struct QueryResponse {
     pub bytes: u64,
     /// Retrieval messages this query consumed.
     pub messages: u64,
-    /// Total overlay hops across all probes.
+    /// Lookup messages that did not deliver a probe's request, summed over
+    /// all probes (see [`crate::global_index::ProbeResult::hops`]); `0` once
+    /// every probe is dialled through a routing shortcut.
     pub hops: usize,
     /// Whether a byte/hop budget **truncated the probe schedule**: `true` iff at
     /// least one probe that would otherwise have been sent was withheld because

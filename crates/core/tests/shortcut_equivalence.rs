@@ -1,9 +1,10 @@
 //! Routing shortcuts must be invisible to query semantics: however a probe's
 //! request reaches the key's primary — dialled through a fresh shortcut,
 //! routed hop by hop, or routed after a wasted dial to a stale one — the
-//! answer is bit-identical. Only the routing bytes and hops charged move, by
-//! exactly one dial message per shortcut used, and the planner's hop estimate
-//! stays an upper bound on what the probe charges.
+//! answer is bit-identical. Only the routing bytes and hops charged move — a
+//! fresh shortcut's request is the dial and sends no lookup message, a stale
+//! one wastes exactly one — and the planner's hop estimate stays an upper
+//! bound on what the probe charges.
 
 use alvisp2p_core::exec::ProbeEvent;
 use alvisp2p_core::network::AlvisNetwork;
@@ -161,6 +162,80 @@ proptest! {
     }
 }
 
+/// Cold pass against warm pass on 64 peers. Answered from empty tables,
+/// every probe charges `routed − 1` lookup messages — the request rides the
+/// final hop. Answered again, every probe that leaves its origin is a dial
+/// and the log sends no lookup message at all. Both passes answer
+/// bit-identically to a network whose tables are empty before every query.
+#[test]
+fn a_warm_pass_sends_no_lookup_and_answers_like_a_cold_one() {
+    const WIDE: usize = 64;
+    let corpus = corpus(160, 29);
+    let strategy: Arc<dyn Strategy> = Arc::new(Hdk::default());
+    let build = || {
+        AlvisNetwork::builder()
+            .peers(WIDE)
+            .strategy_arc(Arc::clone(&strategy))
+            .seed(29)
+            .corpus(&corpus)
+            .build_indexed()
+            .expect("valid configuration")
+    };
+    // Every origin asks queries sharing a term (query `i` leads with term
+    // `i % 5`), so the first pass also dials keys its origin learned
+    // earlier in the pass.
+    let log: Vec<QueryRequest> = log(&corpus, 30, ThresholdMode::RankSafe)
+        .into_iter()
+        .enumerate()
+        .map(|(i, request)| request.from_peer((i % 10) * 6))
+        .collect();
+
+    // Tables cleared before every query: a fresh network per query.
+    let mut cleared = Vec::new();
+    let (mut routed_hops, mut charged_hops) = (0usize, 0usize);
+    for request in &log {
+        let mut net = build();
+        let answered = execute(&mut net, request);
+        let dht = net.global_index().dht();
+        for event in &answered.events {
+            let routed = dht.probe_hops(request.origin, event.key.ring_id()).unwrap();
+            assert!(!event.via_shortcut);
+            assert_eq!(event.hops, routed.saturating_sub(1), "{}", event.key);
+            routed_hops += routed.saturating_sub(1);
+        }
+        charged_hops += answered.response.hops;
+        cleared.push(answered);
+    }
+    assert_eq!(charged_hops, routed_hops);
+    assert!(routed_hops > 0, "no probe was routed beyond one hop");
+
+    let mut net = build();
+    let config = net.global_index().dht().config();
+    let hop_message = (config.lookup_request_bytes + ENVELOPE_OVERHEAD) as u64;
+    let cold: Vec<Answered> = log.iter().map(|r| execute(&mut net, r)).collect();
+    let warm: Vec<Answered> = log.iter().map(|r| execute(&mut net, r)).collect();
+    for (i, request) in log.iter().enumerate() {
+        assert_eq!(cold[i].answer(), cleared[i].answer(), "query {i}: cold");
+        assert_eq!(warm[i].answer(), cleared[i].answer(), "query {i}: warm");
+        // The warm pass pays requests and responses only.
+        assert_eq!(warm[i].response.hops, 0, "query {i}");
+        assert_eq!(
+            warm[i].response.bytes,
+            cleared[i].response.bytes - cleared[i].response.hops as u64 * hop_message,
+            "query {i}: routing bytes"
+        );
+        for event in &warm[i].events {
+            let remote = net.global_index().responsible_for(&event.key) != Ok(request.origin);
+            assert_eq!((event.hops, event.via_shortcut), (0, remote));
+        }
+    }
+    let cold_hops: usize = cold.iter().map(|a| a.response.hops).sum();
+    assert!(
+        cold_hops < routed_hops,
+        "the cold pass dials what it learned"
+    );
+}
+
 /// The ROADMAP's poisoned-table test: every peer's table names a
 /// wrong-but-live peer for every key the log probes. Answers are
 /// bit-identical to a cold network's at exactly one wasted dial per probe
@@ -227,12 +302,13 @@ fn a_poisoned_table_costs_one_dial_per_probe_and_never_an_answer() {
         assert_eq!((stats.stale, stats.hits), (wasted as u64, 0));
 
         // The tables are correct afterwards: every probe that leaves its
-        // origin is one fresh dial.
+        // origin is one fresh dial, whose request is the dial itself.
         for request in &log {
             let again = execute(&mut poisoned, request);
             let dials = non_local(&poisoned, request, &again.events);
-            assert_eq!(again.response.hops, dials, "{label}: one hop per dial");
-            assert!(again.events.iter().all(|e| e.via_shortcut == (e.hops == 1)));
+            assert_eq!(again.response.hops, 0, "{label}: a dial sends no lookup");
+            let dialled = again.events.iter().filter(|e| e.via_shortcut).count();
+            assert_eq!(dialled, dials, "{label}: every remote probe dials");
         }
         let healed = poisoned.global_index().dht().shortcut_stats();
         assert_eq!(healed.stale, stats.stale);

@@ -71,7 +71,9 @@ impl Default for DhtConfig {
 pub struct RouteInfo {
     /// Index of the responsible peer.
     pub responsible: usize,
-    /// Number of overlay hops taken by the request.
+    /// Number of overlay hops taken by the request — for
+    /// [`Dht::route_probe`], the lookup messages that did not deliver the
+    /// request.
     pub hops: usize,
 }
 
@@ -269,6 +271,14 @@ impl<V: Clone + WireSize> Dht<V> {
         key: RingId,
         category: TrafficCategory,
     ) -> Result<RouteInfo, DhtError> {
+        let info = self.traverse(from, key)?;
+        self.charge_lookups(category, info.hops);
+        Ok(info)
+    }
+
+    /// The greedy lookup for `key` from `from`, counting every forwarder but
+    /// charging nothing.
+    fn traverse(&mut self, from: usize, key: RingId) -> Result<RouteInfo, DhtError> {
         self.check_origin(from)?;
         let result = lookup(&self.peers, &self.ring, from, key, self.config.max_hops)
             .ok_or(DhtError::LookupFailed)?;
@@ -277,32 +287,43 @@ impl<V: Clone + WireSize> Dht<V> {
         for forwarder in &result.path[..hops] {
             self.peers[*forwarder].forwarded_lookups += 1;
         }
-        let msg = self.config.lookup_request_bytes + ENVELOPE_OVERHEAD;
-        for _ in 0..hops {
-            self.stats.record(category, msg);
-        }
         Ok(RouteInfo {
             responsible: result.responsible,
             hops,
         })
     }
 
-    /// Routes a *probe* for `key` from peer `from`: like [`Dht::route`], but
-    /// `from` first consults its shortcut table (see [`crate::shortcut`]) and
-    /// dials the primary it names instead of looking the key up again. The
-    /// flag is `true` when a fresh shortcut carried the request.
+    /// Charges `count` lookup-request messages to `category`.
+    fn charge_lookups(&mut self, category: TrafficCategory, count: usize) {
+        let msg = self.config.lookup_request_bytes + ENVELOPE_OVERHEAD;
+        for _ in 0..count {
+            self.stats.record(category, msg);
+        }
+    }
+
+    /// Routes a *probe* for `key` from peer `from` and charges the lookup
+    /// messages that did **not** deliver the request: the caller sends the
+    /// request itself (see `GlobalIndex::probe` in `alvisp2p-core`), and it
+    /// travels the last overlay step in place of a lookup message. `from`
+    /// first consults its shortcut table (see [`crate::shortcut`]) and dials
+    /// the primary it names instead of looking the key up again. The
+    /// returned `hops` counts the lookup messages charged; the flag is
+    /// `true` when a fresh shortcut carried the request.
     ///
-    /// * **fresh** shortcut — the named peer is the key's primary: **one**
-    ///   lookup-request message straight to it, `hops = 1`, nothing
-    ///   forwarded;
+    /// * **fresh** shortcut — the named peer is the key's primary: the
+    ///   request is the dial, `hops = 0`, nothing forwarded;
     /// * **stale** shortcut — membership changed and the named peer is gone or
-    ///   no longer the key's primary: that one dial is wasted, the entry is
-    ///   dropped and the request is routed as usual (`hops = 1 + routed`);
-    /// * **no** shortcut, or `from` is itself the primary (which it knows
-    ///   without asking anyone): exactly [`Dht::route`].
+    ///   no longer the key's primary: that one lookup-message dial is wasted,
+    ///   the entry is dropped and the request is routed (`hops = routed`:
+    ///   the wasted dial plus `routed − 1`);
+    /// * **no** shortcut: the greedy lookup of `routed` hops, the request
+    ///   riding the final one (`hops = routed − 1`);
+    /// * `from` is itself the primary (which it knows without asking
+    ///   anyone): `hops = 0`.
     ///
     /// Entries come only from [`Dht::learn_shortcut`]. Only probes use this
-    /// entry point; `put` / `get` / `update` / `remove` keep routing.
+    /// entry point; `put` / `get` / `update` / `remove` keep [`Dht::route`],
+    /// which charges one lookup message per hop.
     pub fn route_probe(
         &mut self,
         from: usize,
@@ -313,28 +334,29 @@ impl<V: Clone + WireSize> Dht<V> {
         let primary = self.responsible_for(key)?;
         let mut wasted_dials = 0;
         if primary != from {
-            let msg = self.config.lookup_request_bytes + ENVELOPE_OVERHEAD;
             match self.peers[from].shortcuts.get(key) {
                 Some(named) if named == primary => {
                     self.shortcut_stats.hits += 1;
-                    self.stats.record(category, msg);
                     let info = RouteInfo {
                         responsible: primary,
-                        hops: 1,
+                        hops: 0,
                     };
                     return Ok((info, true));
                 }
                 Some(_) => {
                     self.shortcut_stats.stale += 1;
-                    self.stats.record(category, msg);
+                    self.charge_lookups(category, 1);
                     self.peers[from].shortcuts.forget(key);
                     wasted_dials = 1;
                 }
                 None => self.shortcut_stats.misses += 1,
             }
         }
-        let mut info = self.route(from, key, category)?;
-        info.hops += wasted_dials;
+        let mut info = self.traverse(from, key)?;
+        // The request itself travels the final hop.
+        let lookups = info.hops.saturating_sub(1);
+        self.charge_lookups(category, lookups);
+        info.hops = wasted_dials + lookups;
         Ok((info, false))
     }
 
@@ -356,14 +378,15 @@ impl<V: Clone + WireSize> Dht<V> {
             .ok_or(DhtError::LookupFailed)
     }
 
-    /// An **upper bound** on the overlay hops [`Dht::route_probe`] would charge
-    /// a request for `key` from peer `from`, **without sending or charging
-    /// anything**: the simulator replays the exact greedy lookup a routed
-    /// request would perform (walking every en-route peer's routing table),
-    /// plus the one wasted dial when `from` holds a stale shortcut for the
-    /// key. A fresh shortcut is deliberately not credited — its entry may be
-    /// evicted before the request is sent, and its single dial never costs
-    /// more than the routed lookup — so the request charges at most the
+    /// An **upper bound** on the lookup messages [`Dht::route_probe`] would
+    /// charge a probe for `key` from peer `from`, **without sending or
+    /// charging anything**: the simulator replays the exact greedy lookup a
+    /// routed request would perform (walking every en-route peer's routing
+    /// table) and counts every hop but the final one, which the request
+    /// itself travels, plus the one wasted dial when `from` holds a stale
+    /// shortcut for the key. A fresh shortcut is deliberately not credited —
+    /// its entry may be evicted before the request is sent, and its dial
+    /// charges no lookup message at all — so the probe charges at most the
     /// estimate as long as membership and routing state do not change in
     /// between, and exactly the estimate when it is routed. In a real
     /// deployment this would be an analytic `O(log n)` estimate computed at
@@ -377,7 +400,7 @@ impl<V: Clone + WireSize> Dht<V> {
                 .shortcuts
                 .get(key)
                 .is_some_and(|named| named != primary);
-        Ok(routed + usize::from(stale))
+        Ok(routed.saturating_sub(1) + usize::from(stale))
     }
 
     /// The peer currently responsible for `key` (no routing, no traffic) — the ground
@@ -641,10 +664,15 @@ mod tests {
             .map(|(i, key)| d.estimate_hops(i % 64, *key).unwrap())
             .collect();
         assert_eq!(d.stats().messages_sent(), 0, "estimation must be free");
+        // Every table is empty, so every probe is routed: the estimate is
+        // exact.
         for (i, (key, estimated)) in keys.iter().zip(&estimates).enumerate() {
-            let info = d.route(i % 64, *key, TrafficCategory::Routing).unwrap();
-            assert_eq!(*estimated, info.hops);
+            let (info, via_shortcut) = d
+                .route_probe(i % 64, *key, TrafficCategory::Routing)
+                .unwrap();
+            assert_eq!((*estimated, via_shortcut), (info.hops, false));
         }
+        assert_eq!(d.shortcut_stats().hits, 0);
         assert_eq!(
             d.estimate_hops(999, RingId(1)).unwrap_err(),
             DhtError::BadOrigin
@@ -656,10 +684,13 @@ mod tests {
         let mut d = dht(64);
         let key = RingId::hash_str("dialled");
         let primary = d.responsible_for(key).unwrap();
-        let from = (0..64).find(|p| *p != primary).unwrap();
+        // An origin at least two hops away, so that a routed probe charges
+        // lookup messages at all.
+        let from = (0..64)
+            .find(|p| d.probe_hops(*p, key).unwrap() >= 2)
+            .unwrap();
         let wrong = (0..64).find(|p| *p != primary && *p != from).unwrap();
         let routed = d.probe_hops(from, key).unwrap();
-        assert!(routed >= 1);
         let dial = (d.config().lookup_request_bytes + ENVELOPE_OVERHEAD) as u64;
         let forwarded = |d: &Dht<Vec<u32>>| -> u64 {
             (0..d.peer_slots())
@@ -680,19 +711,21 @@ mod tests {
             (info.hops, via_shortcut)
         };
 
-        // Miss: exactly `route`, and a routed lookup of `h` hops is forwarded
-        // by `h` peers.
-        assert_eq!(probe(&mut d), (routed, false));
+        // Miss: the routed lookup, forwarded by `h` peers, charges `h − 1`
+        // lookup messages — the request rides the final hop.
+        assert_eq!(probe(&mut d), (routed - 1, false));
         assert_eq!(forwarded(&d), routed as u64);
-        // Hit: one dial, forwarded by nobody.
+        // Hit: the request is the dial — no lookup message, forwarded by
+        // nobody.
         d.learn_shortcut(from, key, primary);
-        assert_eq!(probe(&mut d), (1, true));
+        assert_eq!(probe(&mut d), (0, true));
         assert_eq!(forwarded(&d), routed as u64);
         // Stale: the wasted dial, then the routed lookup; the entry is gone.
         d.learn_shortcut(from, key, wrong);
-        assert_eq!(d.estimate_hops(from, key).unwrap(), routed + 1);
-        assert_eq!(probe(&mut d), (routed + 1, false));
+        assert_eq!(d.estimate_hops(from, key).unwrap(), routed);
         assert_eq!(probe(&mut d), (routed, false));
+        assert_eq!(probe(&mut d), (routed - 1, false));
+        assert_eq!(forwarded(&d), 3 * routed as u64);
         // The primary itself never consults its table.
         d.learn_shortcut(primary, key, wrong);
         let (local, via_shortcut) = d

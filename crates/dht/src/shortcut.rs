@@ -2,8 +2,9 @@
 //!
 //! The overlay is for *discovery*. Once a querying peer has been answered for
 //! a key it knows which peer is responsible for it, and the next probe for
-//! that key can *dial* that peer — one message — instead of paying the greedy
-//! `O(log n)` lookup again ([`crate::Dht::route_probe`]). The table names only
+//! that key can *dial* that peer with the request itself — no lookup message
+//! at all — instead of paying the greedy `O(log n)` lookup again
+//! ([`crate::Dht::route_probe`]). The table names only
 //! the key's **primary**; which holder of a hot-replicated key serves the
 //! probe is still decided per probe by the replication layer, so shortcuts
 //! never pin traffic onto one peer.
@@ -34,7 +35,7 @@ pub struct ShortcutStats {
     /// Probes routed because the origin's table had no entry for the key.
     pub misses: u64,
     /// Probes whose shortcut named a peer that membership change had made
-    /// wrong: one wasted dial, then the routed lookup.
+    /// wrong: one wasted lookup-message dial, then the routed probe.
     pub stale: u64,
     /// Least-recently-learned entries dropped to admit a new key.
     pub evictions: u64,

@@ -254,80 +254,184 @@ mod control_plane_ledger {
 }
 
 mod probe_ledger {
-    //! One probe's Retrieval bytes split exactly into routing + request +
-    //! response, however its request reached the primary.
+    //! One probe attempt's Retrieval ledger, however its request reached the
+    //! key: `hops` lookup messages that did not deliver the request, the
+    //! request itself, and — when the serving side answered — the response.
+
+    use std::sync::Arc;
 
     use alvisp2p_core::codec::encode_list;
     use alvisp2p_core::fault::ProbeOutcome;
     use alvisp2p_core::{AlvisNetwork, Hdk, ProbeResult, TermKey};
+    use alvisp2p_dht::HotKeyReplication;
     use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
     use alvisp2p_netsim::{TrafficCategory, WireSize};
 
-    /// Probes `key` from `origin` and reconciles the Retrieval delta against
-    /// the three messages kinds a probe sends.
-    fn reconciled_probe(net: &mut AlvisNetwork, origin: usize, key: &TermKey) -> ProbeResult {
-        let before = net.traffic_snapshot();
-        let outcome = net
-            .global_index_mut()
-            .probe(origin, key, 0, 10, None, 0, None);
-        let Ok(ProbeOutcome::Ok(result)) = outcome else {
-            panic!("fault-free probe must be served");
-        };
-        let delta = net.traffic_snapshot().since(&before);
-        let index = net.global_index();
-        let hop_message = index.dht().config().lookup_request_bytes + ENVELOPE_OVERHEAD;
-        let request = index.probe_request_bytes() + key.wire_size() + ENVELOPE_OVERHEAD;
-        let stored = &index.peek(key).expect("an activated key").postings;
-        let response = encode_list(stored, None).len() + ENVELOPE_OVERHEAD;
-        let retrieval = delta.category(TrafficCategory::Retrieval);
-        assert_eq!(
-            retrieval.bytes,
-            (result.hops * hop_message + request + response) as u64,
-            "routing + request + response != bytes at {} hops",
-            result.hops
-        );
-        assert_eq!(retrieval.messages, result.hops as u64 + 2);
-        assert_eq!(
-            delta.bytes_sent(),
-            retrieval.bytes,
-            "a probe is Retrieval only"
-        );
-        result
-    }
+    const PEERS: usize = 32;
 
-    #[test]
-    fn probe_bytes_split_exactly_on_a_shortcut_hit_miss_and_stale_entry() {
+    fn indexed() -> AlvisNetwork {
         let docs = (0..12).map(|i| {
             (
                 format!("doc{i}"),
                 format!("peer to peer retrieval of distributed document {i} index"),
             )
         });
-        let mut net = AlvisNetwork::builder()
-            .peers(16)
+        AlvisNetwork::builder()
+            .peers(PEERS)
             .strategy(Hdk::default())
             .seed(7)
             .documents(docs)
             .build_indexed()
-            .expect("valid configuration");
-        let key = net.global_index().activated_key_list()[0].clone();
-        let primary = net.global_index().responsible_for(&key).unwrap();
-        let origin = (0..16).find(|p| *p != primary).unwrap();
-        let wrong = (0..16).find(|p| *p != primary && *p != origin).unwrap();
+            .expect("valid configuration")
+    }
 
+    /// An activated key, an origin its greedy lookup takes at least two hops
+    /// from (so a routed probe charges a lookup message at all), and that
+    /// hop count.
+    fn two_hops_away(net: &AlvisNetwork) -> (TermKey, usize, usize) {
+        let index = net.global_index();
+        for key in index.activated_key_list() {
+            for origin in 0..PEERS {
+                let routed = index.dht().probe_hops(origin, key.ring_id()).unwrap();
+                if routed >= 2 {
+                    return (key, origin, routed);
+                }
+            }
+        }
+        panic!("no activated key is two hops from any origin");
+    }
+
+    /// Sends one probe attempt for `key` from `origin` and reconciles its
+    /// Retrieval delta: `messages == hops + 1 + answered` and
+    /// `bytes == hops · 80 + request + response`, where the response is
+    /// charged unless the request was lost or met a down server.
+    fn reconciled_attempt(
+        net: &mut AlvisNetwork,
+        origin: usize,
+        key: &TermKey,
+        attempt: u32,
+        serve_override: Option<usize>,
+    ) -> ProbeOutcome {
+        let before = net.traffic_snapshot();
+        let outcome = net
+            .global_index_mut()
+            .probe(origin, key, 0, 10, None, attempt, serve_override)
+            .expect("a live overlay routes every probe");
+        let delta = net.traffic_snapshot().since(&before);
+        let (hops, answered) = match &outcome {
+            ProbeOutcome::Ok(result) => (result.hops, true),
+            ProbeOutcome::TimedOut { hops } | ProbeOutcome::Corrupt { hops } => (*hops, true),
+            ProbeOutcome::Lost { hops } | ProbeOutcome::PeerDown { hops, .. } => (*hops, false),
+        };
+        let index = net.global_index();
+        let hop_message = index.dht().config().lookup_request_bytes + ENVELOPE_OVERHEAD;
+        assert_eq!(hop_message, 80);
+        let request = index.probe_request_bytes() + key.wire_size() + ENVELOPE_OVERHEAD;
+        let response = if answered {
+            let stored = &index.peek(key).expect("an activated key").postings;
+            encode_list(stored, None).len() + ENVELOPE_OVERHEAD
+        } else {
+            0
+        };
+        let retrieval = delta.category(TrafficCategory::Retrieval);
+        assert_eq!(
+            retrieval.messages,
+            (hops + 1 + usize::from(answered)) as u64,
+            "lookups + request + response != messages at {hops} hops: {outcome:?}"
+        );
+        assert_eq!(
+            retrieval.bytes,
+            (hops * hop_message + request + response) as u64,
+            "lookups + request + response != bytes at {hops} hops: {outcome:?}"
+        );
+        assert_eq!(
+            delta.bytes_sent(),
+            retrieval.bytes,
+            "a probe is Retrieval only"
+        );
+        outcome
+    }
+
+    /// [`reconciled_attempt`] for a first attempt that must be served.
+    fn reconciled_probe(net: &mut AlvisNetwork, origin: usize, key: &TermKey) -> ProbeResult {
+        match reconciled_attempt(net, origin, key, 0, None) {
+            ProbeOutcome::Ok(result) => result,
+            other => panic!("fault-free probe must be served, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn probe_bytes_split_exactly_on_a_shortcut_hit_miss_and_stale_entry() {
+        let mut net = indexed();
+        let (key, origin, routed) = two_hops_away(&net);
+        let primary = net.global_index().responsible_for(&key).unwrap();
+        let wrong = (0..PEERS).find(|p| *p != primary && *p != origin).unwrap();
+
+        // Routed: the request rides the final hop.
         let miss = reconciled_probe(&mut net, origin, &key);
-        assert!(miss.hops >= 1 && !miss.via_shortcut);
+        assert_eq!((miss.hops, miss.via_shortcut), (routed - 1, false));
+        // Fresh shortcut: the request is the dial.
         let hit = reconciled_probe(&mut net, origin, &key);
-        assert_eq!((hit.hops, hit.via_shortcut), (1, true));
+        assert_eq!((hit.hops, hit.via_shortcut), (0, true));
+        // Stale shortcut: one wasted dial, then the routed probe.
         net.global_index_mut()
             .dht_mut()
             .learn_shortcut(origin, key.ring_id(), wrong);
         let stale = reconciled_probe(&mut net, origin, &key);
-        assert_eq!((stale.hops, stale.via_shortcut), (miss.hops + 1, false));
-        // The primary probing its own key sends no routing message at all.
+        assert_eq!((stale.hops, stale.via_shortcut), (routed, false));
+        // The primary probing its own key sends no lookup message at all.
         let local = reconciled_probe(&mut net, primary, &key);
         assert_eq!((local.hops, local.via_shortcut), (0, false));
         assert_eq!(hit.postings, miss.postings);
         assert_eq!(stale.postings, miss.postings);
+        assert_eq!(local.postings, miss.postings);
+    }
+
+    #[test]
+    fn replica_served_and_failover_attempts_split_exactly() {
+        let mut net = indexed();
+        let (key, origin, routed) = two_hops_away(&net);
+        let primary = net.global_index().responsible_for(&key).unwrap();
+        net.global_index_mut()
+            .set_replication_policy(Arc::new(HotKeyReplication::new(3)));
+        for _ in 0..10 {
+            net.global_index_mut()
+                .dht_mut()
+                .record_probe(key.ring_id(), primary);
+        }
+        let holders = net.global_index().replica_holders_of(&key);
+        assert_eq!(holders.len(), 3);
+
+        // Replica-served: a holder answers, and the request is charged
+        // exactly as if the primary had.
+        let served = reconciled_probe(&mut net, origin, &key);
+        assert!(holders.contains(&served.served_by));
+        assert_eq!((served.hops, served.via_shortcut), (routed - 1, false));
+
+        // Failover: the attempt aimed at the crashed primary pays for its
+        // lookups and request but gets no response; the re-sent attempt
+        // routes the same way and a holder answers from its replica copy.
+        net.fault_plane_mut().crash(primary);
+        let second = (0..PEERS).find(|p| *p != primary && *p != origin).unwrap();
+        let second_routed = net
+            .global_index()
+            .dht()
+            .probe_hops(second, key.ring_id())
+            .unwrap();
+        let down = reconciled_attempt(&mut net, second, &key, 0, Some(primary));
+        let ProbeOutcome::PeerDown { peer, hops } = down else {
+            panic!("the crashed primary cannot serve, got {down:?}");
+        };
+        assert_eq!((peer, hops), (primary, second_routed - 1));
+        let failover = match reconciled_attempt(&mut net, second, &key, 1, Some(holders[0])) {
+            ProbeOutcome::Ok(result) => result,
+            other => panic!("a live holder serves the failover, got {other:?}"),
+        };
+        assert_eq!(failover.served_by, holders[0]);
+        assert_eq!(
+            (failover.hops, failover.via_shortcut),
+            (second_routed - 1, false)
+        );
+        assert_eq!(failover.postings, served.postings);
     }
 }

@@ -307,11 +307,14 @@ fn routing_shortcuts_are_observable_per_probe_and_per_overlay() {
         for origin in 0..8 {
             let request = QueryRequest::new("peer to peer retrieval").from_peer(origin);
             let plan = net.plan(&request).unwrap();
-            for event in net.stream(plan, request).unwrap() {
+            let events: Vec<_> = net.stream(plan, request).unwrap().collect();
+            for event in events {
                 // Once a querier has been answered for a key it dials the
-                // key's primary: one hop (none when it is the primary itself).
+                // key's primary with the request itself: no lookup message
+                // (and no shortcut when it is the primary itself).
                 if pass == 1 {
-                    assert_eq!(event.via_shortcut, event.hops == 1);
+                    let remote = net.global_index().responsible_for(&event.key) != Ok(origin);
+                    assert_eq!((event.hops, event.via_shortcut), (0, remote));
                 } else {
                     assert!(!event.via_shortcut);
                 }

@@ -203,7 +203,7 @@ fn probe(net: &mut AlvisNetwork, origin: usize, key: &TermKey) -> ProbeResult {
 /// Two identically seeded networks, the first of which has a shortcut from
 /// `origin` to the primary of `key`; `churn` — a membership change that makes
 /// that shortcut stale — is then applied to both. The hinted network's next
-/// probe must charge the wasted dial on top of the routed lookup, answer
+/// probe must charge the wasted dial on top of the routed probe's lookups, answer
 /// exactly like the network that never had a shortcut, and re-learn.
 fn assert_stale_shortcut_is_repaired(
     seed: u64,
@@ -229,22 +229,25 @@ fn assert_stale_shortcut_is_repaired(
         .dht()
         .probe_hops(origin, key.ring_id())
         .unwrap();
+    // The routed request rides the final hop: `routed − 1` lookup messages,
+    // and the wasted dial is one more.
     assert_eq!(
         hinted.global_index().estimate_hops(origin, &key),
-        Ok(routed + 1),
+        Ok(routed),
         "the estimate must cover the wasted dial"
     );
     let stale = probe(&mut hinted, origin, &key);
     let reference = probe(&mut cold, origin, &key);
-    assert_eq!(reference.hops, routed);
-    assert_eq!((stale.hops, stale.via_shortcut), (routed + 1, false));
+    assert_eq!(reference.hops, routed - 1);
+    assert_eq!((stale.hops, stale.via_shortcut), (routed, false));
     assert_eq!(stale.responsible, new_primary);
     assert_eq!(stale.postings, reference.postings);
     assert_eq!(hinted.global_index().dht().shortcut_stats().stale, 1);
 
-    // Re-learned from the served response: the next probe is one fresh dial.
+    // Re-learned from the served response: the next probe's request is the
+    // dial, with no lookup message at all.
     let again = probe(&mut hinted, origin, &key);
-    assert_eq!((again.hops, again.via_shortcut), (1, true));
+    assert_eq!((again.hops, again.via_shortcut), (0, true));
     assert_eq!(again.postings, reference.postings);
 }
 
