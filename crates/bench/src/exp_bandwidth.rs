@@ -120,7 +120,7 @@ pub fn measure(
 
 fn run_config(docs: usize, peers: usize, queries: usize, seed: u64, rows: &mut Vec<BandwidthRow>) {
     let corpus = workloads::corpus(docs, seed);
-    let log = workloads::query_log(&corpus, queries * 2, false, seed);
+    let log = workloads::query_log(&corpus, queries * 2, seed);
     let texts: Vec<String> = log.queries.iter().map(|q| q.text.clone()).collect();
     let (warmup, measured) = texts.split_at(queries);
 
@@ -341,7 +341,7 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
     let log = if params.head_queries {
         workloads::head_query_log(&corpus, params.queries, params.seed)
     } else {
-        workloads::query_log(&corpus, params.queries, false, params.seed)
+        workloads::query_log(&corpus, params.queries, params.seed)
     };
     let texts: Vec<String> = log.queries.iter().map(|q| q.text.clone()).collect();
 

@@ -51,13 +51,12 @@ pub fn dense_corpus(num_docs: usize, vocab: usize, seed: u64) -> SyntheticCorpus
 }
 
 /// Generates a query log of `num_queries` multi-term queries over `corpus`.
-pub fn query_log(corpus: &SyntheticCorpus, num_queries: usize, drift: bool, seed: u64) -> QueryLog {
+pub fn query_log(corpus: &SyntheticCorpus, num_queries: usize, seed: u64) -> QueryLog {
     let config = QueryLogConfig {
         num_queries,
         distinct_queries: (num_queries / 8).clamp(20, 400),
         min_terms: 2,
         max_terms: 3,
-        popularity_drift: drift,
         ..Default::default()
     };
     QueryLogGenerator::new(config, seed ^ 0x51).generate(corpus)
@@ -168,7 +167,7 @@ mod tests {
     #[test]
     fn query_log_is_generated_over_the_corpus() {
         let c = corpus(200, 2);
-        let log = query_log(&c, 100, false, 2);
+        let log = query_log(&c, 100, 2);
         assert_eq!(log.len(), 100);
         assert!(log.distinct.len() >= 20);
     }

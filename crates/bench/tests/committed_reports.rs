@@ -1,7 +1,7 @@
-//! The committed `BENCH_{skew,faults,chaos,bandwidth}.json` records must pass
-//! their experiment's own acceptance bar (`exp_*::check`), and each bar must
-//! not be vacuous: a copy doctored to break one invariant yields exactly one
-//! failure.
+//! Every experiment binary has a committed report, the committed
+//! `BENCH_{skew,faults,chaos,bandwidth}.json` records pass their experiment's
+//! own acceptance bar (`exp_*::check`), and each bar is not vacuous: a copy
+//! doctored to break one invariant yields exactly one failure.
 
 use alvisp2p_bench::{exp_bandwidth, exp_chaos, exp_faults, exp_skew};
 use serde::Deserialize;
@@ -10,6 +10,26 @@ fn committed<T: Deserialize>(name: &str) -> T {
     let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path}: {e:?}"))
+}
+
+#[test]
+fn every_experiment_binary_has_a_committed_report() {
+    let bin = format!("{}/src/bin", env!("CARGO_MANIFEST_DIR"));
+    let mut experiments = 0;
+    for entry in std::fs::read_dir(&bin).unwrap_or_else(|e| panic!("list {bin}: {e}")) {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        let name = file
+            .strip_suffix(".rs")
+            .and_then(|f| f.strip_prefix("exp_"));
+        let name = name.unwrap_or_else(|| panic!("{file} is not an `exp_<name>.rs` binary"));
+        let report = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        assert!(
+            std::path::Path::new(&report).is_file(),
+            "exp_{name} has no committed BENCH_{name}.json: an experiment must write and check one"
+        );
+        experiments += 1;
+    }
+    assert!(experiments > 0, "no experiment binaries in {bin}");
 }
 
 #[test]

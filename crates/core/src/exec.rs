@@ -52,7 +52,8 @@ pub struct ProbeEvent {
     pub via_shortcut: bool,
     /// Cumulative retrieval bytes of the query so far.
     pub spent_bytes: u64,
-    /// Cumulative overlay hops of the query so far.
+    /// Lookup messages that did not deliver a request, summed over the
+    /// query's probes so far (the trace's hop count).
     pub spent_hops: usize,
     /// The score floor this probe carried (threshold-aware probes: the
     /// responsible peer elided posting entries scoring below it). `None` until
@@ -231,7 +232,7 @@ impl<'n> QueryStream<'n> {
             0
         };
         let planned = plan.scheduled_probes();
-        let cursor = PlanCursor::new(plan, &lattice, request.byte_budget, request.hop_budget);
+        let cursor = PlanCursor::new(plan, &lattice, request.byte_budget);
         let floor_rule = match request.threshold {
             ThresholdMode::Off => FloorRule::Unfloored,
             ThresholdMode::RankSafe => Self::rank_safe_rule(net, cursor.plan()),
@@ -377,7 +378,7 @@ impl<'n> QueryStream<'n> {
     /// as the next attempt straight away, and — after an unresponsive peer —
     /// failover of the serve to the next live holder in the key's replica
     /// set. Every failed attempt's traffic is really charged, so retries
-    /// compete against the query's byte/hop budgets like any other spend.
+    /// compete against the query's byte budget like any other spend.
     /// Under an inactive [`crate::fault::FaultPlane`] the first attempt
     /// cannot fail, so the loop body runs once and nothing below the `match`
     /// is reached.
@@ -421,9 +422,9 @@ impl<'n> QueryStream<'n> {
                 }
                 Err(e) => return Err(AlvisError::from(e)),
                 Ok(ProbeOutcome::Ok(mut probe)) => {
-                    // Hops the failed attempts spent are part of this probe's
-                    // real cost: charge them against the hop budget and the
-                    // trace alongside the successful round trip.
+                    // Lookup messages the failed attempts spent are part of
+                    // this probe's real cost: the trace counts them alongside
+                    // the successful round trip.
                     probe.hops += failed_hops;
                     return Ok(ProbeAcquisition::Served {
                         probe,

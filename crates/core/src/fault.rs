@@ -75,7 +75,7 @@ impl std::fmt::Display for FailureCause {
 ///
 /// Every variant reports the attempt's hops — the lookup messages that did
 /// not deliver the request (see [`ProbeResult::hops`]). Failed attempts
-/// consumed real routing traffic and are charged against hop budgets.
+/// consumed real routing traffic, which the query's trace counts.
 #[derive(Clone, Debug)]
 pub enum ProbeOutcome {
     /// The attempt succeeded.
@@ -84,7 +84,7 @@ pub enum ProbeOutcome {
     /// request bytes were spent, no response arrived, the serving peer never
     /// observed the request.
     Lost {
-        /// Overlay hops the attempt spent.
+        /// Lookup messages that did not deliver the request.
         hops: usize,
     },
     /// The response arrived too late to use: the full round trip was charged
@@ -92,7 +92,7 @@ pub enum ProbeOutcome {
     /// to the querier. The plane's slow-reply draw decides this; no deadline
     /// clock stands behind it.
     TimedOut {
-        /// Overlay hops the attempt spent.
+        /// Lookup messages that did not deliver the request.
         hops: usize,
     },
     /// The peer that would have served the probe is crashed; routing and
@@ -100,14 +100,14 @@ pub enum ProbeOutcome {
     PeerDown {
         /// The unresponsive peer.
         peer: usize,
-        /// Overlay hops the attempt spent.
+        /// Lookup messages that did not deliver the request.
         hops: usize,
     },
     /// The response arrived but its frame failed checksum verification (a
     /// bit-flip in flight): the full round trip was charged, the payload is
     /// unusable, and the attempt is retryable like a lost message.
     Corrupt {
-        /// Overlay hops the attempt spent.
+        /// Lookup messages that did not deliver the request.
         hops: usize,
     },
 }

@@ -38,7 +38,8 @@ pub struct HdkConfig {
     pub proximity_window: u32,
     /// Ablation switch: when `false`, the proximity filter is skipped and every
     /// combination of frequent terms present in a document becomes a candidate
-    /// (dramatically increasing the number of keys — experiment E3 quantifies this).
+    /// (dramatically increasing the number of keys — the root
+    /// `tests/storage_scalability.rs` checks this).
     pub use_proximity_filter: bool,
 }
 
@@ -54,7 +55,8 @@ impl Default for HdkConfig {
     }
 }
 
-/// Summary of one level of HDK index construction (reported by experiment E3).
+/// Summary of one level of HDK index construction (reported in
+/// [`crate::network::IndexBuildReport::levels`]).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct HdkLevelReport {
     /// Key length at this level (1 = single terms).

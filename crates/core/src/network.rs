@@ -280,7 +280,6 @@ pub struct AlvisNetwork {
     query_seq: u64,
     control_seq: u64,
     qdi_report: QdiReport,
-    level_reports: Vec<HdkLevelReport>,
     index_built: bool,
     last_build: Option<IndexBuildReport>,
 }
@@ -326,7 +325,6 @@ impl AlvisNetwork {
             query_seq: 0,
             control_seq: 0,
             qdi_report: QdiReport::default(),
-            level_reports: Vec::new(),
             index_built: false,
             last_build: None,
             config,
@@ -569,7 +567,7 @@ impl AlvisNetwork {
             &self.ranking,
             self.config.bm25,
         );
-        self.level_reports = strategy.build_index(&mut ctx);
+        let levels = strategy.build_index(&mut ctx);
         self.publish_key_maxima();
         self.index_built = true;
 
@@ -582,7 +580,7 @@ impl AlvisNetwork {
             storage_bytes: self.global.total_storage_bytes(),
             indexing_bytes: delta.category(TrafficCategory::Indexing).bytes,
             ranking_bytes: delta.category(TrafficCategory::Ranking).bytes,
-            levels: self.level_reports.clone(),
+            levels,
         };
         self.last_build = Some(report.clone());
         report
@@ -676,7 +674,6 @@ impl AlvisNetwork {
             ranking: &self.ranking,
             global: &self.global,
             byte_budget: request.byte_budget,
-            hop_budget: request.hop_budget,
         };
         Ok(planner.plan(&ctx))
     }
@@ -868,21 +865,6 @@ impl AlvisNetwork {
         self.global
             .charge(TrafficCategory::Retrieval, response_bytes);
         outcome
-    }
-
-    // ------------------------------------------------------------------
-    // Reporting
-    // ------------------------------------------------------------------
-
-    /// Per-peer `(activated keys, storage bytes)` of the global index.
-    pub fn index_load_distribution(&self) -> Vec<(usize, usize)> {
-        self.global.per_peer_load()
-    }
-
-    /// The per-level construction reports of the most recent build (one level
-    /// for flat strategies, one per expansion level for HDK).
-    pub fn level_reports(&self) -> &[HdkLevelReport] {
-        &self.level_reports
     }
 }
 
@@ -1097,7 +1079,7 @@ mod tests {
             6,
         );
         net.build_index();
-        let load = net.index_load_distribution();
+        let load = net.global_index().per_peer_load();
         assert_eq!(load.len(), 6);
         let peers_with_keys = load.iter().filter(|(k, _)| *k > 0).count();
         assert!(peers_with_keys >= 3, "load: {load:?}");
@@ -1118,11 +1100,6 @@ mod tests {
             .unwrap();
         assert!(!loose.budget_exhausted);
         assert!(!loose.results.is_empty());
-        // Hop budgets behave the same way.
-        let hops = net
-            .execute(&QueryRequest::new("peer to peer retrieval").hop_budget(usize::MAX))
-            .unwrap();
-        assert!(!hops.budget_exhausted);
     }
 
     #[test]
@@ -1143,14 +1120,6 @@ mod tests {
             .unwrap();
         assert_eq!(exact.bytes, free.bytes);
         assert!(!exact.budget_exhausted);
-
-        let mut net = demo_network(Hdk::default(), 4);
-        net.build_index();
-        let exact_hops = net
-            .execute(&QueryRequest::new("peer to peer retrieval").hop_budget(free.hops))
-            .unwrap();
-        assert_eq!(exact_hops.hops, free.hops);
-        assert!(!exact_hops.budget_exhausted);
     }
 
     // ------------------------------------------------------------------
@@ -1211,19 +1180,6 @@ mod tests {
                 response.bytes <= budget,
                 "spent {} with byte budget {budget}",
                 response.bytes
-            );
-        }
-        for hop_budget in [0usize, 2, 5, 20] {
-            let mut net = demo_network(Hdk::default(), 4);
-            net.build_index();
-            let request =
-                QueryRequest::new("peer to peer retrieval overlay network").hop_budget(hop_budget);
-            let plan = net.plan_with(&crate::plan::GreedyCost, &request).unwrap();
-            let response = net.run(&plan, &request).unwrap();
-            assert!(
-                response.hops <= hop_budget,
-                "spent {} hops with budget {hop_budget}",
-                response.hops
             );
         }
     }

@@ -1,10 +1,10 @@
 //! Budget-aware query planning: choose *which* lattice keys to probe **before**
 //! paying network cost.
 //!
-//! PR 1 enforced [`crate::request::QueryRequest`] byte/hop budgets by chopping the
-//! lattice walk off mid-flight: probes were sent in fixed lattice order until the
-//! budget ran dry, so under tight budgets the spend went to whatever happened to come
-//! first. Cost-based selection (Liu, "Cost-based Selection of Provenance Sketches")
+//! The original executor enforced [`crate::request::QueryRequest`] budgets by
+//! chopping the lattice walk off mid-flight: probes were sent in fixed lattice order
+//! until the budget ran dry, so under tight budgets the spend went to whatever
+//! happened to come first. Cost-based selection (Liu, "Cost-based Selection of Provenance Sketches")
 //! and skew-aware placement (Beame et al.) argue the opposite discipline: estimate
 //! what each candidate costs and buys, then spend the budget on the best ones.
 //!
@@ -107,13 +107,12 @@ pub struct PlanNode {
     pub priority: f64,
 }
 
-/// How the executor enforces the request's byte/hop budgets while running a plan.
+/// How the executor enforces the request's byte budget while running a plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BudgetPolicy {
     /// PR 1 semantics: keep probing while the budget is not yet exhausted. The
     /// last probe may overshoot the budget (it is sent as long as *any* budget
-    /// remains beforehand). A probe estimated at zero hops passes the hop
-    /// budget even once it is spent: it cannot overshoot it.
+    /// remains beforehand).
     #[default]
     Cutoff,
     /// Admission control: a probe is sent only if its worst-case cost still fits
@@ -205,8 +204,6 @@ pub struct PlanCtx<'a> {
     pub global: &'a GlobalIndex,
     /// The request's byte budget, if any.
     pub byte_budget: Option<u64>,
-    /// The request's hop budget, if any.
-    pub hop_budget: Option<usize>,
 }
 
 impl PlanCtx<'_> {
@@ -330,7 +327,7 @@ impl Planner for BestEffort {
 ///    the full power of the paper's domination pruning;
 /// 3. **enforces budgets by admission** ([`BudgetPolicy::Reserve`]): a probe is
 ///    sent only when its worst-case cost still fits, so planned executions never
-///    exceed `byte_budget`/`hop_budget`.
+///    exceed `byte_budget`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GreedyCost;
 
@@ -441,9 +438,8 @@ impl Planner for GreedyCost {
         // keys can never prune each other, so it is semantics-preserving) to
         // retain the full power of domination pruning. Canonical order as the
         // tiebreak keeps plans deterministic.
-        let budgeted = ctx.byte_budget.is_some() || ctx.hop_budget.is_some();
         nodes.sort_by(|a, b| {
-            let level = if budgeted {
+            let level = if ctx.byte_budget.is_some() {
                 std::cmp::Ordering::Equal
             } else {
                 b.key.len().cmp(&a.key.len())
@@ -490,35 +486,26 @@ pub enum CursorStep {
 pub struct PlanCursor {
     plan: QueryPlan,
     byte_budget: Option<u64>,
-    hop_budget: Option<usize>,
     prune_below_truncated: bool,
     max_probes: usize,
     index: usize,
     excluders: Vec<TermKey>,
     result: LatticeResult,
-    hops_spent: usize,
     budget_exhausted: bool,
     stopped: bool,
 }
 
 impl PlanCursor {
-    /// Starts executing `plan` under the given lattice bounds and budgets.
-    pub fn new(
-        plan: QueryPlan,
-        lattice: &LatticeConfig,
-        byte_budget: Option<u64>,
-        hop_budget: Option<usize>,
-    ) -> Self {
+    /// Starts executing `plan` under the given lattice bounds and byte budget.
+    pub fn new(plan: QueryPlan, lattice: &LatticeConfig, byte_budget: Option<u64>) -> Self {
         PlanCursor {
             plan,
             byte_budget,
-            hop_budget,
             prune_below_truncated: lattice.prune_below_truncated,
             max_probes: lattice.max_probes,
             index: 0,
             excluders: Vec::new(),
             result: LatticeResult::default(),
-            hops_spent: 0,
             budget_exhausted: false,
             stopped: false,
         }
@@ -535,9 +522,10 @@ impl PlanCursor {
         self.stopped = true;
     }
 
-    /// Overlay hops spent so far.
+    /// Lookup messages that did not deliver a probe's request, summed over
+    /// the probes recorded so far (the trace's hop count).
     pub fn hops_spent(&self) -> usize {
-        self.hops_spent
+        self.result.trace.hops
     }
 
     /// The retrieved `(key, postings)` pairs so far.
@@ -583,24 +571,11 @@ impl PlanCursor {
     }
 
     fn budget_admits(&self, node: &PlanNode, spent_bytes: u64) -> bool {
-        match self.plan.budget_policy {
-            // A probe estimated at zero lookup messages (its origin is the
-            // primary, or the route is a single hop the request itself
-            // travels) cannot overspend a hop budget, even one of zero.
-            BudgetPolicy::Cutoff => {
-                self.byte_budget.is_none_or(|b| spent_bytes < b)
-                    && self
-                        .hop_budget
-                        .is_none_or(|b| self.hops_spent < b || node.est_hops == 0)
-            }
-            BudgetPolicy::Reserve => {
-                self.byte_budget
-                    .is_none_or(|b| spent_bytes.saturating_add(node.est_bytes) <= b)
-                    && self
-                        .hop_budget
-                        .is_none_or(|b| self.hops_spent + node.est_hops <= b)
-            }
-        }
+        self.byte_budget
+            .is_none_or(|b| match self.plan.budget_policy {
+                BudgetPolicy::Cutoff => spent_bytes < b,
+                BudgetPolicy::Reserve => spent_bytes.saturating_add(node.est_bytes) <= b,
+            })
     }
 
     /// Records the result of the probe [`PlanCursor::next_key`] handed out and
@@ -613,7 +588,6 @@ impl PlanCursor {
         self.result.trace.hops += probe.hops;
         self.result.trace.skipped_blocks += probe.skipped_blocks;
         self.result.trace.elided_bytes += probe.elided_bytes as u64;
-        self.hops_spent += probe.hops;
         let key = probe.key;
         let outcome = match probe.postings {
             Some(list) => {
@@ -631,8 +605,8 @@ impl PlanCursor {
     }
 
     /// Records a probe whose every attempt failed (see [`crate::fault`]): the
-    /// node enters the trace as [`NodeOutcome::Failed`] and the hops its
-    /// attempts spent are charged against the hop budget, but the key is
+    /// node enters the trace as [`NodeOutcome::Failed`] and the lookup
+    /// messages its attempts spent are added to the trace, but the key is
     /// **not** pushed onto the excluder set — so [`PlanCursor::next_key`]'s
     /// runtime domination check still hands out the failed key's subset keys,
     /// which is exactly the degraded-substitution behaviour the lattice gives
@@ -643,7 +617,6 @@ impl PlanCursor {
         self.index += 1;
         self.result.trace.probes += 1;
         self.result.trace.hops += hops;
-        self.hops_spent += hops;
         self.result
             .trace
             .nodes
@@ -698,7 +671,6 @@ pub(crate) mod tests {
             ranking,
             global,
             byte_budget: None,
-            hop_budget: None,
         }
     }
 
@@ -1029,7 +1001,7 @@ pub(crate) mod tests {
             walk.lattice.clone(),
             PlanHints::default(),
         ));
-        let mut cursor = PlanCursor::new(plan, &walk.lattice, None, None);
+        let mut cursor = PlanCursor::new(plan, &walk.lattice, None);
         let mut sent = Vec::new();
         while let CursorStep::Probe(probed) = cursor.next_key(0) {
             sent.push(probed.canonical());
@@ -1125,7 +1097,7 @@ pub(crate) mod tests {
         let retrieval =
             |index: &GlobalIndex| index.stats().category(TrafficCategory::Retrieval).bytes;
         let base = retrieval(&index);
-        let mut cursor = PlanCursor::new(plan, lattice, Some(byte_budget), None);
+        let mut cursor = PlanCursor::new(plan, lattice, Some(byte_budget));
         while let CursorStep::Probe(k) = cursor.next_key(retrieval(&index) - base) {
             match index.probe(1, &k, 1, 5, None, 0, None).unwrap() {
                 ProbeOutcome::Ok(probe) => cursor.record(probe),
@@ -1227,13 +1199,13 @@ pub(crate) mod tests {
         ));
         let max_est = plan.probes().map(|n| n.est_bytes).max().unwrap();
         // A budget below every estimate admits nothing and marks truncation.
-        let mut cursor = PlanCursor::new(plan.clone(), &LatticeConfig::default(), Some(1), None);
+        let mut cursor = PlanCursor::new(plan.clone(), &LatticeConfig::default(), Some(1));
         assert_eq!(cursor.next_key(0), CursorStep::Done);
         let (result, exhausted) = cursor.finish();
         assert!(exhausted);
         assert_eq!(result.trace.probes, 0);
         // A budget covering the worst single probe admits at least one.
-        let mut cursor = PlanCursor::new(plan, &LatticeConfig::default(), Some(max_est), None);
+        let mut cursor = PlanCursor::new(plan, &LatticeConfig::default(), Some(max_est));
         assert!(matches!(cursor.next_key(0), CursorStep::Probe(_)));
     }
 
@@ -1251,7 +1223,7 @@ pub(crate) mod tests {
         ));
         // Budget exactly equal to the spend after the only probe: the cutoff check
         // never blocks a remaining probe, so the plan is not "truncated".
-        let mut cursor = PlanCursor::new(plan, &LatticeConfig::default(), Some(500), None);
+        let mut cursor = PlanCursor::new(plan, &LatticeConfig::default(), Some(500));
         let CursorStep::Probe(key) = cursor.next_key(0) else {
             panic!("first probe admitted")
         };

@@ -114,7 +114,8 @@ pub fn is_obsolete(usage: &KeyUsageStats, current_seq: u64, config: &QdiConfig) 
     current_seq.saturating_sub(usage.last_probe) > config.obsolescence_window
 }
 
-/// Counters describing QDI's behaviour over a query stream (reported by experiment E7).
+/// Counters describing QDI's behaviour over a query stream (the root
+/// `tests/qdi_adaptivity.rs` checks activations, hits and evictions on it).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct QdiReport {
     /// Queries processed.

@@ -2,8 +2,8 @@
 //!
 //! Replaces the earlier positional `query(origin, text, k)` calls with a
 //! self-describing request value: where the query originates, how many results
-//! to return, whether the two-step refinement runs, and optional byte/hop
-//! budgets bounding how much the exploration may spend. Requests compose into
+//! to return, whether the two-step refinement runs, and an optional byte
+//! budget bounding how much the exploration may spend. Requests compose into
 //! batches via [`crate::network::AlvisNetwork::query_batch`].
 
 use crate::fault::Completeness;
@@ -27,7 +27,7 @@ use alvisp2p_textindex::bm25::ScoredDoc;
 ///   merge's non-monotonicity). A document elided under such a floor provably
 ///   could not have entered the final top-k, so this mode returns the exact
 ///   documents, ranks *and scores* of `Off` at no more posting bytes — the
-///   proptest-pinned headline invariant (2,087 vs 2,189 B/query on
+///   proptest-pinned headline invariant (1,834 vs 1,936 B/query on
 ///   `BENCH_bandwidth.json`'s long-lists arm). A probe whose own cached
 ///   maximum, or that of a key disjoint from it, is stale (older than the
 ///   list's current publish version, possible under lossy publications) goes
@@ -120,8 +120,6 @@ pub struct QueryRequest {
     /// exceeded, no further probes are sent and the response is marked
     /// [`QueryResponse::budget_exhausted`].
     pub byte_budget: Option<u64>,
-    /// Optional bound on the total overlay hops of the exploration.
-    pub hop_budget: Option<usize>,
     /// Threshold-aware probing mode: whether the executor feeds the running
     /// k-th merged score back into subsequent probes as a score floor,
     /// letting responsible peers elide posting entries that provably cannot
@@ -139,7 +137,6 @@ impl QueryRequest {
             top_k: 10,
             refine: false,
             byte_budget: None,
-            hop_budget: None,
             threshold: ThresholdMode::default(),
         }
     }
@@ -165,12 +162,6 @@ impl QueryRequest {
     /// Bounds the retrieval bytes the exploration may spend.
     pub fn byte_budget(mut self, bytes: u64) -> Self {
         self.byte_budget = Some(bytes);
-        self
-    }
-
-    /// Bounds the total overlay hops of the exploration.
-    pub fn hop_budget(mut self, hops: usize) -> Self {
-        self.hop_budget = Some(hops);
         self
     }
 
@@ -202,9 +193,9 @@ pub struct QueryResponse {
     /// all probes (see [`crate::global_index::ProbeResult::hops`]); `0` once
     /// every probe is dialled through a routing shortcut.
     pub hops: usize,
-    /// Whether a byte/hop budget **truncated the probe schedule**: `true` iff at
+    /// Whether the byte budget **truncated the probe schedule**: `true` iff at
     /// least one probe that would otherwise have been sent was withheld because
-    /// a budget blocked it. Exhausting the lattice exactly at the budget
+    /// the budget blocked it. Exhausting the lattice exactly at the budget
     /// boundary (nothing left to probe) does *not* set this flag. When set, the
     /// results are best-effort over what was retrieved within the budget; how
     /// strictly the budget bounds the actual spend depends on the plan's
@@ -258,14 +249,12 @@ mod tests {
             .from_peer(7)
             .top_k(3)
             .with_refinement()
-            .byte_budget(1024)
-            .hop_budget(16);
+            .byte_budget(1024);
         assert_eq!(r.text, "alpha beta");
         assert_eq!(r.origin, 7);
         assert_eq!(r.top_k, 3);
         assert!(r.refine);
         assert_eq!(r.byte_budget, Some(1024));
-        assert_eq!(r.hop_budget, Some(16));
     }
 
     #[test]
@@ -275,7 +264,6 @@ mod tests {
         assert_eq!(r.top_k, 10);
         assert!(!r.refine);
         assert_eq!(r.byte_budget, None);
-        assert_eq!(r.hop_budget, None);
         assert_eq!(ThresholdMode::default(), ThresholdMode::RankSafe);
         assert_eq!(r.threshold, ThresholdMode::RankSafe);
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Experiment metrics.
 //!
 //! Retrieval-quality measures (precision, recall, overlap against the centralized
-//! reference) and small numeric helpers (means, percentiles, load-imbalance ratios)
+//! reference) and small numeric helpers (means, percentiles)
 //! used by the integration tests and the benchmark harness.
 
 use alvisp2p_textindex::bm25::ScoredDoc;
@@ -70,19 +70,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Load imbalance of a distribution: `max / mean` (1.0 = perfectly balanced).
-/// Returns 0 for an empty slice and `inf`-free results for all-zero loads.
-pub fn imbalance(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let m = mean(values);
-    if m == 0.0 {
-        return 1.0;
-    }
-    values.iter().copied().fold(0.0f64, f64::max) / m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,9 +128,5 @@ mod tests {
         assert_eq!(percentile(&values, 50.0), 5.0);
         assert_eq!(percentile(&values, 100.0), 9.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-        assert!((imbalance(&[2.0, 2.0, 2.0]) - 1.0).abs() < 1e-12);
-        assert!((imbalance(&[0.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(imbalance(&[]), 0.0);
-        assert_eq!(imbalance(&[0.0, 0.0]), 1.0);
     }
 }

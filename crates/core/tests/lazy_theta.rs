@@ -106,7 +106,7 @@ fn eager_reference(net: &mut AlvisNetwork, request: &QueryRequest) -> Observed {
         Some((own, disjoint_sum))
     };
 
-    let mut cursor = PlanCursor::new(plan, &lattice, request.byte_budget, None);
+    let mut cursor = PlanCursor::new(plan, &lattice, request.byte_budget);
     let before = retrieval_bytes(net);
     let mut theta_lb: Option<f64> = None;
     let mut observed = Observed {

@@ -13,8 +13,10 @@
 //!   multiplicative decrease) that limits outstanding requests;
 //! * [`HotspotScenario`] — an event-driven workload (built on
 //!   [`alvisp2p_netsim::Simulator`]) in which many client peers direct requests at a
-//!   small set of hot-spot server peers, used by experiment **E6** to reproduce the
-//!   goodput-vs-offered-load curves with and without congestion control.
+//!   small set of hot-spot server peers. The unit test
+//!   `congestion_control_beats_baseline_under_overload` checks the paper's claim on
+//!   it: under overload the controller completes more requests and drops fewer
+//!   messages than the uncontrolled baseline.
 
 use alvisp2p_netsim::{
     Context, LatencyModel, Node, NodeId, SimConfig, SimDuration, SimRng, SimTime, Simulator,
@@ -138,7 +140,7 @@ impl AimdController {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-spot workload (experiment E6)
+// Hot-spot workload
 // ---------------------------------------------------------------------------
 
 /// Message exchanged in the hot-spot workload.

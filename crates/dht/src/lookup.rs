@@ -123,17 +123,67 @@ fn walk<V>(
 mod tests {
     use super::*;
     use crate::routing::{build_routing_table, RoutingStrategy};
+    use alvisp2p_netsim::{PowerLaw, SimRng};
 
-    fn build_network(n: usize, strategy: RoutingStrategy) -> (Vec<Peer<u32>>, Ring) {
-        let ids: Vec<RingId> = (0..n)
-            .map(|i| RingId(((i as u128 * u64::MAX as u128) / n as u128) as u64))
-            .collect();
+    /// Peers at `ids` (peer `i` at `ids[i]`) with converged routing tables.
+    fn network_at(ids: &[RingId], strategy: RoutingStrategy) -> (Vec<Peer<u32>>, Ring) {
         let ring = Ring::from_members(ids.iter().enumerate().map(|(i, id)| (*id, i)));
         let mut peers: Vec<Peer<u32>> = ids.iter().map(|id| Peer::new(*id)).collect();
         for p in peers.iter_mut() {
             p.table = build_routing_table(p.id, &ring, strategy);
         }
         (peers, ring)
+    }
+
+    fn build_network(n: usize, strategy: RoutingStrategy) -> (Vec<Peer<u32>>, Ring) {
+        let ids: Vec<RingId> = (0..n)
+            .map(|i| RingId(((i as u128 * u64::MAX as u128) / n as u128) as u64))
+            .collect();
+        network_at(&ids, strategy)
+    }
+
+    /// Mean and maximum lookup hops, and mean routing-table size, of one
+    /// overlay configuration.
+    #[derive(Debug)]
+    struct HopStats {
+        mean: f64,
+        max: usize,
+        table_size: f64,
+    }
+
+    /// `n` peers at the quantiles of a bounded power law (`skew` 1 = uniform,
+    /// larger = crowded into a small region of the identifier space) and
+    /// `lookups` keys drawn from the same law: peers sit where the keys are
+    /// dense, as under load-balanced placement.
+    fn skewed_lookups(
+        n: usize,
+        skew: f64,
+        strategy: RoutingStrategy,
+        lookups: usize,
+        seed: u64,
+    ) -> HopStats {
+        let mut rng = SimRng::new(seed).derive(n as u64 ^ skew.to_bits());
+        let placement = PowerLaw::new(skew);
+        let mut ids: Vec<RingId> = Vec::with_capacity(n);
+        while ids.len() < n {
+            let id = RingId::from_fraction(placement.sample(&mut rng));
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        let (peers, ring) = network_at(&ids, strategy);
+        let hops: Vec<usize> = (0..lookups)
+            .map(|i| {
+                let key = RingId::from_fraction(placement.sample(&mut rng));
+                lookup_hops(&peers, &ring, (i * 2654435761) % n, key, 128)
+                    .expect("lookup completes")
+            })
+            .collect();
+        HopStats {
+            mean: hops.iter().sum::<usize>() as f64 / lookups as f64,
+            max: hops.iter().copied().max().unwrap_or(0),
+            table_size: peers.iter().map(|p| p.table.size()).sum::<usize>() as f64 / n as f64,
+        }
     }
 
     #[test]
@@ -226,5 +276,50 @@ mod tests {
         let res = lookup(&peers, &ring, 0, RingId(0xDEADBEEF), 4).unwrap();
         assert_eq!(res.responsible, 0);
         assert_eq!(res.hops(), 0);
+    }
+
+    // The paper's layer-2 claim (§3): hop-space routing tables of O(log n)
+    // entries give O(log n)-hop lookups under arbitrary identifier skew, where
+    // identifier-space (Chord-style) tables of the same size degrade.
+
+    #[test]
+    fn hop_space_hops_are_logarithmic_and_skew_invariant() {
+        let log2_n = 8.0;
+        let uniform = skewed_lookups(256, 1.0, RoutingStrategy::HopSpace, 400, 1);
+        let skewed = skewed_lookups(256, 64.0, RoutingStrategy::HopSpace, 400, 1);
+        assert!(uniform.mean <= log2_n, "{uniform:?}");
+        assert!(skewed.mean <= log2_n, "{skewed:?}");
+        assert!(uniform.max <= 10);
+        assert!(
+            (uniform.mean - skewed.mean).abs() < 0.5,
+            "uniform {} vs skewed {}",
+            uniform.mean,
+            skewed.mean
+        );
+        // Routing tables stay logarithmic.
+        assert!(uniform.table_size <= log2_n + 5.0);
+    }
+
+    #[test]
+    fn identifier_space_baseline_degrades_under_strong_skew() {
+        let hop_space = skewed_lookups(512, 128.0, RoutingStrategy::HopSpace, 500, 2);
+        let finger = skewed_lookups(512, 128.0, RoutingStrategy::Finger, 500, 2);
+        assert!(
+            finger.mean > hop_space.mean,
+            "finger {} should exceed hop-space {} under skew",
+            finger.mean,
+            hop_space.mean
+        );
+        assert!(finger.max >= hop_space.max);
+    }
+
+    #[test]
+    fn hops_grow_logarithmically_with_network_size() {
+        let small = skewed_lookups(64, 1.0, RoutingStrategy::HopSpace, 300, 3);
+        let large = skewed_lookups(1024, 1.0, RoutingStrategy::HopSpace, 300, 3);
+        // 16x the peers adds log2(16) = 4 hops at most, and about half that on
+        // average.
+        assert!(large.mean > small.mean);
+        assert!(large.mean < small.mean + 4.0);
     }
 }

@@ -370,8 +370,8 @@ impl<V: Clone + WireSize> Dht<V> {
         }
     }
 
-    /// The hops [`Dht::route`] would take, without recording any traffic — used
-    /// by experiments that only measure hop counts (E5).
+    /// The hops [`Dht::route`] would take, without recording any traffic — for
+    /// tests that only measure hop counts and for [`Dht::estimate_hops`].
     pub fn probe_hops(&self, from: usize, key: RingId) -> Result<usize, DhtError> {
         self.check_origin(from)?;
         lookup_hops(&self.peers, &self.ring, from, key, self.config.max_hops)

@@ -18,7 +18,7 @@
 //!   coincide and both give O(log n) hops; under skew the identifier-space entries
 //!   collapse onto few distinct peers, the finest entry still skips past many peers in
 //!   dense regions, and lookups degenerate towards successor walking. It is kept as
-//!   the baseline for experiment E5.
+//!   the baseline of `lookup::tests::identifier_space_baseline_degrades_under_strong_skew`.
 //!
 //! In the deployed system routing entries are discovered by sampling and exchange
 //! during stabilisation; the simulator constructs the converged tables directly from

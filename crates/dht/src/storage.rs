@@ -3,8 +3,8 @@
 //! Each peer stores the fraction of the global distributed index associated with the
 //! ring identifiers it is responsible for. The store is typed (`V` is defined by the
 //! layer above — in AlvisP2P it holds truncated posting lists, key statistics and
-//! global ranking statistics) and reports its approximate in-memory footprint for the
-//! storage-scalability experiment (E3).
+//! global ranking statistics) and reports its approximate in-memory footprint, which
+//! the root `tests/storage_scalability.rs` checks grows with the collection.
 
 use crate::id::RingId;
 use alvisp2p_netsim::WireSize;

@@ -90,7 +90,8 @@ impl Zipf {
 }
 
 /// A continuous bounded power-law used to skew peer identifiers in the DHT
-/// identifier space (experiment E5: routing under arbitrary skew).
+/// identifier space (routing under arbitrary skew: `alvisp2p-dht`'s
+/// `lookup::tests::hop_space_hops_are_logarithmic_and_skew_invariant`).
 ///
 /// Samples `x` in `[0, 1)` with density proportional to `(1 - x)^(alpha - 1) * alpha`
 /// for `alpha >= 1`; `alpha = 1` is uniform, larger alpha concentrates identifiers

@@ -3,8 +3,9 @@
 //! Links between simulated peers are modelled with a configurable latency
 //! distribution and an independent per-message loss probability. The AlvisP2P
 //! experiments are primarily about message/byte counts, but latency matters for the
-//! congestion-control experiment (E6) where queueing delay and retransmissions
-//! interact with offered load.
+//! congestion-control workload (`alvisp2p-dht`'s `congestion` module and its
+//! `congestion_control_beats_baseline_under_overload` test), where queueing delay
+//! and retransmissions interact with offered load.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;

@@ -5,7 +5,8 @@
 //! contain 1–4 terms, and popular queries change over time. The [`QueryLogGenerator`]
 //! produces such logs against a [`SyntheticCorpus`] so that queries actually have
 //! matching documents, and can inject a popularity *drift* halfway through the log to
-//! exercise QDI's index-eviction mechanism (experiment E7).
+//! exercise QDI's index-eviction mechanism (the root `tests/qdi_adaptivity.rs`'s
+//! `popularity_drift_causes_evictions_and_new_activations`).
 
 use crate::corpus::SyntheticCorpus;
 use alvisp2p_netsim::{SimRng, Zipf};

@@ -51,7 +51,7 @@
 //!
 //! * [`prelude::BestEffort`] (the default) reproduces the fixed-order,
 //!   budget-cutoff semantics of the classic `execute` path.
-//! * [`prelude::GreedyCost`] plans against the request's byte/hop budgets:
+//! * [`prelude::GreedyCost`] plans against the request's byte budget:
 //!   provably useless probes are dropped, the rest are prioritised by
 //!   benefit/cost, and probes are only sent while their worst-case cost still
 //!   fits — the spend never exceeds the budget.

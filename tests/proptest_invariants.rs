@@ -298,7 +298,7 @@ proptest! {
                 .collect(),
             ..QueryPlan::empty("all-probe", 0)
         };
-        let mut cursor = PlanCursor::new(plan, &lattice, None, None);
+        let mut cursor = PlanCursor::new(plan, &lattice, None);
         let mut probed: Vec<TermKey> = Vec::new();
         while let CursorStep::Probe(k) = cursor.next_key(0) {
             probed.push(k.clone());
@@ -394,22 +394,20 @@ fn demo_net(strategy_pick: u8, seed: u64) -> alvisp2p::core::AlvisNetwork {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (a) A GreedyCost-planned execution never exceeds the request's byte/hop
-    /// budgets — the Reserve admission policy is a hard bound, not best-effort.
+    /// (a) A GreedyCost-planned execution never exceeds the request's byte
+    /// budget — the Reserve admission policy is a hard bound, not best-effort.
     #[test]
     fn planned_execution_never_exceeds_budgets(
         strategy_pick: u8,
         picks in proptest::collection::vec(0usize..QUERY_POOL.len(), 1..5),
         byte_budget in 0u64..6_000,
-        hop_budget in 0usize..24,
         origin in 0usize..4,
     ) {
         use alvisp2p::prelude::*;
         let mut net = demo_net(strategy_pick, 11);
         let request = QueryRequest::new(pool_query(&picks))
             .from_peer(origin)
-            .byte_budget(byte_budget)
-            .hop_budget(hop_budget);
+            .byte_budget(byte_budget);
         let plan = net.plan_with(&GreedyCost, &request).unwrap();
         let response = net.run(&plan, &request).unwrap();
         prop_assert!(
@@ -417,12 +415,6 @@ proptest! {
             "spent {} bytes with budget {}",
             response.bytes,
             byte_budget
-        );
-        prop_assert!(
-            response.hops <= hop_budget,
-            "spent {} hops with budget {}",
-            response.hops,
-            hop_budget
         );
     }
 
@@ -496,7 +488,7 @@ proptest! {
                 .category(TrafficCategory::Retrieval)
                 .bytes
         };
-        let mut cursor = PlanCursor::new(plan, &lattice, None, None);
+        let mut cursor = PlanCursor::new(plan, &lattice, None);
         while let CursorStep::Probe(key) = cursor.next_key(spent(&reference_net)) {
             match reference_net
                 .global_index_mut()

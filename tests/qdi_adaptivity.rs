@@ -1,6 +1,8 @@
-//! Integration tests for Query-Driven Indexing: popularity-driven activation,
-//! bandwidth reduction after warm-up, and eviction under popularity drift.
+//! Integration tests for Query-Driven Indexing: popularity-driven activation
+//! without loss of quality, bandwidth reduction after warm-up, and eviction
+//! under popularity drift.
 
+use alvisp2p::core::stats::overlap_at_k;
 use alvisp2p::prelude::*;
 
 fn workload(
@@ -62,7 +64,7 @@ fn repeated_popular_queries_trigger_on_demand_activation() {
         .enumerate()
         .map(|(i, q)| QueryRequest::new(q.clone()).from_peer(i % 8))
         .collect();
-    net.query_batch(&batch).unwrap();
+    let responses = net.query_batch(&batch).unwrap();
     let report = net.qdi_report();
     assert!(report.activations > 0, "no key was activated: {report:?}");
     assert!(report.acquisition_bytes > 0);
@@ -77,6 +79,30 @@ fn repeated_popular_queries_trigger_on_demand_activation() {
     assert!(
         report.multi_term_hits > 0,
         "activated keys were never hit: {report:?}"
+    );
+    // Quality does not degrade as the index adapts: mean overlap@10 with the
+    // centralized reference over the last quarter of the stream stays within
+    // 0.05 of the first quarter's.
+    let window = queries.len() / 4;
+    let overlap = |range: std::ops::Range<usize>| {
+        range
+            .map(|i| {
+                overlap_at_k(
+                    &responses[i].results,
+                    &net.reference_search(&queries[i], 10),
+                    10,
+                )
+            })
+            .sum::<f64>()
+            / window as f64
+    };
+    let (first, last) = (
+        overlap(0..window),
+        overlap(queries.len() - window..queries.len()),
+    );
+    assert!(
+        last >= first - 0.05,
+        "overlap@10 fell from {first:.3} to {last:.3}"
     );
 }
 
