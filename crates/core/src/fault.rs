@@ -281,9 +281,11 @@ impl FaultPlane {
         Some((mix(self.seed, SALT_CORRUPT_BIT, ring, seq, attempt) % bits) as usize)
     }
 
-    /// Whether a posting-publication message is dropped in flight.
-    /// `seq` is the publisher's publish sequence number; `attempt` counts
-    /// re-publications of the same pending publication.
+    /// Whether a posting-publication frame is dropped in flight. `ring` is
+    /// the frame's first key and `seq` the frame's publish sequence number
+    /// (see [`crate::global_index::GlobalIndex::publish_batch`]); a re-send
+    /// carries one pending publication, drawn at its own key, its original
+    /// frame's `seq` and `attempt`, the re-publications so far.
     pub fn publish_lost(&self, ring: RingId, seq: u64, attempt: u32) -> bool {
         self.fires(self.publish_loss_rate, SALT_PUBLISH, ring, seq, attempt)
     }

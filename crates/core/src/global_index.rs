@@ -14,12 +14,13 @@
 //! It owns the simulated wire, and therefore the [`FaultPlane`] that decides
 //! what the wire does to a message. There is **one** probe path
 //! ([`GlobalIndex::probe`]) and **one** publication path
-//! ([`GlobalIndex::publish_postings`]); both consult the plane at every point
-//! a message could be lost, delayed or damaged, and the overlay's replica
-//! sync asks this index, which answers with the plane's draw. An inactive
-//! plane answers "no" to every question without drawing randomness and
-//! charges nothing extra, so the fault-free system is that same path, not a
-//! second one.
+//! ([`GlobalIndex::publish_batch`], of which
+//! [`GlobalIndex::publish_postings`] is the batch of one); both consult the
+//! plane at every point a message could be lost, delayed or damaged, and the
+//! overlay's replica sync asks this index, which answers with the plane's
+//! draw. An inactive plane answers "no" to every question without drawing
+//! randomness and charges nothing extra, so the fault-free system is that
+//! same path, not a second one.
 
 use crate::fault::{FaultPlane, ProbeOutcome};
 use crate::key::TermKey;
@@ -27,7 +28,7 @@ use crate::posting::TruncatedPostingList;
 use alvisp2p_dht::{Dht, DhtConfig, DhtError, RingId};
 use alvisp2p_netsim::{TrafficCategory, TrafficStats, WireSize};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Usage statistics of a key, maintained by its responsible peer.
 ///
@@ -148,17 +149,30 @@ impl ProbeResult {
     }
 }
 
-/// One un-acked publication: its publish message was dropped in flight, the
-/// delta never applied at the responsible peer, and the publisher retries it
-/// on a bounded-backoff schedule (see [`GlobalIndex::republish_round`]).
+/// One publication: a key and the publisher's delta posting list for it.
+type Publication<'a> = (&'a TermKey, &'a TruncatedPostingList);
+
+/// Bytes of a publication frame before its envelope: every key frame and
+/// delta frame, concatenated.
+fn frame_bytes(frame: &[Publication<'_>]) -> usize {
+    frame
+        .iter()
+        .map(|(key, delta)| key.wire_size() + delta.wire_size())
+        .sum()
+}
+
+/// One un-acked publication: the frame carrying it was dropped in flight,
+/// the delta never applied at the responsible peer, and the publisher
+/// retries it on its own on a bounded-backoff schedule (see
+/// [`GlobalIndex::republish_round`]).
 #[derive(Clone, Debug)]
 struct PendingPublish {
     from: usize,
     key: TermKey,
     delta: TruncatedPostingList,
     capacity: usize,
-    /// The publish sequence number the original publication carried (the
-    /// coordinates of its deterministic loss draws).
+    /// The publish sequence number of the frame that carried the original
+    /// publication (the coordinates of its deterministic loss draws).
     seq: u64,
     /// Re-publication attempts so far (the original send is attempt `0`).
     attempts: u32,
@@ -269,11 +283,53 @@ impl GlobalIndex {
     // Publication (indexing phase)
     // ------------------------------------------------------------------
 
-    /// Publishes a delta posting list for `key` from peer `from`. The responsible peer
-    /// merges the delta into its stored entry (activating it). The delta's bytes plus
-    /// the routing messages are charged to [`TrafficCategory::Indexing`].
+    /// Publishes a delta posting list for `key` from peer `from`: the batch
+    /// of one of [`GlobalIndex::publish_batch`], which documents the charge,
+    /// the merge and the loss handling. Returns the lookup messages charged.
+    pub fn publish_postings(
+        &mut self,
+        from: usize,
+        key: &TermKey,
+        delta: &TruncatedPostingList,
+        capacity: usize,
+    ) -> Result<usize, DhtError> {
+        self.publish_batch(from, &[(key, delta)], capacity)
+    }
+
+    /// Publishes peer `from`'s delta posting lists for a batch of keys. Each
+    /// key's responsible peer merges its delta into the stored entry
+    /// (activating it), and every byte is charged to
+    /// [`TrafficCategory::Indexing`].
     ///
-    /// The charge is the exact [`crate::codec`] frame length of the delta, but —
+    /// **Frames.** The publications travel **one frame per destination**.
+    /// They are grouped by the primary of each key's ring id (the peer
+    /// [`GlobalIndex::responsible_for`] names), frames go out in ascending
+    /// order of the primary's peer index, and a frame keeps the batch's key
+    /// order. Model assumption: the reply to a lookup names the primary's id
+    /// range, so the publisher knows which of its keys share that primary
+    /// without looking each one up. Each group is one routed frame: the
+    /// lookup for its first key, charged one 80 B lookup message per hop,
+    /// then one message carrying every key frame and delta frame of the
+    /// group plus one 32 B envelope. There is no count prefix, because key
+    /// and list frames are self-delimiting, so a frame of one publication
+    /// charges exactly what a lone publication always did. With `L` a lookup
+    /// message, `P` a one-key publication (envelope + key frame + delta
+    /// frame), `F` a frame (envelope + every key frame and delta frame bound
+    /// for one primary) and `h` the hops of a route, `n` keys whose
+    /// primaries are `m` distinct peers send:
+    ///
+    /// | | before: one publication per key | now: one frame per destination |
+    /// |---|---|---|
+    /// | sequence | per key `Lʰ P` | per destination `Lʰ F` |
+    /// | routes, envelopes | `n` | `m` |
+    /// | key + delta frame bytes | `Σ` over the `n` keys | the same |
+    ///
+    /// The primary applies the deltas in the frame's key order. Each key
+    /// applied counts as one served request of the primary, brings the
+    /// key's replica copies level (a no-op unless it is hot-replicated) and
+    /// bumps its publish version, exactly as a lone publication does.
+    ///
+    /// The charge is the exact [`crate::codec`] frame length of each delta, but —
     /// unlike [`GlobalIndex::probe`], which round-trips through the codec so
     /// queriers observe quantized scores — the merge keeps the publisher's
     /// `f64` scores. This is a deliberate modelling simplification: stored
@@ -282,66 +338,102 @@ impl GlobalIndex {
     /// any byte count; the retrieval path (the paper's cost metric) is where
     /// the quantization is made observable.
     ///
-    /// Every publication consumes one monotonic publish sequence number, the
-    /// coordinates of its deterministic loss draws. When the plane's
-    /// `publish_loss_rate` drops the message in flight, its routing and
-    /// request bytes are still charged (the publisher cannot know in advance),
-    /// the responsible peer never applies the delta, the publish version does
-    /// not advance, and the publication is queued un-acked for
-    /// [`GlobalIndex::republish_round`].
-    pub fn publish_postings(
+    /// **Faults.** Every frame consumes one monotonic publish sequence
+    /// number, and the plane draws once per frame, at the first key's ring
+    /// id and that number. When the plane's `publish_loss_rate` drops a frame
+    /// in flight, its routing and frame bytes are still charged (the
+    /// publisher cannot know in advance), no delta is applied, no publish
+    /// version advances, and each of its publications is queued un-acked on
+    /// its own for [`GlobalIndex::republish_round`].
+    ///
+    /// Returns the lookup messages charged over all frames. A frame that
+    /// cannot be routed (overlay churn) is dropped, uncharged and unqueued;
+    /// the other frames are still sent, and the first such error is
+    /// returned.
+    pub fn publish_batch(
         &mut self,
         from: usize,
-        key: &TermKey,
-        delta: &TruncatedPostingList,
+        publications: &[(&TermKey, &TruncatedPostingList)],
         capacity: usize,
     ) -> Result<usize, DhtError> {
-        let seq = self.publish_seq;
-        self.publish_seq += 1;
-        if self.faults.publish_lost(key.ring_id(), seq, 0) {
-            let hops = self.send_lost_publish(from, key, delta, TrafficCategory::Indexing)?;
-            self.pending.push(PendingPublish {
-                from,
-                key: key.clone(),
-                delta: delta.clone(),
-                capacity,
-                seq,
-                attempts: 0,
-                due_round: self.republish_rounds + 1,
-            });
-            return Ok(hops);
+        let mut hops = 0;
+        let mut failed = None;
+        for frame in self.frames(publications)? {
+            let seq = self.publish_seq;
+            self.publish_seq += 1;
+            let sent = if self.faults.publish_lost(frame[0].0.ring_id(), seq, 0) {
+                let lost = self.send_lost_frame(from, &frame, TrafficCategory::Indexing);
+                if lost.is_ok() {
+                    for (key, delta) in frame {
+                        self.pending.push(PendingPublish {
+                            from,
+                            key: key.clone(),
+                            delta: delta.clone(),
+                            capacity,
+                            seq,
+                            attempts: 0,
+                            due_round: self.republish_rounds + 1,
+                        });
+                    }
+                }
+                lost
+            } else {
+                self.apply_frame(from, &frame, capacity, TrafficCategory::Indexing)
+            };
+            match sent {
+                Ok(frame_hops) => hops += frame_hops,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
-        self.apply_publish(from, key, delta, capacity, TrafficCategory::Indexing)
+        failed.map_or(Ok(hops), Err)
     }
 
-    /// A publish message that crosses the wire and arrives: the responsible
-    /// peer merges the delta, replica copies are brought level (a no-op unless
-    /// the key is hot-replicated) and the publish version advances.
+    /// `publications` split into frames, one per primary (see
+    /// [`GlobalIndex::publish_batch`]'s **Frames**).
+    fn frames<'p>(
+        &self,
+        publications: &[Publication<'p>],
+    ) -> Result<Vec<Vec<Publication<'p>>>, DhtError> {
+        let mut frames: BTreeMap<usize, Vec<Publication<'p>>> = BTreeMap::new();
+        for &publication in publications {
+            let primary = self.dht.responsible_for(publication.0.ring_id())?;
+            frames.entry(primary).or_default().push(publication);
+        }
+        Ok(frames.into_values().collect())
+    }
+
+    /// A frame that crosses the wire and arrives: the primary merges each
+    /// delta in order, then every key's replica copies are brought level (a
+    /// no-op unless the key is hot-replicated) and its publish version
+    /// advances.
     // Inlined so that each caller's `category` stays a constant through the
     // routed update: out of line, a first publication measures ~7% slower.
     #[inline]
-    fn apply_publish(
+    fn apply_frame(
         &mut self,
         from: usize,
-        key: &TermKey,
-        delta: &TruncatedPostingList,
+        frame: &[Publication<'_>],
         capacity: usize,
         category: TrafficCategory,
     ) -> Result<usize, DhtError> {
-        let ring_key = key.ring_id();
-        let request_bytes = key.wire_size() + delta.wire_size();
-        // The closure borrows `key` and `delta`: no copy of the key or of the
+        let ring_keys: Vec<RingId> = frame.iter().map(|(key, _)| key.ring_id()).collect();
+        // The closure borrows the keys and deltas: no copy of a key or of a
         // delta posting list is made to cross the (simulated) wire.
-        let info = self
-            .dht
-            .update(from, ring_key, request_bytes, category, |slot| {
-                let entry =
-                    slot.get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
-                entry.postings.merge(delta);
-                entry.activated = true;
-            })?;
-        self.sync_replicas(ring_key, category);
-        *self.versions.entry(ring_key).or_insert(0) += 1;
+        let info =
+            self.dht
+                .update_many(from, &ring_keys, frame_bytes(frame), category, |i, slot| {
+                    let (key, delta) = frame[i];
+                    let entry = slot
+                        .get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
+                    entry.postings.merge(delta);
+                    entry.activated = true;
+                })?;
+        for ring_key in ring_keys {
+            self.sync_replicas(ring_key, category);
+            *self.versions.entry(ring_key).or_insert(0) += 1;
+        }
         Ok(info.hops)
     }
 
@@ -356,18 +448,16 @@ impl GlobalIndex {
             });
     }
 
-    /// A publish message dropped in flight: it still crossed part of the wire,
-    /// so its routing and request bytes are charged.
-    fn send_lost_publish(
+    /// A frame dropped in flight: it still crossed part of the wire, so its
+    /// routing and frame bytes are charged.
+    fn send_lost_frame(
         &mut self,
         from: usize,
-        key: &TermKey,
-        delta: &TruncatedPostingList,
+        frame: &[Publication<'_>],
         category: TrafficCategory,
     ) -> Result<usize, DhtError> {
-        let info = self.dht.route(from, key.ring_id(), category)?;
-        self.dht
-            .charge_external(category, key.wire_size() + delta.wire_size());
+        let info = self.dht.route(from, frame[0].0.ring_id(), category)?;
+        self.dht.charge_external(category, frame_bytes(frame));
         Ok(info.hops)
     }
 
@@ -378,12 +468,15 @@ impl GlobalIndex {
     }
 
     /// One round of the bounded-backoff re-publication schedule: every due
-    /// un-acked publication is re-sent; a re-send that survives the loss draw
-    /// is applied at the responsible peer exactly like a first publication
-    /// and acknowledged, one that is lost again (or cannot be routed under
-    /// overlay churn) backs off exponentially (capped at 2⁸ rounds). All
-    /// re-publication traffic is charged to [`TrafficCategory::Overlay`] —
-    /// control-plane repair, never Retrieval or first-publication Indexing.
+    /// un-acked publication is re-sent on its own, as a frame of one (loss
+    /// is drawn at its own key, its frame's sequence number and its attempt
+    /// count, so publications lost together recover independently); a
+    /// re-send that survives the loss draw is applied at the responsible
+    /// peer exactly like a first publication and acknowledged, one that is
+    /// lost again (or cannot be routed under overlay churn) backs off
+    /// exponentially (capped at 2⁸ rounds). All re-publication traffic is
+    /// charged to [`TrafficCategory::Overlay`] — control-plane repair, never
+    /// Retrieval or first-publication Indexing.
     ///
     /// Returns `(resent, applied)`. A no-op (both zero) when nothing is
     /// pending — in particular always under a plane that drops no
@@ -401,21 +494,16 @@ impl GlobalIndex {
             }
             p.attempts += 1;
             resent += 1;
+            let frame = [(&p.key, &p.delta)];
             let acked = if self.faults.publish_lost(p.key.ring_id(), p.seq, p.attempts) {
                 // Lost again (a re-send that cannot even be routed charges
                 // nothing).
-                let _ = self.send_lost_publish(p.from, &p.key, &p.delta, TrafficCategory::Overlay);
+                let _ = self.send_lost_frame(p.from, &frame, TrafficCategory::Overlay);
                 false
             } else {
                 // A routing failure (overlay churn) keeps it pending.
-                self.apply_publish(
-                    p.from,
-                    &p.key,
-                    &p.delta,
-                    p.capacity,
-                    TrafficCategory::Overlay,
-                )
-                .is_ok()
+                self.apply_frame(p.from, &frame, p.capacity, TrafficCategory::Overlay)
+                    .is_ok()
             };
             if acked {
                 applied += 1;
@@ -1173,6 +1261,57 @@ mod tests {
         assert!(delta.category(TrafficCategory::Overlay).bytes > 0);
         assert_eq!(delta.category(TrafficCategory::Indexing).bytes, 0);
         assert_eq!(delta.category(TrafficCategory::Retrieval).bytes, 0);
+    }
+
+    #[test]
+    fn a_lost_frame_loses_all_its_keys_and_republication_recovers_each_one() {
+        let mut gi = index(16);
+        gi.set_fault_plane(FaultPlane::seeded(7).with_publish_loss(1.0));
+        let keys: Vec<TermKey> = (0..24)
+            .map(|i| TermKey::single(format!("batch{i}")))
+            .collect();
+        let deltas: Vec<TruncatedPostingList> = (0..24).map(|i| refs(1 + i % 5)).collect();
+        let batch: Vec<(&TermKey, &TruncatedPostingList)> = keys.iter().zip(&deltas).collect();
+        // Each frame is routed to the first of its keys.
+        let mut first_keys: BTreeMap<usize, &TermKey> = BTreeMap::new();
+        for key in &keys {
+            first_keys
+                .entry(gi.responsible_for(key).unwrap())
+                .or_insert(key);
+        }
+        let m = first_keys.len();
+        assert!(1 < m && m < keys.len(), "{m} primaries");
+        let lookups: usize = first_keys
+            .values()
+            .map(|key| gi.dht().probe_hops(0, key.ring_id()).unwrap())
+            .sum();
+
+        let before = gi.stats_snapshot();
+        gi.publish_batch(0, &batch, 100).unwrap();
+        let indexing = gi
+            .stats_snapshot()
+            .since(&before)
+            .category(TrafficCategory::Indexing);
+        assert_eq!(indexing.messages, (lookups + m) as u64, "{m} frames");
+        assert_eq!(gi.pending_publishes(), keys.len());
+        assert_eq!(gi.activated_keys(), 0);
+        assert!(keys.iter().all(|key| gi.publish_version(key) == 0));
+
+        // Re-publication under a now-clean wire applies every key.
+        gi.set_fault_plane(FaultPlane::seeded(7));
+        let before = gi.stats_snapshot();
+        assert_eq!(gi.republish_round(), (keys.len(), keys.len()));
+        assert_eq!(gi.pending_publishes(), 0);
+        for (key, delta) in &batch {
+            assert_eq!(gi.peek(key).unwrap().postings.refs(), delta.refs());
+            assert_eq!(gi.publish_version(key), 1);
+        }
+        let delta = gi.stats_snapshot().since(&before);
+        assert!(delta.category(TrafficCategory::Overlay).bytes > 0);
+        assert_eq!(
+            delta.bytes_sent(),
+            delta.category(TrafficCategory::Overlay).bytes
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! touching `network.rs`:
 //!
 //! * [`Strategy::build_index`] plans and publishes the keys for every peer's
-//!   documents through an [`IndexerCtx`];
+//!   documents through an [`IndexerCtx`], one batch per peer and level;
 //! * [`Strategy::lattice_config`] bounds how the query lattice is explored for
 //!   this strategy;
 //! * [`Strategy::post_query`] observes every finished query through a
@@ -90,6 +90,13 @@ pub trait Strategy: std::fmt::Debug + Send + Sync {
 // ---------------------------------------------------------------------------
 
 /// The network state a strategy sees while building the distributed index.
+///
+/// A strategy publishes through [`IndexerCtx::publish_batch`], handing over
+/// one peer's whole key set of a construction level per call: peers publish
+/// in order `0..n`, and each call sends one frame per responsible peer (see
+/// [`GlobalIndex::publish_batch`]). Between levels a strategy may read what
+/// the previous ones stored through [`IndexerCtx::global`], as HDK does to
+/// find the frequent keys it expands.
 pub struct IndexerCtx<'a> {
     peers: &'a [AlvisPeer],
     global: &'a mut GlobalIndex,
@@ -150,19 +157,33 @@ impl<'a> IndexerCtx<'a> {
         )
     }
 
-    /// Publishes peer `peer_index`'s contribution for `key` into the global
-    /// index (see [`GlobalIndex::publish_postings`]: a publication the index's
-    /// fault plane drops is charged, queued and re-published, not applied).
-    /// Empty lists are skipped. Returns whether anything was published.
-    pub fn publish(&mut self, peer_index: usize, key: &TermKey, capacity: usize) -> bool {
-        let list = self.score_postings(peer_index, key, capacity);
-        if list.is_empty() {
-            return false;
-        }
+    /// Publishes peer `peer_index`'s contributions for `keys` into the global
+    /// index: each key's local postings are scored (truncated to
+    /// `capacity`), empty lists are skipped, and the rest go out as one
+    /// [`GlobalIndex::publish_batch`] — one frame per responsible peer, not
+    /// one routed message per key. A frame the index's fault plane drops is
+    /// charged, and its publications are queued and re-published, not
+    /// applied. Returns the keys published, in the order given.
+    ///
+    /// Strategies hand over one peer's whole key set of a construction level
+    /// per call: the fewer calls, the fewer frames.
+    pub fn publish_batch<'k>(
+        &mut self,
+        peer_index: usize,
+        keys: impl IntoIterator<Item = &'k TermKey>,
+        capacity: usize,
+    ) -> Vec<&'k TermKey> {
+        let scored: Vec<(&TermKey, TruncatedPostingList)> = keys
+            .into_iter()
+            .map(|key| (key, self.score_postings(peer_index, key, capacity)))
+            .filter(|(_, list)| !list.is_empty())
+            .collect();
+        let publications: Vec<(&TermKey, &TruncatedPostingList)> =
+            scored.iter().map(|(key, list)| (*key, list)).collect();
         let _ = self
             .global
-            .publish_postings(peer_index, key, &list, capacity);
-        true
+            .publish_batch(peer_index, &publications, capacity);
+        scored.into_iter().map(|(key, _)| key).collect()
     }
 
     /// Charges strategy-level coordination traffic to the indexing category.
@@ -172,24 +193,14 @@ impl<'a> IndexerCtx<'a> {
 
     /// Level 1 of every strategy: each peer publishes a posting-list
     /// contribution for every term of its local vocabulary, truncated to
-    /// `capacity`. Returns the level report (using `df_max` to separate
-    /// discriminative from frequent keys).
+    /// `capacity`, in one [`IndexerCtx::publish_batch`]. Returns the level
+    /// report (using `df_max` to separate discriminative from frequent keys).
     pub fn publish_single_term_level(&mut self, capacity: usize, df_max: u64) -> HdkLevelReport {
         let mut candidates = 0usize;
         for peer_index in 0..self.peers.len() {
-            // Sorted so the publication sequence (and therefore which
-            // publications a seeded fault plane drops) is deterministic —
-            // the vocabulary map itself iterates in per-process random order.
-            let mut vocabulary: Vec<TermId> =
-                self.peers[peer_index].index().vocabulary_ids().collect();
-            vocabulary.sort_unstable();
-            for term in vocabulary {
-                let key = TermKey::from_term_ids([term]);
-                // A peer publishes from its own overlay node.
-                if self.publish(peer_index, &key, capacity) {
-                    candidates += 1;
-                }
-            }
+            let keys = vocabulary_keys(&self.peers[peer_index]);
+            // A peer publishes from its own overlay node.
+            candidates += self.publish_batch(peer_index, &keys, capacity).len();
         }
         let (discriminative, frequent) = self.level_key_counts(1, df_max);
         HdkLevelReport {
@@ -402,28 +413,7 @@ impl Strategy for Hdk {
     fn build_index(&self, ctx: &mut IndexerCtx<'_>) -> Vec<HdkLevelReport> {
         let config = &self.config;
         let mut levels = vec![ctx.publish_single_term_level(config.truncation_k, self.df_max())];
-
-        // Globally frequent single terms (observed by the responsible peers).
-        let frequent_terms: BTreeSet<TermId> = ctx
-            .global()
-            .entries()
-            .filter(|e| {
-                e.activated && e.key.is_single() && e.postings.full_df() > config.df_max as u64
-            })
-            .map(|e| e.key.term_ids()[0])
-            .collect();
-        // Every peer learns which of its local terms are frequent (a small
-        // notification from each responsible peer, piggybacked on the
-        // publication acknowledgement).
-        for peer_index in 0..ctx.peers().len() {
-            let local_frequent = ctx.peers()[peer_index]
-                .index()
-                .vocabulary_ids()
-                .filter(|t| frequent_terms.contains(t))
-                .count();
-            ctx.charge_indexing(9 * local_frequent + 16);
-        }
-
+        let frequent_terms = self.notify_frequent_terms(ctx);
         let mut frequent_parents: BTreeSet<TermKey> = hdk::single_term_keys(&frequent_terms);
 
         for level in 2..=config.max_key_len {
@@ -432,27 +422,16 @@ impl Strategy for Hdk {
             }
             let mut level_candidates: BTreeSet<TermKey> = BTreeSet::new();
             for peer_index in 0..ctx.peers().len() {
-                // Candidates this peer generates from its local documents.
-                let docs = ctx.peers()[peer_index].index().documents();
-                let mut peer_candidates: BTreeSet<TermKey> = BTreeSet::new();
-                for doc in docs {
-                    let doc_terms = ctx.peers()[peer_index].index().doc_term_positions(doc);
-                    for cand in hdk::generate_doc_candidates(
-                        &doc_terms,
-                        &frequent_parents,
-                        &frequent_terms,
-                        level,
-                        config,
-                    ) {
-                        peer_candidates.insert(cand);
-                    }
-                }
-                // Publish this peer's contribution for each of its candidates.
-                for key in &peer_candidates {
-                    if ctx.publish(peer_index, key, config.truncation_k) {
-                        level_candidates.insert(key.clone());
-                    }
-                }
+                let peer_candidates = self.peer_candidates(
+                    &ctx.peers()[peer_index],
+                    &frequent_parents,
+                    &frequent_terms,
+                    level,
+                );
+                // Publish this peer's contribution for all of its candidates.
+                let published =
+                    ctx.publish_batch(peer_index, &peer_candidates, config.truncation_k);
+                level_candidates.extend(published.into_iter().cloned());
             }
 
             let (discriminative, frequent) = ctx.level_key_counts(level, self.df_max());
@@ -462,21 +441,81 @@ impl Strategy for Hdk {
                 discriminative,
                 frequent,
             });
-
-            // The frequent keys of this level seed the next level's expansions.
-            frequent_parents = ctx
-                .global()
-                .entries()
-                .filter(|e| {
-                    e.activated
-                        && e.key.len() == level
-                        && e.postings.full_df() > config.df_max as u64
-                })
-                .map(|e| e.key.clone())
-                .collect();
+            frequent_parents = self.frequent_keys(ctx, level);
         }
         levels
     }
+}
+
+impl Hdk {
+    /// The globally frequent single terms (observed by the responsible
+    /// peers). Every peer learns which of its local terms are frequent: a
+    /// small notification from each responsible peer, piggybacked on the
+    /// publication acknowledgement and charged to Indexing.
+    fn notify_frequent_terms(&self, ctx: &mut IndexerCtx<'_>) -> BTreeSet<TermId> {
+        let frequent_terms: BTreeSet<TermId> = ctx
+            .global()
+            .entries()
+            .filter(|e| e.activated && e.key.is_single() && e.postings.full_df() > self.df_max())
+            .map(|e| e.key.term_ids()[0])
+            .collect();
+        for peer_index in 0..ctx.peers().len() {
+            let local_frequent = ctx.peers()[peer_index]
+                .index()
+                .vocabulary_ids()
+                .filter(|t| frequent_terms.contains(t))
+                .count();
+            ctx.charge_indexing(9 * local_frequent + 16);
+        }
+        frequent_terms
+    }
+
+    /// The level-`level` candidates `peer` generates from its local
+    /// documents, in key order.
+    fn peer_candidates(
+        &self,
+        peer: &AlvisPeer,
+        frequent_parents: &BTreeSet<TermKey>,
+        frequent_terms: &BTreeSet<TermId>,
+        level: usize,
+    ) -> BTreeSet<TermKey> {
+        let index = peer.index();
+        index
+            .documents()
+            .into_iter()
+            .flat_map(|doc| {
+                hdk::generate_doc_candidates(
+                    &index.doc_term_positions(doc),
+                    frequent_parents,
+                    frequent_terms,
+                    level,
+                    &self.config,
+                )
+            })
+            .collect()
+    }
+
+    /// The frequent keys of `level`: they seed the next level's expansions.
+    fn frequent_keys(&self, ctx: &IndexerCtx<'_>, level: usize) -> BTreeSet<TermKey> {
+        ctx.global()
+            .entries()
+            .filter(|e| e.activated && e.key.len() == level && e.postings.full_df() > self.df_max())
+            .map(|e| e.key.clone())
+            .collect()
+    }
+}
+
+/// `peer`'s local vocabulary as single-term keys, sorted so the publication
+/// sequence (and therefore which publications a seeded fault plane drops)
+/// is deterministic — the vocabulary map itself iterates in per-process
+/// random order.
+fn vocabulary_keys(peer: &AlvisPeer) -> Vec<TermKey> {
+    let mut vocabulary: Vec<TermId> = peer.index().vocabulary_ids().collect();
+    vocabulary.sort_unstable();
+    vocabulary
+        .into_iter()
+        .map(|term| TermKey::from_term_ids([term]))
+        .collect()
 }
 
 /// Query-Driven Indexing: single-term truncated index plus on-demand
@@ -585,5 +624,150 @@ impl Qdi {
         for key in obsolete {
             ctx.deactivate_key(&key);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::network::AlvisNetwork;
+    use alvisp2p_netsim::TrafficStats;
+    use alvisp2p_textindex::corpus::{CorpusConfig, CorpusGenerator};
+
+    /// The reference build: `Hdk`'s levels, with every key handed to
+    /// [`IndexerCtx::publish_batch`] in a call of its own — one routed
+    /// publication per key, as before publications were batched. With
+    /// `max_key_len == 1` it is the single-term build, and it sends no
+    /// frequent-term notification.
+    #[derive(Debug)]
+    struct KeyAtATime(Hdk);
+
+    /// Hands `keys` to [`IndexerCtx::publish_batch`] one call each.
+    fn publish_each<'k>(
+        ctx: &mut IndexerCtx<'_>,
+        peer_index: usize,
+        keys: impl IntoIterator<Item = &'k TermKey>,
+        k: usize,
+    ) {
+        for key in keys {
+            ctx.publish_batch(peer_index, [key], k);
+        }
+    }
+
+    impl Strategy for KeyAtATime {
+        fn label(&self) -> &str {
+            "key-at-a-time"
+        }
+
+        fn truncation_k(&self) -> usize {
+            self.0.truncation_k()
+        }
+
+        fn build_index(&self, ctx: &mut IndexerCtx<'_>) -> Vec<HdkLevelReport> {
+            let hdk = &self.0;
+            let k = hdk.config.truncation_k;
+            for peer_index in 0..ctx.peers().len() {
+                let keys = vocabulary_keys(&ctx.peers()[peer_index]);
+                publish_each(ctx, peer_index, &keys, k);
+            }
+            if hdk.config.max_key_len < 2 {
+                return Vec::new();
+            }
+            let frequent_terms = hdk.notify_frequent_terms(ctx);
+            let mut parents = hdk::single_term_keys(&frequent_terms);
+            for level in 2..=hdk.config.max_key_len {
+                if parents.is_empty() {
+                    break;
+                }
+                for peer_index in 0..ctx.peers().len() {
+                    let keys = hdk.peer_candidates(
+                        &ctx.peers()[peer_index],
+                        &parents,
+                        &frequent_terms,
+                        level,
+                    );
+                    publish_each(ctx, peer_index, &keys, k);
+                }
+                parents = hdk.frequent_keys(ctx, level);
+            }
+            Vec::new()
+        }
+    }
+
+    /// Everything a build leaves behind that batching must not move: every
+    /// entry's key, content digest and publish version, each peer's served
+    /// requests — plus the Indexing traffic it charged.
+    fn build(
+        strategy: impl Strategy + 'static,
+    ) -> (Vec<(TermKey, u64, u64)>, Vec<u64>, TrafficStats) {
+        let corpus = CorpusGenerator::new(CorpusConfig::tiny(), 3).generate();
+        let mut net = AlvisNetwork::builder()
+            .peers(16)
+            .strategy(strategy)
+            .seed(11)
+            .corpus(&corpus)
+            .build()
+            .expect("valid configuration");
+        let before = net.traffic_snapshot();
+        net.build_index();
+        let traffic = net.traffic_snapshot().since(&before);
+        let index = net.global_index();
+        let mut entries: Vec<(TermKey, u64, u64)> = index
+            .entries()
+            .map(|e| {
+                (
+                    e.key.clone(),
+                    e.content_digest(),
+                    index.publish_version(&e.key),
+                )
+            })
+            .collect();
+        entries.sort();
+        let dht = index.dht();
+        let served = (0..dht.peer_slots())
+            .map(|p| dht.peer(p).served_requests)
+            .collect();
+        (entries, served, traffic)
+    }
+
+    /// Builds with `batched` and with `reference`, and checks that batching
+    /// moved nothing but the Indexing message count, which it cut. Returns
+    /// the batched build's entries.
+    fn assert_same_build(
+        batched: impl Strategy + 'static,
+        reference: KeyAtATime,
+    ) -> Vec<(TermKey, u64, u64)> {
+        let (entries, served, traffic) = build(batched);
+        let (ref_entries, ref_served, ref_traffic) = build(reference);
+        assert_eq!(entries, ref_entries, "stored entries or versions moved");
+        assert_eq!(served, ref_served, "served requests moved");
+        let messages = traffic.category(TrafficCategory::Indexing).messages;
+        let ref_messages = ref_traffic.category(TrafficCategory::Indexing).messages;
+        assert!(
+            messages < ref_messages,
+            "{messages} ≥ {ref_messages} Indexing messages"
+        );
+        entries
+    }
+
+    #[test]
+    fn a_batched_build_is_the_key_at_a_time_build() {
+        let hdk = HdkConfig {
+            df_max: 4,
+            truncation_k: 8,
+            ..HdkConfig::default()
+        };
+        let entries = assert_same_build(Hdk::new(hdk.clone()), KeyAtATime(Hdk::new(hdk)));
+        assert!(
+            entries.iter().any(|(key, ..)| key.len() == 3),
+            "the corpus must reach HDK's third level"
+        );
+        let single_term = HdkConfig {
+            df_max: usize::MAX,
+            truncation_k: UNBOUNDED_K,
+            max_key_len: 1,
+            ..HdkConfig::default()
+        };
+        assert_same_build(SingleTermFull, KeyAtATime(Hdk::new(single_term)));
     }
 }

@@ -465,7 +465,7 @@ impl<V: Clone + WireSize> Dht<V> {
     /// Applies an arbitrary modification to the entry stored under `key` at the
     /// responsible peer. `request_bytes` is the size of the update payload the
     /// requester ships (e.g. a delta posting list); it is charged to `category` on top
-    /// of the routing messages.
+    /// of the routing messages. The one-key case of [`Dht::update_many`].
     pub fn update(
         &mut self,
         from: usize,
@@ -474,12 +474,40 @@ impl<V: Clone + WireSize> Dht<V> {
         category: TrafficCategory,
         f: impl FnOnce(&mut Option<V>),
     ) -> Result<RouteInfo, DhtError> {
-        let info = self.route(from, key, category)?;
+        let mut f = Some(f);
+        self.update_many(from, &[key], request_bytes, category, |_, slot| {
+            if let Some(f) = f.take() {
+                f(slot);
+            }
+        })
+    }
+
+    /// Applies one modification per key of `keys` at the peer responsible
+    /// for all of them, shipped as **one** routed frame: the lookup for
+    /// `keys[0]` is charged one lookup-request message per hop, then a
+    /// single message of `request_bytes` (every key's payload together) plus
+    /// one envelope. `f(i, slot)` modifies the entry stored under `keys[i]`,
+    /// in order, and every key applied counts as one served request.
+    ///
+    /// The caller groups the keys: they must share one primary
+    /// ([`Dht::responsible_for`]), and `keys` must not be empty.
+    pub fn update_many(
+        &mut self,
+        from: usize,
+        keys: &[RingId],
+        request_bytes: usize,
+        category: TrafficCategory,
+        mut f: impl FnMut(usize, &mut Option<V>),
+    ) -> Result<RouteInfo, DhtError> {
+        let info = self.route(from, keys[0], category)?;
         self.stats
             .record(category, request_bytes + ENVELOPE_OVERHEAD);
-        let peer = &mut self.peers[info.responsible];
-        peer.served_requests += 1;
-        peer.store.upsert_with(key, f);
+        for (i, key) in keys.iter().enumerate() {
+            debug_assert_eq!(self.responsible_for(*key), Ok(info.responsible));
+            let peer = &mut self.peers[info.responsible];
+            peer.served_requests += 1;
+            peer.store.upsert_with(*key, |slot| f(i, slot));
+        }
         Ok(info)
     }
 

@@ -37,16 +37,6 @@ pub enum RoutingStrategy {
     Finger,
 }
 
-impl RoutingStrategy {
-    /// A short label used in experiment output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RoutingStrategy::HopSpace => "hop-space",
-            RoutingStrategy::Finger => "finger",
-        }
-    }
-}
-
 /// A single routing entry: the identifier and peer index of a known remote peer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct RoutingEntry {
@@ -319,11 +309,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn strategy_labels() {
-        assert_eq!(RoutingStrategy::HopSpace.label(), "hop-space");
-        assert_eq!(RoutingStrategy::Finger.label(), "finger");
     }
 }

@@ -253,6 +253,128 @@ mod control_plane_ledger {
     }
 }
 
+mod publish_ledger {
+    //! One publication batch's Indexing ledger: per destination, the lookup
+    //! messages of one route to the frame's first key plus one frame
+    //! carrying every key frame and delta frame bound for that primary.
+
+    use std::collections::BTreeMap;
+
+    use alvisp2p_core::{GlobalIndex, ScoredRef, TermKey, TruncatedPostingList};
+    use alvisp2p_dht::DhtConfig;
+    use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
+    use alvisp2p_netsim::{TrafficCategory, WireSize};
+    use alvisp2p_textindex::DocId;
+
+    const PEERS: usize = 32;
+    const PUBLISHER: usize = 5;
+    const SEED: u64 = 11;
+
+    fn delta(entries: u32) -> TruncatedPostingList {
+        TruncatedPostingList::from_refs(
+            (0..entries).map(|i| ScoredRef {
+                doc: DocId::new(PUBLISHER as u32, i),
+                score: f64::from(entries - i) * 0.5,
+            }),
+            64,
+        )
+    }
+
+    fn forwarded_lookups(index: &GlobalIndex) -> u64 {
+        let dht = index.dht();
+        (0..dht.peer_slots())
+            .map(|p| dht.peer(p).forwarded_lookups)
+            .sum()
+    }
+
+    #[test]
+    fn a_batch_charges_one_route_and_one_frame_per_destination() {
+        let mut index = GlobalIndex::new(DhtConfig::default(), SEED, PEERS);
+        let keys: Vec<TermKey> = (0..40)
+            .map(|i| TermKey::single(format!("ledger{i}")))
+            .collect();
+        let deltas: Vec<TruncatedPostingList> = (0..40).map(|i| delta(1 + i % 7)).collect();
+        let batch: Vec<(&TermKey, &TruncatedPostingList)> = keys.iter().zip(&deltas).collect();
+
+        // The expected frames: one per primary, routed to its first key.
+        let mut frames: BTreeMap<usize, Vec<(&TermKey, &TruncatedPostingList)>> = BTreeMap::new();
+        for &(key, delta) in &batch {
+            let primary = index.responsible_for(key).unwrap();
+            frames.entry(primary).or_default().push((key, delta));
+        }
+        let m = frames.len();
+        assert!(
+            1 < m && m < keys.len(),
+            "{m} primaries for {} keys",
+            keys.len()
+        );
+        let hop_message = index.dht().config().lookup_request_bytes + ENVELOPE_OVERHEAD;
+        assert_eq!(hop_message, 80);
+        let mut hops = 0;
+        let mut bytes = 0;
+        for frame in frames.values() {
+            let frame_hops = index
+                .dht()
+                .probe_hops(PUBLISHER, frame[0].0.ring_id())
+                .unwrap();
+            let payload: usize = frame
+                .iter()
+                .map(|(key, delta)| key.wire_size() + delta.wire_size())
+                .sum();
+            hops += frame_hops;
+            bytes += frame_hops * hop_message + ENVELOPE_OVERHEAD + payload;
+        }
+
+        let before = index.stats_snapshot();
+        let forwarded_before = forwarded_lookups(&index);
+        let charged_hops = index.publish_batch(PUBLISHER, &batch, 64).unwrap();
+        let delta = index.stats_snapshot().since(&before);
+        let indexing = delta.category(TrafficCategory::Indexing);
+
+        assert_eq!(charged_hops, hops);
+        assert_eq!(
+            indexing.messages,
+            (hops + m) as u64,
+            "lookups + one frame per destination"
+        );
+        assert_eq!(indexing.bytes, bytes as u64);
+        assert_eq!(
+            delta.bytes_sent(),
+            indexing.bytes,
+            "a publication is Indexing only"
+        );
+        assert_eq!(forwarded_lookups(&index) - forwarded_before, hops as u64);
+        for (key, delta) in &batch {
+            let stored = index.peek(key).expect("every key is stored at its primary");
+            assert_eq!(stored.postings.refs(), delta.refs());
+            assert_eq!(index.publish_version(key), 1);
+        }
+    }
+
+    #[test]
+    fn a_batch_of_one_charges_what_a_lone_publication_always_did() {
+        let key = TermKey::new(["ledger", "single"]);
+        let lone = delta(9);
+        let charge = |publish: fn(&mut GlobalIndex, &TermKey, &TruncatedPostingList)| {
+            let mut index = GlobalIndex::new(DhtConfig::default(), SEED, PEERS);
+            publish(&mut index, &key, &lone);
+            index.stats().category(TrafficCategory::Indexing)
+        };
+        let single = charge(|index, key, delta| {
+            index.publish_postings(PUBLISHER, key, delta, 64).unwrap();
+        });
+        let batched = charge(|index, key, delta| {
+            index.publish_batch(PUBLISHER, &[(key, delta)], 64).unwrap();
+        });
+        assert_eq!(single, batched);
+        // What one routed publication charged before publications were
+        // batched, pinned at this seed: 3 lookups of 80 B, then 32 B of
+        // envelope around a 77 B key + delta frame.
+        assert_eq!(key.wire_size() + lone.wire_size(), 77);
+        assert_eq!((single.messages, single.bytes), (4, 349));
+    }
+}
+
 mod probe_ledger {
     //! One probe attempt's Retrieval ledger, however its request reached the
     //! key: `hops` lookup messages that did not deliver the request, the
