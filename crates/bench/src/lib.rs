@@ -20,7 +20,6 @@
 //! | retrieval quality against the centralized engine, growing with the truncation bound | root `tests/end_to_end.rs`; `alvis_bench`'s `overlap_at_10` |
 //! | the HDK index stays scalable (keys, postings per key, load balance) | root `tests/storage_scalability.rs` |
 //! | O(log n) routing under arbitrary identifier skew | `alvisp2p-dht`'s `lookup` unit tests |
-//! | congestion control prevents congestion collapse | `alvisp2p-dht`'s `congestion` unit tests; root `tests/churn_and_overlay.rs`; this crate's `exp_congestion` tests |
 //! | QDI adapts the index to query popularity | root `tests/qdi_adaptivity.rs`; this crate's `exp_qdi` tests |
 //!
 //! Each module exposes a `run(...)` function returning typed rows (so integration
@@ -73,58 +72,6 @@ mod tests {
         assert!(quick_requested(None, args(&["--quick"])));
         assert!(quick_requested(Some("0"), args(&["x", "--quick"])));
         assert!(!quick_requested(None, args(&["--quicker"])));
-    }
-}
-
-/// E6 — congestion control prevents congestion collapse — checked on
-/// `alvisp2p-dht`'s hot-spot scenario (4 servers, skew 1.2) at the loads E6
-/// swept. The sweep's recorded numbers are in `CHANGES.md`.
-#[cfg(test)]
-mod exp_congestion {
-    mod tests {
-        use crate::workloads::DEFAULT_SEED;
-        use alvisp2p_dht::congestion::{
-            run_hotspot, CongestionConfig, CongestionOutcome, HotspotScenario,
-        };
-        use alvisp2p_netsim::SimDuration;
-
-        /// One 2-second hot-spot run, with or without the AIMD controller.
-        fn measure(clients: usize, offered: f64, enabled: bool, seed: u64) -> CongestionOutcome {
-            let scenario = HotspotScenario {
-                clients,
-                servers: 4,
-                offered_load: offered,
-                duration: SimDuration::from_secs(2),
-                hotspot_skew: 1.2,
-                congestion: if enabled {
-                    CongestionConfig::default()
-                } else {
-                    CongestionConfig::disabled()
-                },
-                ..Default::default()
-            };
-            run_hotspot(&scenario, seed)
-        }
-
-        #[test]
-        fn congestion_control_prevents_collapse_under_overload() {
-            // Server capacity ≈ servers / service_time = 4 / 2ms = 2000 req/s; offer 4x.
-            let with_cc = measure(16, 8_000.0, true, 7);
-            let without_cc = measure(16, 8_000.0, false, 7);
-            assert!(
-                with_cc.completion_rate > without_cc.completion_rate,
-                "with {with_cc:?} vs without {without_cc:?}"
-            );
-            assert!(without_cc.drops > with_cc.drops);
-        }
-
-        #[test]
-        fn light_load_is_unaffected_by_the_controller() {
-            let with_cc = measure(8, 200.0, true, DEFAULT_SEED);
-            let without_cc = measure(8, 200.0, false, DEFAULT_SEED);
-            assert!(with_cc.completion_rate > 0.9);
-            assert!(without_cc.completion_rate > 0.9);
-        }
     }
 }
 

@@ -14,11 +14,10 @@
 //! * [`ReplicaManager`] — the bookkeeping carried by [`Dht`]: the active
 //!   policy, the *replica directory* mapping each replicated key to the peers
 //!   currently holding a copy, and per-key and per-peer EWMA probe counters.
-//!   In the deployed system each responsible peer tracks the keys it stores
-//!   (the same served-request signals the congestion controller in
-//!   [`crate::congestion`] reacts to); the simulator keeps the union of those
-//!   per-node trackers in one structure, which is equivalent because every
-//!   key has exactly one responsible peer observing its probes.
+//!   In the deployed system each responsible peer tracks the probes served for
+//!   the keys it stores; the simulator keeps the union of those per-node
+//!   trackers in one structure, which is equivalent because every key has
+//!   exactly one responsible peer observing its probes.
 //!
 //! Replica copies live in a **separate** per-peer store
 //! ([`crate::node::Peer::replica_store`]), never in the primary store, so the

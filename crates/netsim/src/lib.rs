@@ -1,19 +1,16 @@
 //! # alvisp2p-netsim
 //!
-//! Deterministic discrete-event network simulator used as the **transport layer (L1)**
-//! of the AlvisP2P reproduction.
+//! The **transport layer (L1)** of the AlvisP2P reproduction: byte accounting
+//! and seeded randomness, with no clock.
 //!
 //! The original AlvisP2P prototype ran on TCP/UDP across a live Internet deployment.
-//! All quantities the paper reasons about — messages exchanged, bytes transferred,
-//! routing hops, behaviour under overload — are independent of wall-clock latencies,
-//! so this crate replaces the wire with a seeded, perfectly reproducible simulation:
+//! The quantities the paper reasons about — messages exchanged, bytes transferred,
+//! routing hops — are independent of wall-clock latencies, so the upper layers
+//! charge every message they would send against a ledger instead of a wire; a
+//! query's latency is priced in rounds of messages, not in simulated time:
 //!
-//! * [`time`] — simulated clock ([`SimTime`], [`SimDuration`]).
-//! * [`event`] — the discrete-event queue with deterministic tie-breaking.
 //! * [`wire`] — the [`WireSize`] trait used for byte accounting of every payload.
 //! * [`stats`] — [`TrafficStats`]: message/byte counters broken down by category.
-//! * [`link`] — latency and loss models for links between simulated nodes.
-//! * [`sim`] — the [`Simulator`] driving [`Node`] implementations.
 //! * [`rng`] — seeded random number generation shared by every crate in the workspace.
 //! * [`dist`] — discrete distributions (Zipf, power-law) used to generate skewed
 //!   workloads (term frequencies, query popularity, peer identifier skew).
@@ -21,44 +18,25 @@
 //! # Example
 //!
 //! ```
-//! use alvisp2p_netsim::{Simulator, SimConfig, Node, Context, NodeId, SimTime, SimDuration};
+//! use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
+//! use alvisp2p_netsim::{TrafficCategory, TrafficStats, WireSize};
 //!
-//! /// A node that replies "pong" to every "ping".
-//! struct Pong;
-//! impl Node for Pong {
-//!     type Msg = &'static str;
-//!     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeId, msg: Self::Msg) {
-//!         if msg == "ping" {
-//!             ctx.send(from, "pong");
-//!         }
-//!     }
-//! }
-//!
-//! let mut sim = Simulator::new(SimConfig::default(), 42);
-//! let a = sim.add_node(Pong);
-//! let b = sim.add_node(Pong);
-//! sim.post(a, b, "ping", SimTime::ZERO);
-//! sim.run_until(SimTime::from_millis(100));
-//! assert_eq!(sim.stats().messages_sent(), 2); // ping + pong
+//! let mut stats = TrafficStats::new();
+//! let payload: Vec<u64> = vec![1, 2, 3];
+//! stats.record(TrafficCategory::Retrieval, payload.wire_size() + ENVELOPE_OVERHEAD);
+//! assert_eq!(stats.messages_sent(), 1);
+//! assert_eq!(stats.bytes_sent(), (4 + 3 * 8 + ENVELOPE_OVERHEAD) as u64);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod event;
-pub mod link;
 pub mod rng;
-pub mod sim;
 pub mod stats;
-pub mod time;
 pub mod wire;
 
 pub use dist::{PowerLaw, Zipf};
-pub use event::{Event, EventQueue};
-pub use link::{LatencyModel, LossModel};
 pub use rng::SimRng;
-pub use sim::{Context, Node, NodeId, SimConfig, Simulator};
-pub use stats::{DropKind, TrafficCategory, TrafficStats};
-pub use time::{SimDuration, SimTime};
+pub use stats::{TrafficCategory, TrafficStats};
 pub use wire::WireSize;

@@ -60,45 +60,6 @@ impl fmt::Display for TrafficCategory {
     }
 }
 
-/// Why a message never reached its destination's handler.
-///
-/// Splitting drops by cause lets the accounting identity
-/// `posted = processed + pending + Σ drops-by-kind` be checked exactly — a
-/// lumped drop counter can hide one leak cancelling another.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub enum DropKind {
-    /// Lost on the wire by the configured loss model.
-    Loss,
-    /// Rejected because the receiving node's inbound queue was full.
-    Congestion,
-    /// The destination node no longer exists (e.g. removed by churn).
-    DeadDestination,
-}
-
-impl DropKind {
-    /// All kinds in a stable order (useful for report tables).
-    pub const ALL: [DropKind; 3] = [
-        DropKind::Loss,
-        DropKind::Congestion,
-        DropKind::DeadDestination,
-    ];
-
-    /// A short human-readable label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DropKind::Loss => "loss",
-            DropKind::Congestion => "congestion",
-            DropKind::DeadDestination => "dead-dest",
-        }
-    }
-}
-
-impl fmt::Display for DropKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Per-category message/byte counters.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Counter {
@@ -112,7 +73,6 @@ pub struct Counter {
 #[derive(Clone, Default, Debug, Serialize, Deserialize)]
 pub struct TrafficStats {
     per_category: BTreeMap<TrafficCategory, Counter>,
-    per_drop_kind: BTreeMap<DropKind, Counter>,
 }
 
 impl TrafficStats {
@@ -124,13 +84,6 @@ impl TrafficStats {
     /// Records a sent message of `bytes` bytes in `category`.
     pub fn record(&mut self, category: TrafficCategory, bytes: usize) {
         let c = self.per_category.entry(category).or_default();
-        c.messages += 1;
-        c.bytes += bytes as u64;
-    }
-
-    /// Records a dropped message of `bytes` bytes, attributed to `kind`.
-    pub fn record_drop(&mut self, kind: DropKind, bytes: usize) {
-        let c = self.per_drop_kind.entry(kind).or_default();
         c.messages += 1;
         c.bytes += bytes as u64;
     }
@@ -153,30 +106,10 @@ impl TrafficStats {
         self.per_category.values().map(|c| c.bytes).sum()
     }
 
-    /// Number of dropped messages across all [`DropKind`]s.
-    pub fn dropped_messages(&self) -> u64 {
-        self.per_drop_kind.values().map(|c| c.messages).sum()
-    }
-
-    /// Number of dropped bytes across all [`DropKind`]s.
-    pub fn dropped_bytes(&self) -> u64 {
-        self.per_drop_kind.values().map(|c| c.bytes).sum()
-    }
-
-    /// Drop counter for one [`DropKind`].
-    pub fn drops(&self, kind: DropKind) -> Counter {
-        self.per_drop_kind.get(&kind).copied().unwrap_or_default()
-    }
-
     /// Merges another statistics object into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
         for (cat, c) in &other.per_category {
             let mine = self.per_category.entry(*cat).or_default();
-            mine.messages += c.messages;
-            mine.bytes += c.bytes;
-        }
-        for (kind, c) in &other.per_drop_kind {
-            let mine = self.per_drop_kind.entry(*kind).or_default();
             mine.messages += c.messages;
             mine.bytes += c.bytes;
         }
@@ -197,24 +130,12 @@ impl TrafficStats {
                 out.per_category.insert(cat, c);
             }
         }
-        for kind in DropKind::ALL {
-            let a = self.drops(kind);
-            let b = baseline.drops(kind);
-            let c = Counter {
-                messages: a.messages.saturating_sub(b.messages),
-                bytes: a.bytes.saturating_sub(b.bytes),
-            };
-            if c.messages > 0 || c.bytes > 0 {
-                out.per_drop_kind.insert(kind, c);
-            }
-        }
         out
     }
 
     /// Resets all counters.
     pub fn reset(&mut self) {
         self.per_category.clear();
-        self.per_drop_kind.clear();
     }
 
     /// Renders a small human-readable report table.
@@ -241,17 +162,6 @@ impl TrafficStats {
             self.messages_sent(),
             self.bytes_sent()
         ));
-        for kind in DropKind::ALL {
-            let c = self.drops(kind);
-            if c.messages > 0 {
-                s.push_str(&format!(
-                    "{:<12} {:>12} {:>14}\n",
-                    format!("drop/{}", kind.label()),
-                    c.messages,
-                    c.bytes
-                ));
-            }
-        }
         s
     }
 }
@@ -274,48 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn drops_are_separate() {
-        let mut s = TrafficStats::new();
-        s.record(TrafficCategory::Other, 10);
-        s.record_drop(DropKind::Loss, 500);
-        assert_eq!(s.messages_sent(), 1);
-        assert_eq!(s.dropped_messages(), 1);
-        assert_eq!(s.dropped_bytes(), 500);
-        assert_eq!(s.drops(DropKind::Loss).messages, 1);
-        assert_eq!(s.drops(DropKind::Congestion).messages, 0);
-    }
-
-    #[test]
-    fn drop_kinds_are_attributed_and_summed() {
-        let mut s = TrafficStats::new();
-        s.record_drop(DropKind::Loss, 100);
-        s.record_drop(DropKind::Congestion, 200);
-        s.record_drop(DropKind::Congestion, 200);
-        s.record_drop(DropKind::DeadDestination, 50);
-        assert_eq!(s.dropped_messages(), 4);
-        assert_eq!(s.dropped_bytes(), 550);
-        assert_eq!(s.drops(DropKind::Congestion).messages, 2);
-        assert_eq!(s.drops(DropKind::Congestion).bytes, 400);
-        assert_eq!(s.drops(DropKind::DeadDestination).bytes, 50);
-        let r = s.report();
-        assert!(r.contains("drop/loss"));
-        assert!(r.contains("drop/congestion"));
-        assert!(r.contains("drop/dead-dest"));
-    }
-
-    #[test]
     fn merge_adds_counters() {
         let mut a = TrafficStats::new();
         a.record(TrafficCategory::Indexing, 10);
         let mut b = TrafficStats::new();
         b.record(TrafficCategory::Indexing, 20);
         b.record(TrafficCategory::Ranking, 5);
-        b.record_drop(DropKind::Congestion, 1);
         a.merge(&b);
         assert_eq!(a.category(TrafficCategory::Indexing).bytes, 30);
         assert_eq!(a.category(TrafficCategory::Ranking).messages, 1);
-        assert_eq!(a.dropped_messages(), 1);
-        assert_eq!(a.drops(DropKind::Congestion).messages, 1);
     }
 
     #[test]
@@ -335,11 +212,9 @@ mod tests {
     fn reset_clears_everything() {
         let mut s = TrafficStats::new();
         s.record(TrafficCategory::Overlay, 64);
-        s.record_drop(DropKind::Loss, 64);
         s.reset();
         assert_eq!(s.messages_sent(), 0);
         assert_eq!(s.bytes_sent(), 0);
-        assert_eq!(s.dropped_messages(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The central scalability argument of the paper is about **bytes on the wire**:
 //! single-term indexes ship unboundedly long posting lists, HDK/QDI ship bounded ones.
 //! Every message payload in the reproduction therefore implements [`WireSize`], a
-//! deterministic estimate of its serialized size. The simulator sums these estimates
+//! deterministic estimate of its serialized size. The upper layers sum these estimates
 //! into [`crate::stats::TrafficStats`].
 //!
 //! The estimates model a compact binary encoding (fixed-width integers, length-prefixed

@@ -1,151 +1,14 @@
-//! Accounting reconciliation: every message the simulator accepts is either
-//! processed or attributed to exactly one [`DropKind`], and every byte the
-//! upper layers charge against the [`TrafficCategory`] ledger is attributed
-//! to the category that caused it.
+//! Accounting reconciliation: every byte the upper layers charge against the
+//! [`TrafficCategory`] ledger is attributed to the category that caused it.
 //!
-//! The simulator invariant under test, after the event queue drains:
-//!
-//! ```text
-//! messages_sent = processed + drops(Loss) + drops(Congestion) + drops(DeadDestination)
-//! ```
-//!
-//! and `processed == delivered` (nothing stays stuck in an inbox). The
-//! wide-area configuration's 0.001 loss model was previously exercised by no
-//! integration test — a leak on the loss path (or one drop kind silently
-//! cancelling another) would have gone unnoticed.
-//!
-//! The ledger invariant: control-plane recovery traffic — anti-entropy
-//! replica repair and lost-publication re-sends — lands in
-//! [`TrafficCategory::Overlay`] byte-for-byte, and never leaks into the
-//! `Retrieval` (or, for re-publication, `Indexing`) books that the paper's
-//! per-query traffic figures are computed from. The dht and core crates are
-//! dev-dependencies here (a cycle cargo permits) precisely so this crate can
-//! audit what its ledger is told from above.
-
-use alvisp2p_netsim::sim::{Context, Node, SimConfig, Simulator};
-use alvisp2p_netsim::stats::DropKind;
-use alvisp2p_netsim::time::{SimDuration, SimTime};
-use alvisp2p_netsim::{LatencyModel, NodeId};
-
-/// Echoes every received number back, decremented, until it reaches zero.
-struct Countdown;
-
-impl Node for Countdown {
-    type Msg = u64;
-    fn on_message(&mut self, ctx: &mut Context<'_, u64>, from: NodeId, msg: u64) {
-        if msg > 0 {
-            ctx.send(from, msg - 1);
-        }
-    }
-}
-
-/// `messages_sent = processed + Σ drops-by-kind` for the given simulator,
-/// with the queue already drained.
-fn assert_reconciled<N: Node>(sim: &Simulator<N>) {
-    let stats = sim.stats();
-    let drops: u64 = DropKind::ALL.iter().map(|k| stats.drops(*k).messages).sum();
-    assert_eq!(
-        stats.messages_sent(),
-        sim.processed_messages() + drops,
-        "sent {} != processed {} + drops {} (loss {}, congestion {}, dead {})",
-        stats.messages_sent(),
-        sim.processed_messages(),
-        drops,
-        stats.drops(DropKind::Loss).messages,
-        stats.drops(DropKind::Congestion).messages,
-        stats.drops(DropKind::DeadDestination).messages,
-    );
-    assert_eq!(
-        sim.processed_messages(),
-        sim.delivered_messages(),
-        "queue drained, so every delivered message must have been processed"
-    );
-    assert_eq!(stats.dropped_messages(), drops);
-}
-
-#[test]
-fn wide_area_loss_reconciles_exactly() {
-    // Long ping-pong chains under the wide-area 0.001 loss rate: enough
-    // traffic that the loss model fires, every loss ends a chain early.
-    let mut sim: Simulator<Countdown> = Simulator::new(SimConfig::wide_area(), 20080824);
-    let a = sim.add_node(Countdown);
-    let b = sim.add_node(Countdown);
-    for i in 0..2_000 {
-        // Spaced well below the service rate so no inbox ever overflows:
-        // every drop in this run must come from the loss model alone.
-        sim.post(a, b, 10, SimTime::from_millis(i));
-    }
-    sim.run_to_completion(u64::MAX);
-    assert!(
-        sim.stats().drops(DropKind::Loss).messages > 0,
-        "with ~22k messages at 0.001 loss, at least one loss drop is expected"
-    );
-    assert_eq!(sim.stats().drops(DropKind::Congestion).messages, 0);
-    assert_eq!(sim.stats().drops(DropKind::DeadDestination).messages, 0);
-    assert_reconciled(&sim);
-}
-
-#[test]
-fn congestion_drops_reconcile_exactly() {
-    // A burst far exceeding the inbox: the overflow is congestion loss,
-    // the rest is processed; the identity still balances to the message.
-    let config = SimConfig {
-        inbox_capacity: 4,
-        service_time: SimDuration::from_millis(50),
-        latency: LatencyModel::Constant(SimDuration::from_micros(1)),
-        ..SimConfig::default()
-    };
-    let mut sim: Simulator<Countdown> = Simulator::new(config, 3);
-    let a = sim.add_node(Countdown);
-    let b = sim.add_node(Countdown);
-    for _ in 0..64 {
-        sim.post(a, b, 0, SimTime::ZERO);
-    }
-    sim.run_to_completion(u64::MAX);
-    assert!(sim.stats().drops(DropKind::Congestion).messages > 0);
-    assert_eq!(sim.stats().drops(DropKind::Loss).messages, 0);
-    assert_reconciled(&sim);
-}
-
-#[test]
-fn dead_destination_drops_reconcile_exactly() {
-    // Messages addressed to a node that does not exist (churned away) are
-    // accounted as DeadDestination, not lost from the books.
-    let mut sim: Simulator<Countdown> = Simulator::new(SimConfig::default(), 5);
-    let a = sim.add_node(Countdown);
-    let b = sim.add_node(Countdown);
-    sim.post(a, b, 2, SimTime::ZERO);
-    for _ in 0..7 {
-        sim.post(a, NodeId(99), 0, SimTime::ZERO);
-    }
-    sim.run_to_completion(u64::MAX);
-    assert_eq!(sim.stats().drops(DropKind::DeadDestination).messages, 7);
-    assert_reconciled(&sim);
-}
-
-#[test]
-fn all_drop_kinds_at_once_reconcile() {
-    // Loss + congestion + dead destinations in one run: the per-kind split
-    // must still sum to the exact gap between sent and processed.
-    let config = SimConfig {
-        inbox_capacity: 8,
-        service_time: SimDuration::from_millis(20),
-        ..SimConfig::wide_area()
-    };
-    let mut sim: Simulator<Countdown> = Simulator::new(config, 11);
-    let a = sim.add_node(Countdown);
-    let b = sim.add_node(Countdown);
-    for i in 0..1_000 {
-        sim.post(a, b, 5, SimTime::from_micros(i));
-        if i % 50 == 0 {
-            sim.post(a, NodeId(1_000), 0, SimTime::from_micros(i));
-        }
-    }
-    sim.run_to_completion(u64::MAX);
-    assert!(sim.stats().drops(DropKind::Congestion).messages > 0);
-    assert_eq!(sim.stats().drops(DropKind::DeadDestination).messages, 20);
-    assert_reconciled(&sim);
-}
+//! Control-plane recovery traffic — anti-entropy replica repair and
+//! lost-publication re-sends — lands in [`TrafficCategory::Overlay`]
+//! byte-for-byte, and never leaks into the `Retrieval` (or, for
+//! re-publication, `Indexing`) books that the paper's per-query traffic
+//! figures are computed from. Publications and probes reconcile message by
+//! message against their routes. The dht and core crates are dev-dependencies
+//! here (a cycle cargo permits) precisely so this crate can audit what its
+//! ledger is told from above.
 
 mod control_plane_ledger {
     //! Repair and re-publication bytes reconcile against the traffic ledger.

@@ -1,7 +1,7 @@
-//! Property-based tests for the simulation substrate: time arithmetic, event
-//! ordering, traffic-statistics algebra and wire-size composition.
+//! Property-based tests for the transport substrate: traffic-statistics algebra
+//! and wire-size composition.
 
-use alvisp2p_netsim::{EventQueue, SimDuration, SimTime, TrafficCategory, TrafficStats, WireSize};
+use alvisp2p_netsim::{TrafficCategory, TrafficStats, WireSize};
 use proptest::prelude::*;
 
 fn category(i: u8) -> TrafficCategory {
@@ -9,54 +9,6 @@ fn category(i: u8) -> TrafficCategory {
 }
 
 proptest! {
-    #[test]
-    fn sim_time_addition_is_associative_and_monotone(
-        base in 0u64..1_000_000_000,
-        a in 0u64..1_000_000,
-        b in 0u64..1_000_000,
-    ) {
-        let t = SimTime::from_micros(base);
-        let da = SimDuration::from_micros(a);
-        let db = SimDuration::from_micros(b);
-        prop_assert_eq!((t + da) + db, t + (da + db));
-        prop_assert!(t + da >= t);
-        prop_assert_eq!((t + da) - t, da);
-        prop_assert_eq!(t.saturating_since(t + da), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn event_queue_pops_in_nondecreasing_time_order(
-        times in proptest::collection::vec(0u64..10_000, 0..200),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(*t), i);
-        }
-        prop_assert_eq!(q.len(), times.len());
-        let mut last = SimTime::ZERO;
-        let mut seen = 0;
-        while let Some(e) = q.pop() {
-            prop_assert!(e.at >= last);
-            // Equal timestamps preserve insertion order.
-            last = e.at;
-            seen += 1;
-        }
-        prop_assert_eq!(seen, times.len());
-    }
-
-    #[test]
-    fn equal_timestamps_pop_in_insertion_order(
-        n in 1usize..100,
-        t in 0u64..1000,
-    ) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.push(SimTime::from_micros(t), i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
-
     #[test]
     fn traffic_stats_merge_matches_sequential_recording(
         events in proptest::collection::vec((0u8..7, 1usize..10_000), 0..100),
@@ -91,6 +43,12 @@ proptest! {
         let delta = whole.since(&first_half_only);
         prop_assert_eq!(delta.bytes_sent(), second.bytes_sent());
         prop_assert_eq!(delta.messages_sent(), second.messages_sent());
+        // A baseline ahead of `self` saturates every category at zero.
+        let behind = first_half_only.since(&whole);
+        for cat in TrafficCategory::ALL {
+            prop_assert_eq!(behind.category(cat).messages, 0);
+            prop_assert_eq!(behind.category(cat).bytes, 0);
+        }
     }
 
     #[test]

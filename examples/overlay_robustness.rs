@@ -1,25 +1,21 @@
-//! Overlay robustness: peer churn and congestion control.
+//! Overlay robustness.
 //!
-//! Two demonstrations of the layer-2 mechanisms the IR layers depend on:
+//! Demonstrations of the layer-2 mechanisms the IR layers depend on:
 //!
 //! 1. **Churn** — peers join, leave gracefully and fail abruptly while the network
 //!    keeps answering queries; graceful departures hand their index slice to their
 //!    successor, abrupt failures lose only the failed peer's slice (documents always
 //!    stay with their owners and can be re-published).
-//! 2. **Congestion control** — a hot-spot workload (every client hammers the few peers
-//!    responsible for a popular key) is run with and without the AIMD congestion
-//!    controller; without it the overlay collapses under overload, with it goodput
-//!    stays near server capacity.
-//! 3. **Hot-key replication** — a Zipf query hotspot pushes the popular keys over the
+//! 2. **Hot-key replication** — a Zipf query hotspot pushes the popular keys over the
 //!    replication threshold; their posting lists spread onto the ring successors, the
 //!    probe serve load spreads with them, answers stay byte-identical, and the hot
 //!    keys survive the abrupt failure of their primary.
-//! 4. **Fault injection and failover** — a seeded fault plane drops 15% of probe
+//! 3. **Fault injection and failover** — a seeded fault plane drops 15% of probe
 //!    messages and crashes the replica currently serving the hottest key; without
 //!    retries the answer silently degrades (and says so in its completeness report),
 //!    while the default retry + replica-failover policy recovers the fault-free
 //!    answer at a modest byte overhead.
-//! 5. **Lost publications and anti-entropy repair** — a third of the index-build
+//! 4. **Lost publications and anti-entropy repair** — a third of the index-build
 //!    publications are dropped in flight, leaving the global index incomplete; the
 //!    bounded-backoff re-publication schedule drains the un-acked set until queries
 //!    match the fault-free build, and a repair round heals a bit-rotted replica
@@ -27,11 +23,9 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example churn_and_congestion
+//! cargo run --release --example overlay_robustness
 //! ```
 
-use alvisp2p::dht::congestion::{run_hotspot, CongestionConfig, HotspotScenario};
-use alvisp2p::netsim::SimDuration;
 use alvisp2p::prelude::*;
 
 fn churn_demo() {
@@ -81,43 +75,6 @@ fn churn_demo() {
         after.results.len()
     );
     println!("overlay traffic:\n{}", net.traffic().report());
-}
-
-fn congestion_demo() {
-    println!("\n=== congestion-control demo ===");
-    println!(
-        "{:>14} {:>16} {:>16} {:>12} {:>12}",
-        "offered req/s", "goodput (cc on)", "goodput (cc off)", "drops on", "drops off"
-    );
-    for offered in [500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0] {
-        let base = HotspotScenario {
-            clients: 32,
-            servers: 4,
-            offered_load: offered,
-            duration: SimDuration::from_secs(3),
-            hotspot_skew: 1.2,
-            ..Default::default()
-        };
-        let with_cc = run_hotspot(
-            &HotspotScenario {
-                congestion: CongestionConfig::default(),
-                ..base.clone()
-            },
-            42,
-        );
-        let without_cc = run_hotspot(
-            &HotspotScenario {
-                congestion: CongestionConfig::disabled(),
-                ..base
-            },
-            42,
-        );
-        println!(
-            "{:>14.0} {:>16.0} {:>16.0} {:>12} {:>12}",
-            offered, with_cc.goodput, without_cc.goodput, with_cc.drops, without_cc.drops
-        );
-    }
-    println!("(goodput = completed requests per second of offered load window)");
 }
 
 fn replication_demo() {
@@ -379,7 +336,6 @@ fn control_plane_repair_demo() {
 
 fn main() {
     churn_demo();
-    congestion_demo();
     replication_demo();
     fault_tolerance_demo();
     control_plane_repair_demo();

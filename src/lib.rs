@@ -5,10 +5,10 @@
 //!
 //! This crate is a thin facade over the workspace:
 //!
-//! * [`netsim`] (`alvisp2p-netsim`) — deterministic discrete-event transport simulator
-//!   (layer 1);
+//! * [`netsim`] (`alvisp2p-netsim`) — the transport layer's byte accounting, seeded
+//!   RNG and workload distributions; there is no simulated clock (layer 1);
 //! * [`dht`] (`alvisp2p-dht`) — structured overlay with skew-tolerant hop-space
-//!   routing, storage and congestion control (layer 2);
+//!   routing, storage, churn and hot-key replication (layer 2);
 //! * [`textindex`] (`alvisp2p-textindex`) — the local search-engine substrate:
 //!   analysis pipeline, positional inverted index, BM25, corpora, query logs
 //!   (layer 5);

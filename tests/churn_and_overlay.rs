@@ -1,10 +1,7 @@
 //! Integration tests for overlay-level behaviour underneath the IR layers:
-//! churn resilience of the distributed index and congestion control under hot-spot
-//! retrieval load.
+//! churn resilience of the distributed index and of the routing shortcuts.
 
 use alvisp2p::core::{KeyIndexEntry, ProbeResult};
-use alvisp2p::dht::congestion::{run_hotspot, CongestionConfig, HotspotScenario};
-use alvisp2p::netsim::SimDuration;
 use alvisp2p::prelude::*;
 
 fn indexed_network(peers: usize, seed: u64) -> (AlvisNetwork, Vec<String>) {
@@ -124,65 +121,6 @@ fn querying_from_a_departed_peer_is_rejected_cleanly() {
         matches!(err, Err(AlvisError::Overlay(_))),
         "a departed peer must not be able to originate lookups: {err:?}"
     );
-}
-
-#[test]
-fn congestion_control_keeps_goodput_under_hotspot_overload() {
-    // Server capacity: 4 servers × (1 / 2ms) = 2000 req/s. Offer 3x that.
-    let base = HotspotScenario {
-        clients: 24,
-        servers: 4,
-        offered_load: 6_000.0,
-        duration: SimDuration::from_secs(3),
-        hotspot_skew: 1.2,
-        ..Default::default()
-    };
-    let with_cc = run_hotspot(
-        &HotspotScenario {
-            congestion: CongestionConfig::default(),
-            ..base.clone()
-        },
-        3,
-    );
-    let without_cc = run_hotspot(
-        &HotspotScenario {
-            congestion: CongestionConfig::disabled(),
-            ..base
-        },
-        3,
-    );
-    assert!(with_cc.generated > 0 && without_cc.generated > 0);
-    assert!(
-        with_cc.completion_rate > without_cc.completion_rate + 0.1,
-        "with cc {:.3} vs without {:.3}",
-        with_cc.completion_rate,
-        without_cc.completion_rate
-    );
-    assert!(without_cc.drops > with_cc.drops);
-}
-
-#[test]
-fn light_load_is_served_fully_with_and_without_congestion_control() {
-    let base = HotspotScenario {
-        clients: 8,
-        servers: 4,
-        offered_load: 200.0,
-        duration: SimDuration::from_secs(2),
-        ..Default::default()
-    };
-    for congestion in [CongestionConfig::default(), CongestionConfig::disabled()] {
-        let out = run_hotspot(
-            &HotspotScenario {
-                congestion,
-                ..base.clone()
-            },
-            9,
-        );
-        assert!(
-            out.completion_rate > 0.95,
-            "light load should complete, got {out:?}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
