@@ -1,5 +1,5 @@
 //! E2 — retrieval bandwidth: single-term baseline vs HDK vs QDI, plus the E2c
-//! planned/threshold sweep; writes `BENCH_bandwidth.json` and exits 1 when it
+//! planned sweep; writes `BENCH_bandwidth.json` and exits 1 when it
 //! breaks `exp_bandwidth::check`. See the `exp_bandwidth` module docs.
 use alvisp2p_bench::{exp_bandwidth, quick_mode, table};
 use std::process::ExitCode;
@@ -26,9 +26,7 @@ fn main() -> ExitCode {
     exp_bandwidth::print_planned(&planned_rows);
     table::maybe_print_json(&planned_rows);
 
-    // E2c over a long-posting-list corpus (capped vocabulary): the regime
-    // where the threshold arms' floor-based elision has the most bytes to
-    // save.
+    // E2c over a long-posting-list corpus (capped vocabulary).
     let long_rows = exp_bandwidth::run_planned(&planned_params.long_lists());
     println!("(long-list corpus: vocabulary capped at 500 terms)");
     exp_bandwidth::print_planned(&long_rows);

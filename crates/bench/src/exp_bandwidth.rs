@@ -14,7 +14,7 @@
 
 use alvisp2p_core::network::AlvisNetwork;
 use alvisp2p_core::plan::{BestEffort, GreedyCost, Planner};
-use alvisp2p_core::request::{QueryRequest, ThresholdMode};
+use alvisp2p_core::request::QueryRequest;
 use alvisp2p_core::stats::{mean, percentile, recall_at_k};
 use alvisp2p_core::strategy::Hdk;
 use alvisp2p_textindex::DocId;
@@ -210,15 +210,13 @@ pub fn print(params: &BandwidthParams, rows: &[BandwidthRow]) {
 // E2c — planned-vs-best-effort arm: recall and spend under byte budgets
 // ---------------------------------------------------------------------------
 
-/// One row of the E2c output: one planner/threshold arm at one byte budget.
+/// One row of the E2c output: one planner arm at one byte budget.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PlannedBandwidthRow {
     /// The per-query byte budget.
     pub budget: u64,
     /// Planner label.
     pub planner: String,
-    /// Threshold-aware probing mode (`off`, `rank-safe`).
-    pub threshold: String,
     /// Mean retrieval bytes per query.
     pub mean_bytes: f64,
     /// Largest retrieval spend of any single query.
@@ -231,30 +229,16 @@ pub struct PlannedBandwidthRow {
     /// Mean probes per query.
     pub mean_probes: f64,
     /// Whether every query's top-k — document ids, ranks AND score bits —
-    /// matched the `greedy-cost`/`off` reference arm at the same budget. The
-    /// rank-safe mode's contract is that this is always `true`.
+    /// matched the `greedy-cost` reference arm at the same budget.
     #[serde(default)]
     pub identical_topk: bool,
-    /// Posting blocks the probe floors let responsible peers elide whole,
-    /// summed over the arm's queries.
-    #[serde(default)]
-    pub skipped_blocks: u64,
-    /// Posting bytes elided below the probe floors, summed over the arm's
-    /// queries.
-    #[serde(default)]
-    pub elided_bytes: u64,
-    /// Rank-safe probes sent floor-free because a published per-key maximum
-    /// was stale (always 0 for the other arms).
-    #[serde(default)]
-    pub rank_safe_fallbacks: u64,
     /// Aggregated robustness counters (all zeros under the default fault plane).
     pub robustness: Robustness,
 }
 
 /// The E2c report committed as `BENCH_bandwidth.json` and guarded by
 /// [`check`]: the planned sweep over the default corpus and over the
-/// long-posting-list corpus (capped vocabulary), where floor-based elision
-/// has the most bytes to save.
+/// long-posting-list corpus (capped vocabulary).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BandwidthReport {
     /// Whether the report came from a `--quick` run.
@@ -280,14 +264,12 @@ pub struct PlannedParams {
     pub budgets: Vec<u64>,
     /// Cap the corpus vocabulary at this many terms (`None` keeps the
     /// Heaps-like default). A capped vocabulary concentrates the collection
-    /// on fewer, more frequent terms, so posting lists are longer — the
-    /// regime where the threshold arms' floor-based elision has the most
-    /// bytes to save.
+    /// on fewer, more frequent terms, so posting lists are longer.
     pub vocab_cap: Option<usize>,
     /// Use the head-term pair-query log ([`workloads::head_query_log`])
     /// instead of the generic log: every query's terms are frequent and
     /// co-occur within the HDK proximity window, so its pair key is activated
-    /// and its posting lists are the long ones floors can actually elide.
+    /// and its posting lists are long.
     pub head_queries: bool,
     /// Seed.
     pub seed: u64,
@@ -350,7 +332,7 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
     // arm that ran after another on the same network would be charged fewer
     // routing bytes for the same probes. Every (budget, planner) combination
     // therefore gets an identically seeded network of its own: the byte
-    // differences between arms are the planner's and the threshold's alone.
+    // differences between arms are the planner's alone.
     let build = || {
         workloads::indexed_network(
             &corpus,
@@ -375,19 +357,12 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
 
     let mut rows = Vec::new();
     for &budget in &params.budgets {
-        // The two planners are compared threshold-off (the planning story),
-        // then the cost-based planner carries the threshold-probe arm (the
-        // wire-codec story): the rank-safe mode's bytes curve at provably
-        // identical rankings. The greedy/off arm runs first: it is the
-        // answer reference every other arm's `identical_topk` is measured
-        // against.
-        let arms: [(&str, &dyn Planner, ThresholdMode); 3] = [
-            ("greedy-cost", &GreedyCost, ThresholdMode::Off),
-            ("best-effort", &BestEffort, ThresholdMode::Off),
-            ("greedy-cost", &GreedyCost, ThresholdMode::RankSafe),
-        ];
+        // The greedy arm runs first: it is the answer reference the other
+        // arm's `identical_topk` is measured against.
+        let arms: [(&str, &dyn Planner); 2] =
+            [("greedy-cost", &GreedyCost), ("best-effort", &BestEffort)];
         let mut reference_answers: Option<Vec<Vec<(DocId, u64)>>> = None;
-        for (label, planner, threshold) in arms {
+        for (label, planner) in arms {
             let mut net = build();
             let mut bytes = Vec::with_capacity(texts.len());
             let mut probes = Vec::with_capacity(texts.len());
@@ -395,16 +370,12 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
             let mut answers = Vec::with_capacity(texts.len());
             let mut max_bytes = 0u64;
             let mut violations = 0usize;
-            let mut skipped_blocks = 0u64;
-            let mut elided_bytes = 0u64;
-            let mut rank_safe_fallbacks = 0u64;
             let mut robustness = Robustness::default();
             for (i, text) in texts.iter().enumerate() {
                 let request = QueryRequest::new(text.clone())
                     .from_peer(i % params.peers)
                     .top_k(10)
-                    .byte_budget(budget)
-                    .threshold_mode(threshold);
+                    .byte_budget(budget);
                 let plan = net.plan_with(planner, &request).expect("plan succeeds");
                 let outcome = net.run(&plan, &request).expect("query succeeds");
                 robustness.observe(&outcome);
@@ -418,9 +389,6 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
                 );
                 bytes.push(outcome.bytes as f64);
                 probes.push(outcome.trace.probes as f64);
-                skipped_blocks += outcome.trace.skipped_blocks as u64;
-                elided_bytes += outcome.trace.elided_bytes;
-                rank_safe_fallbacks += outcome.rank_safe_fallbacks as u64;
                 max_bytes = max_bytes.max(outcome.bytes);
                 if outcome.bytes > budget {
                     violations += 1;
@@ -436,20 +404,12 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
             rows.push(PlannedBandwidthRow {
                 budget,
                 planner: label.to_string(),
-                threshold: match threshold {
-                    ThresholdMode::Off => "off",
-                    ThresholdMode::RankSafe => "rank-safe",
-                }
-                .to_string(),
                 mean_bytes: mean(&bytes),
                 max_bytes,
                 budget_violations: violations,
                 mean_recall: mean(&recalls),
                 mean_probes: mean(&probes),
                 identical_topk,
-                skipped_blocks,
-                elided_bytes,
-                rank_safe_fallbacks,
                 robustness,
             });
         }
@@ -457,68 +417,28 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
     rows
 }
 
-/// The rank-safe threshold mode's bar, one message per broken invariant: at
-/// every budget of both sweeps the `greedy-cost`/`rank-safe` arm's answers are
-/// bit-identical to `greedy-cost`/`off` and its bytes/query never exceed the
-/// off arm's (elision only shrinks responses); on the long-lists corpus the
-/// floors must also demonstrably fire (whole blocks skipped, strictly fewer
-/// bytes than off at some budget). Scale-independent, so it holds for
+/// The Reserve bar, one message per broken invariant: in both sweeps the
+/// `greedy-cost` arm never spends more than the budget on any query, and
+/// each sweep has such a row to check. Scale-independent, so it holds for
 /// `--quick` and full runs alike.
 pub fn check(report: &BandwidthReport) -> Vec<String> {
     let mut failures = Vec::new();
-    let arm = |rows: &'_ [PlannedBandwidthRow], budget: u64, threshold: &str| {
-        rows.iter()
-            .find(|r| r.budget == budget && r.planner == "greedy-cost" && r.threshold == threshold)
-            .cloned()
-    };
     for (sweep, rows) in [
         ("planned", &report.planned),
         ("long-lists", &report.long_lists),
     ] {
-        let budgets: Vec<u64> = {
-            let mut b: Vec<u64> = rows.iter().map(|r| r.budget).collect();
-            b.sort_unstable();
-            b.dedup();
-            b
-        };
-        let mut skipped = 0u64;
-        let mut beats_off = false;
-        for &budget in &budgets {
-            let Some((off, safe)) = arm(rows, budget, "off").zip(arm(rows, budget, "rank-safe"))
-            else {
-                failures.push(format!(
-                    "bandwidth: {sweep} budget {budget} is missing a threshold arm"
-                ));
-                continue;
-            };
-            if !safe.identical_topk {
-                failures.push(format!(
-                    "bandwidth: {sweep} budget {budget}: rank-safe answers diverged from off"
-                ));
-            }
-            if safe.mean_bytes > off.mean_bytes + 1e-6 {
-                failures.push(format!(
-                    "bandwidth: {sweep} budget {budget}: rank-safe {:.1} B/query exceeds off {:.1}",
-                    safe.mean_bytes, off.mean_bytes
-                ));
-            }
-            skipped += safe.skipped_blocks;
-            beats_off |= safe.mean_bytes < off.mean_bytes - 1e-6;
+        let greedy: Vec<&PlannedBandwidthRow> =
+            rows.iter().filter(|r| r.planner == "greedy-cost").collect();
+        if greedy.is_empty() {
+            failures.push(format!("bandwidth: {sweep} has no greedy-cost row"));
         }
-        if sweep == "long-lists" {
-            if skipped == 0 {
-                failures.push(
-                    "bandwidth: rank-safe never skipped a block on the long-lists corpus — the \
-                     floors never fired and every byte bar is vacuous"
-                        .to_string(),
-                );
-            }
-            if !beats_off {
-                failures.push(
-                    "bandwidth: rank-safe never ships strictly fewer bytes/query than off on the \
-                     long-lists corpus"
-                        .to_string(),
-                );
+        for r in greedy {
+            if r.budget_violations > 0 || r.max_bytes > r.budget {
+                failures.push(format!(
+                    "bandwidth: {sweep} budget {}: greedy-cost broke the Reserve bound \
+                     ({} queries over budget, max {} B)",
+                    r.budget, r.budget_violations, r.max_bytes
+                ));
             }
         }
     }
@@ -528,28 +448,22 @@ pub fn check(report: &BandwidthReport) -> Vec<String> {
 /// Prints the E2c table.
 pub fn print_planned(rows: &[PlannedBandwidthRow]) {
     let mut t = Table::new(
-        "E2c: planned (greedy-cost) vs best-effort cutoff under per-query byte budgets, \
-         with threshold-probe arms",
+        "E2c: planned (greedy-cost) vs best-effort cutoff under per-query byte budgets",
         &[
             "budget",
             "planner",
-            "threshold",
             "bytes/query",
             "max bytes",
             "over budget",
             "recall@10",
             "probes/query",
             "topk",
-            "blocks skipped",
-            "bytes elided",
-            "fallbacks",
         ],
     );
     for r in rows {
         t.row(&[
             fmt_bytes(r.budget),
             r.planner.clone(),
-            r.threshold.clone(),
             fmt_bytes(r.mean_bytes as u64),
             fmt_bytes(r.max_bytes),
             r.budget_violations.to_string(),
@@ -561,9 +475,6 @@ pub fn print_planned(rows: &[PlannedBandwidthRow]) {
                 "DIVERGED"
             }
             .to_string(),
-            r.skipped_blocks.to_string(),
-            fmt_bytes(r.elided_bytes),
-            r.rank_safe_fallbacks.to_string(),
         ]);
     }
     t.print();
@@ -622,20 +533,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "quick()-scale experiment (minutes in debug); run with `cargo test -- --ignored` (nightly CI job)"]
-    fn rank_safe_bar_holds_at_quick_scale() {
-        // The full run takes ≈12 minutes in release, so the nightly job
-        // checks the bar at the scale CI's `exp_bandwidth --quick` runs.
-        let params = PlannedParams::quick();
-        let report = BandwidthReport {
-            quick: true,
-            planned: run_planned(&params),
-            long_lists: run_planned(&params.clone().long_lists()),
-        };
-        assert_eq!(check(&report), Vec::<String>::new());
-    }
-
-    #[test]
     fn long_list_corpus_keeps_budget_guarantees_and_lengthens_lists() {
         let params = PlannedParams::quick();
         // Compare on the generic workload: the production long-lists arm
@@ -677,15 +574,13 @@ mod tests {
         let rows = run_planned(&PlannedParams::quick());
         assert!(!rows.is_empty());
         for budget in PlannedParams::quick().budgets {
-            let arm = |planner: &str, threshold: &str| {
+            let arm = |planner: &str| {
                 rows.iter()
-                    .find(|r| {
-                        r.budget == budget && r.planner == planner && r.threshold == threshold
-                    })
+                    .find(|r| r.budget == budget && r.planner == planner)
                     .unwrap()
             };
-            let best = arm("best-effort", "off");
-            let greedy = arm("greedy-cost", "off");
+            let best = arm("best-effort");
+            let greedy = arm("greedy-cost");
             // The Reserve policy is a hard bound; the cutoff baseline may
             // overshoot (that is the pre-planner behaviour being compared).
             assert_eq!(
@@ -701,12 +596,6 @@ mod tests {
                 greedy.mean_recall,
                 best.mean_recall
             );
-            // The threshold-probe arm keeps the Reserve guarantee and the
-            // reference arm's answers.
-            let safe = arm("greedy-cost", "rank-safe");
-            assert_eq!(safe.budget_violations, 0);
-            assert!(safe.max_bytes <= budget);
-            assert!(safe.identical_topk);
         }
     }
 }

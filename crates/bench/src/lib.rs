@@ -7,7 +7,7 @@
 //!
 //! | experiment | paper source | module and binary | report |
 //! |---|---|---|---|
-//! | E2 | single-term retrieval traffic is unscalable; HDK/QDI bounded; rank-safe floors never cost bytes | [`exp_bandwidth`] | `BENCH_bandwidth.json` |
+//! | E2 | single-term retrieval traffic is unscalable; HDK/QDI bounded; cost-based planning never overspends a byte budget | [`exp_bandwidth`] | `BENCH_bandwidth.json` |
 //! | P2 | hot-key replication under Zipf traffic (per-peer p99 load) | [`exp_skew`] | `BENCH_skew.json` |
 //! | P4 | fault injection: recall@10 and bytes/query under loss + crashes, by retry policy | [`exp_faults`] | `BENCH_faults.json` |
 //! | P5 | control-plane chaos: versioned publications, anti-entropy repair, frame integrity | [`exp_chaos`] | `BENCH_chaos.json` |

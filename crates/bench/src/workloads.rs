@@ -35,8 +35,8 @@ pub fn corpus(num_docs: usize, seed: u64) -> SyntheticCorpus {
 
 /// Like [`corpus`], but with the vocabulary capped at `vocab` terms: the same
 /// collection concentrated on fewer, more frequent terms, so every posting
-/// list is longer. This is the regime where truncation and threshold-aware
-/// elision have the most bytes to save.
+/// list is longer. This is the regime where truncation has the most bytes to
+/// save.
 pub fn dense_corpus(num_docs: usize, vocab: usize, seed: u64) -> SyntheticCorpus {
     let config = CorpusConfig {
         num_docs,
@@ -83,10 +83,7 @@ pub fn zipf_query_log(corpus: &SyntheticCorpus, num_queries: usize, s: f64, seed
 /// *frequent* (document frequency above [`default_hdk`]'s `df_max`) and
 /// co-occur within its proximity window in some document — so each query's own
 /// pair key is exactly the kind of multi-term key HDK activates. This is the
-/// long-posting-list regime of the bandwidth experiment's threshold arms: the
-/// lists behind these queries are the ones floor-based elision can shorten.
-/// Pair (rather than triple) queries keep every probe family laminar, the
-/// regime where the rank-safe floors certify.
+/// long-posting-list regime of the bandwidth experiment.
 pub fn head_query_log(corpus: &SyntheticCorpus, num_queries: usize, seed: u64) -> QueryLog {
     let hdk = default_hdk();
     let config = QueryLogConfig {

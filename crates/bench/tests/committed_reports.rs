@@ -84,19 +84,13 @@ fn committed_bandwidth_report_passes_its_bar() {
 }
 
 #[test]
-fn bandwidth_bar_catches_rank_safe_spending_more_than_off() {
+fn bandwidth_bar_catches_a_budget_violation() {
     let mut report: exp_bandwidth::BandwidthReport = committed("BENCH_bandwidth.json");
-    let budget = report.planned[0].budget;
-    let arm = |threshold: &str| {
-        report
-            .planned
-            .iter()
-            .position(|r| {
-                r.budget == budget && r.planner == "greedy-cost" && r.threshold == threshold
-            })
-            .expect("threshold arm")
-    };
-    let (off, safe) = (arm("off"), arm("rank-safe"));
-    report.planned[safe].mean_bytes = report.planned[off].mean_bytes + 1.0;
+    let greedy = report
+        .planned
+        .iter_mut()
+        .find(|r| r.planner == "greedy-cost")
+        .expect("greedy-cost row");
+    greedy.budget_violations = 1;
     assert_eq!(exp_bandwidth::check(&report).len(), 1);
 }

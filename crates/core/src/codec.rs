@@ -44,15 +44,11 @@
 //! [`crate::fault::ProbeOutcome::Corrupt`].
 //!
 //! Past the trailer, the list decoder rejects bodies no encoder writes: more
-//! references than the capacity, a document listed twice, or more declared
+//! references than the capacity, a document listed twice, an empty block, a
+//! block whose `max_q` is not its first entry's score, or more declared
 //! entries than the body can hold (checked before allocating for them).
 //! `tests/proptest_codec.rs` fuzzes every decoder with arbitrary bodies under
 //! a valid trailer.
-//!
-//! Because blocks are score-descending and each block leads with `max_q` and
-//! its payload length, a decoder given a score floor stops at the first block
-//! whose `max_q` falls below the floor **without touching the remaining
-//! bytes** — the executor-driven early termination of the probe path.
 //!
 //! # Quantization
 //!
@@ -65,14 +61,13 @@
 //! the same tie-break the list itself uses). Both properties are proptested
 //! in `tests/proptest_codec.rs`.
 //!
-//! # Score floors
+//! # The `score_floor` argument
 //!
-//! [`encode_list`] takes an optional `score_floor`: entries scoring strictly
-//! below the floor are elided at the *source*, so they never cross the wire.
-//! The decoded list reports `full_df` minus the elided count, which preserves
-//! the original truncation status exactly: a complete list stays complete
-//! (keeping the query lattice's domination pruning byte-for-byte identical
-//! with and without thresholding) and a truncated list stays truncated.
+//! [`encode_list`]'s `score_floor` is kept only because `benchmark/` (outside
+//! the workspace) reads it; goes with ROADMAP item 5. No probe passes a
+//! floor. Given one, the encoder elides the entries scoring strictly below
+//! it, and the decoded list reports `full_df` minus the elided count, so a
+//! complete list stays complete and a truncated list stays truncated.
 
 use crate::key::TermKey;
 use crate::posting::{ScoredRef, TruncatedPostingList};
@@ -87,8 +82,7 @@ pub const FORMAT_VERSION: u8 = 2;
 /// [`frame_checksum`] of the frame body as a `u32` LE.
 pub const FRAME_TRAILER_LEN: usize = 4;
 
-/// Entries per block. Small enough that a floor rarely pays for more than a
-/// fraction of a block, large enough that per-block headers stay under half a
+/// Entries per block: large enough that per-block headers stay under half a
 /// byte per entry.
 pub const BLOCK_ENTRIES: usize = 16;
 
@@ -400,8 +394,8 @@ fn kept_under(list: &TruncatedPostingList, floor: Option<f64>) -> usize {
 }
 
 /// Encodes `list` into a fresh frame. With a `score_floor`, only the prefix of
-/// references scoring at least the floor is encoded (see the module docs for
-/// the exact `full_df` semantics the decoder reconstructs).
+/// references scoring at least the floor is encoded (see the module docs; no
+/// probe passes one).
 pub fn encode_list(list: &TruncatedPostingList, score_floor: Option<f64>) -> Vec<u8> {
     let kept = kept_under(list, score_floor);
     let refs = &list.refs()[..kept];
@@ -420,10 +414,7 @@ pub fn encode_list(list: &TruncatedPostingList, score_floor: Option<f64>) -> Vec
     }
     // The quantization range spans the *full* list's scores — not just the
     // kept prefix — so a floored frame quantizes every kept entry on exactly
-    // the grid the unfloored frame would use. This is what makes
-    // threshold-aware elision rank-exact: the querier decodes byte-identical
-    // scores for every entry the floor kept, so merged rankings cannot drift
-    // between floored and unfloored executions. `as f32` rounding can land hi
+    // the grid the unfloored frame would use. `as f32` rounding can land hi
     // slightly below the true best (or lo slightly above the true worst), so
     // widen to the next representable f32 to keep every score inside the
     // range. Scores outside the finite f32 range (or NaN) are clamped first
@@ -512,24 +503,19 @@ fn widen_down(v: f64) -> f32 {
 
 /// Exact length of [`encode_list`]`(list, None)` — pure arithmetic, no
 /// allocation. This is what `TruncatedPostingList::wire_size` reports (and
-/// what the simulator charges for an unfloored probe response).
+/// what the simulator charges for a probe response).
 pub fn encoded_list_len(list: &TruncatedPostingList) -> usize {
-    encoded_list_len_for(list, list.len())
-}
-
-fn encoded_list_len_for(list: &TruncatedPostingList, kept: usize) -> usize {
+    let kept = list.len();
     let mut len = FRAME_TRAILER_LEN
         + 1
         + varint_len(list.full_df())
         + varint_len(list.capacity() as u64)
-        + varint_len(list.len() as u64)
-        + varint_len(kept as u64);
+        + 2 * varint_len(kept as u64);
     if kept == 0 {
         return len;
     }
     len += 8; // score_hi + score_lo
-    let refs = &list.refs()[..kept];
-    let blocks = refs.chunks(BLOCK_ENTRIES);
+    let blocks = list.refs().chunks(BLOCK_ENTRIES);
     len += varint_len(blocks.len() as u64);
     for block in blocks {
         let mut payload_len = 0usize;
@@ -541,36 +527,6 @@ fn encoded_list_len_for(list: &TruncatedPostingList, kept: usize) -> usize {
         len += 2 + varint_len(block.len() as u64) + varint_len(payload_len as u64) + payload_len;
     }
     len
-}
-
-/// What a score floor elided from one list frame, measured at encode time.
-///
-/// The encoder drops the sub-floor suffix outright, so "skipped" here means
-/// the whole 16-entry blocks that never reach the wire — exactly the blocks
-/// whose per-block max-score header would let [`decode_list_above`] skip them
-/// without touching their bytes if a full frame were floored at the decoder
-/// instead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ElisionStats {
-    /// Whole [`BLOCK_ENTRIES`]-entry blocks the floor elided end to end. A
-    /// partially-kept boundary block counts zero: its bytes still ship.
-    pub skipped_blocks: usize,
-    /// Bytes the floored frame saves over encoding the full list.
-    pub elided_bytes: usize,
-}
-
-/// Exact elision accounting for [`encode_list`]`(list, score_floor)` — pure
-/// arithmetic, no allocation, consistent with [`encoded_list_len`] to the
-/// byte.
-pub fn elision_stats(list: &TruncatedPostingList, score_floor: Option<f64>) -> ElisionStats {
-    let kept = kept_under(list, score_floor);
-    if kept == list.len() {
-        return ElisionStats::default();
-    }
-    ElisionStats {
-        skipped_blocks: list.len().div_ceil(BLOCK_ENTRIES) - kept.div_ceil(BLOCK_ENTRIES),
-        elided_bytes: encoded_list_len(list) - encoded_list_len_for(list, kept),
-    }
 }
 
 /// Worst-case length of a list frame carrying at most `entries` references —
@@ -593,22 +549,9 @@ pub fn max_encoded_list_len(entries: usize) -> usize {
 }
 
 /// Decodes a whole list frame.
-pub fn decode_list(buf: &[u8]) -> Result<TruncatedPostingList, CodecError> {
-    decode_list_inner(buf, None)
-}
-
-/// Decodes only the entries scoring at least `score_floor`, using the
-/// per-block max-score headers and skip offsets to stop without touching the
-/// bytes of blocks entirely below the floor. Elided entries are accounted
-/// exactly like encode-side floor elision (subtracted from `full_df`).
-pub fn decode_list_above(buf: &[u8], score_floor: f64) -> Result<TruncatedPostingList, CodecError> {
-    decode_list_inner(buf, Some(score_floor))
-}
-
-fn decode_list_inner(frame: &[u8], floor: Option<f64>) -> Result<TruncatedPostingList, CodecError> {
+pub fn decode_list(frame: &[u8]) -> Result<TruncatedPostingList, CodecError> {
     // Integrity first: the whole frame is in hand, so the trailer is verified
-    // before a single body byte is parsed — a floored decode's legitimate
-    // early block termination never skips the check.
+    // before a single body byte is parsed.
     let buf = verify_trailer(frame)?;
     let mut pos = 0usize;
     let version = *buf
@@ -642,21 +585,17 @@ fn decode_list_inner(frame: &[u8], floor: Option<f64>) -> Result<TruncatedPostin
             return Err(CodecError::new("non-finite quantization range"));
         }
         let n_blocks = get_varint(buf, &mut pos)? as usize;
-        'blocks: for _ in 0..n_blocks {
+        for _ in 0..n_blocks {
             let max_q = get_u16(buf, &mut pos)?;
             let n_entries = get_varint(buf, &mut pos)? as usize;
+            if n_entries == 0 {
+                return Err(CodecError::new("empty block"));
+            }
             let payload_len = get_varint(buf, &mut pos)? as usize;
             let payload_end = pos
                 .checked_add(payload_len)
                 .filter(|end| *end <= buf.len())
                 .ok_or_else(|| CodecError::new("block payload out of bounds"))?;
-            if let Some(f) = floor {
-                if dequantize(max_q, lo, hi) < f {
-                    // Blocks are score-descending: nothing below this point can
-                    // reach the floor. Early termination without reading on.
-                    break 'blocks;
-                }
-            }
             let mut prev: Option<DocId> = None;
             for _ in 0..n_entries {
                 let doc = match prev {
@@ -682,37 +621,33 @@ fn decode_list_inner(frame: &[u8], floor: Option<f64>) -> Result<TruncatedPostin
                     }
                 };
                 let q = get_u16(buf, &mut pos)?;
-                let score = dequantize(q, lo, hi);
-                prev = Some(doc);
-                if let Some(f) = floor {
-                    if score < f {
-                        // Entries within a block are score-descending too.
-                        break 'blocks;
-                    }
+                if prev.is_none() && q != max_q {
+                    return Err(CodecError::new("block max_q differs from its first entry"));
                 }
-                refs.push(ScoredRef { doc, score });
+                prev = Some(doc);
+                refs.push(ScoredRef {
+                    doc,
+                    score: dequantize(q, lo, hi),
+                });
             }
             if pos != payload_end {
                 return Err(CodecError::new("block payload length mismatch"));
             }
         }
     }
-    // An unfloored decode consumes the whole frame; leftover bytes mean the
-    // buffer was corrupted or mis-framed. (Floored decodes legitimately stop
-    // at the first block below the floor.)
-    if floor.is_none() && pos != buf.len() {
+    // A decode consumes the whole frame; leftover bytes mean the buffer was
+    // corrupted or mis-framed.
+    if pos != buf.len() {
         return Err(CodecError::new("trailing bytes after list frame"));
     }
-    // A well-formed frame's blocks carry exactly kept_refs entries; only a
-    // floored decode may legitimately stop short.
-    if refs.len() > kept || (floor.is_none() && refs.len() != kept) {
+    // A well-formed frame's blocks carry exactly kept_refs entries.
+    if refs.len() != kept {
         return Err(CodecError::new("block entries disagree with kept_refs"));
     }
     // Canonical list order: descending score, ties by ascending document id
     // (distinct scores may collapse into quantized ties).
     refs.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
-    let elided = (total - kept) + (kept - refs.len());
-    let full_df = full_df.saturating_sub(elided as u64);
+    let full_df = full_df.saturating_sub((total - kept) as u64);
     let list = TruncatedPostingList::from_wire_parts(refs, capacity, full_df);
     if list.has_repeated_docs() {
         return Err(CodecError::new("list frame repeats a document"));
@@ -912,31 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_floor_stops_at_block_boundaries() {
-        // 40 entries → 3 blocks; a floor above the second block's best score
-        // decodes only the first block's qualifying prefix.
-        let mut l = TruncatedPostingList::new(64);
-        for i in 0..40u32 {
-            l.insert(ScoredRef {
-                doc: DocId::new(0, i),
-                score: f64::from(1000 - i),
-            });
-        }
-        let bytes = encode_list(&l, None);
-        let full = decode_list(&bytes).unwrap();
-        assert_eq!(full.len(), 40);
-        let floored = decode_list_above(&bytes, 990.5).unwrap();
-        assert_eq!(floored.len(), 10);
-        assert!(floored.refs().iter().all(|r| r.score >= 990.0));
-        // Floor elision mirrors the encode side: the elided tail is subtracted
-        // from full_df, so the complete list stays complete.
-        assert!(!floored.is_truncated());
-        // A floor above everything decodes an empty-but-truncated list.
-        let none = decode_list_above(&bytes, 2000.0).unwrap();
-        assert_eq!(none.len(), 0);
-    }
-
-    #[test]
     fn max_encoded_len_bounds_arbitrary_lists() {
         for n in [0usize, 1, 2, 15, 16, 17, 100] {
             let mut l = TruncatedPostingList::new(n.max(1));
@@ -1038,78 +948,6 @@ mod tests {
                 assert!(r.score.is_finite(), "decoded score {:?}", r.score);
             }
         }
-    }
-
-    #[test]
-    fn block_max_equal_to_floor_still_decodes() {
-        // Regression: the block skip must use strict `<` — a block whose
-        // max-score header *equals* the floor still holds entries at the
-        // floor, and skipping it would silently drop them (a rank inversion
-        // at the boundary). Floor on the dequantized grid so equality is
-        // exact.
-        let entries: Vec<(u32, u32, f64)> = (0..40u32)
-            .map(|i| (1, i, 10.0 - 0.2 * f64::from(i)))
-            .collect();
-        let l = list(&entries, 64);
-        let frame = encode_list(&l, None);
-        let full = decode_list(&frame).unwrap();
-        // The second block's max (entry 16) — exactly a block-max boundary.
-        let boundary = full.refs()[BLOCK_ENTRIES].score;
-        let above = decode_list_above(&frame, boundary).unwrap();
-        let expected = full.refs().partition_point(|r| r.score >= boundary);
-        assert!(
-            expected > BLOCK_ENTRIES,
-            "boundary entry itself must qualify"
-        );
-        assert_eq!(above.len(), expected, "entries at the floor were dropped");
-        assert_eq!(
-            above.refs()[BLOCK_ENTRIES].doc,
-            full.refs()[BLOCK_ENTRIES].doc
-        );
-        assert_eq!(above.refs()[BLOCK_ENTRIES].score, boundary);
-    }
-
-    #[test]
-    fn kth_score_on_block_max_boundary_keeps_rank_k() {
-        // The k-th best score ties with a block's max: with k = 17 the k-th
-        // entry opens the second block, and two more entries tie with it.
-        // Every tied entry must survive a floored decode, and the encode-side
-        // floor (applied to raw scores) must keep the same set.
-        let tie = 6.5f64;
-        let entries: Vec<(u32, u32, f64)> = (0..BLOCK_ENTRIES as u32)
-            .map(|i| (1, i, 10.0 - 0.1 * f64::from(i)))
-            .chain((0..3u32).map(|i| (2, i, tie)))
-            .chain((0..13u32).map(|i| (3, i, 2.0 - 0.1 * f64::from(i))))
-            .collect();
-        let l = list(&entries, 64);
-        let frame = encode_list(&l, None);
-        let full = decode_list(&frame).unwrap();
-        let k = BLOCK_ENTRIES + 1;
-        let kth = full.refs()[k - 1].score;
-        assert_eq!(
-            kth,
-            full.refs()[BLOCK_ENTRIES].score,
-            "k-th entry must be the second block's max for this regression"
-        );
-        let above = decode_list_above(&frame, kth).unwrap();
-        assert_eq!(
-            above.len(),
-            BLOCK_ENTRIES + 3,
-            "all entries tied with the k-th score must decode"
-        );
-        for (a, b) in above.refs().iter().zip(full.refs()) {
-            assert_eq!(a.doc, b.doc);
-            assert_eq!(a.score, b.score);
-        }
-        // Encode-side elision at the raw tie score keeps the same prefix.
-        let floored_frame = encode_list(&l, Some(tie));
-        let floored = decode_list(&floored_frame).unwrap();
-        assert_eq!(floored.len(), BLOCK_ENTRIES + 3);
-        // Encode-side elision subtracts the elided entries from `full_df`.
-        assert_eq!(
-            floored.full_df() + (l.len() - floored.len()) as u64,
-            full.full_df()
-        );
     }
 
     #[test]

@@ -24,8 +24,8 @@ use crate::key::TermKey;
 use crate::lattice::NodeOutcome;
 use crate::network::AlvisNetwork;
 use crate::plan::{CursorStep, PlanCursor, QueryPlan};
-use crate::ranking::{keys_are_laminar, merge_retrieved};
-use crate::request::{rank_safe_floor, QueryRequest, QueryResponse, ThresholdMode};
+use crate::ranking::merge_retrieved;
+use crate::request::{QueryRequest, QueryResponse};
 use alvisp2p_dht::DhtError;
 use alvisp2p_textindex::bm25::ScoredDoc;
 use alvisp2p_textindex::DocId;
@@ -55,9 +55,8 @@ pub struct ProbeEvent {
     /// Lookup messages that did not deliver a request, summed over the
     /// query's probes so far (the trace's hop count).
     pub spent_hops: usize,
-    /// The score floor this probe carried (threshold-aware probes: the
-    /// responsible peer elided posting entries scoring below it). `None` until
-    /// the running top-k is full, or when the request disabled thresholding.
+    /// Always `None`: no probe carries a score floor. Kept only because
+    /// `benchmark/` (outside the workspace) reads it; goes with ROADMAP item 5.
     pub score_floor: Option<f64>,
     /// The peer that served the probe: the key's responsible peer, or the
     /// least-loaded live replica when the key is hot-replicated (see
@@ -129,17 +128,6 @@ pub struct QueryStream<'n> {
     sent: usize,
     base_bytes: u64,
     base_messages: u64,
-    /// How the running top-k becomes the floor the next probe carries, fixed
-    /// at construction from the request's mode and the plan's shape.
-    floor_rule: FloorRule,
-    /// RankSafe only: probes sent floor-free, after θ existed, because a
-    /// published maximum they depend on was stale.
-    rank_safe_fallbacks: usize,
-    /// Bytes rank-safe elision kept off the wire. Budget admission runs on
-    /// `spent + virtual_bytes` so the probe schedule is identical to the
-    /// [`ThresholdMode::Off`] execution's — savings never buy extra probes
-    /// it would not have sent.
-    virtual_bytes: u64,
     /// Total re-sent probe attempts across the query (fault plane active).
     retries: usize,
     /// Probes whose every attempt failed (recorded in the trace, schedule
@@ -152,53 +140,6 @@ pub struct QueryStream<'n> {
     /// Probes whose serve was re-routed to a replica holder by failover.
     hedged: usize,
     error: Option<AlvisError>,
-}
-
-/// The one place θ (the running k-th merged score) lives: how it becomes the
-/// floor the next probe carries (see [`QueryStream::update_floor`] and
-/// [`QueryStream::probe_floor`]).
-#[derive(Debug)]
-enum FloorRule {
-    /// No probe ever carries a floor, so the running top-k is never merged on
-    /// the stream's own account: [`ThresholdMode::Off`], and
-    /// [`ThresholdMode::RankSafe`] over a non-laminar plan.
-    ///
-    /// Laminarity is RankSafe's structural gate: the coverage-weighted merge
-    /// is only additive — and per-document merged scores only monotone — when
-    /// the probed key family is laminar (pairwise disjoint or nested, see
-    /// [`keys_are_laminar`]). Non-laminar families dilute overlapped terms by
-    /// coverage fractions, which can shrink a merged score mid-stream and
-    /// breaks both the θ lower bound and the per-key charging argument; the
-    /// stream then sends every probe floor-free, keeping RankSafe
-    /// byte-identical to [`ThresholdMode::Off`] rather than silently
-    /// approximate.
-    Unfloored,
-    /// [`ThresholdMode::RankSafe`] over a laminar plan.
-    ///
-    /// `caps` holds, per scheduled probe key, the key's own published maximum
-    /// score and the summed maxima of the plan's probe keys *disjoint* from
-    /// it — the `Σ_{j≠i} max_score(j)` of the floor
-    /// `θ − Σ_{j≠i} max_score(j)`, sharpened to disjoint keys only (under a
-    /// laminar family, a document's other maximal covering keys are always
-    /// disjoint from the probed one, so nested keys never need to be
-    /// charged). A key's entry is `None` when the algebra could not be
-    /// certified for it: its own cached maximum, or that of a disjoint key,
-    /// is stale against the list's publish version (lossy publications,
-    /// on-demand activation), so the recorded bound may undershoot the real
-    /// list and eliding against it would be unsound. Such a probe carries no
-    /// floor at all.
-    ///
-    /// `theta_lb` is a monotone lower bound on the final k-th merged score:
-    /// the largest running k-th merged score seen so far. Over a laminar
-    /// retrieval the merge is exactly additive over each document's maximal
-    /// covering keys, so per-document merged scores — and with them the
-    /// running k-th merged score — only grow as lists arrive: the running θ
-    /// is itself a sound lower bound on the final θ. The ratchet keeps the
-    /// bound monotone against top-k ties resorting below `k`.
-    RankSafe {
-        caps: Vec<(TermKey, Option<(f64, f64)>)>,
-        theta_lb: Option<f64>,
-    },
 }
 
 /// What [`QueryStream::acquire_probe`] got back from the network for one
@@ -233,10 +174,6 @@ impl<'n> QueryStream<'n> {
         };
         let planned = plan.scheduled_probes();
         let cursor = PlanCursor::new(plan, &lattice, request.byte_budget);
-        let floor_rule = match request.threshold {
-            ThresholdMode::Off => FloorRule::Unfloored,
-            ThresholdMode::RankSafe => Self::rank_safe_rule(net, cursor.plan()),
-        };
         QueryStream {
             net,
             request,
@@ -247,9 +184,6 @@ impl<'n> QueryStream<'n> {
             sent: 0,
             base_bytes,
             base_messages,
-            floor_rule,
-            rank_safe_fallbacks: 0,
-            virtual_bytes: 0,
             retries: 0,
             failed: 0,
             corrupt: 0,
@@ -274,102 +208,6 @@ impl<'n> QueryStream<'n> {
         merge_retrieved(self.cursor.retrieved(), self.request.top_k)
     }
 
-    /// The [`FloorRule`] of a [`ThresholdMode::RankSafe`] execution of `plan`:
-    /// [`FloorRule::Unfloored`] unless the scheduled probe keys are laminar,
-    /// else the per-key caps snapshotted from the published maxima.
-    ///
-    /// A key's cap is its published maximum from
-    /// [`crate::ranking::GlobalRankingStats::key_max_fresh`], accepted only
-    /// when the recorded publish version matches the list's current one — a
-    /// stale maximum may undershoot the list that will actually answer the
-    /// probe (lossy publications can drop the re-publication that raised it),
-    /// and a floor built on an undershooting cap elides entries it has no
-    /// right to. A key nothing was ever published under (publish version
-    /// still 0 and no recorded maximum) is provably absent from the index:
-    /// its probe will miss, it contributes nothing to any merge, and its cap
-    /// is exactly 0.
-    fn rank_safe_rule(net: &AlvisNetwork, plan: &QueryPlan) -> FloorRule {
-        let keys: Vec<TermKey> = plan.probes().map(|node| node.key.clone()).collect();
-        if !keys_are_laminar(&keys) {
-            return FloorRule::Unfloored;
-        }
-        let fresh: Vec<Option<f64>> = keys
-            .iter()
-            .map(|key| {
-                let version = net.global_index().publish_version(key);
-                net.ranking_stats().key_max_fresh(key, version).or_else(|| {
-                    (version == 0 && net.ranking_stats().key_max_score(key).is_none())
-                        .then_some(0.0)
-                })
-            })
-            .collect();
-        let disjoint =
-            |a: &TermKey, b: &TermKey| a.term_ids().iter().all(|t| !b.term_ids().contains(t));
-        let caps = keys
-            .iter()
-            .enumerate()
-            .map(|(i, key)| {
-                let cap = fresh[i].and_then(|own| {
-                    keys.iter()
-                        .enumerate()
-                        .filter(|(j, other)| *j != i && disjoint(key, other))
-                        .map(|(j, _)| fresh[j])
-                        .sum::<Option<f64>>()
-                        .map(|disjoint_sum| (own, disjoint_sum))
-                });
-                (key.clone(), cap)
-            })
-            .collect();
-        FloorRule::RankSafe {
-            caps,
-            theta_lb: None,
-        }
-    }
-
-    /// The floor the next probe for `key` will carry.
-    ///
-    /// Under [`FloorRule::RankSafe`], a certified key `i` (fresh own and
-    /// disjoint caps) gets the provably rank-safe floor
-    /// `θ_LB − Σ_{j disjoint from i} max_score(j)` minus one quantization
-    /// step ([`rank_safe_floor`]): any document of the final top-k with
-    /// merged score `≥ θ_LB` can lose at most the disjoint keys' maxima to
-    /// its other covering lists, so its entry in list `i` scores at least the
-    /// floor and survives elision — making the response byte-identical in
-    /// ranking to [`ThresholdMode::Off`] at fewer posting bytes. A stale-cap
-    /// key's probe goes out floor-free — trivially `Off` for that probe —
-    /// and, once θ exists (a floor would otherwise have been sent), is
-    /// counted in `rank_safe_fallbacks`, per-key as published maxima go stale
-    /// independently.
-    fn probe_floor(&mut self, key: &TermKey) -> Option<f64> {
-        let FloorRule::RankSafe { caps, theta_lb } = &self.floor_rule else {
-            return None;
-        };
-        let theta = (*theta_lb)?;
-        match caps.iter().find(|(k, _)| k == key).and_then(|(_, c)| *c) {
-            Some((own, disjoint_sum)) => rank_safe_floor(theta, own + disjoint_sum, own),
-            None => {
-                self.rank_safe_fallbacks += 1;
-                None
-            }
-        }
-    }
-
-    /// Ratchets θ_LB up to the running k-th merged score — which is merged
-    /// here, and only when the [`FloorRule`] can turn it into a floor.
-    fn update_floor(&mut self) {
-        if matches!(self.floor_rule, FloorRule::Unfloored) {
-            return;
-        }
-        // `Some` once the running top-k holds the full `k` documents.
-        let theta = self
-            .running_top_k()
-            .get(self.request.top_k - 1)
-            .map(|worst| worst.score);
-        if let (FloorRule::RankSafe { theta_lb, .. }, Some(t)) = (&mut self.floor_rule, theta) {
-            *theta_lb = Some(theta_lb.map_or(t, |lb| lb.max(t)));
-        }
-    }
-
     /// Acquires one scheduled probe from the network: the attempt loop over
     /// [`crate::global_index::GlobalIndex::probe`], the one wire path.
     ///
@@ -388,11 +226,7 @@ impl<'n> QueryStream<'n> {
     /// per-probe failure: one dead peer must not zero out an
     /// otherwise-answerable query. `BadOrigin` and `EmptyNetwork` stay fatal
     /// — they mean the *querier* is in no state to run anything.
-    fn acquire_probe(
-        &mut self,
-        key: &TermKey,
-        floor: Option<f64>,
-    ) -> Result<ProbeAcquisition, AlvisError> {
+    fn acquire_probe(&mut self, key: &TermKey) -> Result<ProbeAcquisition, AlvisError> {
         let origin = self.request.origin;
         let capacity = self.net.strategy().truncation_k();
         let policy = self.net.retry_policy();
@@ -410,7 +244,6 @@ impl<'n> QueryStream<'n> {
                 key,
                 self.seq,
                 capacity,
-                floor,
                 attempt,
                 serve_override,
             ) {
@@ -500,13 +333,11 @@ impl<'n> QueryStream<'n> {
             return None;
         }
         self.query_key.as_ref()?;
-        let spent = self.spent_bytes() + self.virtual_bytes;
-        match self.cursor.next_key(spent) {
+        match self.cursor.next_key(self.spent_bytes()) {
             CursorStep::Done => None,
             CursorStep::Probe(key) => {
                 let before = self.net.retrieval_totals().0;
-                let floor = self.probe_floor(&key);
-                let acquired = match self.acquire_probe(&key, floor) {
+                let acquired = match self.acquire_probe(&key) {
                     Ok(acquired) => acquired,
                     Err(err) => {
                         self.error = Some(err.clone());
@@ -520,11 +351,6 @@ impl<'n> QueryStream<'n> {
                         hedged,
                     } => {
                         self.hedged += usize::from(hedged);
-                        // Budget admission must see what the probe would have
-                        // cost without elision (zero unless a floor was
-                        // sent), so rank-safe savings never buy extra probes
-                        // the Off execution would not have sent.
-                        self.virtual_bytes += probe.elided_bytes as u64;
                         let (hops, served_by) = (probe.hops, probe.served_by);
                         let via_shortcut = probe.via_shortcut;
                         let replicas = probe.replica_set.len();
@@ -546,7 +372,6 @@ impl<'n> QueryStream<'n> {
                 };
                 self.retries += retries;
                 let bytes = self.net.retrieval_totals().0 - before;
-                self.update_floor();
                 let event = ProbeEvent {
                     index: self.sent,
                     planned: self.planned,
@@ -557,7 +382,7 @@ impl<'n> QueryStream<'n> {
                     via_shortcut,
                     spent_bytes: self.spent_bytes(),
                     spent_hops: self.cursor.hops_spent(),
-                    score_floor: floor,
+                    score_floor: None,
                     served_by,
                     replicas,
                     retries,
@@ -633,7 +458,6 @@ impl<'n> QueryStream<'n> {
             failed_probes: self.failed,
             corrupt_probes: self.corrupt,
             hedged: self.hedged,
-            rank_safe_fallbacks: self.rank_safe_fallbacks,
             completeness,
         })
     }

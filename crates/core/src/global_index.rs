@@ -134,12 +134,6 @@ pub struct ProbeResult {
     /// The peers currently holding replica copies of the key (empty unless a
     /// [`alvisp2p_dht::replica::ReplicationPolicy`] has replicated it).
     pub replica_set: Vec<usize>,
-    /// Whole codec blocks the probe's score floor elided from the response
-    /// frame (see [`crate::codec::ElisionStats`]). `0` for unfloored probes.
-    pub skipped_blocks: usize,
-    /// Response-frame bytes the probe's score floor saved versus shipping the
-    /// full stored list. `0` for unfloored probes.
-    pub elided_bytes: usize,
 }
 
 impl ProbeResult {
@@ -564,14 +558,6 @@ impl GlobalIndex {
     /// checksum-verified — so the returned scores carry the codec's `u16`
     /// quantization and the simulator charges exactly what the codec produced.
     ///
-    /// **Response shaping.** With a `score_floor` (the threshold-aware probe
-    /// path: the executor feeds the running k-th merged score back, see
-    /// [`crate::exec::QueryStream`]), the serving peer encodes only the
-    /// prefix of entries scoring at least the floor. The
-    /// elided tail is subtracted from the decoded list's `full_df`, which
-    /// preserves the original truncation status — lattice domination pruning
-    /// behaves identically with and without elision.
-    ///
     /// **Placement.** The request reaches the key's *primary*
     /// ([`alvisp2p_dht::Dht::route_probe`]; a served response teaches `from`
     /// the shortcut). The request message is itself the last overlay step:
@@ -620,16 +606,12 @@ impl GlobalIndex {
     ///
     /// Under an inactive plane the first attempt is always
     /// [`ProbeOutcome::Ok`].
-    // Seven inputs plus the receiver, all independent; bundling them needs a
-    // new public type.
-    #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &mut self,
         from: usize,
         key: &TermKey,
         query_seq: u64,
         stats_capacity: usize,
-        score_floor: Option<f64>,
         attempt: u32,
         serve_override: Option<usize>,
     ) -> Result<ProbeOutcome, DhtError> {
@@ -673,7 +655,7 @@ impl GlobalIndex {
                     entry.usage.last_probe = query_seq;
                     if entry.activated {
                         entry.usage.hits += 1;
-                        response = Some(encode_response(&entry.postings, score_floor));
+                        response = Some(crate::codec::encode_list(&entry.postings, None));
                     }
                 });
         } else if let Some(entry) = self.dht.peer(served_by).replica_store.get(&ring_key) {
@@ -681,21 +663,21 @@ impl GlobalIndex {
             // its replica copy — kept byte-identical to the primary's list by
             // `sync_replicas`, so the degraded path never changes the answer.
             if entry.activated {
-                response = Some(encode_response(&entry.postings, score_floor));
+                response = Some(crate::codec::encode_list(&entry.postings, None));
             }
         }
         self.dht.peer_mut(served_by).served_requests += 1;
         self.dht.record_probe(ring_key, served_by);
         // The encoded posting list travels directly back to the requester (or
         // a one-byte miss notice).
-        let response_bytes = response.as_ref().map_or(1, |(frame, _)| frame.len());
+        let response_bytes = response.as_ref().map_or(1, Vec::len);
         self.charge(TrafficCategory::Retrieval, response_bytes);
         if self.faults.reply_timed_out(ring_key, query_seq, attempt) {
             return Ok(ProbeOutcome::TimedOut { hops });
         }
-        let (postings, elision) = match response {
-            None => (None, crate::codec::ElisionStats::default()),
-            Some((mut frame, elision)) => {
+        let postings = match response {
+            None => None,
+            Some(mut frame) => {
                 if let Some(bit) =
                     self.faults
                         .response_corrupt_bit(ring_key, query_seq, attempt, frame.len())
@@ -705,7 +687,7 @@ impl GlobalIndex {
                     frame[bit / 8] ^= 1 << (bit % 8);
                 }
                 match crate::codec::decode_list(&frame) {
-                    Ok(list) => (Some(list), elision),
+                    Ok(list) => Some(list),
                     Err(_) => return Ok(ProbeOutcome::Corrupt { hops }),
                 }
             }
@@ -721,16 +703,12 @@ impl GlobalIndex {
             responsible: primary,
             served_by,
             replica_set,
-            skipped_blocks: elision.skipped_blocks,
-            elided_bytes: elision.elided_bytes,
         }))
     }
 
     /// The current publish version of `key`: bumped on every mutation of the
     /// key's stored entry (publish, on-demand store, deactivation, eviction),
-    /// `0` for a never-touched key. A per-key maximum recorded at version `v`
-    /// ([`crate::ranking::GlobalRankingStats::key_max_fresh`]) is valid
-    /// evidence exactly while `publish_version(key) == v`.
+    /// `0` for a never-touched key.
     pub fn publish_version(&self, key: &TermKey) -> u64 {
         self.versions.get(&key.ring_id()).copied().unwrap_or(0)
     }
@@ -932,18 +910,6 @@ impl GlobalIndex {
     }
 }
 
-/// The serving peer's side of a probe: the response frame for an activated
-/// entry's stored list plus what the floor elided from it.
-fn encode_response(
-    postings: &TruncatedPostingList,
-    score_floor: Option<f64>,
-) -> (Vec<u8>, crate::codec::ElisionStats) {
-    (
-        crate::codec::encode_list(postings, score_floor),
-        crate::codec::elision_stats(postings, score_floor),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -977,7 +943,7 @@ mod tests {
         let mut gi = index(16);
         let key = TermKey::new(["peer", "retriev"]);
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
-        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, None));
+        let probe = answered(gi.probe(3, &key, 1, 100, 0, None));
         assert!(probe.found());
         assert_eq!(probe.postings.unwrap().len(), 5);
         assert_eq!(gi.activated_keys(), 1);
@@ -992,7 +958,7 @@ mod tests {
     fn probing_unknown_key_records_statistics_only() {
         let mut gi = index(8);
         let key = TermKey::new(["never", "indexed"]);
-        let probe = answered(gi.probe(2, &key, 7, 50, None, 0, None));
+        let probe = answered(gi.probe(2, &key, 7, 50, 0, None));
         assert!(!probe.found());
         assert_eq!(gi.activated_keys(), 0);
         assert_eq!(gi.total_entries(), 1);
@@ -1001,7 +967,7 @@ mod tests {
         assert_eq!(usage.hits, 0);
         assert_eq!(usage.last_probe, 7);
         // Probing again accumulates.
-        answered(gi.probe(3, &key, 9, 50, None, 0, None));
+        answered(gi.probe(3, &key, 9, 50, 0, None));
         assert_eq!(gi.usage(&key).unwrap().probes, 2);
     }
 
@@ -1054,7 +1020,7 @@ mod tests {
         let after_publish = gi.stats_snapshot();
         assert!(after_publish.category(TrafficCategory::Indexing).bytes > 0);
         assert_eq!(after_publish.category(TrafficCategory::Retrieval).bytes, 0);
-        answered(gi.probe(9, &key, 1, 100, None, 0, None));
+        answered(gi.probe(9, &key, 1, 100, 0, None));
         let delta = gi.stats_snapshot().since(&after_publish);
         // The probe charges at least the codec frame of the stored list (plus
         // request + routing), and never more than the planner's worst case.
@@ -1069,7 +1035,7 @@ mod tests {
         let key = TermKey::new(["codec", "probe"]);
         gi.publish_postings(0, &key, &refs(30), 100).unwrap();
         let stored = gi.peek(&key).unwrap().postings.clone();
-        let probe = answered(gi.probe(3, &key, 1, 100, None, 0, None));
+        let probe = answered(gi.probe(3, &key, 1, 100, 0, None));
         let got = probe.postings.unwrap();
         // Same documents in the same order; scores within one quantization step.
         assert_eq!(got.len(), stored.len());
@@ -1085,49 +1051,15 @@ mod tests {
     }
 
     #[test]
-    fn score_floor_elides_the_tail_and_charges_fewer_bytes() {
-        let mut gi = index(16);
-        let key = TermKey::new(["floor", "probe"]);
-        // Scores 30.0 down to 1.0, complete list.
-        gi.publish_postings(0, &key, &refs(30), 100).unwrap();
-        let before = gi.stats_snapshot();
-        let full = answered(gi.probe(3, &key, 1, 100, None, 0, None))
-            .postings
-            .unwrap();
-        let full_bytes = gi
-            .stats_snapshot()
-            .since(&before)
-            .category(TrafficCategory::Retrieval)
-            .bytes;
-        let before = gi.stats_snapshot();
-        let floored = answered(gi.probe(3, &key, 2, 100, Some(20.0), 0, None))
-            .postings
-            .unwrap();
-        let floored_bytes = gi
-            .stats_snapshot()
-            .since(&before)
-            .category(TrafficCategory::Retrieval)
-            .bytes;
-        assert_eq!(full.len(), 30);
-        assert!(!full.is_truncated());
-        assert_eq!(floored.len(), 11, "scores 30..=20 survive the floor");
-        assert!(floored.refs().iter().all(|r| r.score >= 19.9));
-        // Floor elision is not capacity truncation: the list stays "complete"
-        // so domination pruning is unchanged.
-        assert!(!floored.is_truncated());
-        assert!(floored_bytes < full_bytes);
-    }
-
-    #[test]
     fn deactivate_keeps_statistics_but_drops_postings() {
         let mut gi = index(8);
         let key = TermKey::new(["old", "popular"]);
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
-        answered(gi.probe(1, &key, 1, 100, None, 0, None));
+        answered(gi.probe(1, &key, 1, 100, 0, None));
         assert!(gi.deactivate(&key));
         assert!(!gi.deactivate(&key), "already deactivated");
         assert_eq!(gi.activated_keys(), 0);
-        let probe = answered(gi.probe(2, &key, 2, 100, None, 0, None));
+        let probe = answered(gi.probe(2, &key, 2, 100, 0, None));
         assert!(!probe.found());
         assert_eq!(gi.usage(&key).unwrap().probes, 2);
     }
@@ -1148,8 +1080,8 @@ mod tests {
         let mut gi = index(16);
         let key = TermKey::new(["on", "demand"]);
         // Build up some probe statistics first.
-        answered(gi.probe(0, &key, 1, 50, None, 0, None));
-        answered(gi.probe(1, &key, 2, 50, None, 0, None));
+        answered(gi.probe(0, &key, 1, 50, 0, None));
+        answered(gi.probe(1, &key, 2, 50, 0, None));
         let responsible = gi.dht().responsible_for(key.ring_id()).unwrap();
         gi.store_acquired(responsible, &key, refs(7));
         let entry = gi.peek(&key).unwrap();
@@ -1168,7 +1100,7 @@ mod tests {
             let hops = gi.estimate_hops(3, &key).unwrap();
             let bound = gi.estimate_probe_bytes(&key, hops, max_entries);
             let before = gi.stats_snapshot();
-            answered(gi.probe(3, &key, 1, 16, None, 0, None));
+            answered(gi.probe(3, &key, 1, 16, 0, None));
             let spent = gi
                 .stats_snapshot()
                 .since(&before)
@@ -1186,11 +1118,11 @@ mod tests {
         gi.set_replication_policy(Arc::new(HotKeyReplication::new(3)));
         let key = TermKey::new(["hot", "head"]);
         gi.publish_postings(0, &key, &refs(20), 100).unwrap();
-        let baseline = answered(gi.probe(1, &key, 0, 100, None, 0, None));
+        let baseline = answered(gi.probe(1, &key, 0, 100, 0, None));
         let primary = baseline.responsible;
         let mut served = std::collections::BTreeSet::new();
         for seq in 1..60u64 {
-            let p = answered(gi.probe((seq as usize) % 24, &key, seq, 100, None, 0, None));
+            let p = answered(gi.probe((seq as usize) % 24, &key, seq, 100, 0, None));
             // The answer never changes with placement.
             assert_eq!(p.postings, baseline.postings);
             assert_eq!(p.responsible, primary);
@@ -1218,7 +1150,7 @@ mod tests {
         gi.publish_postings(1, &key, &refs(2), 100).unwrap();
         assert_eq!(gi.publish_version(&key), 2);
         // Probes are reads: no version change.
-        answered(gi.probe(2, &key, 1, 100, None, 0, None));
+        answered(gi.probe(2, &key, 1, 100, 0, None));
         assert_eq!(gi.publish_version(&key), 2);
         assert!(gi.deactivate(&key));
         assert_eq!(gi.publish_version(&key), 3);
@@ -1353,7 +1285,7 @@ mod tests {
             let probes: Vec<ProbeResult> = keys
                 .iter()
                 .enumerate()
-                .map(|(i, key)| answered(gi.probe(i + 2, key, 1, 100, Some(3.0), 0, None)))
+                .map(|(i, key)| answered(gi.probe(i + 2, key, 1, 100, 0, None)))
                 .collect();
             assert_eq!(gi.republish_round(), (0, 0));
             assert_eq!(gi.pending_publishes(), 0);
@@ -1375,7 +1307,7 @@ mod tests {
             gi.set_replication_policy(Arc::new(HotKeyReplication::new(3)));
             gi.publish_postings(0, &key, &refs(5), 100).unwrap();
             for seq in 0..10u64 {
-                answered(gi.probe(seq as usize % 24, &key, seq, 100, None, 0, None));
+                answered(gi.probe(seq as usize % 24, &key, seq, 100, 0, None));
             }
             assert_eq!(gi.replica_holders_of(&key).len(), 3);
             install(&mut gi, FaultPlane::seeded(4).with_sync_loss(1.0));
@@ -1396,7 +1328,7 @@ mod tests {
         let key = TermKey::new(["bit", "flip"]);
         gi.publish_postings(0, &key, &refs(10), 100).unwrap();
         gi.set_fault_plane(FaultPlane::seeded(5).with_corruption(1.0));
-        let outcome = gi.probe(2, &key, 1, 100, None, 0, None).unwrap();
+        let outcome = gi.probe(2, &key, 1, 100, 0, None).unwrap();
         assert!(
             matches!(outcome, ProbeOutcome::Corrupt { .. }),
             "single-bit flips are always caught by the trailer: {outcome:?}"
@@ -1405,7 +1337,7 @@ mod tests {
         assert_eq!(gi.usage(&key).unwrap().probes, 1);
         // A clean attempt at other coordinates still answers.
         gi.set_fault_plane(FaultPlane::seeded(5));
-        let outcome = gi.probe(2, &key, 2, 100, None, 0, None).unwrap();
+        let outcome = gi.probe(2, &key, 2, 100, 0, None).unwrap();
         assert!(matches!(outcome, ProbeOutcome::Ok(_)));
     }
 
@@ -1416,7 +1348,7 @@ mod tests {
         gi.publish_postings(0, &key, &refs(5), 100).unwrap();
         let d1 = gi.peek(&key).unwrap().content_digest();
         // Probes advance usage but not the replicated content.
-        answered(gi.probe(1, &key, 1, 100, None, 0, None));
+        answered(gi.probe(1, &key, 1, 100, 0, None));
         assert_eq!(gi.peek(&key).unwrap().content_digest(), d1);
         // Publishing more postings changes the digest.
         gi.publish_postings(1, &key, &refs(7), 100).unwrap();

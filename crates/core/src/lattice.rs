@@ -79,13 +79,12 @@ pub struct LatticeTrace {
     /// Lookup messages that did not deliver a probe's request, summed over
     /// all probes (see [`crate::global_index::ProbeResult::hops`]).
     pub hops: usize,
-    /// Whole codec blocks score floors elided from response frames across all
-    /// probes (see [`crate::codec::ElisionStats`]); `0` when no floors were
-    /// sent. Absent in traces serialized before floor accounting existed.
+    /// Always `0`: nothing writes it. Kept only because `benchmark/` (outside
+    /// the workspace) reads it; goes with ROADMAP item 5.
     #[serde(default)]
     pub skipped_blocks: usize,
-    /// Response-frame bytes score floors saved across all probes versus
-    /// shipping the full stored lists.
+    /// Always `0`: nothing writes it. Kept only because `benchmark/` (outside
+    /// the workspace) reads it; goes with ROADMAP item 5.
     #[serde(default)]
     pub elided_bytes: u64,
 }

@@ -92,10 +92,7 @@ pub mod stats;
 pub mod strategy;
 
 pub use baseline::CentralizedEngine;
-pub use codec::{
-    decode_list, decode_list_above, encode_list, max_encoded_list_len, quantization_step,
-    CodecError,
-};
+pub use codec::{decode_list, encode_list, max_encoded_list_len, quantization_step, CodecError};
 pub use digest::{DigestDocument, DigestTerm, DocumentDigest};
 pub use error::AlvisError;
 pub use exec::{ProbeEvent, QueryStream, StableTopK};

@@ -587,17 +587,15 @@ impl AlvisNetwork {
     }
 
     /// Publishes the per-key maximum scores of the freshly built index into
-    /// the ranking statistics — the bound [`crate::request::ThresholdMode::RankSafe`]
-    /// floors are derived from — charged to [`TrafficCategory::Ranking`].
+    /// the ranking statistics — the planner's benefit estimate, see
+    /// [`crate::plan::GreedyCost`] — charged to [`TrafficCategory::Ranking`].
     fn publish_key_maxima(&mut self) {
         let mut maxima: Vec<(TermKey, f64, u64)> = Vec::new();
         for entry in self.global.entries().filter(|e| e.activated) {
             if let Some(best) = entry.postings.best_score() {
-                // Stamped with the key's publish version at recording time:
-                // the bound is only sound while the stored list is still at
-                // this version (later mutations — re-publications recovering
-                // lost updates, post-query indexing — leave it stale, and the
-                // rank-safe floor path checks exactly that before trusting it).
+                // Stamped with the key's publish version at recording time
+                // (later mutations — re-publications recovering lost updates,
+                // post-query indexing — leave it stale).
                 let version = self.global.publish_version(&entry.key);
                 maxima.push((entry.key.clone(), best, version));
             }
@@ -1307,37 +1305,16 @@ mod tests {
     }
 
     #[test]
-    fn stale_key_maxima_send_no_floor() {
-        // Lossy build: key-max evidence is recorded against the partially
-        // published lists, then re-publication completes the lists and bumps
-        // their versions — leaving the cached maxima stale (the true maximum
-        // may now exceed them). Rank-safe execution must refuse to build
-        // floors from those caps: such a probe goes out floor-free, counted
-        // in `rank_safe_fallbacks` once θ exists.
-        // The lossy build is deterministic, so a second network is an exact
-        // replica to run the Off reference against.
-        let lossy_build = || {
+    fn threshold_mode_pins_are_inert() {
+        // `ThresholdMode`, `ProbeEvent::score_floor` and the trace's
+        // `skipped_blocks` / `elided_bytes` stay only for `benchmark/`: both
+        // modes run the same floor-free execution on twin networks.
+        let build = || {
             let mut net = demo_network(Hdk::default(), 4);
-            net.set_fault_plane(FaultPlane::seeded(9).with_publish_loss(0.4));
             net.build_index();
-            while net.pending_publishes() > 0 {
-                net.republish_round();
-            }
             net
         };
-        let (mut net, mut off_net) = (lossy_build(), lossy_build());
-        let is_stale = |net: &AlvisNetwork, key: &TermKey| {
-            let version = net.global.publish_version(key);
-            net.ranking.key_max_score(key).is_some()
-                && net.ranking.key_max_fresh(key, version).is_none()
-        };
-        assert!(
-            net.global
-                .entries()
-                .any(|e| e.activated && is_stale(&net, &e.key)),
-            "drained re-publication should leave some cached maxima stale"
-        );
-
+        let (mut off_net, mut safe_net) = (build(), build());
         let queries = [
             "peer to peer retrieval",
             "distributed hash table",
@@ -1345,31 +1322,23 @@ mod tests {
             "query driven indexing",
             "network peers index",
         ];
-        let mut fallbacks = 0usize;
-        for (i, text) in queries.iter().enumerate() {
-            let base = QueryRequest::new(*text).from_peer(i % 4).top_k(3);
-            let plan = net.plan(&base).unwrap();
-            let keys: Vec<TermKey> = plan.probes().map(|node| node.key.clone()).collect();
-            // A probe's cap is stale when its own maximum, or that of a plan
-            // key disjoint from it, is.
-            let stale_cap = |net: &AlvisNetwork, key: &TermKey| {
-                keys.iter().any(|other| {
-                    (other == key || other.term_ids().iter().all(|t| !key.term_ids().contains(t)))
-                        && is_stale(net, other)
-                })
-            };
-            let mut stream = net.stream(plan, base.clone()).unwrap();
+        let run = |net: &mut AlvisNetwork, request: QueryRequest| {
+            let plan = net.plan(&request).unwrap();
+            let mut stream = net.stream(plan, request).unwrap();
             let mut events = Vec::new();
             while let Some(event) = stream.next_event() {
                 events.push(event.unwrap());
             }
-            let safe = stream.finish().unwrap();
-            for event in events.iter().filter(|e| stale_cap(&net, &e.key)) {
-                assert_eq!(event.score_floor, None, "{text:?}: {:?}", event.key);
-            }
-            let off = off_net
-                .execute(&base.threshold_mode(ThresholdMode::Off))
-                .unwrap();
+            (events, stream.finish().unwrap())
+        };
+        for (i, text) in queries.iter().enumerate() {
+            let base = QueryRequest::new(*text).from_peer(i % 4).top_k(3);
+            let (off_events, off) = run(
+                &mut off_net,
+                base.clone().threshold_mode(ThresholdMode::Off),
+            );
+            let (safe_events, safe) =
+                run(&mut safe_net, base.threshold_mode(ThresholdMode::RankSafe));
             let bits = |r: &QueryResponse| -> Vec<_> {
                 r.results
                     .iter()
@@ -1377,9 +1346,17 @@ mod tests {
                     .collect()
             };
             assert_eq!(bits(&safe), bits(&off), "query {text:?} diverged");
-            fallbacks += safe.rank_safe_fallbacks;
+            assert_eq!(safe.bytes, off.bytes, "{text:?}");
+            assert_eq!(safe.trace.nodes, off.trace.nodes, "{text:?}");
+            assert!(!off_events.is_empty(), "{text:?} sent no probe");
+            for event in off_events.iter().chain(&safe_events) {
+                assert_eq!(event.score_floor, None, "{text:?}: {:?}", event.key);
+            }
+            for response in [&off, &safe] {
+                assert_eq!(response.trace.skipped_blocks, 0, "{text:?}");
+                assert_eq!(response.trace.elided_bytes, 0, "{text:?}");
+            }
         }
-        assert!(fallbacks > 0, "no probe took the stale-cap fallback");
     }
 
     #[test]

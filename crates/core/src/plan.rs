@@ -352,9 +352,8 @@ impl GreedyCost {
     /// estimate) × (probability the key is indexed).
     ///
     /// The per-entry estimate prefers the key's published maximum score when
-    /// one is cached (the same `GlobalRankingStats` maxima the rank-safe
-    /// floors are derived from): an actual bound on what the key's entries
-    /// score, measured over the real stored list. Only keys never published —
+    /// one is cached in `GlobalRankingStats`: a measurement of what the key's
+    /// entries score, taken over the real stored list. Only keys never published —
     /// where no measurement exists — fall back to the original DF-and-
     /// independence proxy (summed idf of the key's terms). Staleness is
     /// irrelevant here: a somewhat-outdated measurement still beats the
@@ -586,8 +585,6 @@ impl PlanCursor {
         self.index += 1;
         self.result.trace.probes += 1;
         self.result.trace.hops += probe.hops;
-        self.result.trace.skipped_blocks += probe.skipped_blocks;
-        self.result.trace.elided_bytes += probe.elided_bytes as u64;
         let key = probe.key;
         let outcome = match probe.postings {
             Some(list) => {
@@ -863,8 +860,6 @@ pub(crate) mod tests {
             responsible: 0,
             served_by: 0,
             replica_set: Vec::new(),
-            skipped_blocks: 0,
-            elided_bytes: 0,
         }
     }
 
@@ -1099,7 +1094,7 @@ pub(crate) mod tests {
         let base = retrieval(&index);
         let mut cursor = PlanCursor::new(plan, lattice, Some(byte_budget));
         while let CursorStep::Probe(k) = cursor.next_key(retrieval(&index) - base) {
-            match index.probe(1, &k, 1, 5, None, 0, None).unwrap() {
+            match index.probe(1, &k, 1, 5, 0, None).unwrap() {
                 ProbeOutcome::Ok(probe) => cursor.record(probe),
                 failed => unreachable!("no fault plane is set: {failed:?}"),
             };

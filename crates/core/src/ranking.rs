@@ -33,18 +33,11 @@ pub struct GlobalRankingStats {
     stats: CollectionStats,
     /// Interned mirror of `stats.doc_frequencies`, rebuilt as fragments merge.
     df_by_id: HashMap<TermId, u64>,
-    /// Per-key maximum published contribution score (the rank-safety bound of
-    /// ROADMAP item 1), versioned by the key's publish version at recording
-    /// time: each publication records the stored list's best score, and the
-    /// aggregate keeps the newest version (taking the max among same-version
-    /// records). Because every document is scored by exactly one owner, a
-    /// *fresh* record — one whose version still matches the key's current
-    /// publish version — upper-bounds every score the key's stored posting
-    /// list can return; [`crate::request::ThresholdMode::RankSafe`] floors
-    /// are built on it. A stale record (lossy publications can leave the
-    /// cache behind the list) bounds nothing, which is why the rank-safe path
-    /// checks [`GlobalRankingStats::key_max_fresh`] and sends no floor rather
-    /// than trust it.
+    /// Per-key maximum published contribution score, versioned by the key's
+    /// publish version at recording time: each publication records the stored
+    /// list's best score, and the aggregate keeps the newest version (taking
+    /// the max among same-version records). The planner's
+    /// [`crate::plan::GreedyCost`] reads it as a benefit estimate.
     key_max: HashMap<TermKey, (f64, u64)>,
 }
 
@@ -122,22 +115,10 @@ impl GlobalRankingStats {
 
     /// The maximum score any stored posting of `key` was known to carry when
     /// the record was made, or `None` if nothing was recorded. Freshness is
-    /// *not* checked here — callers needing a sound bound (rather than a
-    /// planning estimate) must use [`GlobalRankingStats::key_max_fresh`].
+    /// not checked: lossy publications can leave the record behind the list,
+    /// so it is a planning estimate, not a bound.
     pub fn key_max_score(&self, key: &TermKey) -> Option<f64> {
         self.key_max.get(key).map(|(score, _)| *score)
-    }
-
-    /// The recorded maximum for `key` **iff** it is fresh: recorded at
-    /// exactly the key's `current_version` publish version. A record from an
-    /// older version may predate stored postings with higher scores (lossy
-    /// publications drop the updates that would have refreshed it), so it is
-    /// unusable as a rank-safety bound and this returns `None`.
-    pub fn key_max_fresh(&self, key: &TermKey, current_version: u64) -> Option<f64> {
-        match self.key_max.get(key) {
-            Some((score, recorded)) if *recorded == current_version => Some(*score),
-            _ => None,
-        }
     }
 
     /// Number of keys with a recorded maximum score.
@@ -193,7 +174,7 @@ impl Deserialize for GlobalRankingStats {
         let stats: CollectionStats = serde::field(v, "stats")?;
         let mut out = GlobalRankingStats::default();
         out.merge_fragment(&stats);
-        // Absent in frames from before the rank-safety bound existed.
+        // Absent in frames from before per-key maxima existed.
         let lookup = |field: &str| match v {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == field).map(|(_, m)| m),
             _ => None,
@@ -299,29 +280,6 @@ pub fn merge_retrieved(retrieved: &[(TermKey, TruncatedPostingList)], k: usize) 
             .collect(),
         k,
     )
-}
-
-/// Whether a set of probeable keys forms a *laminar* family: every pair is
-/// either disjoint or nested. This is the structural condition under which
-/// the coverage-weighted merge is exactly additive over each document's
-/// maximal covering keys — subsets of an already-counted key are skipped
-/// whole (`new_terms == 0`) rather than fraction-diluted, so per-document
-/// merged scores can only grow as more lists arrive. Non-laminar covers
-/// (two overlapping keys, neither containing the other, e.g. `a+b` and
-/// `b+c`) re-spread an overlapped term's weight and can *shrink* a merged
-/// score mid-stream, which is why the rank-safe executor refuses to derive
-/// floors from them.
-pub fn keys_are_laminar(keys: &[TermKey]) -> bool {
-    keys.iter().enumerate().all(|(i, a)| {
-        keys[..i].iter().all(|b| {
-            let shared = a
-                .term_ids()
-                .iter()
-                .filter(|&t| b.term_ids().contains(t))
-                .count();
-            shared == 0 || shared == a.len().min(b.len())
-        })
-    })
 }
 
 #[cfg(test)]
@@ -559,25 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn key_max_fresh_requires_an_exact_version_match() {
-        let mut global = GlobalRankingStats::new();
-        let key = TermKey::single("peer");
-        assert_eq!(global.key_max_fresh(&key, 0), None, "nothing recorded");
-        global.record_key_max(&key, 2.0, 3);
-        assert_eq!(global.key_max_fresh(&key, 3), Some(2.0));
-        assert_eq!(
-            global.key_max_fresh(&key, 4),
-            None,
-            "a record behind the list's publish version bounds nothing"
-        );
-        assert_eq!(
-            global.key_max_score(&key),
-            Some(2.0),
-            "planning estimate survives"
-        );
-    }
-
-    #[test]
     fn key_max_survives_the_serde_round_trip() {
         let idx = local_index(0, &["peer retrieval systems"]);
         let mut global = global_from(&[&idx]);
@@ -590,10 +529,6 @@ mod tests {
             back.key_max_score(&TermKey::new(["peer", "retriev"])),
             Some(2.5)
         );
-        // Versions ride along: the round-tripped records stay fresh at the
-        // versions they were recorded at, and at no other.
-        assert_eq!(back.key_max_fresh(&TermKey::single("peer"), 7), Some(1.25));
-        assert_eq!(back.key_max_fresh(&TermKey::single("peer"), 8), None);
         assert_eq!(back.key_max_count(), 2);
         // Frames without the field (pre-bound peers) still parse.
         let legacy = Value::Obj(vec![(
@@ -603,7 +538,7 @@ mod tests {
         let parsed = GlobalRankingStats::from_value(&legacy).unwrap();
         assert_eq!(parsed.key_max_count(), 0);
         // Frames with maxima but no version table (pre-versioning peers)
-        // parse with version 0 — always stale against a live index.
+        // still parse.
         let unversioned = Value::Obj(vec![
             ("stats".to_string(), idx.collection_stats().to_value()),
             (
@@ -613,8 +548,6 @@ mod tests {
         ]);
         let parsed = GlobalRankingStats::from_value(&unversioned).unwrap();
         assert_eq!(parsed.key_max_score(&TermKey::single("peer")), Some(1.5));
-        assert_eq!(parsed.key_max_fresh(&TermKey::single("peer"), 0), Some(1.5));
-        assert_eq!(parsed.key_max_fresh(&TermKey::single("peer"), 1), None);
     }
 
     #[test]
@@ -637,31 +570,12 @@ mod tests {
         assert!(all_scores.contains(&bound), "the bound is tight");
     }
 
-    #[test]
-    fn laminar_families_are_recognised() {
-        let a = TermKey::single("a");
-        let b = TermKey::single("b");
-        let c = TermKey::single("c");
-        let ab = TermKey::new(["a", "b"]);
-        let bc = TermKey::new(["b", "c"]);
-        // Disjoint singletons, nesting, and mixtures are laminar.
-        assert!(keys_are_laminar(&[]));
-        assert!(keys_are_laminar(std::slice::from_ref(&a)));
-        assert!(keys_are_laminar(&[a.clone(), b.clone(), c.clone()]));
-        assert!(keys_are_laminar(&[ab.clone(), a.clone(), b]));
-        assert!(keys_are_laminar(&[ab.clone(), c]));
-        // Overlapping without nesting is not.
-        assert!(!keys_are_laminar(&[ab.clone(), bc.clone()]));
-        assert!(!keys_are_laminar(&[ab, a, bc]));
-    }
-
-    /// The property the rank-safe executor's running-θ lower bound stands on:
-    /// over a *laminar* key family the coverage-weighted merge is additive
-    /// over each document's maximal covering keys, so every document's merged
-    /// score — and the running k-th — only grows as lists arrive. The same
-    /// prefix walk over a non-laminar family shows the contrast: a merged
-    /// score can shrink mid-stream, which is why the executor refuses floors
-    /// there.
+    /// Over a *laminar* key family (every pair disjoint or nested) the
+    /// coverage-weighted merge is additive over each document's maximal
+    /// covering keys, so every document's merged score — and the running
+    /// k-th — only grows as lists arrive. The same prefix walk over a
+    /// non-laminar family shows the contrast: a merged score can shrink
+    /// mid-stream.
     #[test]
     fn laminar_merges_are_additive_and_monotone_under_list_arrival() {
         let d1 = DocId::new(0, 1);

@@ -135,7 +135,7 @@ proptest! {
         prop_assert_eq!(gi.activated_keys(), keys.len());
         // Every key is found by a probe from any origin and the per-peer loads sum up.
         for (i, key) in keys.iter().enumerate() {
-            let probe = gi.probe((i + 1) % peers, key, i as u64, 16, None, 0, None).unwrap();
+            let probe = gi.probe((i + 1) % peers, key, i as u64, 16, 0, None).unwrap();
             let found = matches!(&probe, ProbeOutcome::Ok(served) if served.found());
             prop_assert!(found, "published key {key} not found: {probe:?}");
         }
@@ -162,7 +162,7 @@ proptest! {
         );
         gi.publish_postings(0, &key, &list, capacity).unwrap();
         let before = gi.stats_snapshot();
-        gi.probe(5, &key, 1, capacity, None, 0, None).unwrap();
+        gi.probe(5, &key, 1, capacity, 0, None).unwrap();
         let delta = gi.stats_snapshot().since(&before);
         let retrieval = delta.category(TrafficCategory::Retrieval).bytes as usize;
         // The response can never exceed capacity * sizeof(ref) plus bounded overheads

@@ -8,7 +8,7 @@
 
 use alvisp2p_core::exec::ProbeEvent;
 use alvisp2p_core::network::AlvisNetwork;
-use alvisp2p_core::request::{QueryRequest, QueryResponse, ThresholdMode};
+use alvisp2p_core::request::{QueryRequest, QueryResponse};
 use alvisp2p_core::strategy::{Hdk, SingleTermFull, Strategy};
 use alvisp2p_core::TermKey;
 use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
@@ -43,7 +43,7 @@ fn network(corpus: &SyntheticCorpus, strategy: Arc<dyn Strategy>, seed: u64) -> 
 
 /// Two- and three-term queries over the head of the vocabulary, query `i`
 /// asked by peer `i % PEERS`.
-fn log(corpus: &SyntheticCorpus, queries: usize, mode: ThresholdMode) -> Vec<QueryRequest> {
+fn log(corpus: &SyntheticCorpus, queries: usize) -> Vec<QueryRequest> {
     let vocab: Vec<&str> = corpus.vocabulary.iter().map(String::as_str).collect();
     (0..queries)
         .map(|i| {
@@ -52,10 +52,7 @@ fn log(corpus: &SyntheticCorpus, queries: usize, mode: ThresholdMode) -> Vec<Que
                 text.push(' ');
                 text.push_str(vocab[12 + i % 4]);
             }
-            QueryRequest::new(text)
-                .from_peer(i % PEERS)
-                .top_k(10)
-                .threshold_mode(mode)
+            QueryRequest::new(text).from_peer(i % PEERS).top_k(10)
         })
         .collect()
 }
@@ -129,35 +126,33 @@ proptest! {
     ) {
         let corpus = corpus(docs, corpus_seed);
         for (label, strategy) in strategies() {
-            for mode in [ThresholdMode::Off, ThresholdMode::RankSafe] {
-                let log = log(&corpus, queries, mode);
-                let mut fresh = network(&corpus, Arc::clone(&strategy), corpus_seed);
-                let mut warm = network(&corpus, Arc::clone(&strategy), corpus_seed);
-                for request in &log {
-                    execute(&mut warm, request);
-                }
-                let learned = warm.global_index().dht().shortcut_stats();
-                let (mut saved_bytes, mut dialled) = (0u64, 0usize);
-                for (i, request) in log.iter().enumerate() {
-                    let cold = execute(&mut fresh, request);
-                    let hot = execute(&mut warm, request);
-                    prop_assert_eq!(
-                        cold.answer(), hot.answer(),
-                        "{} {:?}: query {} diverged", label, mode, i
-                    );
-                    prop_assert!(hot.response.bytes <= cold.response.bytes);
-                    prop_assert!(hot.response.hops <= cold.response.hops);
-                    saved_bytes += cold.response.bytes - hot.response.bytes;
-                    dialled += hot.events.iter().filter(|e| e.via_shortcut).count();
-                }
-                // Not vacuous: the second pass really dialled, and saved bytes.
-                let stats = warm.global_index().dht().shortcut_stats();
-                prop_assert!(stats.hits > learned.hits && dialled > 0);
-                prop_assert_eq!(stats.hits - learned.hits, dialled as u64);
-                prop_assert_eq!(stats.misses, learned.misses, "second pass missed");
-                prop_assert_eq!(stats.stale, 0);
-                prop_assert!(saved_bytes > 0);
+            let log = log(&corpus, queries);
+            let mut fresh = network(&corpus, Arc::clone(&strategy), corpus_seed);
+            let mut warm = network(&corpus, Arc::clone(&strategy), corpus_seed);
+            for request in &log {
+                execute(&mut warm, request);
             }
+            let learned = warm.global_index().dht().shortcut_stats();
+            let (mut saved_bytes, mut dialled) = (0u64, 0usize);
+            for (i, request) in log.iter().enumerate() {
+                let cold = execute(&mut fresh, request);
+                let hot = execute(&mut warm, request);
+                prop_assert_eq!(
+                    cold.answer(), hot.answer(),
+                    "{}: query {} diverged", label, i
+                );
+                prop_assert!(hot.response.bytes <= cold.response.bytes);
+                prop_assert!(hot.response.hops <= cold.response.hops);
+                saved_bytes += cold.response.bytes - hot.response.bytes;
+                dialled += hot.events.iter().filter(|e| e.via_shortcut).count();
+            }
+            // Not vacuous: the second pass really dialled, and saved bytes.
+            let stats = warm.global_index().dht().shortcut_stats();
+            prop_assert!(stats.hits > learned.hits && dialled > 0);
+            prop_assert_eq!(stats.hits - learned.hits, dialled as u64);
+            prop_assert_eq!(stats.misses, learned.misses, "second pass missed");
+            prop_assert_eq!(stats.stale, 0);
+            prop_assert!(saved_bytes > 0);
         }
     }
 }
@@ -184,7 +179,7 @@ fn a_warm_pass_sends_no_lookup_and_answers_like_a_cold_one() {
     // Every origin asks queries sharing a term (query `i` leads with term
     // `i % 5`), so the first pass also dials keys its origin learned
     // earlier in the pass.
-    let log: Vec<QueryRequest> = log(&corpus, 30, ThresholdMode::RankSafe)
+    let log: Vec<QueryRequest> = log(&corpus, 30)
         .into_iter()
         .enumerate()
         .map(|(i, request)| request.from_peer((i % 10) * 6))
@@ -246,7 +241,7 @@ fn a_poisoned_table_costs_one_dial_per_probe_and_never_an_answer() {
     for (label, strategy) in strategies() {
         // One query per origin, so no origin probes a key twice and the cold
         // network never gets to use what it learns.
-        let log = log(&corpus, PEERS, ThresholdMode::RankSafe);
+        let log = log(&corpus, PEERS);
         let mut cold = network(&corpus, Arc::clone(&strategy), 17);
         let mut poisoned = network(&corpus, Arc::clone(&strategy), 17);
 

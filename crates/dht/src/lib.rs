@@ -10,8 +10,6 @@
 //!   looking it up again ([`shortcut`]);
 //! * routed, traffic-accounted **storage operations** over the overlay ([`network`]);
 //! * peer **churn**: joins, graceful departures, abrupt failures ([`churn`]);
-//! * the per-destination **AIMD congestion window** (Klemm et al., NCA 2006),
-//!   a pure controller no query path drives yet ([`congestion`]);
 //! * **skew-aware replication** of hot keys onto ring successor sets, with
 //!   load-tracked probe routing to the least-loaded replica ([`replica`]).
 //!
@@ -34,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod congestion;
 pub mod id;
 pub mod lookup;
 pub mod network;
@@ -45,7 +42,6 @@ pub mod routing;
 pub mod shortcut;
 pub mod storage;
 
-pub use congestion::{AimdController, CongestionConfig};
 pub use id::{RingHasher, RingId};
 pub use lookup::{lookup, LookupResult};
 pub use network::{Dht, DhtConfig, DhtError, IdDistribution, RouteInfo};

@@ -22,21 +22,18 @@ pub enum TrafficCategory {
     Retrieval,
     /// Ranking: global statistics exchange.
     Ranking,
-    /// Congestion-control signalling (acks, credit grants, retransmissions).
-    Congestion,
     /// Anything else (application-defined).
     Other,
 }
 
 impl TrafficCategory {
     /// All categories in a stable order (useful for report tables).
-    pub const ALL: [TrafficCategory; 7] = [
+    pub const ALL: [TrafficCategory; 6] = [
         TrafficCategory::Overlay,
         TrafficCategory::Routing,
         TrafficCategory::Indexing,
         TrafficCategory::Retrieval,
         TrafficCategory::Ranking,
-        TrafficCategory::Congestion,
         TrafficCategory::Other,
     ];
 
@@ -48,7 +45,6 @@ impl TrafficCategory {
             TrafficCategory::Indexing => "indexing",
             TrafficCategory::Retrieval => "retrieval",
             TrafficCategory::Ranking => "ranking",
-            TrafficCategory::Congestion => "congestion",
             TrafficCategory::Other => "other",
         }
     }

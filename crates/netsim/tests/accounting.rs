@@ -300,7 +300,7 @@ mod probe_ledger {
         let before = net.traffic_snapshot();
         let outcome = net
             .global_index_mut()
-            .probe(origin, key, 0, 10, None, attempt, serve_override)
+            .probe(origin, key, 0, 10, attempt, serve_override)
             .expect("a live overlay routes every probe");
         let delta = net.traffic_snapshot().since(&before);
         let (hops, answered) = match &outcome {

@@ -129,10 +129,7 @@ fn querying_from_a_departed_peer_is_rejected_cleanly() {
 
 /// One fault-free probe for `key` from `origin`.
 fn probe(net: &mut AlvisNetwork, origin: usize, key: &TermKey) -> ProbeResult {
-    match net
-        .global_index_mut()
-        .probe(origin, key, 0, 30, None, 0, None)
-    {
+    match net.global_index_mut().probe(origin, key, 0, 30, 0, None) {
         Ok(ProbeOutcome::Ok(result)) => result,
         other => panic!("fault-free probe must be served, got {other:?}"),
     }

@@ -311,8 +311,6 @@ proptest! {
                 responsible: 0,
                 served_by: 0,
                 replica_set: Vec::new(),
-                skipped_blocks: 0,
-                elided_bytes: 0,
             });
         }
         let (result, _) = cursor.finish();
@@ -492,7 +490,7 @@ proptest! {
         while let CursorStep::Probe(key) = cursor.next_key(spent(&reference_net)) {
             match reference_net
                 .global_index_mut()
-                .probe(origin, &key, seq, capacity, None, 0, None)
+                .probe(origin, &key, seq, capacity, 0, None)
                 .unwrap()
             {
                 ProbeOutcome::Ok(probe) => cursor.record(probe),
