@@ -5,8 +5,8 @@
 //! was hand-written arithmetic (a claimed "quantised score" of 4 bytes that the
 //! serde layer shipped as a full `f64`). The paper's headline guarantee is
 //! about **bytes on the wire**, so the wire layer is now real: a
-//! [`crate::posting::TruncatedPostingList`] is encoded into score-descending
-//! blocks of delta-varint document ids with scores quantized to `u16`
+//! [`crate::posting::TruncatedPostingList`] is encoded as one score-descending
+//! run of delta-varint document ids with scores quantized to `u16`
 //! fixed-point, and `WireSize` for every retrieval frame is defined as the
 //! exact length of that encoding.
 //!
@@ -16,20 +16,13 @@
 //! version          u8       == FORMAT_VERSION
 //! full_df          varint   true document frequency at the responsible peer
 //! capacity         varint   truncation capacity of the stored list
-//! total_refs       varint   references stored at the responsible peer (≤ capacity)
-//! kept_refs        varint   references actually encoded (≤ total_refs; the
-//!                           difference is what a score floor elided)
-//! -- present only when kept_refs > 0 --
+//! n                varint   references encoded (≤ capacity, ≤ full_df)
+//! -- present only when n > 0 --
 //! score_hi         f32 LE   quantization range upper end (best score)
-//! score_lo         f32 LE   quantization range lower end (worst kept score)
-//! n_blocks         varint
-//! per block (blocks are in descending score order):
-//!   max_q          u16 LE   quantized score of the block's best entry
-//!   n_entries      varint
-//!   payload_len    varint   byte length of the payload (the skip offset)
-//!   payload, entries in descending score order:
-//!     first entry: varint peer, varint local, u16 q
-//!     later ones:  zigzag-varint Δpeer, zigzag-varint Δlocal, u16 q
+//! score_lo         f32 LE   quantization range lower end (the list's worst score)
+//! n entries in descending score order:
+//!   first entry:   varint peer, varint local, u16 q
+//!   later ones:    zigzag-varint Δpeer, zigzag-varint Δlocal, u16 q
 //! checksum         u32 LE   [`frame_checksum`] over every preceding byte
 //! ```
 //!
@@ -43,10 +36,11 @@
 //! panicking) decode. The probe path maps that error onto the retryable
 //! [`crate::fault::ProbeOutcome::Corrupt`].
 //!
-//! Past the trailer, the list decoder rejects bodies no encoder writes: more
-//! references than the capacity, a document listed twice, an empty block, a
-//! block whose `max_q` is not its first entry's score, or more declared
-//! entries than the body can hold (checked before allocating for them).
+//! Past the trailer, the list decoder rejects bodies no encoder writes: any
+//! version but [`FORMAT_VERSION`], more declared entries than the body can
+//! hold (checked before allocating for them), trailing bytes, and — through
+//! the list constructor the serde path shares — more entries than the
+//! capacity, a `full_df` below the entry count, or a document listed twice.
 //! `tests/proptest_codec.rs` fuzzes every decoder with arbitrary bodies under
 //! a valid trailer.
 //!
@@ -66,8 +60,8 @@
 //! [`encode_list`]'s `score_floor` is kept only because `benchmark/` (outside
 //! the workspace) reads it; goes with ROADMAP item 5. No probe passes a
 //! floor. Given one, the encoder elides the entries scoring strictly below
-//! it, and the decoded list reports `full_df` minus the elided count, so a
-//! complete list stays complete and a truncated list stays truncated.
+//! it and writes `full_df` minus the elided count, so a complete list stays
+//! complete and a truncated list stays truncated.
 
 use crate::key::TermKey;
 use crate::posting::{ScoredRef, TruncatedPostingList};
@@ -75,16 +69,13 @@ use alvisp2p_textindex::DocId;
 use std::fmt;
 
 /// Version byte leading every list frame. Version 2 added the checksum
-/// trailer ending every list and key frame.
-pub const FORMAT_VERSION: u8 = 2;
+/// trailer ending every list and key frame; version 3 dropped the score
+/// blocks, their headers and the kept-count, leaving one flat entry run.
+pub const FORMAT_VERSION: u8 = 3;
 
 /// Length of the integrity trailer ending every list and key frame: the
 /// [`frame_checksum`] of the frame body as a `u32` LE.
 pub const FRAME_TRAILER_LEN: usize = 4;
-
-/// Entries per block: large enough that per-block headers stay under half a
-/// byte per entry.
-pub const BLOCK_ENTRIES: usize = 16;
 
 /// Number of quantization levels minus one (`u16` fixed-point).
 pub const SCORE_LEVELS: u16 = u16::MAX;
@@ -372,7 +363,7 @@ pub fn decode_key(frame: &[u8]) -> Result<Vec<String>, CodecError> {
 // ---------------------------------------------------------------------------
 
 /// Encoded size of one in-list entry given the previous entry (`None` for the
-/// first entry of a block, which is coded with absolute varints).
+/// list's first entry, which is coded with absolute varints).
 fn in_list_entry_len(prev: Option<DocId>, doc: DocId) -> usize {
     match prev {
         None => varint_len(u64::from(doc.peer)) + varint_len(u64::from(doc.local)) + 2,
@@ -404,43 +395,26 @@ pub fn encode_list(list: &TruncatedPostingList, score_floor: Option<f64>) -> Vec
     // a second pass over every entry on the probe hot path.
     let mut out = Vec::with_capacity(max_encoded_list_len(kept));
     out.push(FORMAT_VERSION);
-    put_varint(&mut out, list.full_df());
+    put_varint(&mut out, list.full_df() - (list.len() - kept) as u64);
     put_varint(&mut out, list.capacity() as u64);
-    put_varint(&mut out, list.len() as u64);
     put_varint(&mut out, kept as u64);
-    if kept == 0 {
-        append_trailer(&mut out, 0);
-        return out;
-    }
-    // The quantization range spans the *full* list's scores — not just the
-    // kept prefix — so a floored frame quantizes every kept entry on exactly
-    // the grid the unfloored frame would use. `as f32` rounding can land hi
-    // slightly below the true best (or lo slightly above the true worst), so
-    // widen to the next representable f32 to keep every score inside the
-    // range. Scores outside the finite f32 range (or NaN) are clamped first
-    // so the frame always stays decodable — quantization of such degenerate
-    // scores is then arbitrary, but the probe path can never produce a frame
-    // its own querier rejects.
-    let all = list.refs();
-    let hi = widen_up(sanitize_score(refs[0].score));
-    let lo = widen_down(sanitize_score(all[all.len() - 1].score));
-    put_f32(&mut out, hi);
-    put_f32(&mut out, lo);
-    let blocks = refs.chunks(BLOCK_ENTRIES);
-    put_varint(&mut out, blocks.len() as u64);
-    for block in blocks {
-        let max_q = quantize(block[0].score, f64::from(lo), f64::from(hi));
-        put_u16(&mut out, max_q);
-        put_varint(&mut out, block.len() as u64);
-        let mut payload_len = 0usize;
-        let mut prev = None;
-        for r in block {
-            payload_len += in_list_entry_len(prev, r.doc);
-            prev = Some(r.doc);
-        }
-        put_varint(&mut out, payload_len as u64);
+    if kept > 0 {
+        // The quantization range spans the *full* list's scores — not just the
+        // kept prefix — so a floored frame quantizes every kept entry on
+        // exactly the grid the unfloored frame would use. `as f32` rounding
+        // can land hi slightly below the true best (or lo slightly above the
+        // true worst), so widen to the next representable f32 to keep every
+        // score inside the range. Scores outside the finite f32 range (or NaN)
+        // are clamped first so the frame always stays decodable — quantization
+        // of such degenerate scores is then arbitrary, but the probe path can
+        // never produce a frame its own querier rejects.
+        let all = list.refs();
+        let hi = widen_up(sanitize_score(refs[0].score));
+        let lo = widen_down(sanitize_score(all[all.len() - 1].score));
+        put_f32(&mut out, hi);
+        put_f32(&mut out, lo);
         let mut prev: Option<DocId> = None;
-        for r in block {
+        for r in refs {
             match prev {
                 None => {
                     put_varint(&mut out, u64::from(r.doc.peer));
@@ -505,26 +479,19 @@ fn widen_down(v: f64) -> f32 {
 /// allocation. This is what `TruncatedPostingList::wire_size` reports (and
 /// what the simulator charges for a probe response).
 pub fn encoded_list_len(list: &TruncatedPostingList) -> usize {
-    let kept = list.len();
-    let mut len = FRAME_TRAILER_LEN
+    let header = FRAME_TRAILER_LEN
         + 1
         + varint_len(list.full_df())
         + varint_len(list.capacity() as u64)
-        + 2 * varint_len(kept as u64);
-    if kept == 0 {
-        return len;
+        + varint_len(list.len() as u64);
+    if list.is_empty() {
+        return header;
     }
-    len += 8; // score_hi + score_lo
-    let blocks = list.refs().chunks(BLOCK_ENTRIES);
-    len += varint_len(blocks.len() as u64);
-    for block in blocks {
-        let mut payload_len = 0usize;
-        let mut prev = None;
-        for r in block {
-            payload_len += in_list_entry_len(prev, r.doc);
-            prev = Some(r.doc);
-        }
-        len += 2 + varint_len(block.len() as u64) + varint_len(payload_len as u64) + payload_len;
+    let mut len = header + 8; // score_hi + score_lo
+    let mut prev = None;
+    for r in list.refs() {
+        len += in_list_entry_len(prev, r.doc);
+        prev = Some(r.doc);
     }
     len
 }
@@ -535,17 +502,13 @@ pub fn encoded_list_len(list: &TruncatedPostingList) -> usize {
 /// `full_df` and capacity.
 pub fn max_encoded_list_len(entries: usize) -> usize {
     // trailer + version + full_df/capacity varints at their 10-byte u64 worst
-    // case + total/kept varints for `entries`.
-    let mut len = FRAME_TRAILER_LEN + 1 + 10 + 10 + 2 * varint_len(entries as u64);
+    // case + the entry count.
+    let header = FRAME_TRAILER_LEN + 1 + 10 + 10 + varint_len(entries as u64);
     if entries == 0 {
-        return len;
+        header
+    } else {
+        header + 8 + entries * MAX_ENTRY_LEN
     }
-    let blocks = entries.div_ceil(BLOCK_ENTRIES);
-    len += 8 + varint_len(blocks as u64);
-    len += blocks
-        * (2 + varint_len(BLOCK_ENTRIES as u64)
-            + varint_len((BLOCK_ENTRIES * MAX_ENTRY_LEN) as u64));
-    len + entries * MAX_ENTRY_LEN
 }
 
 /// Decodes a whole list frame.
@@ -564,75 +527,49 @@ pub fn decode_list(frame: &[u8]) -> Result<TruncatedPostingList, CodecError> {
     let full_df = get_varint(buf, &mut pos)?;
     let capacity = usize::try_from(get_varint(buf, &mut pos)?)
         .map_err(|_| CodecError::new("capacity overflows usize"))?;
-    let total = get_varint(buf, &mut pos)? as usize;
-    let kept = get_varint(buf, &mut pos)? as usize;
-    if kept > total {
-        return Err(CodecError::new("kept_refs exceeds total_refs"));
-    }
-    if total > capacity {
-        return Err(CodecError::new("total_refs exceeds capacity"));
-    }
-    if kept > (buf.len() - pos) / MIN_ENTRY_LEN {
+    let n = get_varint(buf, &mut pos)?;
+    if n > ((buf.len() - pos) / MIN_ENTRY_LEN) as u64 {
         return Err(CodecError::new(
-            "kept_refs exceeds what the frame can carry",
+            "entry count exceeds what the frame can carry",
         ));
     }
-    let mut refs: Vec<ScoredRef> = Vec::with_capacity(kept);
-    if kept > 0 {
+    let mut refs: Vec<ScoredRef> = Vec::with_capacity(n as usize);
+    if n > 0 {
         let hi = f64::from(get_f32(buf, &mut pos)?);
         let lo = f64::from(get_f32(buf, &mut pos)?);
         if !hi.is_finite() || !lo.is_finite() {
             return Err(CodecError::new("non-finite quantization range"));
         }
-        let n_blocks = get_varint(buf, &mut pos)? as usize;
-        for _ in 0..n_blocks {
-            let max_q = get_u16(buf, &mut pos)?;
-            let n_entries = get_varint(buf, &mut pos)? as usize;
-            if n_entries == 0 {
-                return Err(CodecError::new("empty block"));
-            }
-            let payload_len = get_varint(buf, &mut pos)? as usize;
-            let payload_end = pos
-                .checked_add(payload_len)
-                .filter(|end| *end <= buf.len())
-                .ok_or_else(|| CodecError::new("block payload out of bounds"))?;
-            let mut prev: Option<DocId> = None;
-            for _ in 0..n_entries {
-                let doc = match prev {
-                    None => {
-                        let peer = u32::try_from(get_varint(buf, &mut pos)?)
-                            .map_err(|_| CodecError::new("peer id overflows u32"))?;
-                        let local = u32::try_from(get_varint(buf, &mut pos)?)
-                            .map_err(|_| CodecError::new("local id overflows u32"))?;
-                        DocId::new(peer, local)
-                    }
-                    Some(p) => {
-                        let dp = unzigzag(get_varint(buf, &mut pos)?);
-                        let dl = unzigzag(get_varint(buf, &mut pos)?);
-                        let peer = i64::from(p.peer)
-                            .checked_add(dp)
-                            .and_then(|v| u32::try_from(v).ok())
-                            .ok_or_else(|| CodecError::new("peer delta out of range"))?;
-                        let local = i64::from(p.local)
-                            .checked_add(dl)
-                            .and_then(|v| u32::try_from(v).ok())
-                            .ok_or_else(|| CodecError::new("local delta out of range"))?;
-                        DocId::new(peer, local)
-                    }
-                };
-                let q = get_u16(buf, &mut pos)?;
-                if prev.is_none() && q != max_q {
-                    return Err(CodecError::new("block max_q differs from its first entry"));
+        let mut prev: Option<DocId> = None;
+        for _ in 0..n {
+            let doc = match prev {
+                None => {
+                    let peer = u32::try_from(get_varint(buf, &mut pos)?)
+                        .map_err(|_| CodecError::new("peer id overflows u32"))?;
+                    let local = u32::try_from(get_varint(buf, &mut pos)?)
+                        .map_err(|_| CodecError::new("local id overflows u32"))?;
+                    DocId::new(peer, local)
                 }
-                prev = Some(doc);
-                refs.push(ScoredRef {
-                    doc,
-                    score: dequantize(q, lo, hi),
-                });
-            }
-            if pos != payload_end {
-                return Err(CodecError::new("block payload length mismatch"));
-            }
+                Some(p) => {
+                    let dp = unzigzag(get_varint(buf, &mut pos)?);
+                    let dl = unzigzag(get_varint(buf, &mut pos)?);
+                    let peer = i64::from(p.peer)
+                        .checked_add(dp)
+                        .and_then(|v| u32::try_from(v).ok())
+                        .ok_or_else(|| CodecError::new("peer delta out of range"))?;
+                    let local = i64::from(p.local)
+                        .checked_add(dl)
+                        .and_then(|v| u32::try_from(v).ok())
+                        .ok_or_else(|| CodecError::new("local delta out of range"))?;
+                    DocId::new(peer, local)
+                }
+            };
+            let q = get_u16(buf, &mut pos)?;
+            prev = Some(doc);
+            refs.push(ScoredRef {
+                doc,
+                score: dequantize(q, lo, hi),
+            });
         }
     }
     // A decode consumes the whole frame; leftover bytes mean the buffer was
@@ -640,19 +577,10 @@ pub fn decode_list(frame: &[u8]) -> Result<TruncatedPostingList, CodecError> {
     if pos != buf.len() {
         return Err(CodecError::new("trailing bytes after list frame"));
     }
-    // A well-formed frame's blocks carry exactly kept_refs entries.
-    if refs.len() != kept {
-        return Err(CodecError::new("block entries disagree with kept_refs"));
-    }
     // Canonical list order: descending score, ties by ascending document id
     // (distinct scores may collapse into quantized ties).
     refs.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
-    let full_df = full_df.saturating_sub((total - kept) as u64);
-    let list = TruncatedPostingList::from_wire_parts(refs, capacity, full_df);
-    if list.has_repeated_docs() {
-        return Err(CodecError::new("list frame repeats a document"));
-    }
-    Ok(list)
+    TruncatedPostingList::from_wire_parts(refs, capacity, full_df).map_err(CodecError::new)
 }
 
 #[cfg(test)]
@@ -735,11 +663,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_list_is_a_nine_byte_frame() {
+    fn empty_list_is_an_eight_byte_frame() {
         let empty = TruncatedPostingList::new(10);
         let bytes = encode_list(&empty, None);
-        assert_eq!(bytes, seal(vec![FORMAT_VERSION, 0, 10, 0, 0]));
-        assert_eq!(bytes.len(), 5 + FRAME_TRAILER_LEN);
+        assert_eq!(bytes, seal(vec![FORMAT_VERSION, 0, 10, 0]));
+        assert_eq!(bytes.len(), 4 + FRAME_TRAILER_LEN);
         assert_eq!(encoded_list_len(&empty), bytes.len());
         let back = decode_list(&bytes).unwrap();
         assert_eq!(back, empty);
@@ -757,8 +685,7 @@ mod tests {
             FORMAT_VERSION, // version
             2,              // full_df
             4,              // capacity
-            2,              // total_refs
-            2,              // kept_refs
+            2,              // n
             hi[0],
             hi[1],
             hi[2],
@@ -767,11 +694,6 @@ mod tests {
             lo[1],
             lo[2],
             lo[3], // score_lo = 1.0
-            1,     // n_blocks
-            0xff,
-            0xff, // max_q = 65535 (block's best score == score_hi)
-            2,    // n_entries
-            8,    // payload_len: (1+1+2) absolute + (1+1+2) delta
             1,
             5, // first entry: peer=1, local=5 (absolute varints)
             0xff,
@@ -789,6 +711,17 @@ mod tests {
         assert_eq!(back.refs()[0].score, 3.0);
         assert_eq!(back.refs()[1].score, 1.0);
         assert!(!back.is_truncated());
+
+        // The same list as version 2 framed it (total/kept counts, one block
+        // led by max_q, entry count and payload length) is no longer read.
+        let mut v2 = vec![2, 2, 4, 2, 2];
+        v2.extend_from_slice(&hi);
+        v2.extend_from_slice(&lo);
+        v2.extend_from_slice(&[1, 0xff, 0xff, 2, 8, 1, 5, 0xff, 0xff, 0, 2, 0, 0]);
+        assert!(matches!(
+            decode_list(&seal(v2)),
+            Err(CodecError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -885,7 +818,7 @@ mod tests {
     fn decode_rejects_malformed_frames() {
         assert!(decode_list(&[]).is_err());
         assert!(
-            decode_list(&seal(vec![99, 0, 0, 0, 0])).is_err(),
+            decode_list(&seal(vec![99, 0, 0, 0])).is_err(),
             "bad version"
         );
         let l = list(&[(0, 0, 1.0)], 2);
@@ -900,12 +833,11 @@ mod tests {
             decode_list(&seal(trailing)),
             Err(CodecError::new("trailing bytes after list frame"))
         );
-        // Blocks declaring more entries than the header's kept_refs must
-        // error, not overflow the elided-count arithmetic.
+        // Fewer declared entries than the body carries leaves trailing bytes.
         let two = encode_list(&list(&[(0, 0, 2.0), (0, 1, 1.0)], 4), None);
         let mut lying = body_of(&two);
-        lying[4] = 1; // kept_refs: 2 -> 1, blocks still carry 2 entries
-        assert!(decode_list(&seal(lying)).is_err(), "over-full blocks");
+        lying[3] = 1; // n: 2 -> 1, the body still carries 2 entries
+        assert!(decode_list(&seal(lying)).is_err(), "under-declared entries");
         // A key frame declaring an absurd term length must error, not overflow.
         assert!(decode_key(&seal(vec![
             1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1
@@ -913,21 +845,15 @@ mod tests {
         .is_err());
         // A delta entry whose zigzag delta overflows i64 addition must error,
         // not overflow: first entry peer=u32::MAX, then Δpeer = i64::MAX.
-        let mut frame = vec![FORMAT_VERSION, 2, 4, 2, 2];
+        let mut frame = vec![FORMAT_VERSION, 2, 4, 2];
         frame.extend_from_slice(&1.0f32.to_le_bytes()); // score_hi
         frame.extend_from_slice(&0.0f32.to_le_bytes()); // score_lo
-        frame.push(1); // n_blocks
-        frame.extend_from_slice(&0xffffu16.to_le_bytes()); // max_q
-        frame.push(2); // n_entries
-        let mut payload = Vec::new();
-        put_varint(&mut payload, u64::from(u32::MAX)); // peer
-        put_varint(&mut payload, 0); // local
-        put_u16(&mut payload, 0xffff);
-        put_varint(&mut payload, zigzag(i64::MAX)); // Δpeer overflows
-        put_varint(&mut payload, 0); // Δlocal
-        put_u16(&mut payload, 0);
-        put_varint(&mut frame, payload.len() as u64);
-        frame.extend_from_slice(&payload);
+        put_varint(&mut frame, u64::from(u32::MAX)); // peer
+        put_varint(&mut frame, 0); // local
+        put_u16(&mut frame, 0xffff);
+        put_varint(&mut frame, zigzag(i64::MAX)); // Δpeer overflows
+        put_varint(&mut frame, 0); // Δlocal
+        put_u16(&mut frame, 0);
         assert!(decode_list(&seal(frame)).is_err(), "delta overflow");
     }
 

@@ -79,11 +79,13 @@ pub struct LatticeTrace {
     /// Lookup messages that did not deliver a probe's request, summed over
     /// all probes (see [`crate::global_index::ProbeResult::hops`]).
     pub hops: usize,
-    /// Always `0`: nothing writes it. Kept only because `benchmark/` (outside
-    /// the workspace) reads it; goes with ROADMAP item 5.
+    /// Always `0`: list frames have no blocks to skip (the codec's format 3
+    /// is one flat entry run), and nothing writes it. Kept only because
+    /// `benchmark/` (outside the workspace) reads it; goes with ROADMAP item 5.
     #[serde(default)]
     pub skipped_blocks: usize,
-    /// Always `0`: nothing writes it. Kept only because `benchmark/` (outside
+    /// Always `0`: no floor elides entries and no block layer exists to skip
+    /// them, and nothing writes it. Kept only because `benchmark/` (outside
     /// the workspace) reads it; goes with ROADMAP item 5.
     #[serde(default)]
     pub elided_bytes: u64,

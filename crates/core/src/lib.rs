@@ -9,9 +9,9 @@
 //! * [`key`] — term-combination keys and their subset lattice;
 //! * [`posting`] — truncated posting lists (bounded top-k document references);
 //! * [`codec`] — the wire codec for posting lists and key frames
-//!   (delta-varint blocks, `u16`-quantized scores, per-block max-score headers
-//!   and skip offsets); `WireSize` for retrieval frames is the exact length of
-//!   what this codec produces;
+//!   (one score-descending run of delta-varint document ids with
+//!   `u16`-quantized scores); `WireSize` for retrieval frames is the exact
+//!   length of what this codec produces;
 //! * [`global_index`] — the distributed key → posting-list index with per-key usage
 //!   statistics, scattered over the overlay;
 //! * [`strategy`] — the pluggable [`Strategy`] trait with the paper's three

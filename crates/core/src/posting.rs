@@ -189,22 +189,31 @@ impl TruncatedPostingList {
 
     /// Builds a list directly from wire-decoded parts: `refs` already in
     /// canonical order (descending score, ties by ascending doc id), with the
-    /// membership set derived. Used by [`crate::codec`] and the serde path.
-    pub(crate) fn from_wire_parts(refs: Vec<ScoredRef>, capacity: usize, full_df: u64) -> Self {
-        let members = refs.iter().map(|r| r.doc).collect();
-        TruncatedPostingList {
+    /// membership set derived. Used by [`crate::codec`] and the serde path,
+    /// so both reject the lists no insertion can build: more entries than the
+    /// capacity, a `full_df` below the entry count, or a document listed
+    /// twice.
+    pub(crate) fn from_wire_parts(
+        refs: Vec<ScoredRef>,
+        capacity: usize,
+        full_df: u64,
+    ) -> Result<Self, &'static str> {
+        if refs.len() > capacity {
+            return Err("list has more entries than its capacity");
+        }
+        if full_df < refs.len() as u64 {
+            return Err("list's full_df is below its entry count");
+        }
+        let members: HashSet<DocId> = refs.iter().map(|r| r.doc).collect();
+        if members.len() != refs.len() {
+            return Err("list repeats a document");
+        }
+        Ok(TruncatedPostingList {
             refs,
             capacity: capacity.max(1),
             full_df,
             members,
-        }
-    }
-
-    /// Whether two stored references name the same document — impossible for
-    /// a list built by insertion, so a decoded list that does came from a
-    /// malformed frame.
-    pub(crate) fn has_repeated_docs(&self) -> bool {
-        self.members.len() != self.refs.len()
+        })
     }
 }
 
@@ -233,9 +242,7 @@ impl Deserialize for TruncatedPostingList {
         let refs: Vec<ScoredRef> = serde::field(v, "refs")?;
         let capacity: usize = serde::field(v, "capacity")?;
         let full_df: u64 = serde::field(v, "full_df")?;
-        Ok(TruncatedPostingList::from_wire_parts(
-            refs, capacity, full_df,
-        ))
+        TruncatedPostingList::from_wire_parts(refs, capacity, full_df).map_err(DeError::new)
     }
 }
 
@@ -381,6 +388,28 @@ mod tests {
         let stored_doc = back.refs()[0];
         back.insert(stored_doc);
         assert_eq!(back.full_df(), list.full_df());
+    }
+
+    #[test]
+    fn deserialize_rejects_lists_no_insertion_builds() {
+        let mut list = TruncatedPostingList::new(4);
+        list.insert(r(0, 2.0));
+        list.insert(r(1, 1.0));
+        // `refs`, `capacity`, `full_df` as the serializer writes them.
+        let with = |refs: Vec<ScoredRef>, capacity: u64, full_df: u64| {
+            TruncatedPostingList::from_value(&Value::Obj(vec![
+                ("refs".to_string(), refs.to_value()),
+                ("capacity".to_string(), Value::UInt(capacity)),
+                ("full_df".to_string(), Value::UInt(full_df)),
+            ]))
+        };
+        let refs = list.refs().to_vec();
+        assert_eq!(with(refs.clone(), 4, 2).unwrap(), list);
+        // A `full_df` below the entry count once deserialized, read as a
+        // complete list, and made `merge` underflow.
+        assert!(with(refs.clone(), 4, 0).is_err(), "full_df below n");
+        assert!(with(refs.clone(), 1, 2).is_err(), "n above capacity");
+        assert!(with(vec![refs[0], refs[0]], 4, 2).is_err(), "repeated doc");
     }
 
     #[test]

@@ -230,48 +230,32 @@ fn raw_body() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// A list-frame body with the format's shape but random contents: header
-/// counts that agree with the entries in half the cases and are arbitrary
-/// (`kept` above `total` or the capacity) in the rest, a finite score range,
-/// and blocks of entries whose doc-id deltas are often zero. The declared
-/// block length is usually exact.
+/// counts (`full_df`, capacity, entry count) that agree with the entries in
+/// half the cases and are arbitrary in the rest, a finite score range, and
+/// entries whose doc-id deltas are often zero.
 fn list_body() -> impl Strategy<Value = Vec<u8>> {
     (
-        (any::<bool>(), (0u64..6, 0u64..6, 0u64..6, 0u64..6)),
-        (0u64..4, any::<u16>(), 0u64..4),
+        (any::<bool>(), (0u64..6, 0u64..6, 0u64..6)),
         proptest::collection::vec((0u64..4, 0u64..4, any::<u16>()), 0..6),
     )
-        .prop_map(
-            |((wild, (full_df, a, b, c)), (blocks, max_q, slop), entries)| {
-                let n = entries.len() as u64;
-                let (capacity, total, kept) = if wild {
-                    (a, b, c)
-                } else {
-                    (n + a + b, n + a, n)
-                };
-                let mut body = vec![FORMAT_VERSION];
-                for v in [full_df, capacity, total, kept] {
-                    put_varint(&mut body, v);
-                }
+        .prop_map(|((wild, (a, b, c)), entries)| {
+            let n = entries.len() as u64;
+            let (full_df, capacity, declared) = if wild { (a, b, c) } else { (n + a, n + b, n) };
+            let mut body = vec![FORMAT_VERSION];
+            for v in [full_df, capacity, declared] {
+                put_varint(&mut body, v);
+            }
+            if declared > 0 {
                 body.extend_from_slice(&2.0f32.to_le_bytes());
                 body.extend_from_slice(&1.0f32.to_le_bytes());
-                // Usually one block; sometimes none, sometimes the block twice.
-                let blocks = blocks.div_ceil(2);
-                put_varint(&mut body, blocks);
-                let mut payload = Vec::new();
-                for &(peer, local, q) in &entries {
-                    put_varint(&mut payload, peer);
-                    put_varint(&mut payload, local);
-                    payload.extend_from_slice(&q.to_le_bytes());
-                }
-                for _ in 0..blocks {
-                    body.extend_from_slice(&max_q.to_le_bytes());
-                    put_varint(&mut body, n);
-                    put_varint(&mut body, payload.len() as u64 + slop / 3);
-                    body.extend_from_slice(&payload);
-                }
-                body
-            },
-        )
+            }
+            for &(peer, local, q) in &entries {
+                put_varint(&mut body, peer);
+                put_varint(&mut body, local);
+                body.extend_from_slice(&q.to_le_bytes());
+            }
+            body
+        })
 }
 
 /// Every decoder on `frame`: `Ok` or a typed error, within the justified
@@ -304,9 +288,11 @@ proptest! {
     }
 }
 
-/// Frames the decoders once accepted or over-allocated for. The last two
-/// carry block headers no encoder writes; the decoder accepted both until it
-/// checked `max_q` and empty blocks.
+/// Frames the decoders once accepted or over-allocated for. The version 2
+/// frames (led by a 2) are rejected by their version byte now; the last three
+/// frames pin the same faults in version 3, where the list constructor and
+/// the entry-count bound reject them. A `full_df` below the entry count was
+/// accepted by the version 2 decoder.
 const FUZZ_REGRESSIONS: &[(&str, &[u8])] = &[
     (
         "kept_refs beyond what the body can carry (allocated 64 KiB)",
@@ -348,6 +334,25 @@ const FUZZ_REGRESSIONS: &[(&str, &[u8])] = &[
         &[
             2, 2, 4, 2, 2, 0, 0, 0, 64, 0, 0, 128, 63, 2, 255, 255, 2, 8, 3, 7, 255, 255, 0, 4, 0,
             0, 255, 255, 0, 0, 32, 7, 214, 78,
+        ],
+    ),
+    (
+        "v3: two entries under capacity 1",
+        &[
+            3, 2, 1, 2, 0, 0, 0, 64, 0, 0, 128, 63, 0, 3, 255, 255, 0, 2, 0, 0, 11, 3, 49, 22,
+        ],
+    ),
+    (
+        "v3: two entries under a full_df of 0",
+        &[
+            3, 0, 4, 2, 0, 0, 0, 64, 0, 0, 128, 63, 0, 3, 255, 255, 0, 2, 0, 0, 12, 3, 65, 22,
+        ],
+    ),
+    (
+        "v3: 65,535 entries declared in a 30-byte frame",
+        &[
+            3, 255, 255, 3, 255, 255, 3, 255, 255, 3, 0, 0, 0, 64, 0, 0, 128, 63, 0, 3, 255, 255,
+            0, 2, 0, 0, 9, 9, 34, 151,
         ],
     ),
 ];

@@ -232,9 +232,9 @@ mod publish_ledger {
         assert_eq!(single, batched);
         // What one routed publication charged before publications were
         // batched, pinned at this seed: 3 lookups of 80 B, then 32 B of
-        // envelope around a 77 B key + delta frame.
-        assert_eq!(key.wire_size() + lone.wire_size(), 77);
-        assert_eq!((single.messages, single.bytes), (4, 349));
+        // envelope around a 71 B key + delta frame.
+        assert_eq!(key.wire_size() + lone.wire_size(), 71);
+        assert_eq!((single.messages, single.bytes), (4, 343));
     }
 }
 
