@@ -1,10 +1,8 @@
 //! The posting-list / key-frame wire codec: the bytes the simulator charges
 //! are the bytes this module actually produces.
 //!
-//! Until this module existed, [`alvisp2p_netsim::WireSize`] for posting lists
-//! was hand-written arithmetic (a claimed "quantised score" of 4 bytes that the
-//! serde layer shipped as a full `f64`). The paper's headline guarantee is
-//! about **bytes on the wire**, so the wire layer is now real: a
+//! It is the only format any message uses. The paper's headline guarantee
+//! is about **bytes on the wire**, so the wire layer is real: a
 //! [`crate::posting::TruncatedPostingList`] is encoded as one score-descending
 //! run of delta-varint document ids with scores quantized to `u16`
 //! fixed-point, and `WireSize` for every retrieval frame is defined as the
@@ -39,7 +37,7 @@
 //! Past the trailer, the list decoder rejects bodies no encoder writes: any
 //! version but [`FORMAT_VERSION`], more declared entries than the body can
 //! hold (checked before allocating for them), trailing bytes, and — through
-//! the list constructor the serde path shares — more entries than the
+//! the list constructor only [`decode_list`] calls — more entries than the
 //! capacity, a `full_df` below the entry count, or a document listed twice.
 //! `tests/proptest_codec.rs` fuzzes every decoder with arbitrary bodies under
 //! a valid trailer.
@@ -751,6 +749,24 @@ mod tests {
                 b.score
             );
         }
+    }
+
+    #[test]
+    fn decode_rebuilds_the_membership_set() {
+        let mut l = TruncatedPostingList::new(3);
+        for i in 0..10 {
+            l.insert(ScoredRef {
+                doc: DocId::new(0, i),
+                score: f64::from(i),
+            });
+        }
+        let mut back = decode_list(&encode_list(&l, None)).unwrap();
+        assert!(back.is_truncated());
+        // A stored document inserted again is a duplicate, not a new one.
+        let stored = back.refs()[0];
+        back.insert(stored);
+        assert_eq!(back.len(), l.len());
+        assert_eq!(back.full_df(), l.full_df());
     }
 
     #[test]

@@ -38,11 +38,10 @@
 use crate::global_index::ProbeResult;
 use alvisp2p_dht::RingId;
 use alvisp2p_netsim::SimRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Why a probe attempt (or an exhausted probe) failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureCause {
     /// The request or its response was dropped in flight.
     Lost,
@@ -360,7 +359,7 @@ impl RetryPolicy {
 /// **not** reduce completeness — they are deliberate scheduling decisions
 /// reported elsewhere (`budget_exhausted`, the trace) — so a fault-free query
 /// always reports a fraction of `1.0`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Completeness {
     /// Estimated document frequency the plan scheduled probes for.
     pub planned_df: u64,

@@ -27,7 +27,6 @@ use crate::key::TermKey;
 use crate::posting::TruncatedPostingList;
 use alvisp2p_dht::{Dht, DhtConfig, DhtError, RingId};
 use alvisp2p_netsim::{TrafficCategory, TrafficStats, WireSize};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Usage statistics of a key, maintained by its responsible peer.
@@ -35,7 +34,7 @@ use std::collections::{BTreeMap, HashMap};
 /// These statistics implement the "decentralized monitoring of query statistics" of
 /// the Query-Driven approach: every probe for the key — whether or not the key is
 /// indexed — is observed by exactly the peer that would store it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KeyUsageStats {
     /// Number of times the key was requested by some querying peer.
     pub probes: u64,
@@ -46,7 +45,7 @@ pub struct KeyUsageStats {
 }
 
 /// The entry stored in the DHT for one key.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KeyIndexEntry {
     /// The key itself (kept alongside the hashed identifier for introspection).
     pub key: TermKey,

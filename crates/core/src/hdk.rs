@@ -19,11 +19,10 @@
 
 use crate::key::TermKey;
 use alvisp2p_textindex::TermId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Configuration of the HDK indexing strategy.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HdkConfig {
     /// Document-frequency threshold: keys with a larger global df are "frequent" and
     /// trigger expansion.
@@ -57,7 +56,7 @@ impl Default for HdkConfig {
 
 /// Summary of one level of HDK index construction (reported in
 /// [`crate::network::IndexBuildReport::levels`]).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct HdkLevelReport {
     /// Key length at this level (1 = single terms).
     pub level: usize,

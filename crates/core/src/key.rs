@@ -20,7 +20,7 @@
 //! * [`TermKey::clone`] is a `memcpy` (or one atomic increment when spilled);
 //! * subset/domination checks compare 4-byte ids, never strings;
 //! * [`TermKey::wire_size`] is arithmetic on cached lengths;
-//! * the canonical `"a+b"` string only ever materializes for display and serde.
+//! * the canonical `"a+b"` string only ever materializes for display and reports.
 //!
 //! Observable behaviour (ordering, equality, hashing onto the ring, lattice
 //! enumeration order) is identical to the original `Vec<String>` representation;
@@ -30,7 +30,6 @@
 use alvisp2p_dht::{RingHasher, RingId};
 use alvisp2p_netsim::WireSize;
 use alvisp2p_textindex::{intern, TermId};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -268,7 +267,7 @@ impl TermKey {
     /// The canonical string form used for hashing and display, e.g. `"databas+peer"`.
     ///
     /// This *materializes* the string; the hash of the canonical form is already
-    /// cached (see [`TermKey::ring_id`]), so only display/serde paths need it.
+    /// cached (see [`TermKey::ring_id`]), so only display and report paths need it.
     pub fn canonical(&self) -> String {
         let resolver = intern::resolver();
         let ids = self.term_ids();
@@ -488,33 +487,6 @@ impl std::hash::Hash for TermKey {
     }
 }
 
-impl Serialize for TermKey {
-    fn to_value(&self) -> Value {
-        // Same shape the former `#[derive(Serialize)]` on `{ terms: Vec<String> }`
-        // produced: ids are process-local, so the wire form carries the strings.
-        let resolver = intern::resolver();
-        Value::Obj(vec![(
-            "terms".to_string(),
-            Value::Arr(
-                self.term_ids()
-                    .iter()
-                    .map(|id| Value::Str(resolver.resolve(*id).to_string()))
-                    .collect(),
-            ),
-        )])
-    }
-}
-
-impl Deserialize for TermKey {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let terms: Vec<String> = serde::field(v, "terms")?;
-        if terms.is_empty() {
-            return Err(DeError::new("a TermKey needs at least one term"));
-        }
-        Ok(TermKey::new(terms))
-    }
-}
-
 impl fmt::Debug for TermKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "TermKey(")?;
@@ -702,25 +674,6 @@ mod tests {
         let k = TermKey::new(["b", "a"]);
         assert_eq!(format!("{k}"), "a+b");
         assert_eq!(format!("{k:?}"), "TermKey(a+b)");
-    }
-
-    #[test]
-    fn serde_round_trips_via_term_strings() {
-        for key in [
-            TermKey::single("solo"),
-            TermKey::new(["peer", "retriev"]),
-            TermKey::new(["v", "w", "x", "y", "z"]),
-        ] {
-            let v = key.to_value();
-            let back = TermKey::from_value(&v).unwrap();
-            assert_eq!(back, key);
-            assert_eq!(back.ring_id(), key.ring_id());
-        }
-        assert!(TermKey::from_value(&Value::Obj(vec![(
-            "terms".to_string(),
-            Value::Arr(Vec::new())
-        )]))
-        .is_err());
     }
 
     #[test]

@@ -16,10 +16,9 @@
 
 use crate::key::TermKey;
 use crate::posting::TruncatedPostingList;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the lattice exploration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LatticeConfig {
     /// Prune the lattice below keys whose posting list is truncated (the Figure 1
     /// approximation). When `false` only complete (non-truncated) results prune.
@@ -43,7 +42,7 @@ impl Default for LatticeConfig {
 }
 
 /// What happened to one lattice node during exploration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NodeOutcome {
     /// The key was probed and an activated posting list was returned.
     Found {
@@ -70,7 +69,7 @@ pub enum NodeOutcome {
 /// its outcome, in exploration order. The `plan` module's
 /// `reproduces_figure_1_pattern` test pins Figure 1's trace, and
 /// `tests/end_to_end.rs` checks the traces of real queries.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LatticeTrace {
     /// `(key, outcome)` in exploration order.
     pub nodes: Vec<(TermKey, NodeOutcome)>,
@@ -82,12 +81,10 @@ pub struct LatticeTrace {
     /// Always `0`: list frames have no blocks to skip (the codec's format 3
     /// is one flat entry run), and nothing writes it. Kept only because
     /// `benchmark/` (outside the workspace) reads it; goes with ROADMAP item 5.
-    #[serde(default)]
     pub skipped_blocks: usize,
     /// Always `0`: no floor elides entries and no block layer exists to skip
     /// them, and nothing writes it. Kept only because `benchmark/` (outside
     /// the workspace) reads it; goes with ROADMAP item 5.
-    #[serde(default)]
     pub elided_bytes: u64,
 }
 

@@ -35,7 +35,6 @@ use alvisp2p_dht::{DhtConfig, RepairReport, ReplicationPolicy, RingId};
 use alvisp2p_netsim::{TrafficCategory, TrafficStats};
 use alvisp2p_textindex::bm25::{Bm25Params, ScoredDoc};
 use alvisp2p_textindex::{Analyzer, Credentials, SyntheticCorpus};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -234,7 +233,7 @@ impl AlvisNetworkBuilder {
 }
 
 /// Summary of a distributed index construction run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct IndexBuildReport {
     /// Strategy label ("single-term", "hdk", "qdi", or a custom label).
     pub strategy: String,

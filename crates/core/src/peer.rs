@@ -12,12 +12,11 @@ use alvisp2p_textindex::{
     AccessDecision, Analyzer, CollectionStats, Credentials, DocId, Document, DocumentStore,
     InvertedIndex,
 };
-use serde::{Deserialize, Serialize};
 
 /// Metadata kept for documents imported from an external engine via a digest: the
 /// document body lives at the external engine, only the index and the pointer are held
 /// by the peer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExternalDocument {
     /// The identifier assigned when the digest was imported.
     pub id: DocId,
@@ -55,7 +54,9 @@ pub struct AlvisPeer {
     index: InvertedIndex,
     analyzer: Analyzer,
     external: Vec<ExternalDocument>,
-    next_external_local: u32,
+    /// Above every local document number in `index`: own and imported
+    /// documents draw from this one counter, so they never share a [`DocId`].
+    next_local: u32,
 }
 
 impl AlvisPeer {
@@ -73,7 +74,7 @@ impl AlvisPeer {
             index: InvertedIndex::new(analyzer.clone()),
             analyzer,
             external: Vec::new(),
-            next_external_local: 1_000_000,
+            next_local: 0,
         }
     }
 
@@ -113,14 +114,18 @@ impl AlvisPeer {
 
     /// Publishes a plain-text document into the shared directory and indexes it.
     pub fn publish(&mut self, title: impl Into<String>, body: impl Into<String>) -> DocId {
-        let id = self.store.publish(title, body);
-        let doc = self.store.get(id).expect("just published").clone();
-        self.index.index_document(&doc);
-        id
+        let id = DocId::new(self.peer_id, self.next_local);
+        self.publish_document(Document::new(id, title, body))
     }
 
     /// Publishes a fully specified document (format, access rights) and indexes it.
-    pub fn publish_document(&mut self, doc: Document) -> DocId {
+    /// Keeps the document's id if this peer owns it and no indexed document (own or
+    /// imported) uses it; otherwise assigns the next local id.
+    pub fn publish_document(&mut self, mut doc: Document) -> DocId {
+        if doc.id.peer != self.peer_id || self.index.doc_len(doc.id).is_some() {
+            doc.id = DocId::new(self.peer_id, self.next_local);
+        }
+        self.next_local = self.next_local.max(doc.id.local + 1);
         let id = self.store.publish_document(doc);
         let stored = self.store.get(id).expect("just published").clone();
         self.index.index_document(&stored);
@@ -140,8 +145,8 @@ impl AlvisPeer {
     /// become searchable through this peer (and, once distributed indexing runs,
     /// through the whole network) while remaining hosted at the external engine.
     pub fn import_digest(&mut self, digest: &DocumentDigest) -> Vec<DocId> {
-        let ids = digest.import_into(&mut self.index, self.peer_id, self.next_external_local);
-        self.next_external_local += ids.len() as u32;
+        let ids = digest.import_into(&mut self.index, self.peer_id, self.next_local);
+        self.next_local += ids.len() as u32;
         for (id, entry) in ids.iter().zip(&digest.documents) {
             self.external.push(ExternalDocument {
                 id: *id,
@@ -301,6 +306,36 @@ mod tests {
             FetchOutcome::NotFound
         );
         assert!(gateway.snippet(hits[0].doc).contains("[external]"));
+    }
+
+    fn one_document_digest() -> DocumentDigest {
+        let mut library = AlvisPeer::new(7);
+        library.publish("Catalogue", "rare books catalogue with annotations");
+        library.export_digest()
+    }
+
+    #[test]
+    fn an_own_document_never_takes_an_imported_id() {
+        let mut peer = AlvisPeer::new(2);
+        let imported = peer.import_digest(&one_document_digest())[0];
+        let own = peer.publish_document(Document::new(imported, "Own", "unrelated body text"));
+        assert_ne!(own, imported);
+        assert_eq!(peer.indexed_documents(), 2);
+        assert!(!peer.local_search("catalogue", 10).is_empty());
+    }
+
+    #[test]
+    fn an_import_never_takes_an_own_documents_id() {
+        let mut peer = AlvisPeer::new(2);
+        let own = peer.publish_document(Document::new(
+            DocId::new(2, 1_000_000),
+            "Own",
+            "unrelated body text",
+        ));
+        let imported = peer.import_digest(&one_document_digest())[0];
+        assert_ne!(imported, own);
+        assert_eq!(peer.indexed_documents(), 2);
+        assert!(!peer.local_search("unrelated", 10).is_empty());
     }
 
     #[test]

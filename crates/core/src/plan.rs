@@ -33,7 +33,6 @@ use crate::key::TermKey;
 use crate::lattice::{LatticeConfig, LatticeResult, NodeOutcome};
 use crate::posting::TruncatedPostingList;
 use crate::ranking::GlobalRankingStats;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Hints from the strategy
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 /// What an indexing strategy tells query planners about the shape of its index,
 /// via [`crate::strategy::Strategy::plan_hints`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlanHints {
     /// The longest key length the strategy may have indexed. Probing longer
     /// combinations can never return postings.
@@ -71,7 +70,7 @@ impl Default for PlanHints {
 // ---------------------------------------------------------------------------
 
 /// What the planner decided to do with one lattice node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanDecision {
     /// Send the probe (subject to run-time pruning and budget admission).
     Probe,
@@ -86,7 +85,7 @@ pub enum PlanDecision {
 
 /// One lattice node in a [`QueryPlan`]: the key, the planner's decision and the
 /// cost annotation backing it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanNode {
     /// The lattice key.
     pub key: TermKey,
@@ -108,7 +107,7 @@ pub struct PlanNode {
 }
 
 /// How the executor enforces the request's byte budget while running a plan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BudgetPolicy {
     /// PR 1 semantics: keep probing while the budget is not yet exhausted. The
     /// last probe may overshoot the budget (it is sent as long as *any* budget
@@ -128,7 +127,7 @@ pub enum BudgetPolicy {
 /// [`crate::network::AlvisNetwork::run`] / [`crate::exec::QueryStream`]. The
 /// schedule covers the **whole** lattice: nodes the planner declined to probe are
 /// kept as planned skips so traces stay complete and comparable across planners.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryPlan {
     /// The analyzed query key, or `None` when the query text analyzed to nothing
     /// (the plan is then empty and executing it returns an empty response).

@@ -8,12 +8,11 @@
 
 use alvisp2p_netsim::WireSize;
 use alvisp2p_textindex::DocId;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashSet;
 
 /// One entry of a (truncated) posting list: a document reference with the relevance
 /// score the publisher computed from global collection statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScoredRef {
     /// The referenced document.
     pub doc: DocId,
@@ -24,10 +23,8 @@ pub struct ScoredRef {
 
 impl WireSize for ScoredRef {
     /// Actual encoded length of a stand-alone entry under [`crate::codec`]:
-    /// two doc-id varints plus the 2-byte quantized score. (The seed claimed a
-    /// fixed "packed doc id (8) + quantised score (4)" while serde shipped a
-    /// full `f64`; the codec makes the quantized bytes real, and in-list
-    /// entries are delta-coded smaller still.)
+    /// two doc-id varints plus the 2-byte quantized score. In-list entries
+    /// are delta-coded smaller still.
     fn wire_size(&self) -> usize {
         crate::codec::entry_wire_size(self)
     }
@@ -50,7 +47,7 @@ pub struct TruncatedPostingList {
     refs: Vec<ScoredRef>,
     capacity: usize,
     full_df: u64,
-    /// Documents currently present in `refs` (derived; not serialized).
+    /// Documents currently present in `refs` (derived; never on the wire).
     members: HashSet<DocId>,
 }
 
@@ -189,10 +186,10 @@ impl TruncatedPostingList {
 
     /// Builds a list directly from wire-decoded parts: `refs` already in
     /// canonical order (descending score, ties by ascending doc id), with the
-    /// membership set derived. Used by [`crate::codec`] and the serde path,
-    /// so both reject the lists no insertion can build: more entries than the
-    /// capacity, a `full_df` below the entry count, or a document listed
-    /// twice.
+    /// membership set derived. Its one caller is [`crate::codec::decode_list`],
+    /// which sorts `refs` first. Rejects the lists no insertion can build:
+    /// more entries than the capacity, a `full_df` below the entry count, or a
+    /// document listed twice.
     pub(crate) fn from_wire_parts(
         refs: Vec<ScoredRef>,
         capacity: usize,
@@ -222,27 +219,6 @@ impl WireSize for TruncatedPostingList {
     /// bytes a probe response actually ships (pure arithmetic, no allocation).
     fn wire_size(&self) -> usize {
         crate::codec::encoded_list_len(self)
-    }
-}
-
-impl Serialize for TruncatedPostingList {
-    fn to_value(&self) -> Value {
-        // Same shape the former derive produced; the membership set is derived
-        // state and never crosses the wire.
-        Value::Obj(vec![
-            ("refs".to_string(), self.refs.to_value()),
-            ("capacity".to_string(), self.capacity.to_value()),
-            ("full_df".to_string(), self.full_df.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TruncatedPostingList {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let refs: Vec<ScoredRef> = serde::field(v, "refs")?;
-        let capacity: usize = serde::field(v, "capacity")?;
-        let full_df: u64 = serde::field(v, "full_df")?;
-        TruncatedPostingList::from_wire_parts(refs, capacity, full_df).map_err(DeError::new)
     }
 }
 
@@ -373,43 +349,6 @@ mod tests {
         assert!(list.wire_size() <= crate::codec::max_encoded_list_len(50));
         assert!(list.wire_size() < 50 * 12 + 16);
         assert_eq!(list.full_df(), 1000);
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_membership() {
-        let mut list = TruncatedPostingList::new(3);
-        for i in 0..10 {
-            list.insert(r(i, f64::from(i)));
-        }
-        let back = TruncatedPostingList::from_value(&list.to_value()).unwrap();
-        assert_eq!(back, list);
-        // The rebuilt membership set keeps duplicate suppression working.
-        let mut back = back;
-        let stored_doc = back.refs()[0];
-        back.insert(stored_doc);
-        assert_eq!(back.full_df(), list.full_df());
-    }
-
-    #[test]
-    fn deserialize_rejects_lists_no_insertion_builds() {
-        let mut list = TruncatedPostingList::new(4);
-        list.insert(r(0, 2.0));
-        list.insert(r(1, 1.0));
-        // `refs`, `capacity`, `full_df` as the serializer writes them.
-        let with = |refs: Vec<ScoredRef>, capacity: u64, full_df: u64| {
-            TruncatedPostingList::from_value(&Value::Obj(vec![
-                ("refs".to_string(), refs.to_value()),
-                ("capacity".to_string(), Value::UInt(capacity)),
-                ("full_df".to_string(), Value::UInt(full_df)),
-            ]))
-        };
-        let refs = list.refs().to_vec();
-        assert_eq!(with(refs.clone(), 4, 2).unwrap(), list);
-        // A `full_df` below the entry count once deserialized, read as a
-        // complete list, and made `merge` underflow.
-        assert!(with(refs.clone(), 4, 0).is_err(), "full_df below n");
-        assert!(with(refs.clone(), 1, 2).is_err(), "n above capacity");
-        assert!(with(vec![refs[0], refs[0]], 4, 2).is_err(), "repeated doc");
     }
 
     #[test]

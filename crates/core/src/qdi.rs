@@ -18,10 +18,9 @@
 //! traffic model and orchestration live in [`crate::network`].
 
 use crate::global_index::KeyUsageStats;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Query-Driven Indexing strategy.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QdiConfig {
     /// Number of probes after which a non-indexed key is considered popular enough to
     /// be activated.
@@ -116,7 +115,7 @@ pub fn is_obsolete(usage: &KeyUsageStats, current_seq: u64, config: &QdiConfig) 
 
 /// Counters describing QDI's behaviour over a query stream (the root
 /// `tests/qdi_adaptivity.rs` checks activations, hits and evictions on it).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct QdiReport {
     /// Queries processed.
     pub queries: u64,

@@ -20,7 +20,6 @@ use crate::posting::{ScoredRef, TruncatedPostingList};
 use alvisp2p_netsim::WireSize;
 use alvisp2p_textindex::bm25::{bm25_term_score, top_k, Bm25Params, ScoredDoc};
 use alvisp2p_textindex::{CollectionStats, DocId, InvertedIndex, TermId};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{BTreeSet, HashMap};
 
 /// Globally aggregated collection statistics used by the ranking layer.
@@ -139,71 +138,6 @@ impl GlobalRankingStats {
             .keys()
             .map(|t| t.len() + 8 + 4)
             .sum::<usize>()
-    }
-}
-
-impl Serialize for GlobalRankingStats {
-    fn to_value(&self) -> Value {
-        // Only the mergeable string-keyed statistics cross process boundaries;
-        // the id table is process-local and rebuilt on deserialization. The
-        // per-key maxima travel keyed by canonical form, sorted for stability.
-        let mut maxima: Vec<(String, Value)> = self
-            .key_max
-            .iter()
-            .map(|(k, (score, _))| (k.canonical(), Value::Float(*score)))
-            .collect();
-        maxima.sort_by(|a, b| a.0.cmp(&b.0));
-        // Versions travel in a parallel table (same sorted canonical keys) so
-        // pre-versioning frames — which carry `key_max` alone — still parse.
-        let mut versions: Vec<(String, Value)> = self
-            .key_max
-            .iter()
-            .map(|(k, (_, version))| (k.canonical(), Value::UInt(*version)))
-            .collect();
-        versions.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(vec![
-            ("stats".to_string(), self.stats.to_value()),
-            ("key_max".to_string(), Value::Obj(maxima)),
-            ("key_max_versions".to_string(), Value::Obj(versions)),
-        ])
-    }
-}
-
-impl Deserialize for GlobalRankingStats {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let stats: CollectionStats = serde::field(v, "stats")?;
-        let mut out = GlobalRankingStats::default();
-        out.merge_fragment(&stats);
-        // Absent in frames from before per-key maxima existed.
-        let lookup = |field: &str| match v {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == field).map(|(_, m)| m),
-            _ => None,
-        };
-        if let Some(Value::Obj(maxima)) = lookup("key_max") {
-            // Frames from before versioning carry no `key_max_versions`
-            // table; their records default to version 0, which is always
-            // stale against a live index (every publication bumps past 0) —
-            // the safe reading of an unversioned bound.
-            let versions = match lookup("key_max_versions") {
-                Some(Value::Obj(versions)) => Some(versions),
-                _ => None,
-            };
-            for (canonical, value) in maxima {
-                let Value::Float(max) = value else {
-                    return Err(DeError::new("key_max values must be floats"));
-                };
-                let version = versions
-                    .and_then(|vs| vs.iter().find(|(k, _)| k == canonical))
-                    .map(|(_, v)| match v {
-                        Value::UInt(n) => Ok(*n),
-                        _ => Err(DeError::new("key_max_versions values must be unsigned")),
-                    })
-                    .transpose()?
-                    .unwrap_or(0);
-                out.record_key_max(&TermKey::new(canonical.split('+')), *max, version);
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -514,40 +448,6 @@ mod tests {
         // An out-of-order older record never clobbers a newer one.
         global.record_key_max(&key, 100.0, 1);
         assert_eq!(global.key_max_score(&key), Some(4.0));
-    }
-
-    #[test]
-    fn key_max_survives_the_serde_round_trip() {
-        let idx = local_index(0, &["peer retrieval systems"]);
-        let mut global = global_from(&[&idx]);
-        global.record_key_max(&TermKey::single("peer"), 1.25, 7);
-        global.record_key_max(&TermKey::new(["peer", "retriev"]), 2.5, 2);
-        let back = GlobalRankingStats::from_value(&global.to_value()).unwrap();
-        assert_eq!(back.doc_count(), global.doc_count());
-        assert_eq!(back.key_max_score(&TermKey::single("peer")), Some(1.25));
-        assert_eq!(
-            back.key_max_score(&TermKey::new(["peer", "retriev"])),
-            Some(2.5)
-        );
-        assert_eq!(back.key_max_count(), 2);
-        // Frames without the field (pre-bound peers) still parse.
-        let legacy = Value::Obj(vec![(
-            "stats".to_string(),
-            idx.collection_stats().to_value(),
-        )]);
-        let parsed = GlobalRankingStats::from_value(&legacy).unwrap();
-        assert_eq!(parsed.key_max_count(), 0);
-        // Frames with maxima but no version table (pre-versioning peers)
-        // still parse.
-        let unversioned = Value::Obj(vec![
-            ("stats".to_string(), idx.collection_stats().to_value()),
-            (
-                "key_max".to_string(),
-                Value::Obj(vec![("peer".to_string(), Value::Float(1.5))]),
-            ),
-        ]);
-        let parsed = GlobalRankingStats::from_value(&unversioned).unwrap();
-        assert_eq!(parsed.key_max_score(&TermKey::single("peer")), Some(1.5));
     }
 
     #[test]

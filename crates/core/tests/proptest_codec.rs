@@ -349,6 +349,12 @@ const FUZZ_REGRESSIONS: &[(&str, &[u8])] = &[
         ],
     ),
     (
+        "v3: one document listed twice",
+        &[
+            3, 4, 4, 2, 0, 0, 0, 64, 0, 0, 128, 63, 0, 3, 255, 255, 0, 0, 0, 0, 14, 3, 135, 22,
+        ],
+    ),
+    (
         "v3: 65,535 entries declared in a 30-byte frame",
         &[
             3, 255, 255, 3, 255, 255, 3, 255, 255, 3, 0, 0, 0, 64, 0, 0, 128, 63, 0, 3, 255, 255,

@@ -1,6 +1,6 @@
 //! Model-based equivalence tests for the interned [`TermKey`]: every observable
 //! behaviour — canonicalisation (sort + dedup), ordering, subset/domination,
-//! ring placement, lattice enumeration order, expansion, serde shape — must be
+//! ring placement, lattice enumeration order, expansion — must be
 //! indistinguishable from the seed's `Vec<String>` implementation, which is
 //! re-implemented here as the reference model. (End-to-end trace equivalence on
 //! random corpora is additionally covered by the `BestEffort` planner
@@ -159,19 +159,5 @@ proptest! {
         prop_assert_eq!(&from_ids, &from_strings);
         prop_assert_eq!(from_ids.ring_id(), from_strings.ring_id());
         prop_assert_eq!(from_ids.cmp(&from_strings), std::cmp::Ordering::Equal);
-    }
-
-    #[test]
-    fn serde_preserves_the_string_wire_shape(terms in term_vec()) {
-        use serde::{Deserialize, Serialize, Value};
-        let key = TermKey::new(terms.clone());
-        // The wire form is `{ "terms": [...strings...] }`, as the seed derived.
-        let value = key.to_value();
-        let Value::Obj(fields) = &value else { panic!("object form") };
-        prop_assert_eq!(fields.len(), 1);
-        prop_assert_eq!(fields[0].0.as_str(), "terms");
-        let back = TermKey::from_value(&value).expect("round trip");
-        prop_assert_eq!(&back, &key);
-        prop_assert_eq!(back.ring_id(), key.ring_id());
     }
 }

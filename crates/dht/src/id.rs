@@ -5,13 +5,12 @@
 //! the peer *responsible* for a key is the first peer clockwise from the key's
 //! identifier (its successor).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A position on the 64-bit identifier ring.
 ///
 /// Used both for peer identifiers and for hashed index keys.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RingId(pub u64);
 
 impl RingId {

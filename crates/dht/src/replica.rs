@@ -53,7 +53,6 @@ use crate::id::RingId;
 use crate::network::Dht;
 use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
 use alvisp2p_netsim::{TrafficCategory, WireSize};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -305,7 +304,7 @@ impl LoadTracker {
 // ---------------------------------------------------------------------------
 
 /// Counters describing the replication subsystem's activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Keys replicated onto their successor set (hysteresis upward crossings).
     pub replications: u64,
@@ -319,11 +318,9 @@ pub struct ReplicaStats {
     pub recovered: u64,
     /// Per-holder `(version, checksum)` digest exchanges performed by
     /// anti-entropy repair rounds (see [`Dht::repair_round`]).
-    #[serde(default)]
     pub digests_exchanged: u64,
     /// Stale, missing or corrupt replica copies refreshed from the freshest
     /// live holder by anti-entropy repair.
-    #[serde(default)]
     pub repairs_pulled: u64,
 }
 
@@ -331,7 +328,7 @@ pub struct ReplicaStats {
 /// repair round: which content version a copy corresponds to and a checksum
 /// of its replicated bytes (see
 /// [`alvisp2p_netsim::WireSize::content_digest`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CopyDigest {
     /// Monotonic content version of the copy, bumped on every publish-path
     /// sync of the key.

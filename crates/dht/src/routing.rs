@@ -26,10 +26,9 @@
 
 use crate::id::RingId;
 use crate::ring::Ring;
-use serde::{Deserialize, Serialize};
 
 /// Which routing-table construction to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoutingStrategy {
     /// Skew-tolerant hop-space routing (AlvisP2P's choice).
     HopSpace,
@@ -38,7 +37,7 @@ pub enum RoutingStrategy {
 }
 
 /// A single routing entry: the identifier and peer index of a known remote peer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RoutingEntry {
     /// Ring identifier of the remote peer.
     pub id: RingId,
@@ -47,7 +46,7 @@ pub struct RoutingEntry {
 }
 
 /// A peer's routing state: long-range entries plus a short successor list.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RoutingTable {
     /// Long-range entries (O(log n) of them).
     pub entries: Vec<RoutingEntry>,

@@ -4,13 +4,12 @@
 //! simulated network, broken down by [`TrafficCategory`]. The experiment harness
 //! reads these counters to produce the bandwidth columns of every table.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A coarse classification of network traffic, used to attribute bandwidth to the
 /// different mechanisms of the system (overlay maintenance vs. indexing vs. retrieval).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum TrafficCategory {
     /// DHT overlay maintenance: joins, stabilisation, routing-table exchange.
     Overlay,
@@ -57,7 +56,7 @@ impl fmt::Display for TrafficCategory {
 }
 
 /// Per-category message/byte counters.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct Counter {
     /// Number of messages.
     pub messages: u64,
@@ -66,7 +65,7 @@ pub struct Counter {
 }
 
 /// Aggregate traffic statistics for a simulation run.
-#[derive(Clone, Default, Debug, Serialize, Deserialize)]
+#[derive(Clone, Default, Debug)]
 pub struct TrafficStats {
     per_category: BTreeMap<TrafficCategory, Counter>,
 }

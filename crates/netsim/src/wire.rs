@@ -7,8 +7,8 @@
 //! into [`crate::stats::TrafficStats`].
 //!
 //! The estimates model a compact binary encoding (fixed-width integers, length-prefixed
-//! strings and sequences) rather than the exact bytes of any particular serializer, so
-//! that bandwidth numbers are stable across serde/format changes.
+//! strings and sequences); posting-list and key frames report the exact length of the
+//! `alvisp2p-core` codec's encoding.
 
 /// Fixed per-message envelope overhead in bytes (source, destination, type tag,
 /// sequence number) — roughly a UDP header plus a small application header.

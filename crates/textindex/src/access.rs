@@ -5,10 +5,8 @@
 //! client exposes exactly this: a document can be freely accessible or protected by a
 //! username/password pair.
 
-use serde::{Deserialize, Serialize};
-
 /// Access policy attached to a published document.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum AccessRights {
     /// Anyone who finds the document may fetch it.
     #[default]
@@ -27,7 +25,7 @@ pub enum AccessRights {
 }
 
 /// Credentials presented when fetching a document from its hosting peer.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Credentials {
     /// Username, if any.
     pub username: Option<String>,

@@ -10,10 +10,9 @@ use crate::intern::TermId;
 use crate::stem::stem;
 use crate::stopwords::Stopwords;
 use crate::tokenize::tokenize;
-use serde::{Deserialize, Serialize};
 
 /// An analyzed term occurrence: the normalized term and its word position in the text.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TermOccurrence {
     /// The normalized (lowercased, stemmed) term.
     pub term: String,

@@ -7,12 +7,11 @@
 
 use crate::doc::DocId;
 use crate::index::InvertedIndex;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// BM25 parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Bm25Params {
     /// Term-frequency saturation parameter (typical range 1.2–2.0).
     pub k1: f64,

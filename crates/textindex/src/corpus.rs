@@ -11,10 +11,9 @@
 //! provided for the examples and quick tests.
 
 use alvisp2p_netsim::{SimRng, Zipf};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic corpus generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CorpusConfig {
     /// Number of documents to generate.
     pub num_docs: usize,
@@ -66,7 +65,7 @@ impl CorpusConfig {
 }
 
 /// A generated document (title, body and the latent topic it was drawn from).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GeneratedDoc {
     /// Synthetic title.
     pub title: String,

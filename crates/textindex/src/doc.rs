@@ -7,7 +7,6 @@
 //! documents.
 
 use crate::access::AccessRights;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Globally unique document identifier: `(peer id, local document number)`.
@@ -15,9 +14,7 @@ use std::collections::BTreeMap;
 /// Using the owning peer as part of the identifier mirrors the paper's design where a
 /// result's URL always points back at the hosting peer
 /// (`http://PeerIP:Port/SharedDir/DocumentName`).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct DocId {
     /// Identifier of the peer that owns/hosts the document.
     pub peer: u32,
@@ -54,7 +51,7 @@ impl std::fmt::Display for DocId {
 /// The supported source formats of a published document (the paper's client accepts
 /// text, HTML, XML, PDF/Word and the Alvis XML format; multimedia is published through
 /// an XML description).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub enum DocumentFormat {
     /// Plain text.
     #[default]
@@ -72,7 +69,7 @@ pub enum DocumentFormat {
 }
 
 /// A published document.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Document {
     /// Globally unique identifier.
     pub id: DocId,

@@ -8,11 +8,10 @@
 use crate::analyze::{Analyzer, TermOccurrence};
 use crate::doc::{DocId, Document};
 use crate::intern::TermId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// One posting: a document containing the term, with term frequency and positions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Posting {
     /// The document.
     pub doc: DocId,
@@ -23,7 +22,7 @@ pub struct Posting {
 }
 
 /// The posting list of a term, ordered by document identifier.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PostingList {
     /// Postings sorted by `doc`.
     pub postings: Vec<Posting>,
@@ -75,7 +74,7 @@ impl PostingList {
 /// Collection-level statistics needed by the ranking model. The statistics are
 /// mergeable so that the distributed ranking layer (L4) can aggregate the local
 /// statistics of many peers into global values.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CollectionStats {
     /// Number of documents.
     pub doc_count: u64,

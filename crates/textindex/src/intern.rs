@@ -92,9 +92,9 @@ type FxBuild = BuildHasherDefault<FxHasher>;
 /// A dense identifier for one interned analyzed term.
 ///
 /// `TermId`s are process-local: they are assigned in first-intern order and
-/// must never be persisted or sent over a (real) wire — serialize the term
-/// string instead (which is what [`crate::analyze::TermOccurrence`] and the
-/// key serializers do).
+/// must never be persisted or sent over a (real) wire — send the term
+/// string instead (which is what [`crate::analyze::TermOccurrence`] holds
+/// and the key frames of `alvisp2p-core`'s codec carry).
 ///
 /// The derived `Ord` is **numeric** (assignment order), not lexicographic;
 /// canonical (string) ordering is the responsibility of the structures built

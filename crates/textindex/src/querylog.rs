@@ -10,10 +10,9 @@
 
 use crate::corpus::SyntheticCorpus;
 use alvisp2p_netsim::{SimRng, Zipf};
-use serde::{Deserialize, Serialize};
 
 /// A single query: its raw text and the position it occupies in the log.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoggedQuery {
     /// Raw query text (space-separated terms, unanalyzed).
     pub text: String,
@@ -24,7 +23,7 @@ pub struct LoggedQuery {
 }
 
 /// Configuration of the query-log generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QueryLogConfig {
     /// Total number of query instances in the log.
     pub num_queries: usize,
