@@ -752,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_rebuilds_the_membership_set() {
+    fn reinserting_a_decoded_document_changes_neither_len_nor_full_df() {
         let mut l = TruncatedPostingList::new(3);
         for i in 0..10 {
             l.insert(ScoredRef {

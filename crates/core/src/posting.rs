@@ -8,7 +8,6 @@
 
 use alvisp2p_netsim::WireSize;
 use alvisp2p_textindex::DocId;
-use std::collections::HashSet;
 
 /// One entry of a (truncated) posting list: a document reference with the relevance
 /// score the publisher computed from global collection statistics.
@@ -37,25 +36,17 @@ impl WireSize for ScoredRef {
 /// algorithm decides whether a result is complete (allowing it to prune the dominated
 /// part of the query lattice) or merely a top-k approximation.
 ///
-/// A membership set over the stored documents makes the common-case insert — a
-/// document not yet in the list — O(log n) instead of the former O(n) linear
-/// duplicate scan, so bulk [`TruncatedPostingList::merge`] /
-/// [`TruncatedPostingList::from_refs`] are no longer quadratic in list capacity.
-#[derive(Clone, Debug, Default)]
+/// The list holds nothing but its entries and two counts: a responsible peer
+/// stores one per key. An insert is O(n) in the stored entries — a scan for
+/// the document, then a sorted insert that shifts the tail — so a
+/// [`TruncatedPostingList::merge`] or [`TruncatedPostingList::from_refs`] of
+/// `m` entries costs O(m · capacity), and the capacity is the truncation `k`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TruncatedPostingList {
     /// Stored references, best score first.
     refs: Vec<ScoredRef>,
     capacity: usize,
     full_df: u64,
-    /// Documents currently present in `refs` (derived; never on the wire).
-    members: HashSet<DocId>,
-}
-
-impl PartialEq for TruncatedPostingList {
-    fn eq(&self, other: &Self) -> bool {
-        // `members` is derived from `refs`; comparing it would be redundant.
-        self.refs == other.refs && self.capacity == other.capacity && self.full_df == other.full_df
-    }
 }
 
 impl TruncatedPostingList {
@@ -65,7 +56,6 @@ impl TruncatedPostingList {
             refs: Vec::new(),
             capacity: capacity.max(1),
             full_df: 0,
-            members: HashSet::new(),
         }
     }
 
@@ -112,18 +102,9 @@ impl TruncatedPostingList {
     /// Inserts a reference, keeping the list sorted by descending score (ties broken by
     /// ascending document id) and bounded by the capacity. A reference for a document
     /// that is already present replaces the old entry if its score is higher.
-    ///
-    /// The common case — a document not yet stored — is a hash-set membership
-    /// check plus a sorted insert; only re-publications of an already-stored
-    /// document fall back to scanning for the old entry.
     pub fn insert(&mut self, r: ScoredRef) {
-        if self.members.contains(&r.doc) {
+        if let Some(i) = self.refs.iter().position(|x| x.doc == r.doc) {
             // Same document published again (e.g. re-indexing): keep the best score.
-            let i = self
-                .refs
-                .iter()
-                .position(|x| x.doc == r.doc)
-                .expect("membership set out of sync with refs");
             if r.score > self.refs[i].score {
                 self.refs.remove(i);
                 self.insert_sorted(r);
@@ -132,13 +113,10 @@ impl TruncatedPostingList {
             self.full_df += 1;
             if self.refs.len() < self.capacity {
                 self.insert_sorted(r);
-                self.members.insert(r.doc);
             } else if let Some(last) = self.refs.last() {
                 if r.score > last.score || (r.score == last.score && r.doc < last.doc) {
-                    let evicted = self.refs.pop().expect("non-empty at capacity");
-                    self.members.remove(&evicted.doc);
+                    self.refs.pop();
                     self.insert_sorted(r);
-                    self.members.insert(r.doc);
                 }
             }
         }
@@ -155,6 +133,10 @@ impl TruncatedPostingList {
     /// contributions of many publishing peers). The true document frequency is the sum
     /// of distinct contributions; duplicate documents keep their best score.
     pub fn merge(&mut self, other: &TruncatedPostingList) {
+        // Room for exactly the entries the list can keep: a stored list
+        // carries no growth slack.
+        let kept = self.capacity.min(self.refs.len() + other.refs.len());
+        self.refs.reserve_exact(kept - self.refs.len());
         for r in &other.refs {
             self.insert(*r);
         }
@@ -168,7 +150,6 @@ impl TruncatedPostingList {
     pub fn remove_peer_docs(&mut self, peer: u32) -> usize {
         let before = self.refs.len();
         self.refs.retain(|r| r.doc.peer != peer);
-        self.members.retain(|d| d.peer != peer);
         let removed = before - self.refs.len();
         self.full_df = self.full_df.saturating_sub(removed as u64);
         removed
@@ -185,11 +166,12 @@ impl TruncatedPostingList {
     }
 
     /// Builds a list directly from wire-decoded parts: `refs` already in
-    /// canonical order (descending score, ties by ascending doc id), with the
-    /// membership set derived. Its one caller is [`crate::codec::decode_list`],
-    /// which sorts `refs` first. Rejects the lists no insertion can build:
-    /// more entries than the capacity, a `full_df` below the entry count, or a
-    /// document listed twice.
+    /// canonical order (descending score, ties by ascending doc id). Its one
+    /// caller is [`crate::codec::decode_list`], which sorts `refs` first.
+    /// Rejects the lists no insertion can build: more entries than the
+    /// capacity, a `full_df` below the entry count, or a document listed
+    /// twice. Two copies of a document need not be neighbours in score
+    /// order, so the check sorts a copy of the document ids.
     pub(crate) fn from_wire_parts(
         refs: Vec<ScoredRef>,
         capacity: usize,
@@ -201,15 +183,15 @@ impl TruncatedPostingList {
         if full_df < refs.len() as u64 {
             return Err("list's full_df is below its entry count");
         }
-        let members: HashSet<DocId> = refs.iter().map(|r| r.doc).collect();
-        if members.len() != refs.len() {
+        let mut docs: Vec<DocId> = refs.iter().map(|r| r.doc).collect();
+        docs.sort_unstable();
+        if docs.windows(2).any(|w| w[0] == w[1]) {
             return Err("list repeats a document");
         }
         Ok(TruncatedPostingList {
             refs,
             capacity: capacity.max(1),
             full_df,
-            members,
         })
     }
 }
@@ -362,6 +344,14 @@ mod tests {
         list.insert(r(1, 9.0)); // doc 1 returns, evicting doc 2
         assert_eq!(list.refs()[0].doc.local, 1);
         assert_eq!(list.full_df(), 3);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_list_is_its_entries_and_two_counts() {
+        // `refs` (24 B), `capacity` and `full_df`: a stored list carries no
+        // derived state beside its entries.
+        assert!(std::mem::size_of::<TruncatedPostingList>() <= 40);
     }
 
     #[test]

@@ -187,9 +187,9 @@ fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// What a frame of `len` bytes justifies: a decoded list costs its entries
-/// (16 B each), a sort buffer and a membership set, and every entry takes at
-/// least 4 frame bytes — so a fixed multiple of the frame length, plus room
-/// for an error message.
+/// (16 B each), a sort buffer and a sorted copy of their document ids, and
+/// every entry takes at least 4 frame bytes — so a fixed multiple of the frame
+/// length, plus room for an error message.
 fn justified_bytes(len: usize) -> usize {
     32 * len + 256
 }
@@ -352,6 +352,13 @@ const FUZZ_REGRESSIONS: &[(&str, &[u8])] = &[
         "v3: one document listed twice",
         &[
             3, 4, 4, 2, 0, 0, 0, 64, 0, 0, 128, 63, 0, 3, 255, 255, 0, 0, 0, 0, 14, 3, 135, 22,
+        ],
+    ),
+    (
+        "v3: one document listed twice, apart in score order",
+        &[
+            3, 4, 4, 3, 0, 0, 0, 64, 0, 0, 128, 63, 0, 3, 255, 255, 0, 2, 0, 128, 0, 1, 0, 0, 146,
+            3, 101, 37,
         ],
     ),
     (

@@ -1,5 +1,6 @@
 //! Property-based tests for the core indexing/retrieval layer: HDK window machinery,
-//! result merging, QDI decision logic and the global distributed index.
+//! result merging, QDI decision logic, the global distributed index, and the
+//! truncated posting list's rules against a naive model.
 
 use alvisp2p_core::fault::ProbeOutcome;
 use alvisp2p_core::global_index::GlobalIndex;
@@ -35,6 +36,147 @@ fn brute_force_window(lists: &[Vec<u32>]) -> Option<u32> {
     }
     recurse(lists, &mut Vec::new(), &mut best);
     best
+}
+
+/// The documented posting-list rules, applied the naive way on a plain `Vec`:
+/// add or raise the entry, re-sort canonically (descending score, ties by
+/// ascending document id), cut to the capacity.
+#[derive(Debug)]
+struct ModelList {
+    refs: Vec<ScoredRef>,
+    capacity: usize,
+    full_df: u64,
+}
+
+impl ModelList {
+    fn new(capacity: usize) -> Self {
+        ModelList {
+            refs: Vec::new(),
+            capacity,
+            full_df: 0,
+        }
+    }
+
+    fn from_refs(refs: &[ScoredRef], capacity: usize) -> Self {
+        let mut model = ModelList::new(capacity);
+        for r in refs {
+            model.insert(*r);
+        }
+        model
+    }
+
+    /// A stored document keeps its best score and counts once; any other
+    /// document counts towards `full_df` whether or not it is kept.
+    fn insert(&mut self, r: ScoredRef) {
+        match self.refs.iter_mut().find(|x| x.doc == r.doc) {
+            Some(old) => old.score = old.score.max(r.score),
+            None => {
+                self.full_df += 1;
+                self.refs.push(r);
+            }
+        }
+        self.refs
+            .sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        self.refs.truncate(self.capacity);
+    }
+
+    /// Every kept entry of `other` is inserted; the entries `other` had
+    /// already truncated away add to `full_df` unseen.
+    fn merge(&mut self, other: &ModelList) {
+        for r in &other.refs {
+            self.insert(*r);
+        }
+        self.full_df += other.full_df - other.refs.len() as u64;
+    }
+
+    fn remove_peer_docs(&mut self, peer: u32) -> usize {
+        let before = self.refs.len();
+        self.refs.retain(|r| r.doc.peer != peer);
+        let removed = before - self.refs.len();
+        self.full_df = self.full_df.saturating_sub(removed as u64);
+        removed
+    }
+}
+
+/// Asserts that `list` and `model` hold the same entries (documents and
+/// score bits, in order), `full_df`, capacity and truncation status.
+fn assert_matches_model(list: &TruncatedPostingList, model: &ModelList) {
+    let bits = |refs: &[ScoredRef]| -> Vec<(DocId, u64)> {
+        refs.iter().map(|r| (r.doc, r.score.to_bits())).collect()
+    };
+    assert_eq!(bits(list.refs()), bits(&model.refs));
+    assert_eq!(list.full_df(), model.full_df);
+    assert_eq!(list.capacity(), model.capacity);
+    assert_eq!(list.is_truncated(), model.full_df > model.refs.len() as u64);
+}
+
+/// One step of a random list history.
+#[derive(Clone, Debug)]
+enum ListOp {
+    Insert(ScoredRef),
+    /// Merge a list built from these entries under this capacity.
+    Merge(Vec<ScoredRef>, usize),
+    RemovePeer(u32),
+}
+
+/// Entries over few documents and few scores, so that documents are
+/// re-published and scores tie.
+fn small_ref() -> impl Strategy<Value = ScoredRef> {
+    (0u32..3, 0u32..6, 0u64..5).prop_map(|(peer, local, s)| ScoredRef {
+        doc: DocId::new(peer, local),
+        score: s as f64 * 0.25,
+    })
+}
+
+/// A capacity in `1..=8`, or unbounded.
+fn list_capacity() -> impl Strategy<Value = usize> {
+    (0usize..9).prop_map(|c| if c == 0 { usize::MAX } else { c })
+}
+
+fn list_op() -> impl Strategy<Value = ListOp> {
+    (
+        0u8..10,
+        small_ref(),
+        proptest::collection::vec(small_ref(), 0..12),
+        list_capacity(),
+    )
+        .prop_map(|(kind, r, refs, capacity)| match kind {
+            0..=5 => ListOp::Insert(r),
+            6..=8 => ListOp::Merge(refs, capacity),
+            _ => ListOp::RemovePeer(r.doc.peer),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn posting_list_follows_the_naive_model(
+        capacity in list_capacity(),
+        ops in proptest::collection::vec(list_op(), 0..40),
+    ) {
+        let mut list = TruncatedPostingList::new(capacity);
+        let mut model = ModelList::new(capacity);
+        for op in ops {
+            match op {
+                ListOp::Insert(r) => {
+                    list.insert(r);
+                    model.insert(r);
+                }
+                ListOp::Merge(refs, other_capacity) => {
+                    let other = TruncatedPostingList::from_refs(refs.iter().copied(), other_capacity);
+                    let other_model = ModelList::from_refs(&refs, other_capacity);
+                    assert_matches_model(&other, &other_model);
+                    list.merge(&other);
+                    model.merge(&other_model);
+                }
+                ListOp::RemovePeer(peer) => {
+                    prop_assert_eq!(list.remove_peer_docs(peer), model.remove_peer_docs(peer));
+                }
+            }
+            assert_matches_model(&list, &model);
+        }
+    }
 }
 
 proptest! {
