@@ -15,8 +15,7 @@ fn main() -> ExitCode {
     exp_bandwidth::print(&params, &rows);
     table::maybe_print_json(&rows);
 
-    // E2c: the planned-vs-best-effort arm — same workload under per-query byte
-    // budgets, planned with the cost-based planner vs the PR 1 cutoff.
+    // E2c: the same workload under per-query byte budgets.
     let planned_params = if quick {
         exp_bandwidth::PlannedParams::quick()
     } else {

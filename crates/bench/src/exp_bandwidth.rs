@@ -13,7 +13,6 @@
 //! HDK and QDI stay roughly flat.
 
 use alvisp2p_core::network::AlvisNetwork;
-use alvisp2p_core::plan::{BestEffort, GreedyCost, Planner};
 use alvisp2p_core::request::QueryRequest;
 use alvisp2p_core::stats::{mean, percentile, recall_at_k};
 use alvisp2p_core::strategy::Hdk;
@@ -207,31 +206,25 @@ pub fn print(params: &BandwidthParams, rows: &[BandwidthRow]) {
 }
 
 // ---------------------------------------------------------------------------
-// E2c — planned-vs-best-effort arm: recall and spend under byte budgets
+// E2c — the byte-budget sweep: recall and spend under per-query budgets
 // ---------------------------------------------------------------------------
 
-/// One row of the E2c output: one planner arm at one byte budget.
+/// One row of the E2c output: the sweep's workload at one byte budget.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PlannedBandwidthRow {
     /// The per-query byte budget.
     pub budget: u64,
-    /// Planner label.
-    pub planner: String,
     /// Mean retrieval bytes per query.
     pub mean_bytes: f64,
     /// Largest retrieval spend of any single query.
     pub max_bytes: u64,
-    /// Queries whose spend exceeded the budget (always 0 for the Reserve policy).
+    /// Queries whose spend exceeded the budget (always 0: the Reserve rule).
     pub budget_violations: usize,
     /// Mean recall@10 of the distributed results against the centralized
     /// reference top-10.
     pub mean_recall: f64,
     /// Mean probes per query.
     pub mean_probes: f64,
-    /// Whether every query's top-k — document ids, ranks AND score bits —
-    /// matched the `greedy-cost` reference arm at the same budget.
-    #[serde(default)]
-    pub identical_topk: bool,
     /// Aggregated robustness counters (all zeros under the default fault plane).
     pub robustness: Robustness,
 }
@@ -251,7 +244,7 @@ pub struct BandwidthReport {
     pub long_lists: Vec<PlannedBandwidthRow>,
 }
 
-/// Parameters of the E2c planned-vs-best-effort sweep.
+/// Parameters of the E2c byte-budget sweep.
 #[derive(Clone, Debug, Serialize)]
 pub struct PlannedParams {
     /// Collection size (documents).
@@ -312,9 +305,8 @@ impl PlannedParams {
     }
 }
 
-/// Runs the E2c sweep: the same HDK network and query workload under each byte
-/// budget, once planned with [`BestEffort`] (PR 1 cutoff semantics) and once
-/// with [`GreedyCost`] (budget-aware admission).
+/// Runs the E2c sweep: the same HDK network and query workload under each
+/// byte budget.
 pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
     let corpus = match params.vocab_cap {
         Some(vocab) => workloads::dense_corpus(params.docs, vocab, params.seed),
@@ -328,11 +320,10 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
     let texts: Vec<String> = log.queries.iter().map(|q| q.text.clone()).collect();
 
     // HDK is non-adaptive (no post-query index changes), but the peers of a
-    // network remember where they found each key (routing shortcuts), so an
-    // arm that ran after another on the same network would be charged fewer
-    // routing bytes for the same probes. Every (budget, planner) combination
-    // therefore gets an identically seeded network of its own: the byte
-    // differences between arms are the planner's alone.
+    // network remember where they found each key (routing shortcuts), so a
+    // budget that ran after another on the same network would be charged
+    // fewer routing bytes for the same probes. Every budget therefore gets an
+    // identically seeded network of its own.
     let build = || {
         workloads::indexed_network(
             &corpus,
@@ -342,7 +333,7 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
         )
     };
     // The centralized reference ranking depends only on the query text, so
-    // compute it once per query rather than per (budget, planner) combination.
+    // compute it once per query rather than per budget.
     let reference_net = build();
     let references: Vec<HashSet<DocId>> = texts
         .iter()
@@ -357,85 +348,58 @@ pub fn run_planned(params: &PlannedParams) -> Vec<PlannedBandwidthRow> {
 
     let mut rows = Vec::new();
     for &budget in &params.budgets {
-        // The greedy arm runs first: it is the answer reference the other
-        // arm's `identical_topk` is measured against.
-        let arms: [(&str, &dyn Planner); 2] =
-            [("greedy-cost", &GreedyCost), ("best-effort", &BestEffort)];
-        let mut reference_answers: Option<Vec<Vec<(DocId, u64)>>> = None;
-        for (label, planner) in arms {
-            let mut net = build();
-            let mut bytes = Vec::with_capacity(texts.len());
-            let mut probes = Vec::with_capacity(texts.len());
-            let mut recalls = Vec::with_capacity(texts.len());
-            let mut answers = Vec::with_capacity(texts.len());
-            let mut max_bytes = 0u64;
-            let mut violations = 0usize;
-            let mut robustness = Robustness::default();
-            for (i, text) in texts.iter().enumerate() {
-                let request = QueryRequest::new(text.clone())
-                    .from_peer(i % params.peers)
-                    .top_k(10)
-                    .byte_budget(budget);
-                let plan = net.plan_with(planner, &request).expect("plan succeeds");
-                let outcome = net.run(&plan, &request).expect("query succeeds");
-                robustness.observe(&outcome);
-                recalls.push(recall_at_k(&outcome.results, &references[i], 10));
-                answers.push(
-                    outcome
-                        .results
-                        .iter()
-                        .map(|r| (r.doc, r.score.to_bits()))
-                        .collect::<Vec<_>>(),
-                );
-                bytes.push(outcome.bytes as f64);
-                probes.push(outcome.trace.probes as f64);
-                max_bytes = max_bytes.max(outcome.bytes);
-                if outcome.bytes > budget {
-                    violations += 1;
-                }
+        let mut net = build();
+        let mut bytes = Vec::with_capacity(texts.len());
+        let mut probes = Vec::with_capacity(texts.len());
+        let mut recalls = Vec::with_capacity(texts.len());
+        let mut max_bytes = 0u64;
+        let mut violations = 0usize;
+        let mut robustness = Robustness::default();
+        for (i, text) in texts.iter().enumerate() {
+            let request = QueryRequest::new(text.clone())
+                .from_peer(i % params.peers)
+                .top_k(10)
+                .byte_budget(budget);
+            let outcome = net.execute(&request).expect("query succeeds");
+            robustness.observe(&outcome);
+            recalls.push(recall_at_k(&outcome.results, &references[i], 10));
+            bytes.push(outcome.bytes as f64);
+            probes.push(outcome.trace.probes as f64);
+            max_bytes = max_bytes.max(outcome.bytes);
+            if outcome.bytes > budget {
+                violations += 1;
             }
-            let identical_topk = match &reference_answers {
-                Some(reference) => *reference == answers,
-                None => {
-                    reference_answers = Some(answers);
-                    true
-                }
-            };
-            rows.push(PlannedBandwidthRow {
-                budget,
-                planner: label.to_string(),
-                mean_bytes: mean(&bytes),
-                max_bytes,
-                budget_violations: violations,
-                mean_recall: mean(&recalls),
-                mean_probes: mean(&probes),
-                identical_topk,
-                robustness,
-            });
         }
+        rows.push(PlannedBandwidthRow {
+            budget,
+            mean_bytes: mean(&bytes),
+            max_bytes,
+            budget_violations: violations,
+            mean_recall: mean(&recalls),
+            mean_probes: mean(&probes),
+            robustness,
+        });
     }
     rows
 }
 
-/// The Reserve bar, one message per broken invariant: in both sweeps the
-/// `greedy-cost` arm never spends more than the budget on any query, and
-/// each sweep has such a row to check. Scale-independent, so it holds for
-/// `--quick` and full runs alike.
+/// The Reserve bar, one message per broken invariant: in both sweeps no
+/// row spends more than its budget on any query, and each sweep has rows
+/// to check. Scale-independent, so it holds for `--quick` and full runs
+/// alike.
 pub fn check(report: &BandwidthReport) -> Vec<String> {
     let mut failures = Vec::new();
     for (sweep, rows) in [
         ("planned", &report.planned),
         ("long-lists", &report.long_lists),
     ] {
-        let greedy: Vec<&PlannedBandwidthRow> =
-            rows.iter().filter(|r| r.planner == "greedy-cost").collect();
-        if greedy.is_empty() {
-            failures.push(format!("bandwidth: {sweep} has no greedy-cost row"));
+        if rows.is_empty() {
+            failures.push(format!("bandwidth: {sweep} has no rows"));
         }
-        for r in greedy {
+        for r in rows {
             if r.budget_violations > 0 || r.max_bytes > r.budget {
                 failures.push(format!(
-                    "bandwidth: {sweep} budget {}: greedy-cost broke the Reserve bound \
+                    "bandwidth: {sweep} budget {}: broke the Reserve bound \
                      ({} queries over budget, max {} B)",
                     r.budget, r.budget_violations, r.max_bytes
                 ));
@@ -448,33 +412,24 @@ pub fn check(report: &BandwidthReport) -> Vec<String> {
 /// Prints the E2c table.
 pub fn print_planned(rows: &[PlannedBandwidthRow]) {
     let mut t = Table::new(
-        "E2c: planned (greedy-cost) vs best-effort cutoff under per-query byte budgets",
+        "E2c: recall and spend under per-query byte budgets",
         &[
             "budget",
-            "planner",
             "bytes/query",
             "max bytes",
             "over budget",
             "recall@10",
             "probes/query",
-            "topk",
         ],
     );
     for r in rows {
         t.row(&[
             fmt_bytes(r.budget),
-            r.planner.clone(),
             fmt_bytes(r.mean_bytes as u64),
             fmt_bytes(r.max_bytes),
             r.budget_violations.to_string(),
             fmt_f(r.mean_recall, 3),
             fmt_f(r.mean_probes, 1),
-            if r.identical_topk {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
-            .to_string(),
         ]);
     }
     t.print();
@@ -545,18 +500,18 @@ mod tests {
         let long_rows = run_planned(&long);
         assert_eq!(base_rows.len(), long_rows.len());
         // The Reserve guarantee is corpus-independent.
-        for r in long_rows.iter().filter(|r| r.planner == "greedy-cost") {
+        for r in &long_rows {
             assert_eq!(r.budget_violations, 0);
             assert!(r.max_bytes <= r.budget);
         }
         // A capped vocabulary concentrates the same collection on fewer terms:
-        // the unbudgeted wire cost of a probe grows, which shows up as the
-        // best-effort arm spending at least as much per query at the largest
-        // budget (where the cutoff rarely binds).
+        // the unbudgeted wire cost of a probe grows, which shows up as
+        // spending at least as much per query at the largest budget (where
+        // the budget rarely binds).
         let spend = |rows: &[PlannedBandwidthRow]| {
             let max_budget = rows.iter().map(|r| r.budget).max().unwrap();
             rows.iter()
-                .find(|r| r.planner == "best-effort" && r.budget == max_budget)
+                .find(|r| r.budget == max_budget)
                 .unwrap()
                 .mean_bytes
         };
@@ -570,32 +525,15 @@ mod tests {
     }
 
     #[test]
-    fn planned_arm_greedy_matches_or_beats_best_effort_recall_within_budget() {
-        let rows = run_planned(&PlannedParams::quick());
-        assert!(!rows.is_empty());
-        for budget in PlannedParams::quick().budgets {
-            let arm = |planner: &str| {
-                rows.iter()
-                    .find(|r| r.budget == budget && r.planner == planner)
-                    .unwrap()
-            };
-            let best = arm("best-effort");
-            let greedy = arm("greedy-cost");
-            // The Reserve policy is a hard bound; the cutoff baseline may
-            // overshoot (that is the pre-planner behaviour being compared).
-            assert_eq!(
-                greedy.budget_violations, 0,
-                "greedy-cost exceeded the {budget}-byte budget"
-            );
-            assert!(greedy.max_bytes <= budget);
-            // At the same budget, cost-based planning retrieves at least as
-            // much of the reference top-10 as the fixed-order cutoff.
-            assert!(
-                greedy.mean_recall >= best.mean_recall,
-                "budget {budget}: greedy recall {:.3} < best-effort recall {:.3}",
-                greedy.mean_recall,
-                best.mean_recall
-            );
+    fn planned_sweep_never_exceeds_its_budgets() {
+        let params = PlannedParams::quick();
+        let rows = run_planned(&params);
+        let budgets: Vec<u64> = rows.iter().map(|r| r.budget).collect();
+        assert_eq!(budgets, params.budgets);
+        for r in &rows {
+            assert_eq!(r.budget_violations, 0, "budget {}", r.budget);
+            assert!(r.max_bytes <= r.budget, "budget {}", r.budget);
+            assert!(r.mean_probes > 0.0, "budget {}: nothing probed", r.budget);
         }
     }
 }

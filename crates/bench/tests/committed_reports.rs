@@ -86,11 +86,11 @@ fn committed_bandwidth_report_passes_its_bar() {
 #[test]
 fn bandwidth_bar_catches_a_budget_violation() {
     let mut report: exp_bandwidth::BandwidthReport = committed("BENCH_bandwidth.json");
-    let greedy = report
-        .planned
-        .iter_mut()
-        .find(|r| r.planner == "greedy-cost")
-        .expect("greedy-cost row");
-    greedy.budget_violations = 1;
+    report.planned[0].budget_violations = 1;
+    assert_eq!(exp_bandwidth::check(&report).len(), 1);
+    // Every row is checked, in both sweeps.
+    let mut report: exp_bandwidth::BandwidthReport = committed("BENCH_bandwidth.json");
+    let last = report.long_lists.last_mut().expect("long-lists rows");
+    last.max_bytes = last.budget + 1;
     assert_eq!(exp_bandwidth::check(&report).len(), 1);
 }

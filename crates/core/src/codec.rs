@@ -496,7 +496,7 @@ pub fn encoded_list_len(list: &TruncatedPostingList) -> usize {
 
 /// Worst-case length of a list frame carrying at most `entries` references —
 /// the sound upper bound [`crate::global_index::GlobalIndex::estimate_probe_bytes`]
-/// and the planners reserve against. Holds for any document ids, scores,
+/// builds on and the plan's Reserve rule reserves against. Holds for any document ids, scores,
 /// `full_df` and capacity.
 pub fn max_encoded_list_len(entries: usize) -> usize {
     // trailer + version + full_df/capacity varints at their 10-byte u64 worst

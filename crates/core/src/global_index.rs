@@ -718,7 +718,7 @@ impl GlobalIndex {
     /// travels, plus one when `from` holds a stale routing shortcut for the
     /// key (see [`Dht::estimate_hops`]). A fresh shortcut is not credited —
     /// it may be evicted between planning and the run — so budget admission
-    /// built on the estimate never overspends. Planners use this to
+    /// built on the estimate never overspends. Query plans use this to
     /// cost-annotate probe schedules before spending bandwidth.
     pub fn estimate_hops(&self, from: usize, key: &TermKey) -> Result<usize, DhtError> {
         self.dht.estimate_hops(from, key.ring_id())
@@ -1022,7 +1022,7 @@ mod tests {
         answered(gi.probe(9, &key, 1, 100, 0, None));
         let delta = gi.stats_snapshot().since(&after_publish);
         // The probe charges at least the codec frame of the stored list (plus
-        // request + routing), and never more than the planner's worst case.
+        // request + routing), and never more than the plan's worst case.
         let frame = gi.peek(&key).unwrap().postings.wire_size() as u64;
         assert!(delta.category(TrafficCategory::Retrieval).bytes > frame);
         assert_eq!(delta.category(TrafficCategory::Indexing).bytes, 0);

@@ -21,9 +21,9 @@
 //!   eviction;
 //! * [`lattice`] — the bounds and trace of the query-lattice walk of Figure 1
 //!   (the walk itself is [`PlanCursor`]);
-//! * [`plan`] — budget-aware query planning: the [`Planner`] seam producing
-//!   ordered, cost-annotated [`QueryPlan`]s over the term lattice (built-ins:
-//!   the PR 1-equivalent [`BestEffort`] and the cost-based [`GreedyCost`]);
+//! * [`plan`] — query planning: one ordered, cost-annotated [`QueryPlan`]
+//!   over the term lattice (largest combinations first), and the Reserve
+//!   rule that keeps a query within its byte budget;
 //! * [`exec`] — plan execution with streaming results: [`QueryStream`]s
 //!   with per-probe events, an on-demand running top-k and early
 //!   termination;
@@ -105,10 +105,7 @@ pub use network::{
     AlvisNetwork, AlvisNetworkBuilder, IndexBuildReport, NetworkConfig, RefinedResult,
 };
 pub use peer::{AlvisPeer, FetchOutcome};
-pub use plan::{
-    BestEffort, BudgetPolicy, GreedyCost, PlanCtx, PlanCursor, PlanDecision, PlanHints, PlanNode,
-    Planner, QueryPlan,
-};
+pub use plan::{BestEffort, PlanCursor, PlanDecision, PlanNode, QueryPlan};
 pub use posting::{ScoredRef, TruncatedPostingList};
 pub use qdi::{ActivationDecision, QdiConfig, QdiReport};
 pub use ranking::{merge_retrieved, score_local_postings, GlobalRankingStats};

@@ -26,7 +26,7 @@ use crate::hdk::HdkLevelReport;
 use crate::key::TermKey;
 use crate::lattice::{LatticeConfig, LatticeResult};
 use crate::peer::{AlvisPeer, FetchOutcome};
-use crate::plan::{BestEffort, PlanCtx, Planner, QueryPlan};
+use crate::plan::{BestEffort, QueryPlan};
 use crate::qdi::QdiReport;
 use crate::ranking::GlobalRankingStats;
 use crate::request::{QueryRequest, QueryResponse};
@@ -47,10 +47,6 @@ pub struct NetworkConfig {
     pub dht: DhtConfig,
     /// Distributed indexing strategy (any [`Strategy`] implementation).
     pub strategy: Arc<dyn Strategy>,
-    /// Query planner used by [`AlvisNetwork::plan`] and [`AlvisNetwork::execute`]
-    /// (any [`Planner`] implementation). The default, [`BestEffort`], reproduces
-    /// the fixed-order cutoff semantics of the pre-planner API.
-    pub planner: Arc<dyn Planner>,
     /// BM25 parameters used by every ranking component.
     pub bm25: Bm25Params,
     /// Query-lattice exploration parameters.
@@ -68,7 +64,6 @@ impl Default for NetworkConfig {
             peers: 32,
             dht: DhtConfig::default(),
             strategy: Arc::new(Hdk::default()),
-            planner: Arc::new(BestEffort),
             bm25: Bm25Params::default(),
             lattice: LatticeConfig::default(),
             retry_policy: RetryPolicy::default(),
@@ -127,10 +122,10 @@ impl AlvisNetworkBuilder {
         self
     }
 
-    /// Sets the query planner (any [`Planner`] implementation, including
-    /// user-defined ones).
-    pub fn planner(mut self, planner: impl Planner + 'static) -> Self {
-        self.config.planner = Arc::new(planner);
+    /// A no-op: queries have one plan ([`AlvisNetwork::plan`]). Kept only
+    /// because `benchmark/` (outside the workspace) calls it; goes with
+    /// ROADMAP item 8.
+    pub fn planner(self, _planner: BestEffort) -> Self {
         self
     }
 
@@ -345,11 +340,6 @@ impl AlvisNetwork {
         &self.config.strategy
     }
 
-    /// The query planner [`AlvisNetwork::plan`] and [`AlvisNetwork::execute`] use.
-    pub fn planner(&self) -> &Arc<dyn Planner> {
-        &self.config.planner
-    }
-
     /// Number of peers.
     pub fn peer_count(&self) -> usize {
         self.peers.len()
@@ -374,11 +364,6 @@ impl AlvisNetwork {
     /// examples to drive overlay-level events such as joins, departures and failures).
     pub fn global_index_mut(&mut self) -> &mut GlobalIndex {
         &mut self.global
-    }
-
-    /// The aggregated global ranking statistics.
-    pub fn ranking_stats(&self) -> &GlobalRankingStats {
-        &self.ranking
     }
 
     /// The centralized reference engine over the same collection.
@@ -586,8 +571,10 @@ impl AlvisNetwork {
     }
 
     /// Publishes the per-key maximum scores of the freshly built index into
-    /// the ranking statistics — the planner's benefit estimate, see
-    /// [`crate::plan::GreedyCost`] — charged to [`TrafficCategory::Ranking`].
+    /// the ranking statistics, charged to [`TrafficCategory::Ranking`]. The
+    /// maxima have no reader now; they stay so that the build's ranking
+    /// traffic (and `alvis_bench`'s `index_bytes_per_doc`) does not move
+    /// until their fate is decided.
     fn publish_key_maxima(&mut self) {
         let mut maxima: Vec<(TermKey, f64, u64)> = Vec::new();
         for entry in self.global.entries().filter(|e| e.activated) {
@@ -639,45 +626,33 @@ impl AlvisNetwork {
         Ok(())
     }
 
-    /// Plans one [`QueryRequest`] with the configured [`Planner`]: analyzes the
-    /// query, consults the strategy's [`Strategy::plan_hints`] and lattice bounds,
-    /// and returns the cost-annotated probe schedule. Planning is free — no
+    /// Plans one [`QueryRequest`]: analyzes the query and returns the
+    /// cost-annotated probe schedule over its term lattice under the
+    /// strategy's lattice bounds (see [`crate::plan`]). Planning is free — no
     /// traffic is charged and no network state changes.
     pub fn plan(&self, request: &QueryRequest) -> Result<QueryPlan, AlvisError> {
-        let planner = Arc::clone(&self.config.planner);
-        self.plan_with(planner.as_ref(), request)
-    }
-
-    /// Like [`AlvisNetwork::plan`] but with an explicit planner (e.g. to compare
-    /// [`BestEffort`] and [`crate::plan::GreedyCost`] schedules side by side).
-    pub fn plan_with(
-        &self,
-        planner: &dyn Planner,
-        request: &QueryRequest,
-    ) -> Result<QueryPlan, AlvisError> {
         self.validate_request(request)?;
         let terms = self.analyzer.analyze_query_ids(&request.text);
         if terms.is_empty() {
-            return Ok(QueryPlan::empty(planner.label(), request.origin));
+            return Ok(QueryPlan {
+                origin: request.origin,
+                ..QueryPlan::default()
+            });
         }
-        let query_key = TermKey::from_term_ids(terms);
         let strategy = &self.config.strategy;
-        let ctx = PlanCtx {
-            query_key: &query_key,
-            origin: request.origin,
-            lattice: strategy.lattice_config(&self.config.lattice),
-            hints: strategy.plan_hints(),
-            capacity: strategy.truncation_k(),
-            ranking: &self.ranking,
-            global: &self.global,
-            byte_budget: request.byte_budget,
-        };
-        Ok(planner.plan(&ctx))
+        Ok(QueryPlan::new(
+            &TermKey::from_term_ids(terms),
+            request.origin,
+            &strategy.lattice_config(&self.config.lattice),
+            strategy.truncation_k(),
+            &self.ranking,
+            &self.global,
+        ))
     }
 
     /// Runs a [`QueryPlan`] to completion and returns the assembled
-    /// [`QueryResponse`]. Budgets are enforced per the plan's
-    /// [`crate::plan::BudgetPolicy`]. The plan is borrowed so callers can
+    /// [`QueryResponse`]. The byte budget is enforced by the Reserve rule
+    /// (see [`crate::plan`]). The plan is borrowed so callers can
     /// reuse it; a one-shot caller hands its plan to [`AlvisNetwork::stream`].
     pub fn run(
         &mut self,
@@ -692,7 +667,7 @@ impl AlvisNetwork {
     /// finishes the stream into the response.
     ///
     /// The request must originate from the peer the plan was made for: the
-    /// plan's cost annotations (and therefore the Reserve policy's
+    /// plan's cost annotations (and therefore the Reserve rule's
     /// never-exceed-the-budget guarantee) are origin-specific, so a mismatch is
     /// an [`AlvisError::InvalidRequest`].
     pub fn stream(
@@ -715,17 +690,14 @@ impl AlvisNetwork {
     /// the exploration trace and the traffic the query consumed.
     ///
     /// Thin wrapper over [`AlvisNetwork::plan`] + [`AlvisNetwork::stream`] +
-    /// [`QueryStream::finish`] with the configured planner (default:
-    /// [`BestEffort`], which keeps the pre-planner fixed-order budget-cutoff
-    /// semantics).
+    /// [`QueryStream::finish`].
     pub fn execute(&mut self, request: &QueryRequest) -> Result<QueryResponse, AlvisError> {
         let plan = self.plan(request)?;
         self.stream(plan, request.clone())?.finish()
     }
 
     /// Executes a batch of requests in order, stopping at the first error. Each
-    /// request is planned with the configured planner and run like
-    /// [`AlvisNetwork::execute`].
+    /// request is planned and run like [`AlvisNetwork::execute`].
     pub fn query_batch(
         &mut self,
         requests: &[QueryRequest],
@@ -1102,19 +1074,19 @@ mod tests {
     #[test]
     fn exhausting_the_lattice_exactly_at_the_budget_is_not_truncation() {
         // budget_exhausted means "a budget withheld a probe", not "the budget
-        // happened to be fully spent": a budget equal to the query's exact
-        // budget-free spend must not be reported as truncation.
+        // happened to be fully spent": a budget equal to the plan's estimated
+        // total admits every probe (each estimate bounds its probe's charge),
+        // so it holds back nothing and is not reported as truncation.
         let mut reference = demo_network(Hdk::default(), 4);
         reference.build_index();
-        let free = reference
-            .execute(&QueryRequest::new("peer to peer retrieval"))
-            .unwrap();
+        let request = QueryRequest::new("peer to peer retrieval");
+        let free = reference.execute(&request).unwrap();
 
         let mut net = demo_network(Hdk::default(), 4);
         net.build_index();
-        let exact = net
-            .execute(&QueryRequest::new("peer to peer retrieval").byte_budget(free.bytes))
-            .unwrap();
+        let budget = net.plan(&request).unwrap().est_total_bytes;
+        let exact = net.execute(&request.clone().byte_budget(budget)).unwrap();
+        assert_eq!(exact.trace.nodes, free.trace.nodes);
         assert_eq!(exact.bytes, free.bytes);
         assert!(!exact.budget_exhausted);
     }
@@ -1132,7 +1104,6 @@ mod tests {
 
         let request = QueryRequest::new("peer to peer retrieval").from_peer(2);
         let plan = planned.plan(&request).unwrap();
-        assert_eq!(plan.planner, "best-effort");
         assert!(plan.est_total_bytes > 0);
         let via_plan = planned.run(&plan, &request).unwrap();
         let via_execute = direct.execute(&request).unwrap();
@@ -1152,27 +1123,24 @@ mod tests {
         net.reset_traffic();
         let request = QueryRequest::new("peer to peer retrieval");
         let plan = net.plan(&request).unwrap();
-        let greedy = net.plan_with(&crate::plan::GreedyCost, &request).unwrap();
         assert_eq!(net.traffic_snapshot().bytes_sent(), 0, "planning is free");
         assert!(plan.scheduled_probes() > 0);
-        assert!(greedy.scheduled_probes() > 0);
-        for node in greedy.probes() {
+        for node in plan.probes() {
             assert!(node.est_bytes > 0);
         }
-        // The schedules cover the same lattice.
-        assert_eq!(plan.nodes.len(), greedy.nodes.len());
+        let total: u64 = plan.probes().map(|n| n.est_bytes).sum();
+        assert_eq!(plan.est_total_bytes, total);
     }
 
     #[test]
-    fn greedy_cost_reserve_policy_never_exceeds_budgets() {
+    fn reserve_rule_never_exceeds_budgets() {
         for budget in [1u64, 300, 800, 2_000, 10_000] {
             let mut net = demo_network(Hdk::default(), 4);
             net.build_index();
             net.reset_traffic();
             let request =
                 QueryRequest::new("peer to peer retrieval overlay network").byte_budget(budget);
-            let plan = net.plan_with(&crate::plan::GreedyCost, &request).unwrap();
-            let response = net.run(&plan, &request).unwrap();
+            let response = net.execute(&request).unwrap();
             assert!(
                 response.bytes <= budget,
                 "spent {} with byte budget {budget}",

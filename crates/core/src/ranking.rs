@@ -26,7 +26,7 @@ use std::collections::{BTreeSet, HashMap};
 ///
 /// Alongside the mergeable string-keyed [`CollectionStats`] (the form peers
 /// publish), an interned `TermId → df` side table is maintained so the query
-/// planner's per-key document-frequency estimates never touch a string.
+/// plan's per-key document-frequency estimates never touch a string.
 #[derive(Clone, Debug, Default)]
 pub struct GlobalRankingStats {
     stats: CollectionStats,
@@ -35,8 +35,9 @@ pub struct GlobalRankingStats {
     /// Per-key maximum published contribution score, versioned by the key's
     /// publish version at recording time: each publication records the stored
     /// list's best score, and the aggregate keeps the newest version (taking
-    /// the max among same-version records). The planner's
-    /// [`crate::plan::GreedyCost`] reads it as a benefit estimate.
+    /// the max among same-version records). Nothing reads it at query time:
+    /// the one schedule needs no benefit estimate, and what becomes of the
+    /// maxima is still open (ROADMAP item 11).
     key_max: HashMap<TermKey, (f64, u64)>,
 }
 
@@ -118,11 +119,6 @@ impl GlobalRankingStats {
     /// so it is a planning estimate, not a bound.
     pub fn key_max_score(&self, key: &TermKey) -> Option<f64> {
         self.key_max.get(key).map(|(score, _)| *score)
-    }
-
-    /// Number of keys with a recorded maximum score.
-    pub fn key_max_count(&self) -> usize {
-        self.key_max.len()
     }
 
     /// Approximate wire size of one published `(key, max score)` record.
@@ -431,7 +427,6 @@ mod tests {
         global.record_key_max(&key, 1.0, 1);
         global.record_key_max(&key, 3.75, 1);
         assert_eq!(global.key_max_score(&key), Some(3.75));
-        assert_eq!(global.key_max_count(), 1);
         assert!(GlobalRankingStats::key_max_wire_size(&key) > 8);
     }
 

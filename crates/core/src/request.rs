@@ -121,10 +121,8 @@ pub struct QueryResponse {
     /// least one probe that would otherwise have been sent was withheld because
     /// the budget blocked it. Exhausting the lattice exactly at the budget
     /// boundary (nothing left to probe) does *not* set this flag. When set, the
-    /// results are best-effort over what was retrieved within the budget; how
-    /// strictly the budget bounds the actual spend depends on the plan's
-    /// [`crate::plan::BudgetPolicy`] (`Cutoff` may overshoot by one probe,
-    /// `Reserve` never exceeds the budget).
+    /// results are best-effort over what was retrieved within the budget,
+    /// which the spend never exceeds (the Reserve rule, see [`crate::plan`]).
     pub budget_exhausted: bool,
     /// Total probe re-sends across the query (each failed attempt that the
     /// [`crate::fault::RetryPolicy`] followed up on counts once). Always `0`

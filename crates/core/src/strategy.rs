@@ -22,7 +22,6 @@ use crate::hdk::{self, HdkConfig, HdkLevelReport};
 use crate::key::TermKey;
 use crate::lattice::{LatticeConfig, LatticeResult, NodeOutcome};
 use crate::peer::AlvisPeer;
-use crate::plan::PlanHints;
 use crate::posting::TruncatedPostingList;
 use crate::qdi::{activation_decision, is_obsolete, QdiConfig, QdiReport};
 use crate::ranking::{score_local_postings, GlobalRankingStats};
@@ -60,16 +59,6 @@ pub trait Strategy: std::fmt::Debug + Send + Sync {
     /// The default uses the network-level configuration unchanged.
     fn lattice_config(&self, base: &LatticeConfig) -> LatticeConfig {
         base.clone()
-    }
-
-    /// What query planners may assume about this strategy's index shape: the
-    /// longest key length it can have indexed, whether probing missing keys
-    /// still has value (query-driven strategies collect usage statistics from
-    /// them), and a prior that a multi-term candidate is indexed. Cost-based
-    /// planners ([`crate::plan::GreedyCost`]) use the hints to bias the probe
-    /// schedule. The conservative default assumes any key may be indexed.
-    fn plan_hints(&self) -> PlanHints {
-        PlanHints::default()
     }
 
     /// Observes a finished query; on-demand strategies use this to activate
@@ -356,14 +345,6 @@ impl Strategy for SingleTermFull {
             max_probes: base.max_probes,
         }
     }
-
-    fn plan_hints(&self) -> PlanHints {
-        PlanHints {
-            max_indexed_len: 1,
-            probe_unindexed: false,
-            multi_term_prior: 0.0,
-        }
-    }
 }
 
 /// Highly Discriminative Keys: document-frequency-driven key expansion with
@@ -398,16 +379,6 @@ impl Strategy for Hdk {
 
     fn df_max(&self) -> u64 {
         self.config.df_max as u64
-    }
-
-    fn plan_hints(&self) -> PlanHints {
-        PlanHints {
-            // HDK never publishes keys longer than its expansion bound.
-            max_indexed_len: self.config.max_key_len,
-            probe_unindexed: false,
-            // Only combinations of frequent terms that co-occur get indexed.
-            multi_term_prior: 0.4,
-        }
     }
 
     fn build_index(&self, ctx: &mut IndexerCtx<'_>) -> Vec<HdkLevelReport> {
@@ -551,18 +522,6 @@ impl Strategy for Qdi {
 
     fn df_max(&self) -> u64 {
         self.config.truncation_k as u64
-    }
-
-    fn plan_hints(&self) -> PlanHints {
-        PlanHints {
-            max_indexed_len: self.config.max_key_len,
-            // Probes of missing keys feed the responsible peers' usage
-            // statistics — they are what triggers on-demand activation, so a
-            // cost-based planner must not drop them.
-            probe_unindexed: true,
-            // Multi-term keys exist only after enough popularity.
-            multi_term_prior: 0.25,
-        }
     }
 
     fn build_index(&self, ctx: &mut IndexerCtx<'_>) -> Vec<HdkLevelReport> {

@@ -3,8 +3,8 @@
 //! ring placement, lattice enumeration order, expansion — must be
 //! indistinguishable from the seed's `Vec<String>` implementation, which is
 //! re-implemented here as the reference model. (End-to-end trace equivalence on
-//! random corpora is additionally covered by the `BestEffort` planner
-//! equivalence tests in `tests/proptest_invariants.rs` at the workspace root.)
+//! random corpora is additionally covered by the plan-walk equivalence
+//! tests in `tests/proptest_invariants.rs` at the workspace root.)
 
 use alvisp2p_core::key::TermKey;
 use alvisp2p_dht::RingId;

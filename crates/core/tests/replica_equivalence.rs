@@ -6,7 +6,6 @@
 //! own copies to the overlay-maintenance category), never *what* is answered.
 
 use alvisp2p_core::network::AlvisNetwork;
-use alvisp2p_core::plan::GreedyCost;
 use alvisp2p_core::request::QueryRequest;
 use alvisp2p_core::strategy::{Hdk, Qdi, SingleTermFull, Strategy};
 use alvisp2p_dht::{HotKeyReplication, NoReplication, ReplicationPolicy};
@@ -30,19 +29,16 @@ fn network(
     corpus: &SyntheticCorpus,
     strategy: Arc<dyn Strategy>,
     policy: Arc<dyn ReplicationPolicy>,
-    budgeted: bool,
     seed: u64,
 ) -> AlvisNetwork {
-    let mut builder = AlvisNetwork::builder()
+    AlvisNetwork::builder()
         .peers(24)
         .strategy_arc(strategy)
         .replication(policy)
         .seed(seed)
-        .corpus(corpus);
-    if budgeted {
-        builder = builder.planner(GreedyCost);
-    }
-    builder.build_indexed().expect("valid configuration")
+        .corpus(corpus)
+        .build_indexed()
+        .expect("valid configuration")
 }
 
 /// A small skewed query mix: one hot query repeated enough to push its keys
@@ -102,18 +98,11 @@ fn assert_equivalent_with(
     for seed in [11u64, 29] {
         let c = corpus(250, seed);
         let qs = queries(&c);
-        let mut plain = network(
-            &c,
-            Arc::clone(&strategy),
-            Arc::new(NoReplication),
-            budget.is_some(),
-            seed,
-        );
+        let mut plain = network(&c, Arc::clone(&strategy), Arc::new(NoReplication), seed);
         let mut replicated = network(
             &c,
             Arc::clone(&strategy),
             Arc::new(HotKeyReplication::new(3)),
-            budget.is_some(),
             seed,
         );
         let baseline = run(&mut plain, &qs, budget);
@@ -189,14 +178,12 @@ fn repair_disabled_default_never_exchanges_a_digest_and_answers_identically() {
         &c,
         Arc::clone(&strategy),
         Arc::new(HotKeyReplication::new(3)),
-        false,
         seed,
     );
     let mut repairing = network(
         &c,
         Arc::clone(&strategy),
         Arc::new(HotKeyReplication::new(3)),
-        false,
         seed,
     );
     repairing.set_repair_enabled(true);

@@ -7,7 +7,7 @@
 use alvisp2p_core::fault::ProbeOutcome;
 use alvisp2p_core::lattice::LatticeTrace;
 use alvisp2p_core::network::AlvisNetwork;
-use alvisp2p_core::plan::{CursorStep, GreedyCost, PlanCursor, QueryPlan};
+use alvisp2p_core::plan::{CursorStep, PlanCursor, QueryPlan};
 use alvisp2p_core::ranking::merge_retrieved;
 use alvisp2p_core::request::QueryRequest;
 use alvisp2p_core::strategy::Hdk;
@@ -60,12 +60,11 @@ struct Observed {
     trace: LatticeTrace,
 }
 
-/// A budgeted [`GreedyCost`] plan: ranked by priority across lattice levels,
-/// so nested keys are probed after their subsets. The budget itself never
-/// binds.
+/// The request's plan under a budget that never binds: the cursor still
+/// checks every probe against it.
 fn plan(net: &AlvisNetwork, request: &QueryRequest) -> QueryPlan {
     assert_eq!(request.byte_budget, Some(u64::MAX));
-    net.plan_with(&GreedyCost, request).unwrap()
+    net.plan(request).unwrap()
 }
 
 /// The reference executor: a merge after every probe.

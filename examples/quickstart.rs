@@ -79,21 +79,20 @@ fn main() {
     }
 
     // 4. Queries are planned before they are executed: inspect the cost-annotated
-    //    probe schedule, then stream the execution probe by probe. With the
-    //    cost-based planner and a byte budget, the spend never exceeds the budget.
+    //    probe schedule, then stream the execution probe by probe. Under a byte
+    //    budget a probe is sent only if its upper-bound cost still fits, so the
+    //    spend never exceeds the budget.
     let request = QueryRequest::new("truncated posting lists")
         .top_k(5)
         .byte_budget(2_000);
-    let plan = net
-        .plan_with(&GreedyCost, &request)
-        .expect("planning is free");
+    let plan = net.plan(&request).expect("planning is free");
     println!("\nplanned {:?} with a 2,000-byte budget:", request.text);
     for node in plan.probes() {
         println!(
-            "  probe {:<20} est {} bytes  priority {:.4}",
+            "  probe {:<20} at most {} bytes, {} hops",
             node.key.to_string(),
             node.est_bytes,
-            node.priority
+            node.est_hops
         );
     }
     let mut stream = net.stream(plan, request).expect("valid request");

@@ -105,14 +105,11 @@ fn main() {
             .count()
     );
     // --- Budget-planned retrieval over the adapted index -------------------------
-    // The cost-based planner spends a tight per-query byte budget on the most
-    // valuable keys (the activated combinations and rare singles) and — unlike
-    // the best-effort cutoff — never exceeds it.
+    // A tight per-query byte budget: the walk sends a probe only if its
+    // upper-bound cost still fits, so the spend never exceeds the budget.
     let popular = &log.queries[log.queries.len() - 1].text;
     let request = QueryRequest::new(popular.clone()).byte_budget(3_000);
-    let plan = net
-        .plan_with(&GreedyCost, &request)
-        .expect("planning is free");
+    let plan = net.plan(&request).expect("planning is free");
     let outcome = net.run(&plan, &request).expect("query succeeds");
     let reference = net.reference_search(popular, 10);
     println!(

@@ -43,18 +43,14 @@
 //! ## Plan / execute / stream
 //!
 //! Query execution is an explicit two-phase pipeline underneath `execute`:
-//! a [`prelude::Planner`] first turns the request into a [`prelude::QueryPlan`]
-//! — an ordered, cost-annotated probe schedule over the query's term lattice,
-//! using per-key document-frequency estimates and traffic-free DHT hop
-//! estimates — and the network then runs the plan, yielding results
-//! incrementally.
-//!
-//! * [`prelude::BestEffort`] (the default) reproduces the fixed-order,
-//!   budget-cutoff semantics of the classic `execute` path.
-//! * [`prelude::GreedyCost`] plans against the request's byte budget:
-//!   provably useless probes are dropped, the rest are prioritised by
-//!   benefit/cost, and probes are only sent while their worst-case cost still
-//!   fits — the spend never exceeds the budget.
+//! [`prelude::AlvisNetwork::plan`] first turns the request into a
+//! [`prelude::QueryPlan`] — the query's term lattice in the paper's fixed
+//! order, largest combinations first, each probe annotated with upper bounds
+//! on its hops and bytes from per-key document-frequency estimates and
+//! traffic-free DHT hop estimates — and the network then runs the plan,
+//! yielding results incrementally. Under a byte budget a probe is sent only
+//! if its upper-bound cost still fits (the Reserve rule), so the spend never
+//! exceeds the budget.
 //!
 //! Results stream: [`prelude::AlvisNetwork::stream`] pulls one
 //! [`prelude::ProbeEvent`] per probe (key, outcome, bytes), merges the running
@@ -68,7 +64,6 @@
 //! let mut net = AlvisNetwork::builder()
 //!     .peers(4)
 //!     .strategy(Hdk::new(HdkConfig { df_max: 2, ..Default::default() }))
-//!     .planner(GreedyCost)
 //!     .documents(demo_corpus())
 //!     .build_indexed()
 //!     .unwrap();
@@ -84,7 +79,7 @@
 //! while let Some(event) = stream.next_event() {
 //!     let event = event.unwrap();
 //!     probes_seen += 1;
-//!     assert!(event.spent_bytes <= 50_000); // GreedyCost never exceeds the budget
+//!     assert!(event.spent_bytes <= 50_000); // the spend never exceeds the budget
 //! }
 //! let response = stream.finish().unwrap();
 //! assert_eq!(probes_seen, response.trace.probes);
@@ -118,12 +113,9 @@ pub mod prelude {
     };
     // The session-oriented query API.
     pub use alvisp2p_core::request::{QueryRequest, QueryResponse, ThresholdMode};
-    // The plan → execute pipeline: planners, plans and streaming execution.
+    // The plan → execute pipeline: plans and streaming execution.
     pub use alvisp2p_core::exec::{ProbeEvent, QueryStream, StableTopK};
-    pub use alvisp2p_core::plan::{
-        BestEffort, BudgetPolicy, GreedyCost, PlanCtx, PlanDecision, PlanHints, PlanNode, Planner,
-        QueryPlan,
-    };
+    pub use alvisp2p_core::plan::{PlanDecision, PlanNode, QueryPlan};
     // The document digest.
     pub use alvisp2p_core::digest::DocumentDigest;
     // Fault injection and the policy that survives it.

@@ -293,10 +293,9 @@ proptest! {
                     est_hops: 0,
                     est_bytes: 0,
                     est_entries: 0,
-                    priority: 0.0,
                 })
                 .collect(),
-            ..QueryPlan::empty("all-probe", 0)
+            ..QueryPlan::default()
         };
         let mut cursor = PlanCursor::new(plan, &lattice, None);
         let mut probed: Vec<TermKey> = Vec::new();
@@ -392,8 +391,11 @@ fn demo_net(strategy_pick: u8, seed: u64) -> alvisp2p::core::AlvisNetwork {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (a) A GreedyCost-planned execution never exceeds the request's byte
-    /// budget — the Reserve admission policy is a hard bound, not best-effort.
+    /// (a) A query never spends more than its byte budget: the Reserve rule
+    /// admits a probe only if its upper-bound cost still fits. The demo
+    /// queries spend well under the drawn budget, so each also runs under
+    /// one below its unbudgeted spend (the drawn budget modulo that spend),
+    /// which must bind.
     #[test]
     fn planned_execution_never_exceeds_budgets(
         strategy_pick: u8,
@@ -402,37 +404,85 @@ proptest! {
         origin in 0usize..4,
     ) {
         use alvisp2p::prelude::*;
-        let mut net = demo_net(strategy_pick, 11);
-        let request = QueryRequest::new(pool_query(&picks))
-            .from_peer(origin)
-            .byte_budget(byte_budget);
-        let plan = net.plan_with(&GreedyCost, &request).unwrap();
-        let response = net.run(&plan, &request).unwrap();
-        prop_assert!(
-            response.bytes <= byte_budget,
-            "spent {} bytes with budget {}",
-            response.bytes,
-            byte_budget
-        );
+        let request = QueryRequest::new(pool_query(&picks)).from_peer(origin);
+        let free = demo_net(strategy_pick, 11).execute(&request).unwrap().bytes;
+        for budget in [byte_budget, byte_budget % free.max(1)] {
+            let response = demo_net(strategy_pick, 11)
+                .execute(&request.clone().byte_budget(budget))
+                .unwrap();
+            prop_assert!(
+                response.bytes <= budget,
+                "spent {} bytes with budget {}",
+                response.bytes,
+                budget
+            );
+            if budget < free {
+                prop_assert!(response.budget_exhausted, "budget {} below {}", budget, free);
+            }
+        }
+    }
+
+    /// (a') A budget that never binds leaves the walk as it is without one:
+    /// same trace, same bytes, same documents with the same score bits.
+    #[test]
+    fn an_unbinding_budget_leaves_the_walk_unchanged(
+        strategy_pick: u8,
+        picks in proptest::collection::vec(0usize..QUERY_POOL.len(), 1..5),
+        origin in 0usize..4,
+    ) {
+        use alvisp2p::prelude::*;
+        let request = QueryRequest::new(pool_query(&picks)).from_peer(origin);
+        let free = demo_net(strategy_pick, 13).execute(&request).unwrap();
+        let budgeted = demo_net(strategy_pick, 13)
+            .execute(&request.clone().byte_budget(u64::MAX))
+            .unwrap();
+        let bits = |r: &QueryResponse| -> Vec<(DocId, u64)> {
+            r.results.iter().map(|d| (d.doc, d.score.to_bits())).collect()
+        };
+        prop_assert_eq!(&budgeted.trace.nodes, &free.trace.nodes);
+        prop_assert_eq!(budgeted.bytes, free.bytes);
+        prop_assert_eq!(bits(&budgeted), bits(&free));
+        prop_assert!(!budgeted.budget_exhausted);
+    }
+
+    /// (a'') Every probe charges at most its plan node's `est_bytes`: the
+    /// upper bound the Reserve rule's guarantee rests on.
+    #[test]
+    fn every_probe_charges_at_most_its_estimate(
+        strategy_pick: u8,
+        picks in proptest::collection::vec(0usize..QUERY_POOL.len(), 1..5),
+        origin in 0usize..4,
+    ) {
+        use alvisp2p::prelude::*;
+        let mut net = demo_net(strategy_pick, 17);
+        let request = QueryRequest::new(pool_query(&picks)).from_peer(origin);
+        let plan = net.plan(&request).unwrap();
+        let mut stream = net.stream(plan.clone(), request).unwrap();
+        while let Some(event) = stream.next_event() {
+            let event = event.unwrap();
+            let node = plan.probes().find(|n| n.key == event.key).unwrap();
+            prop_assert!(
+                event.bytes <= node.est_bytes,
+                "{} charged {} bytes, estimated at most {}",
+                event.key,
+                event.bytes,
+                node.est_bytes
+            );
+        }
     }
 
     /// (b) Every plan's probes are a subset of the query's full lattice, cover
-    /// it exactly once, and contain no duplicates — for both built-in planners.
+    /// it exactly once, and contain no duplicates.
     #[test]
     fn plans_cover_the_lattice_without_duplicates(
         strategy_pick: u8,
         picks in proptest::collection::hash_set(0usize..QUERY_POOL.len(), 1..5),
-        greedy: bool,
     ) {
         use alvisp2p::prelude::*;
         let net = demo_net(strategy_pick, 7);
         let picks: Vec<usize> = picks.into_iter().collect();
         let request = QueryRequest::new(pool_query(&picks));
-        let plan = if greedy {
-            net.plan_with(&GreedyCost, &request).unwrap()
-        } else {
-            net.plan_with(&BestEffort, &request).unwrap()
-        };
+        let plan = net.plan(&request).unwrap();
         let Some(query_key) = plan.query_key.clone() else {
             prop_assert!(plan.nodes.is_empty());
             return;
@@ -449,7 +499,7 @@ proptest! {
         prop_assert!(plan.scheduled_probes() <= lattice.len());
     }
 
-    /// (c) Running a BestEffort plan through the network's stream reproduces a
+    /// (c) Running a plan through the network's stream reproduces a
     /// bare `PlanCursor` walk of the same plan over direct probes, key for
     /// key on budget-free queries: same nodes, same outcomes, same order,
     /// same traffic.
@@ -462,16 +512,16 @@ proptest! {
         use alvisp2p::prelude::*;
         let text = pool_query(&picks);
 
-        // The network's path: plan with BestEffort, run the plan.
+        // The network's path: plan, run the plan.
         let mut planned_net = demo_net(strategy_pick, 23);
         let request = QueryRequest::new(text).from_peer(origin);
-        let plan = planned_net.plan_with(&BestEffort, &request).unwrap();
+        let plan = planned_net.plan(&request).unwrap();
         let response = planned_net.run(&plan, &request).unwrap();
 
         // Reference: the same plan walked by a bare `PlanCursor` over direct
         // `GlobalIndex::probe` calls on an identically-built network.
         let mut reference_net = demo_net(strategy_pick, 23);
-        let plan = reference_net.plan_with(&BestEffort, &request).unwrap();
+        let plan = reference_net.plan(&request).unwrap();
         if plan.query_key.is_none() {
             prop_assert!(response.trace.nodes.is_empty());
             return;
