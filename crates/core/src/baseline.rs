@@ -59,11 +59,6 @@ impl CentralizedEngine {
         let terms = self.analyzer.analyze_query(query);
         Bm25Searcher::with_params(&self.index, self.params).search(&terms, k)
     }
-
-    /// Answers an already-analyzed query.
-    pub fn search_terms(&self, terms: &[String], k: usize) -> Vec<ScoredDoc> {
-        Bm25Searcher::with_params(&self.index, self.params).search(terms, k)
-    }
 }
 
 #[cfg(test)]
@@ -91,9 +86,6 @@ mod tests {
         let results = e.search("peer retrieval", 10);
         assert!(!results.is_empty());
         assert_eq!(results[0].doc, DocId::new(0, 0));
-        // Raw-text and pre-analyzed queries agree.
-        let analyzed = Analyzer::default().analyze_query("peer retrieval");
-        assert_eq!(e.search_terms(&analyzed, 10), results);
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl CodecError {
     pub(crate) fn new(msg: impl Into<String>) -> Self {
         CodecError::Malformed(msg.into())
     }
-
-    /// Whether this error means the frame failed integrity verification (as
-    /// opposed to being structurally malformed).
-    pub fn is_corrupt(&self) -> bool {
-        matches!(self, CodecError::ChecksumMismatch { .. })
-    }
 }
 
 impl fmt::Display for CodecError {
@@ -196,7 +190,7 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Encoded length of `v` as an LEB128 varint.
-pub fn varint_len(v: u64) -> usize {
+fn varint_len(v: u64) -> usize {
     (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
 }
 
@@ -272,7 +266,7 @@ fn quantize(score: f64, lo: f64, hi: f64) -> u16 {
 }
 
 /// Maps a quantized score back into `[lo, hi]`.
-pub fn dequantize(q: u16, lo: f64, hi: f64) -> f64 {
+fn dequantize(q: u16, lo: f64, hi: f64) -> f64 {
     if hi <= lo {
         return lo;
     }
@@ -827,7 +821,10 @@ mod tests {
         // A flipped key-frame bit is detected just like a list-frame one.
         let mut flipped = buf.clone();
         flipped[2] ^= 0x01;
-        assert!(decode_key(&flipped).unwrap_err().is_corrupt());
+        assert!(matches!(
+            decode_key(&flipped),
+            Err(CodecError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]

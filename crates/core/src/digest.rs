@@ -29,13 +29,8 @@ pub struct DigestDocument {
 }
 
 impl DigestDocument {
-    /// Total number of term occurrences in this entry.
-    pub fn occurrence_count(&self) -> usize {
-        self.terms.iter().map(|t| t.positions.len()).sum()
-    }
-
     /// Flattens the entry into analyzer-style term occurrences.
-    pub fn to_occurrences(&self) -> Vec<TermOccurrence> {
+    fn to_occurrences(&self) -> Vec<TermOccurrence> {
         let mut occs: Vec<TermOccurrence> = self
             .terms
             .iter()
@@ -172,7 +167,8 @@ mod tests {
         assert!(!digest.is_empty());
         let first = &digest.documents[0];
         assert!(first.terms.iter().any(|t| t.term == "retriev"));
-        assert!(first.occurrence_count() >= 4);
+        let occurrences: usize = first.terms.iter().map(|t| t.positions.len()).sum();
+        assert!(occurrences >= 4);
     }
 
     #[test]

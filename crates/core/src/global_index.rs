@@ -60,7 +60,7 @@ pub struct KeyIndexEntry {
 
 impl KeyIndexEntry {
     /// Creates a statistics-only (not yet activated) entry.
-    pub fn stats_only(key: TermKey, capacity: usize) -> Self {
+    fn stats_only(key: TermKey, capacity: usize) -> Self {
         KeyIndexEntry {
             key,
             postings: TruncatedPostingList::new(capacity),
@@ -186,9 +186,6 @@ pub struct GlobalIndex {
     probe_request_bytes: usize,
     /// Monotonic per-key publish versions, bumped on every mutation of a
     /// key's stored entry (publish, on-demand store, deactivation, eviction).
-    /// Cached evidence about an entry — its published maximum score in
-    /// [`crate::ranking::GlobalRankingStats`] — is only valid while its
-    /// recorded version matches the current one.
     versions: HashMap<RingId, u64>,
     /// Publications whose application at the responsible peer has not been
     /// acknowledged, awaiting re-publication. Always empty unless the plane
@@ -210,7 +207,7 @@ impl GlobalIndex {
     }
 
     /// Wraps an existing overlay.
-    pub fn from_dht(dht: Dht<KeyIndexEntry>) -> Self {
+    fn from_dht(dht: Dht<KeyIndexEntry>) -> Self {
         GlobalIndex {
             dht,
             probe_request_bytes: 48,
@@ -822,11 +819,6 @@ impl GlobalIndex {
         self.entries().filter(|e| e.activated).count()
     }
 
-    /// Total number of entries (activated + statistics-only).
-    pub fn total_entries(&self) -> usize {
-        self.entries().count()
-    }
-
     /// Total number of stored posting references across all activated keys.
     pub fn total_postings(&self) -> usize {
         self.entries()
@@ -960,7 +952,7 @@ mod tests {
         let probe = answered(gi.probe(2, &key, 7, 50, 0, None));
         assert!(!probe.found());
         assert_eq!(gi.activated_keys(), 0);
-        assert_eq!(gi.total_entries(), 1);
+        assert_eq!(gi.entries().count(), 1);
         let usage = gi.usage(&key).unwrap();
         assert_eq!(usage.probes, 1);
         assert_eq!(usage.hits, 0);
@@ -1070,7 +1062,7 @@ mod tests {
         gi.publish_postings(0, &key, &refs(2), 10).unwrap();
         assert!(gi.evict(&key));
         assert!(!gi.evict(&key));
-        assert_eq!(gi.total_entries(), 0);
+        assert_eq!(gi.entries().count(), 0);
         assert!(gi.peek(&key).is_none());
     }
 

@@ -308,7 +308,7 @@ impl TermKey {
     }
 
     /// Whether the key contains an interned term.
-    pub fn contains_id(&self, id: TermId) -> bool {
+    fn contains_id(&self, id: TermId) -> bool {
         self.term_ids().contains(&id)
     }
 

@@ -466,10 +466,7 @@ impl AlvisNetwork {
     /// Distributes `(title, body)` documents round-robin over the peers and indexes
     /// them locally (layer 5). The centralized reference engine indexes the same
     /// documents.
-    pub fn distribute_documents(
-        &mut self,
-        docs: impl IntoIterator<Item = (String, String)>,
-    ) -> usize {
+    fn distribute_documents(&mut self, docs: impl IntoIterator<Item = (String, String)>) -> usize {
         let mut count = 0usize;
         let n = self.peers.len();
         for (i, (title, body)) in docs.into_iter().enumerate() {
@@ -552,7 +549,6 @@ impl AlvisNetwork {
             self.config.bm25,
         );
         let levels = strategy.build_index(&mut ctx);
-        self.publish_key_maxima();
         self.index_built = true;
 
         let after = self.traffic_snapshot();
@@ -568,32 +564,6 @@ impl AlvisNetwork {
         };
         self.last_build = Some(report.clone());
         report
-    }
-
-    /// Publishes the per-key maximum scores of the freshly built index into
-    /// the ranking statistics, charged to [`TrafficCategory::Ranking`]. The
-    /// maxima have no reader now; they stay so that the build's ranking
-    /// traffic (and `alvis_bench`'s `index_bytes_per_doc`) does not move
-    /// until their fate is decided.
-    fn publish_key_maxima(&mut self) {
-        let mut maxima: Vec<(TermKey, f64, u64)> = Vec::new();
-        for entry in self.global.entries().filter(|e| e.activated) {
-            if let Some(best) = entry.postings.best_score() {
-                // Stamped with the key's publish version at recording time
-                // (later mutations — re-publications recovering lost updates,
-                // post-query indexing — leave it stale).
-                let version = self.global.publish_version(&entry.key);
-                maxima.push((entry.key.clone(), best, version));
-            }
-        }
-        maxima.sort_by(|a, b| a.0.cmp(&b.0));
-        for (key, best, version) in maxima {
-            self.global.charge(
-                TrafficCategory::Ranking,
-                GlobalRankingStats::key_max_wire_size(&key),
-            );
-            self.ranking.record_key_max(&key, best, version);
-        }
     }
 
     /// Whether [`AlvisNetwork::build_index`] has run.
@@ -856,6 +826,17 @@ mod tests {
             .expect("valid configuration")
     }
 
+    /// What a fault-free build charges to the ranking layer: each peer's
+    /// statistics fragment once, plus each peer's 24 B summary fetch, each
+    /// message in its wire envelope.
+    fn expected_ranking_bytes(net: &AlvisNetwork) -> u64 {
+        use alvisp2p_netsim::wire::ENVELOPE_OVERHEAD;
+        let fragments: usize = (0..net.peer_count())
+            .map(|i| GlobalRankingStats::fragment_wire_size(&net.peer(i).collection_stats()))
+            .sum();
+        (fragments + (24 + 2 * ENVELOPE_OVERHEAD) * net.peer_count()) as u64
+    }
+
     #[test]
     fn distribute_spreads_documents_round_robin() {
         let net = {
@@ -898,7 +879,7 @@ mod tests {
         let report = net.build_index();
         assert!(report.activated_keys > 10);
         assert!(report.indexing_bytes > 0);
-        assert!(report.ranking_bytes > 0);
+        assert_eq!(report.ranking_bytes, expected_ranking_bytes(&net));
         assert_eq!(report.strategy, "hdk");
         assert!(!report.levels.is_empty());
 
@@ -917,7 +898,9 @@ mod tests {
     #[test]
     fn single_term_baseline_reaches_reference_quality_with_more_bytes() {
         let mut baseline = demo_network(SingleTermFull, 4);
-        baseline.build_index();
+        let report = baseline.build_index();
+        // The ranking layer's charge does not depend on the strategy.
+        assert_eq!(report.ranking_bytes, expected_ranking_bytes(&baseline));
         let mut hdk = demo_network(
             Hdk::new(HdkConfig {
                 df_max: 2,

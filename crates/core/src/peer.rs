@@ -17,13 +17,13 @@ use alvisp2p_textindex::{
 /// document body lives at the external engine, only the index and the pointer are held
 /// by the peer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExternalDocument {
+struct ExternalDocument {
     /// The identifier assigned when the digest was imported.
-    pub id: DocId,
+    id: DocId,
     /// Title from the digest.
-    pub title: String,
+    title: String,
     /// URL of the original document at the external engine.
-    pub url: String,
+    url: String,
 }
 
 /// A result served by a peer for a remote fetch request, after access control.
@@ -78,11 +78,6 @@ impl AlvisPeer {
         }
     }
 
-    /// This peer's identifier (also its index in the overlay).
-    pub fn peer_id(&self) -> u32 {
-        self.peer_id
-    }
-
     /// The peer's analyzer.
     pub fn analyzer(&self) -> &Analyzer {
         &self.analyzer
@@ -96,11 +91,6 @@ impl AlvisPeer {
     /// The peer's shared-directory document store.
     pub fn documents(&self) -> &DocumentStore {
         &self.store
-    }
-
-    /// Documents imported from external engines (searchable but hosted elsewhere).
-    pub fn external_documents(&self) -> &[ExternalDocument] {
-        &self.external
     }
 
     /// Number of locally indexed documents (own + imported).
@@ -295,7 +285,7 @@ mod tests {
         let ids = gateway.import_digest(&digest);
         assert_eq!(ids.len(), 2);
         assert_eq!(gateway.indexed_documents(), 3);
-        assert_eq!(gateway.external_documents().len(), 2);
+        assert_eq!(gateway.external.len(), 2);
         // The imported documents are found by local search at the gateway.
         let hits = gateway.local_search("manuscripts archive", 10);
         assert!(!hits.is_empty());

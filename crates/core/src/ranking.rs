@@ -14,10 +14,19 @@
 //! receive exactly their centralized BM25 score, which is why retrieval quality stays
 //! comparable to a centralized engine. The root `tests/end_to_end.rs` pins the
 //! residual loss due to truncation, and `alvis_bench` gates its `overlap_at_10`.
+//!
+//! **The free bound.** A stored score is the sum of its key's BM25 term scores
+//! ([`score_local_postings`]), and each term score is
+//! `idf(t)·tf·(k1 + 1) / (tf + norm)` with `norm ≥ 0` for `0 ≤ b ≤ 1`, so no
+//! stored score of a key exceeds `Σ_{t∈key} idf(df_t, N)·(k1 + 1)`. The bound is
+//! reached only when `norm = 0` (`b = 1` and a zero document length), so it is
+//! `≤`, not `<`. Every querier already holds each df and `N` from the published
+//! collection statistics, so the bound of any key, probed or not, costs no
+//! message: no per-key maximum is published. `tests/proptest_invariants.rs`
+//! checks it over every stored entry.
 
 use crate::key::TermKey;
 use crate::posting::{ScoredRef, TruncatedPostingList};
-use alvisp2p_netsim::WireSize;
 use alvisp2p_textindex::bm25::{bm25_term_score, top_k, Bm25Params, ScoredDoc};
 use alvisp2p_textindex::{CollectionStats, DocId, InvertedIndex, TermId};
 use std::collections::{BTreeSet, HashMap};
@@ -32,13 +41,6 @@ pub struct GlobalRankingStats {
     stats: CollectionStats,
     /// Interned mirror of `stats.doc_frequencies`, rebuilt as fragments merge.
     df_by_id: HashMap<TermId, u64>,
-    /// Per-key maximum published contribution score, versioned by the key's
-    /// publish version at recording time: each publication records the stored
-    /// list's best score, and the aggregate keeps the newest version (taking
-    /// the max among same-version records). Nothing reads it at query time:
-    /// the one schedule needs no benefit estimate, and what becomes of the
-    /// maxima is still open (ROADMAP item 11).
-    key_max: HashMap<TermKey, (f64, u64)>,
 }
 
 impl GlobalRankingStats {
@@ -89,41 +91,6 @@ impl GlobalRankingStats {
     /// Size of the aggregated vocabulary.
     pub fn vocabulary_size(&self) -> usize {
         self.stats.vocabulary_size()
-    }
-
-    /// Records a published per-key maximum contribution score together with
-    /// the key's publish `version` at recording time. A newer version
-    /// replaces the stored record outright (each publication reports the
-    /// *stored list's* best score, which already subsumes every earlier
-    /// contribution); among same-version records the max wins; an older
-    /// version is ignored. Called on the publish path for every key a peer
-    /// contributes postings to.
-    pub fn record_key_max(&mut self, key: &TermKey, max_score: f64, version: u64) {
-        use std::collections::hash_map::Entry;
-        match self.key_max.entry(key.clone()) {
-            Entry::Vacant(slot) => {
-                slot.insert((max_score, version));
-            }
-            Entry::Occupied(mut slot) => {
-                let (score, recorded) = *slot.get();
-                if version > recorded || (version == recorded && max_score > score) {
-                    slot.insert((max_score, version));
-                }
-            }
-        }
-    }
-
-    /// The maximum score any stored posting of `key` was known to carry when
-    /// the record was made, or `None` if nothing was recorded. Freshness is
-    /// not checked: lossy publications can leave the record behind the list,
-    /// so it is a planning estimate, not a bound.
-    pub fn key_max_score(&self, key: &TermKey) -> Option<f64> {
-        self.key_max.get(key).map(|(score, _)| *score)
-    }
-
-    /// Approximate wire size of one published `(key, max score)` record.
-    pub fn key_max_wire_size(key: &TermKey) -> usize {
-        key.wire_size() + 8
     }
 
     /// Approximate wire size of one peer's statistics fragment (what publishing it to
@@ -416,53 +383,6 @@ mod tests {
     #[test]
     fn merge_retrieved_empty_input() {
         assert!(merge_retrieved(&[], 10).is_empty());
-    }
-
-    #[test]
-    fn key_max_keeps_the_max_over_same_version_publishers() {
-        let mut global = GlobalRankingStats::new();
-        let key = TermKey::new(["peer", "retriev"]);
-        assert!(global.key_max_score(&key).is_none());
-        global.record_key_max(&key, 2.5, 1);
-        global.record_key_max(&key, 1.0, 1);
-        global.record_key_max(&key, 3.75, 1);
-        assert_eq!(global.key_max_score(&key), Some(3.75));
-        assert!(GlobalRankingStats::key_max_wire_size(&key) > 8);
-    }
-
-    #[test]
-    fn key_max_newer_version_replaces_older_records_outright() {
-        let mut global = GlobalRankingStats::new();
-        let key = TermKey::single("peer");
-        global.record_key_max(&key, 9.0, 1);
-        // A later publication reports the stored list's best, which may be
-        // lower (the old top entries were truncated away): it must replace,
-        // not max with, the stale record.
-        global.record_key_max(&key, 4.0, 2);
-        assert_eq!(global.key_max_score(&key), Some(4.0));
-        // An out-of-order older record never clobbers a newer one.
-        global.record_key_max(&key, 100.0, 1);
-        assert_eq!(global.key_max_score(&key), Some(4.0));
-    }
-
-    #[test]
-    fn key_max_bounds_every_published_contribution() {
-        let a = local_index(0, &["peer retrieval peer systems", "peer protocols"]);
-        let b = local_index(1, &["peer networks", "text retrieval quality"]);
-        let mut global = global_from(&[&a, &b]);
-        let key = TermKey::single("peer");
-        // Each peer publishes its delta and records the delta's max score.
-        let mut all_scores = Vec::new();
-        for idx in [&a, &b] {
-            let delta = score_local_postings(idx, &key, &global, Bm25Params::default(), 100);
-            if let Some(best) = delta.best_score() {
-                global.record_key_max(&key, best, 1);
-            }
-            all_scores.extend(delta.refs().iter().map(|r| r.score));
-        }
-        let bound = global.key_max_score(&key).unwrap();
-        assert!(all_scores.iter().all(|s| *s <= bound));
-        assert!(all_scores.contains(&bound), "the bound is tight");
     }
 
     /// Over a *laminar* key family (every pair disjoint or nested) the

@@ -131,7 +131,7 @@ impl<'a> IndexerCtx<'a> {
 
     /// Scores peer `peer_index`'s local postings for `key`, truncated to
     /// `capacity`.
-    pub fn score_postings(
+    fn score_postings(
         &self,
         peer_index: usize,
         key: &TermKey,
@@ -176,7 +176,7 @@ impl<'a> IndexerCtx<'a> {
     }
 
     /// Charges strategy-level coordination traffic to the indexing category.
-    pub fn charge_indexing(&mut self, bytes: usize) {
+    fn charge_indexing(&mut self, bytes: usize) {
         self.global.charge(TrafficCategory::Indexing, bytes);
     }
 
@@ -202,7 +202,7 @@ impl<'a> IndexerCtx<'a> {
 
     /// Counts the activated keys of `level`, split into discriminative
     /// (`full_df <= df_max`) and frequent ones.
-    pub fn level_key_counts(&self, level: usize, df_max: u64) -> (usize, usize) {
+    fn level_key_counts(&self, level: usize, df_max: u64) -> (usize, usize) {
         let mut discriminative = 0usize;
         let mut frequent = 0usize;
         for e in self.global.entries() {
@@ -273,7 +273,7 @@ impl<'a> QueryCtx<'a> {
     /// and stores it. Acquisition traffic is charged to the indexing category
     /// and the activation counters are updated. Returns whether the key was
     /// stored.
-    pub fn activate_key(&mut self, key: &TermKey, capacity: usize) -> bool {
+    fn activate_key(&mut self, key: &TermKey, capacity: usize) -> bool {
         let mut merged = TruncatedPostingList::new(capacity);
         let mut acquisition_bytes = 0usize;
         for peer in self.peers {
@@ -299,7 +299,7 @@ impl<'a> QueryCtx<'a> {
 
     /// Deactivates a key (keeping its usage statistics) and counts the
     /// eviction. Returns whether the key was active.
-    pub fn deactivate_key(&mut self, key: &TermKey) -> bool {
+    fn deactivate_key(&mut self, key: &TermKey) -> bool {
         let deactivated = self.global.deactivate(key);
         if deactivated {
             self.report.evictions += 1;

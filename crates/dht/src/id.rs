@@ -48,11 +48,6 @@ impl RingId {
         RingId((f * u64::MAX as f64) as u64)
     }
 
-    /// The position of this identifier as a fraction of the ring in `[0, 1)`.
-    pub fn to_fraction(self) -> f64 {
-        self.0 as f64 / u64::MAX as f64
-    }
-
     /// Clockwise distance from `self` to `other` (how far one must travel forward on
     /// the ring, wrapping around, to reach `other`).
     pub fn distance_to(self, other: RingId) -> u64 {
@@ -69,14 +64,6 @@ impl RingId {
             return true;
         }
         from.distance_to(self) <= from.distance_to(to) && self != from
-    }
-
-    /// Whether `self` lies in the open clockwise interval `(from, to)`.
-    pub fn in_interval_open_open(self, from: RingId, to: RingId) -> bool {
-        if from == to {
-            return self != from;
-        }
-        self != from && self != to && from.distance_to(self) < from.distance_to(to)
     }
 
     fn mix(mut z: u64) -> u64 {
@@ -188,7 +175,8 @@ mod tests {
     fn fraction_round_trip() {
         for f in [0.0, 0.25, 0.5, 0.75, 0.999] {
             let id = RingId::from_fraction(f);
-            assert!((id.to_fraction() - f).abs() < 1e-9, "fraction {f}");
+            let back = id.0 as f64 / u64::MAX as f64;
+            assert!((back - f).abs() < 1e-9, "fraction {f}");
         }
         // Out-of-range fractions are clamped.
         assert_eq!(RingId::from_fraction(-1.0), RingId(0));
@@ -223,24 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn interval_open_open() {
-        let a = RingId(100);
-        let b = RingId(200);
-        assert!(RingId(150).in_interval_open_open(a, b));
-        assert!(!RingId(200).in_interval_open_open(a, b));
-        assert!(!RingId(100).in_interval_open_open(a, b));
-        // Degenerate: everything except the point itself.
-        assert!(RingId(5).in_interval_open_open(a, a));
-        assert!(!RingId(100).in_interval_open_open(a, a));
-    }
-
-    #[test]
     fn hash_str_is_roughly_uniform() {
         // Hash many strings and check all four quadrants of the ring are hit.
         let mut quadrants = [0usize; 4];
         for i in 0..4000 {
             let id = RingId::hash_str(&format!("term{i}"));
-            quadrants[(id.to_fraction() * 4.0) as usize % 4] += 1;
+            quadrants[(id.0 >> 62) as usize] += 1;
         }
         for q in quadrants {
             assert!(q > 700, "quadrant count {q} too small: {quadrants:?}");

@@ -137,7 +137,7 @@ impl<V: Clone + WireSize> Dht<V> {
 
     /// Adds `n` peers according to the configured identifier distribution
     /// (routing tables must be rebuilt afterwards).
-    pub fn populate(&mut self, n: usize) {
+    fn populate(&mut self, n: usize) {
         for _ in 0..n {
             let id = self.draw_id(self.peers.len(), n);
             self.add_peer_with_id(id);
@@ -558,15 +558,6 @@ impl<V: Clone + WireSize> Dht<V> {
     // Reporting
     // ------------------------------------------------------------------
 
-    /// Per-live-peer storage load: `(keys stored, approximate bytes)`.
-    pub fn storage_distribution(&self) -> Vec<(usize, usize)> {
-        self.peers
-            .iter()
-            .filter(|p| p.alive)
-            .map(|p| (p.store.len(), p.store.storage_bytes()))
-            .collect()
-    }
-
     /// Total number of keys stored across all live peers.
     pub fn total_keys(&self) -> usize {
         self.peers
@@ -850,9 +841,9 @@ mod tests {
             d.put(i % 16, key, vec![i as u32; 3], TrafficCategory::Indexing)
                 .unwrap();
         }
-        let dist = d.storage_distribution();
-        let keys: usize = dist.iter().map(|(k, _)| k).sum();
-        let bytes: usize = dist.iter().map(|(_, b)| b).sum();
+        let live = || d.peers.iter().filter(|p| p.alive);
+        let keys: usize = live().map(|p| p.store.len()).sum();
+        let bytes: usize = live().map(|p| p.store.storage_bytes()).sum();
         assert_eq!(keys, d.total_keys());
         assert_eq!(bytes, d.total_storage_bytes());
         assert_eq!(keys, 200);

@@ -394,12 +394,12 @@ impl ReplicaManager {
 
     /// The canonical content version of a replicated key (`0` for a key that
     /// has never been replicated or synced).
-    pub fn content_version(&self, key: RingId) -> u64 {
+    fn content_version(&self, key: RingId) -> u64 {
         self.versions.get(&key).copied().unwrap_or(0)
     }
 
     /// The content version `holder`'s copy of `key` corresponds to.
-    pub fn holder_version(&self, key: RingId, holder: usize) -> u64 {
+    fn holder_version(&self, key: RingId, holder: usize) -> u64 {
         self.holder_versions
             .get(&(key, holder))
             .copied()

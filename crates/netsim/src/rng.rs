@@ -120,7 +120,7 @@ impl SimRng {
     }
 
     /// Samples a uniform `u32`.
-    pub fn gen_u32(&mut self) -> u32 {
+    fn gen_u32(&mut self) -> u32 {
         if self.cursor >= 16 {
             self.refill();
         }
@@ -182,37 +182,6 @@ impl SimRng {
             let j = self.below(i as u64 + 1) as usize;
             slice.swap(i, j);
         }
-    }
-
-    /// Chooses a uniformly random element of `slice`, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            let i = self.below(slice.len() as u64) as usize;
-            Some(&slice[i])
-        }
-    }
-
-    /// Chooses an index according to the (non-negative) weights.
-    ///
-    /// Returns `None` if the weights are empty or all zero.
-    pub fn choose_weighted(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut target = self.gen_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w.is_finite() && w > 0.0 {
-                if target < w {
-                    return Some(i);
-                }
-                target -= w;
-            }
-        }
-        // Floating point slack: fall back to the last positive weight.
-        weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
     }
 
     /// Samples `k` distinct indices from `0..n` (reservoir style). If `k >= n`,
@@ -308,29 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn choose_weighted_respects_zero_weights() {
-        let mut rng = SimRng::new(5);
-        let weights = [0.0, 0.0, 1.0, 0.0];
-        for _ in 0..50 {
-            assert_eq!(rng.choose_weighted(&weights), Some(2));
-        }
-        assert_eq!(rng.choose_weighted(&[]), None);
-        assert_eq!(rng.choose_weighted(&[0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn choose_weighted_rough_proportions() {
-        let mut rng = SimRng::new(11);
-        let weights = [1.0, 3.0];
-        let mut counts = [0usize; 2];
-        for _ in 0..10_000 {
-            counts[rng.choose_weighted(&weights).unwrap()] += 1;
-        }
-        let ratio = counts[1] as f64 / counts[0] as f64;
-        assert!(ratio > 2.5 && ratio < 3.5, "ratio was {ratio}");
-    }
-
-    #[test]
     fn sample_indices_distinct() {
         let mut rng = SimRng::new(13);
         let s = rng.sample_indices(100, 10);
@@ -350,14 +296,6 @@ mod tests {
         // Out-of-range probabilities are clamped instead of panicking.
         assert!(rng.gen_bool(2.0));
         assert!(!rng.gen_bool(-1.0));
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = SimRng::new(19);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        assert!(rng.choose(&[42]).is_some());
     }
 
     #[test]

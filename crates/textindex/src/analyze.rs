@@ -110,28 +110,9 @@ impl Analyzer {
         self.analyze_distinct(query)
     }
 
-    /// Analyzes a text into its distinct **interned** terms (deduplicated, in
-    /// id order). This is the entry point the query pipeline uses: downstream
-    /// key construction, planning and probing work on [`TermId`]s directly and
-    /// never re-touch the strings. (Analysis itself still allocates per token
-    /// — the tokenizer and stemmer produce transient `String`s — so this is
-    /// not an allocation-free path; the interned ids are what make everything
-    /// *after* analysis allocation-free.)
-    pub fn analyze_distinct_ids(&self, text: &str) -> Vec<TermId> {
-        let mut ids: Vec<TermId> = self
-            .analyze(text)
-            .into_iter()
-            .map(|o| TermId::intern(&o.term))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Interned-term variant of [`Analyzer::analyze_query`] — **lookup-only**.
     ///
-    /// Unlike [`Analyzer::analyze_distinct_ids`] (the indexing-side entry
-    /// point, which interns), this resolves query terms through
+    /// It never interns: it resolves query terms through
     /// [`crate::intern::try_term_id`] and silently drops terms that were never
     /// interned. A term no document ever published cannot match anything, so
     /// dropping it changes no result — and an untrusted query stream full of
@@ -194,8 +175,11 @@ mod tests {
         let a = Analyzer::default();
         let text = "peers and peers and more peers searching searches";
         let strs = a.analyze_distinct(text);
+        for term in &strs {
+            TermId::intern(term);
+        }
         let mut resolved: Vec<&str> = a
-            .analyze_distinct_ids(text)
+            .analyze_query_ids(text)
             .iter()
             .map(|id| id.as_str())
             .collect();

@@ -69,7 +69,7 @@ pub struct ScoredDoc {
 impl ScoredDoc {
     /// Total ordering: by descending score, ties broken by ascending document id so
     /// that rankings are deterministic.
-    pub fn ranking_cmp(&self, other: &Self) -> Ordering {
+    fn ranking_cmp(&self, other: &Self) -> Ordering {
         other
             .score
             .partial_cmp(&self.score)
@@ -124,7 +124,7 @@ impl<'a> Bm25Searcher<'a> {
 
     /// Scores all matching documents without truncation (used by experiments that need
     /// the full centralized reference ranking).
-    pub fn score_all(&self, query_terms: &[String]) -> HashMap<DocId, f64> {
+    fn score_all(&self, query_terms: &[String]) -> HashMap<DocId, f64> {
         let doc_count = self.index.doc_count() as u64;
         let avg = self.index.avg_doc_len();
         let mut acc: HashMap<DocId, f64> = HashMap::new();

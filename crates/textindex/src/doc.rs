@@ -32,40 +32,12 @@ impl DocId {
     pub fn as_u64(self) -> u64 {
         (u64::from(self.peer) << 32) | u64::from(self.local)
     }
-
-    /// Unpacks an identifier from its u64 form.
-    pub fn from_u64(v: u64) -> Self {
-        DocId {
-            peer: (v >> 32) as u32,
-            local: (v & 0xFFFF_FFFF) as u32,
-        }
-    }
 }
 
 impl std::fmt::Display for DocId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "doc{}@peer{}", self.local, self.peer)
     }
-}
-
-/// The supported source formats of a published document (the paper's client accepts
-/// text, HTML, XML, PDF/Word and the Alvis XML format; multimedia is published through
-/// an XML description).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub enum DocumentFormat {
-    /// Plain text.
-    #[default]
-    Text,
-    /// HTML page.
-    Html,
-    /// Generic XML.
-    Xml,
-    /// PDF (text already extracted).
-    Pdf,
-    /// Word processor document (text already extracted).
-    Word,
-    /// Alvis XML description of an external or multimedia resource.
-    AlvisDescription,
 }
 
 /// A published document.
@@ -79,8 +51,6 @@ pub struct Document {
     pub body: String,
     /// URL at which the hosting peer serves the document.
     pub url: String,
-    /// Source format.
-    pub format: DocumentFormat,
     /// Access rights controlling who may fetch the full document.
     pub access: AccessRights,
 }
@@ -95,26 +65,14 @@ impl Document {
             title,
             body: body.into(),
             url,
-            format: DocumentFormat::Text,
             access: AccessRights::Public,
         }
-    }
-
-    /// Sets the document format.
-    pub fn with_format(mut self, format: DocumentFormat) -> Self {
-        self.format = format;
-        self
     }
 
     /// Sets the access rights.
     pub fn with_access(mut self, access: AccessRights) -> Self {
         self.access = access;
         self
-    }
-
-    /// Document length in whitespace-separated words (used by BM25 normalisation).
-    pub fn word_count(&self) -> usize {
-        self.body.split_whitespace().count()
     }
 
     /// A result snippet: the first `max_chars` characters of the body on a word
@@ -243,10 +201,9 @@ mod tests {
     #[test]
     fn doc_id_packs_and_unpacks() {
         let id = DocId::new(7, 12345);
-        assert_eq!(DocId::from_u64(id.as_u64()), id);
-        assert_eq!(DocId::from_u64(0), DocId::new(0, 0));
-        let max = DocId::new(u32::MAX, u32::MAX);
-        assert_eq!(DocId::from_u64(max.as_u64()), max);
+        assert_eq!(id.as_u64(), (7 << 32) | 12345);
+        assert_eq!(DocId::new(0, 0).as_u64(), 0);
+        assert_eq!(DocId::new(u32::MAX, u32::MAX).as_u64(), u64::MAX);
         assert_eq!(format!("{id}"), "doc12345@peer7");
     }
 
@@ -306,11 +263,5 @@ mod tests {
         assert!(store.get(id).is_none());
         assert!(store.remove(id).is_none());
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn word_count_counts_whitespace_words() {
-        let doc = Document::new(DocId::new(0, 0), "t", "one two  three\nfour");
-        assert_eq!(doc.word_count(), 4);
     }
 }

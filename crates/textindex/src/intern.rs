@@ -99,7 +99,7 @@ type FxBuild = BuildHasherDefault<FxHasher>;
 /// The derived `Ord` is **numeric** (assignment order), not lexicographic;
 /// canonical (string) ordering is the responsibility of the structures built
 /// on top (e.g. `alvisp2p-core`'s `TermKey` stores its ids in canonical term
-/// order). Use [`TermId::str_cmp`] for an explicit lexicographic comparison.
+/// order). Compare [`TermId::as_str`] for lexicographic order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(u32);
 
@@ -253,15 +253,6 @@ impl TermId {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Lexicographic comparison of the underlying terms (as opposed to the
-    /// derived numeric `Ord`).
-    pub fn str_cmp(self, other: TermId) -> std::cmp::Ordering {
-        if self == other {
-            return std::cmp::Ordering::Equal;
-        }
-        self.as_str().cmp(other.as_str())
-    }
 }
 
 impl std::fmt::Debug for TermId {
@@ -334,16 +325,6 @@ mod tests {
         // The canonical string is pointer-stable across lookups.
         let (_, s2) = TermId::intern_with_str("intern-test-delta");
         assert!(std::ptr::eq(s, s2));
-    }
-
-    #[test]
-    fn str_cmp_is_lexicographic() {
-        // Intern in reverse lexicographic order so numeric and string order differ.
-        let z = TermId::intern("intern-test-z");
-        let a = TermId::intern("intern-test-a");
-        assert_eq!(z.str_cmp(a), std::cmp::Ordering::Greater);
-        assert_eq!(a.str_cmp(z), std::cmp::Ordering::Less);
-        assert_eq!(a.str_cmp(a), std::cmp::Ordering::Equal);
     }
 
     #[test]

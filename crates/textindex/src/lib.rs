@@ -54,7 +54,7 @@ pub use bm25::{bm25_term_score, idf, top_k, Bm25Params, Bm25Searcher, ScoredDoc}
 pub use corpus::{
     build_vocabulary, demo_corpus, CorpusConfig, CorpusGenerator, GeneratedDoc, SyntheticCorpus,
 };
-pub use doc::{DocId, Document, DocumentFormat, DocumentStore};
+pub use doc::{DocId, Document, DocumentStore};
 pub use index::{CollectionStats, InvertedIndex, Posting, PostingList};
 pub use intern::{interned_terms, resolver, Resolver, TermId};
 pub use querylog::{LoggedQuery, QueryLog, QueryLogConfig, QueryLogGenerator};

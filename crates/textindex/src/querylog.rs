@@ -97,15 +97,6 @@ impl QueryLog {
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
-
-    /// The number of instances of each distinct query (indexed by `query_id`).
-    pub fn popularity_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.distinct.len()];
-        for q in &self.queries {
-            hist[q.query_id] += 1;
-        }
-        hist
-    }
 }
 
 /// Generator of query logs over a synthetic corpus.
@@ -280,7 +271,10 @@ mod tests {
     fn popularity_is_skewed() {
         let c = corpus();
         let log = QueryLogGenerator::new(QueryLogConfig::tiny(), 5).generate(&c);
-        let mut hist = log.popularity_histogram();
+        let mut hist = vec![0usize; log.distinct.len()];
+        for q in &log.queries {
+            hist[q.query_id] += 1;
+        }
         hist.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(hist.iter().sum::<usize>(), log.len());
         // The most popular query should be much more frequent than the median one.

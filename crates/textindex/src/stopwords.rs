@@ -168,13 +168,6 @@ impl Stopwords {
         }
     }
 
-    /// Builds a custom stopword list.
-    pub fn from_words(words: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        Stopwords {
-            words: words.into_iter().map(Into::into).collect(),
-        }
-    }
-
     /// Whether `word` (already lowercased) is a stopword.
     pub fn contains(&self, word: &str) -> bool {
         self.words.contains(word)
@@ -211,15 +204,6 @@ mod tests {
         let sw = Stopwords::none();
         assert!(sw.is_empty());
         assert!(!sw.contains("the"));
-    }
-
-    #[test]
-    fn custom_list() {
-        let sw = Stopwords::from_words(["foo", "bar"]);
-        assert!(sw.contains("foo"));
-        assert!(sw.contains("bar"));
-        assert!(!sw.contains("the"));
-        assert_eq!(sw.len(), 2);
     }
 
     #[test]

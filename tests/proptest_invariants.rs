@@ -555,6 +555,44 @@ proptest! {
         prop_assert_eq!(response.hops, reference.trace.hops);
         prop_assert_eq!(response.bytes, reference_bytes);
     }
+
+    /// (d) Every stored score is bounded by its key's free bound
+    /// Σ_{t∈key} idf(df_t, N)·(k1 + 1), computed from the collection
+    /// statistics alone. The query first runs so that QDI's on-demand lists
+    /// are stored too.
+    #[test]
+    fn stored_scores_respect_the_free_bound(
+        strategy_pick: u8,
+        picks in proptest::collection::vec(0usize..QUERY_POOL.len(), 1..5),
+        origin in 0usize..4,
+    ) {
+        use alvisp2p::core::GlobalRankingStats;
+        use alvisp2p::textindex::{idf, Bm25Params};
+        let mut net = demo_net(strategy_pick, 29);
+        let request = alvisp2p::core::QueryRequest::new(pool_query(&picks)).from_peer(origin);
+        net.execute(&request).unwrap();
+        let fragments: Vec<_> =
+            (0..net.peer_count()).map(|i| net.peer(i).collection_stats()).collect();
+        let global = GlobalRankingStats::aggregate(&fragments);
+        let k1 = Bm25Params::default().k1;
+        for entry in net.global_index().entries() {
+            let bound: f64 = entry
+                .key
+                .term_ids()
+                .iter()
+                .map(|t| idf(global.df_id(*t), global.doc_count()) * (k1 + 1.0))
+                .sum();
+            for r in entry.postings.refs() {
+                prop_assert!(
+                    r.score <= bound,
+                    "{} stores {} above its free bound {}",
+                    entry.key,
+                    r.score,
+                    bound
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
